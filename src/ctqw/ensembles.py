@@ -2,8 +2,10 @@
 
 Reproducibility contract: the generator is PCG64 and trial i draws from the
 substream SeedSequence(entropy=seed, spawn_key=(i,)), so results are
-identical bit for bit across platforms and thread counts (aggregation runs
-in trial order regardless of scheduling).
+identical bit for bit across platforms.  Only the coin draws run one trial
+at a time; spectra, degeneracy classes and averages run on blocks of
+BLOCK_SIZE trials with loops in a fixed order (no BLAS), and statistics
+aggregate in trial-then-draw order.
 
 The model draws the connection coins unconditionally, but downstream walk
 machinery needs connected graphs, so disconnected draws are rejected and
@@ -16,8 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,14 +26,12 @@ from .graphs import AbelianGroupSpec, Symbol
 from .spectra import DEGENERACY_TOL
 
 MAX_RESAMPLE_ATTEMPTS = 1000
+BLOCK_SIZE = 4096
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CTQW_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 def _symmetric_cosine_table(n: int) -> np.ndarray:
@@ -51,45 +49,65 @@ def _symmetric_cosine_table(n: int) -> np.ndarray:
     return table
 
 
-def _draw_symbol_bits(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One unconditioned draw of f: coins on the orbits {j, n-j}."""
+def _symbol_values(bits: np.ndarray, n: int) -> np.ndarray:
+    """Rows of coins on the orbits {j, n-j}, j = 1..n//2, as symbol values on Z_n."""
     m = n // 2
-    bits = rng.integers(0, 2, size=m)
-    vals = np.zeros(n, dtype=bool)
-    for j in range(1, m + 1):
-        if bits[j - 1]:
-            vals[j] = vals[n - j] = True
+    vals = np.zeros((len(bits), n), dtype=bool)
+    vals[:, 1 : m + 1] = bits
+    vals[:, n - m :][:, ::-1] |= bits
     return vals
 
 
-def _is_connected_symbol(n: int, vals: np.ndarray) -> bool:
-    support = np.flatnonzero(vals)
-    if support.size == 0:
-        return False
-    g = n
-    for x in support:
-        g = math.gcd(g, int(x))
-    return g == 1
+def _connected(bits: np.ndarray, n: int) -> np.ndarray:
+    """Per row: the support generates Z_n, i.e. the gcd of its orbits with n is 1."""
+    orbit_gcd = np.gcd(np.arange(1, n // 2 + 1), n)
+    return np.gcd.reduce(np.where(bits, orbit_gcd, n), axis=1) == 1
 
 
-def _circulant_eigenvalues(vals: np.ndarray, cos_table: np.ndarray) -> np.ndarray:
-    n = len(vals)
-    support = np.flatnonzero(vals)
-    idx = (support[:, None] * np.arange(n)[None, :]) % n
-    return cos_table[idx].sum(axis=0)
+def _eigenvalues(vals: np.ndarray, cos_table: np.ndarray) -> np.ndarray:
+    """lambda_a = sum_{x in S} cos(2 pi x a / n) per row, summed over x in increasing order."""
+    n = vals.shape[1]
+    lams = np.zeros(vals.shape)
+    for x in range(1, n):
+        lams += vals[:, x, None] * cos_table[(x * np.arange(n)) % n]
+    return lams
 
 
-def _eigenvalue_classes(lams: np.ndarray, tol: float) -> list[np.ndarray]:
-    order = np.argsort(-lams, kind="stable")
-    sorted_vals = lams[order]
-    classes = []
-    start = 0
-    for j in range(1, len(lams)):
-        if sorted_vals[j - 1] - sorted_vals[j] > tol:
-            classes.append(order[start:j])
-            start = j
-    classes.append(order[start:])
-    return classes
+def _class_labels(lams: np.ndarray, tol: float) -> np.ndarray:
+    """Degeneracy class of each eigenvalue, numbered in descending order.
+
+    Each row is sorted stably and cut where the gap exceeds tol.  A row with
+    no degenerate pair contradicts the zero spectral gap and raises.
+    """
+    order = np.argsort(-lams, axis=1, kind="stable")
+    desc = np.take_along_axis(lams, order, axis=1)
+    sorted_labels = np.zeros(lams.shape, dtype=np.int64)
+    np.cumsum(desc[:, :-1] - desc[:, 1:] > tol, axis=1, out=sorted_labels[:, 1:])
+    if np.any(sorted_labels[:, -1] == lams.shape[1] - 1):
+        raise RuntimeError("sampled circulant with nonzero spectral gap")
+    labels = np.empty_like(sorted_labels)
+    np.put_along_axis(labels, order, sorted_labels, axis=1)
+    return labels
+
+
+def _uniform_deviation(labels: np.ndarray, cos_table: np.ndarray) -> np.ndarray:
+    """sum_l |Pbar(l) - 1/n| per row, Pbar being row 0 of the average mixing matrix.
+
+    Pbar(l) = n^-2 sum_d c(d) cos(2 pi d l / n) with c(d) = #{a : a ~ a - d},
+    the diagonal-shift form of sum_r E_r o conj(E_r) for a circulant (Godsil,
+    "Average mixing of continuous quantum walks", JCTA 2013).
+    """
+    n = labels.shape[1]
+    pbar = np.zeros(labels.shape)
+    for d in range(n):
+        c = (labels == np.roll(labels, d, axis=1)).sum(axis=1)
+        pbar += c[:, None] * cos_table[(d * np.arange(n)) % n]
+    return np.abs(pbar / (n * n) - 1.0 / n).sum(axis=1)
+
+
+def _histogram(types: np.ndarray) -> dict[int, int]:
+    keys, counts = np.unique(types, return_counts=True)
+    return {int(k): int(c) for k, c in zip(keys, counts)}
 
 
 def sample_random_circulant(n: int, seed) -> Symbol:
@@ -102,12 +120,36 @@ def sample_random_circulant(n: int, seed) -> Symbol:
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.PCG64(ss))
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
-        vals = _draw_symbol_bits(n, rng)
-        if _is_connected_symbol(n, vals):
-            return Symbol(AbelianGroupSpec((n,)), vals)
+        bits = rng.integers(0, 2, size=(1, n // 2)).astype(bool)
+        if _connected(bits, n)[0]:
+            return Symbol(AbelianGroupSpec((n,)), _symbol_values(bits, n)[0])
     raise RuntimeError(
         f"no connected symbol after {MAX_RESAMPLE_ATTEMPTS} draws (n={n})"
     )
+
+
+def _draw_block(n: int, entropy, trials: range) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit coins of every draw of the given trials, and which draws were accepted.
+
+    Rows come in trial-then-draw order.  Trial i redraws from its own
+    substream until connected; its generator is dropped once it is accepted.
+    """
+    pending = {
+        i: np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(i,))))
+        for i in trials
+    }
+    owners, rows, accepted = [], [], []
+    for _ in range(MAX_RESAMPLE_ATTEMPTS):
+        bits = np.array([rng.integers(0, 2, size=n // 2) for rng in pending.values()], dtype=bool)
+        ok = _connected(bits, n)
+        owners.append(list(pending))
+        rows.append(bits)
+        accepted.append(ok)
+        pending = {i: rng for (i, rng), done in zip(pending.items(), ok) if not done}
+        if not pending:
+            order = np.argsort(np.concatenate(owners), kind="stable")
+            return np.concatenate(rows)[order], np.concatenate(accepted)[order]
+    raise RuntimeError(f"no connected symbol after {MAX_RESAMPLE_ATTEMPTS} draws (n={n})")
 
 
 @dataclass
@@ -144,66 +186,25 @@ class EnsembleStats:
         return self
 
 
-def _run_trial(n: int, ss: np.random.SeedSequence, cos_table, char_table, tol):
-    """One trial: resample to a connected symbol, record every draw's spectrum."""
-    rng = np.random.Generator(np.random.PCG64(ss))
-    draws_lam0: list[float] = []
-    draws_other: list[float] = []
-    for _ in range(MAX_RESAMPLE_ATTEMPTS):
-        vals = _draw_symbol_bits(n, rng)
-        lams = _circulant_eigenvalues(vals, cos_table)
-        draws_lam0.append(float(lams[0]))
-        draws_other.append(float(lams[1:].mean()))
-        if _is_connected_symbol(n, vals):
-            classes = _eigenvalue_classes(lams, tol)
-            if n >= 3 and all(len(c) == 1 for c in classes):
-                raise RuntimeError("sampled circulant with nonzero spectral gap")
-            graph_type = len(classes)
-            # Pbar(l) = sum over classes |sum_{a in C} chi_a(l)|^2 / n^2
-            pbar = np.zeros(n)
-            for cls in classes:
-                proj = char_table[:, cls].sum(axis=1)
-                pbar += (proj * proj.conj()).real
-            pbar /= n * n
-            deviation = float(np.abs(pbar - 1.0 / n).sum())
-            return draws_lam0, draws_other, graph_type, deviation
-    raise RuntimeError(f"no connected symbol after {MAX_RESAMPLE_ATTEMPTS} draws (n={n})")
-
-
 def ensemble_stats(n: int, trials: int, seed: int, tol: float = DEGENERACY_TOL) -> EnsembleStats:
-    """Seeded Monte Carlo over C(n, 1/2) with closed-form per-trial spectra."""
+    """Seeded Monte Carlo over C(n, 1/2) with closed-form spectra, block by block."""
     if n < 3:
         raise ValueError("random circulants require n >= 3")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_tol(tol)
     cos_table = _symmetric_cosine_table(n)
-    char_table = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    children = np.random.SeedSequence(seed).spawn(trials)
-
-    threads = _thread_count()
-    run = lambda ss: _run_trial(n, ss, cos_table, char_table, tol)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, children))
-    else:
-        results = [run(ss) for ss in children]
-
-    all_lam0: list[float] = []
-    all_other: list[float] = []
-    accepted_lam0 = np.empty(trials)
-    accepted_other = np.empty(trials)
-    types: dict[int, int] = {}
-    deviations = np.empty(trials)
-    for i, (draws_lam0, draws_other, graph_type, deviation) in enumerate(results):
-        all_lam0.extend(draws_lam0)
-        all_other.extend(draws_other)
-        accepted_lam0[i] = draws_lam0[-1]
-        accepted_other[i] = draws_other[-1]
-        types[graph_type] = types.get(graph_type, 0) + 1
-        deviations[i] = deviation
-
-    unc_lam0 = np.asarray(all_lam0)
-    unc_other = np.asarray(all_other)
+    entropy = np.random.SeedSequence(seed).entropy
+    blocks = []
+    for start in range(0, trials, BLOCK_SIZE):
+        bits, accepted = _draw_block(n, entropy, range(start, min(start + BLOCK_SIZE, trials)))
+        lams = _eigenvalues(_symbol_values(bits, n), cos_table)
+        labels = _class_labels(lams[accepted], tol)
+        blocks.append((lams[:, 0], lams[:, 1:].mean(axis=1), accepted,
+                       labels.max(axis=1) + 1, _uniform_deviation(labels, cos_table)))
+    unc_lam0, unc_other, accepted, types, deviations = (np.concatenate(col) for col in zip(*blocks))
+    accepted_lam0 = unc_lam0[accepted]
+    accepted_other = unc_other[accepted]
     total = len(unc_lam0)
     q10, q50, q90 = np.quantile(deviations, [0.1, 0.5, 0.9])
     return EnsembleStats(
@@ -221,59 +222,42 @@ def ensemble_stats(n: int, trials: int, seed: int, tol: float = DEGENERACY_TOL) 
         se_lambda0_unconditional=float(unc_lam0.std() / math.sqrt(total)),
         mean_lambda_other_unconditional=float(unc_other.mean()),
         se_lambda_other_unconditional=float(unc_other.std() / math.sqrt(total)),
-        type_histogram=dict(sorted(types.items())),
+        type_histogram=_histogram(types),
         deviation_quantiles={"q10": float(q10), "q50": float(q50), "q90": float(q90)},
     ).validate()
 
 
-def _all_symbols(n: int):
-    """Every symmetric symbol on Z_n (2^floor(n/2) of them) with its values."""
+def _all_symbol_bits(n: int) -> np.ndarray:
+    """Orbit coins of every symmetric symbol on Z_n: 2^floor(n/2) rows in mask
+    order, at most 1024, so the exhaustive routes fit in one block."""
+    if not 3 <= n <= 20:
+        raise ValueError("exhaustive enumeration is supported for 3 <= n <= 20")
     m = n // 2
-    for mask in range(2**m):
-        vals = np.zeros(n, dtype=bool)
-        for j in range(1, m + 1):
-            if mask >> (j - 1) & 1:
-                vals[j] = vals[n - j] = True
-        yield vals
+    return (np.arange(2**m)[:, None] >> np.arange(m)) & 1 == 1
 
 
 def type_spectrum_exhaustive(n: int, tol: float = DEGENERACY_TOL) -> dict[int, int]:
     """Exact type histogram over all connected symbols; oracle for the sampler."""
-    if not 3 <= n <= 20:
-        raise ValueError("exhaustive enumeration is supported for 3 <= n <= 20")
-    cos_table = _symmetric_cosine_table(n)
-    hist: dict[int, int] = {}
-    for vals in _all_symbols(n):
-        if not _is_connected_symbol(n, vals):
-            continue
-        lams = _circulant_eigenvalues(vals, cos_table)
-        t = len(_eigenvalue_classes(lams, tol))
-        hist[t] = hist.get(t, 0) + 1
-    return dict(sorted(hist.items()))
+    bits = _all_symbol_bits(n)
+    _check_tol(tol)
+    bits = bits[_connected(bits, n)]
+    lams = _eigenvalues(_symbol_values(bits, n), _symmetric_cosine_table(n))
+    return _histogram(_class_labels(lams, tol).max(axis=1) + 1)
 
 
 def exhaustive_expectations(n: int) -> dict[str, float]:
     """Exact ensemble expectations by enumerating all 2^floor(n/2) symbols."""
-    if not 3 <= n <= 20:
-        raise ValueError("exhaustive enumeration is supported for 3 <= n <= 20")
-    cos_table = _symmetric_cosine_table(n)
-    lam0_all: list[float] = []
-    other_all: list[float] = []
-    lam0_conn: list[float] = []
-    other_conn: list[float] = []
-    for vals in _all_symbols(n):
-        lams = _circulant_eigenvalues(vals, cos_table)
-        lam0_all.append(float(lams[0]))
-        other_all.append(float(lams[1:].mean()))
-        if _is_connected_symbol(n, vals):
-            lam0_conn.append(float(lams[0]))
-            other_conn.append(float(lams[1:].mean()))
+    bits = _all_symbol_bits(n)
+    connected = _connected(bits, n)
+    lams = _eigenvalues(_symbol_values(bits, n), _symmetric_cosine_table(n))
+    lam0 = lams[:, 0]
+    other = lams[:, 1:].mean(axis=1)
     return {
-        "p_connected": len(lam0_conn) / len(lam0_all),
-        "mean_lambda0": float(np.mean(lam0_all)),
-        "mean_lambda_other": float(np.mean(other_all)),
-        "mean_lambda0_connected": float(np.mean(lam0_conn)),
-        "mean_lambda_other_connected": float(np.mean(other_conn)),
+        "p_connected": int(connected.sum()) / len(connected),
+        "mean_lambda0": float(np.mean(lam0)),
+        "mean_lambda_other": float(np.mean(other)),
+        "mean_lambda0_connected": float(np.mean(lam0[connected])),
+        "mean_lambda_other_connected": float(np.mean(other[connected])),
     }
 
 

@@ -12,7 +12,7 @@ never masked, and do not affect the exit status.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -274,8 +274,8 @@ class VerifyConfig:
     def capped(self, max_n: int) -> "VerifyConfig":
         """Apply a global vertex-count cap across families."""
         d_cap = max(int(math.log2(max_n)), 1) if max_n >= 2 else 1
-        return VerifyConfig(
-            checks=self.checks,
+        return replace(
+            self,
             complete_max=min(self.complete_max, max_n),
             cycle_max=min(self.cycle_max, max_n),
             path_max=min(self.path_max, max_n),
@@ -285,13 +285,8 @@ class VerifyConfig:
             bunkbed_path_max=min(self.bunkbed_path_max, max(max_n // 2, 2)),
             bunkbed_hypercube_max_d=min(self.bunkbed_hypercube_max_d, d_cap),
             gap_zn_max=min(self.gap_zn_max, max_n),
-            gap_symbols=self.gap_symbols,
             gap_cube_max_d=min(self.gap_cube_max_d, d_cap),
             oracle_max=min(self.oracle_max, max_n),
-            ensemble_n=self.ensemble_n,
-            ensemble_trials=self.ensemble_trials,
-            seed=self.seed,
-            tol=self.tol,
         )
 
 
@@ -580,11 +575,14 @@ def _check_ensemble_expectations(cfg: VerifyConfig) -> list[MixingReport]:
     stats = ensemble_stats(n, cfg.ensemble_trials, cfg.seed)
     exact = exhaustive_expectations(n)
     rep = MixingReport(descriptor=f"random circulant ensemble C({n}, 1/2)")
-    z0 = abs(stats.mean_lambda0_unconditional - n // 2) / stats.se_lambda0_unconditional
+    # lambda_0 is the degree: each orbit {j, n-j} adds 2 (1 for j = n/2) with
+    # probability 1/2, so E[lambda_0] = (n-1)/2 for odd and even n alike
+    expected_lam0 = (n - 1) / 2
+    z0 = abs(stats.mean_lambda0_unconditional - expected_lam0) / stats.se_lambda0_unconditional
     rep.flags["expected_lambda0"] = _flag(
         "pass" if z0 <= 3.0 else "fail",
         measured=stats.mean_lambda0_unconditional,
-        expected=f"{n // 2} within 3 standard errors",
+        expected=f"{expected_lam0:g} within 3 standard errors",
         note=f"connectivity rejection rate {stats.rejection_rate:.4f};"
         f" conditional mean {stats.mean_lambda0:.4f}"
         f" (exact conditional value {exact['mean_lambda0_connected']:.4f})",

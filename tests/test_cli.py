@@ -168,6 +168,14 @@ def test_ensemble_subcommand(capsys):
     assert json.loads(out)["type_histogram"] == {"2": 1, "3": 1}
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+@pytest.mark.parametrize("mode", [["--exhaustive"], ["--trials", "50"]])
+def test_ensemble_rejects_bad_tol(capsys, tol, mode):
+    code, out, err = run_cli(capsys, "ensemble", "--n", "7", *mode, "--tol", tol)
+    assert code == 1
+    assert out == "" and "tol" in err
+
+
 def test_verify_subcommand_reports_discrepancies(capsys):
     code, out, _ = run_cli(capsys, "verify", "--checks", "cycle_average", "--max-n", "8")
     assert code == 0

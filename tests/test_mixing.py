@@ -193,3 +193,24 @@ def test_verify_bunkbed_flags_resonances_as_discrepancies():
     assert by_name["bunkbed over C_3"] == "pass"
     assert by_name["bunkbed over P_3"] == "pass"
     assert not mixing.has_failures(reports)
+
+
+def test_verify_ensemble_expectation_holds_for_even_n():
+    # E[lambda_0] = (n-1)/2 for every n, not floor(n/2)
+    cfg = VerifyConfig(checks=("ensemble_expectations",), ensemble_n=8, ensemble_trials=4000)
+    (report,) = verify_all(cfg)
+    assert report.flags["expected_lambda0"]["status"] == "pass"
+    assert report.flags["expected_lambda0"]["expected"].startswith("3.5 ")
+    assert not mixing.has_failures([report])
+
+
+def test_capped_caps_sizes_and_keeps_other_fields():
+    cfg = VerifyConfig(checks=("cycle_average",), gap_symbols=3, ensemble_n=9,
+                       ensemble_trials=11, seed=5, tol=1e-8)
+    capped = cfg.capped(8)
+    assert (capped.complete_max, capped.cycle_max, capped.path_max) == (8, 8, 8)
+    assert (capped.hypercube_max_d, capped.gap_cube_max_d, capped.bunkbed_hypercube_max_d) == (3, 3, 3)
+    assert (capped.bunkbed_complete_max, capped.bunkbed_cycle_max, capped.bunkbed_path_max) == (4, 4, 4)
+    assert (capped.gap_zn_max, capped.oracle_max) == (8, 8)
+    for name in ("checks", "gap_symbols", "ensemble_n", "ensemble_trials", "seed", "tol"):
+        assert getattr(capped, name) == getattr(cfg, name)
