@@ -55,10 +55,23 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 def _add_common_args(p: argparse.ArgumentParser, formats=("json", "csv", "table")) -> None:
     p.add_argument("--format", choices=list(formats), default="json")
     p.add_argument("--output", "-o", help="write output to this path (atomic)")
+
+
+def _add_tol_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=spectra.DEGENERACY_TOL,
                    help="degeneracy tolerance (default 1e-9)")
+
+
+def _add_normalize_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--normalize", action="store_true",
                    help="divide the adjacency by the regular degree")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -269,9 +282,11 @@ def _cmd_average(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    eps = math.inf if args.eps is None else args.eps
+    if math.isnan(eps):
+        raise UsageError("--eps must not be NaN")
     g = _build_graph(args)
     spec = _spectrum_for(g, args)
-    eps = math.inf if args.eps is None else args.eps
     minima = mixing.instantaneous_mixing_scan(
         spec, args.start, eps=eps, t_max=args.t_max, grid=args.grid
     )
@@ -409,6 +424,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="eigensystem, spectral gap, and type")
     _add_graph_args(p)
     _add_common_args(p)
+    _add_tol_arg(p)
+    _add_normalize_arg(p)
     p.add_argument("--dense", action="store_true", help="force the Jacobi oracle")
     p.add_argument("--eigenvectors", action="store_true", help="include eigenvectors (JSON)")
     p.add_argument("--char-table", help="character table JSON for a class-function circulant")
@@ -418,7 +435,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("walk", help="instantaneous distribution at a given time")
     _add_graph_args(p)
     _add_common_args(p)
-    p.add_argument("--t", type=float, required=True, help="evolution time")
+    _add_normalize_arg(p)
+    p.add_argument("--t", type=_finite_float, required=True, help="evolution time")
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--amplitudes", action="store_true", help="include amplitudes (JSON)")
     p.set_defaults(func=_cmd_walk)
@@ -426,20 +444,24 @@ def build_parser() -> _Parser:
     p = sub.add_parser("average", help="limiting average distribution and deviations")
     _add_graph_args(p)
     _add_common_args(p)
+    _add_tol_arg(p)
+    _add_normalize_arg(p)
     p.add_argument("--start", type=int, default=0)
     p.set_defaults(func=_cmd_average)
 
     p = sub.add_parser("scan", help="scan for instantaneous mixing times")
     _add_graph_args(p)
     _add_common_args(p)
+    _add_normalize_arg(p)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--eps", type=float, default=None, help="report minima at or below this deviation")
-    p.add_argument("--t-max", type=float, default=None, help="scan window (default heuristic)")
+    p.add_argument("--t-max", type=_finite_float, default=None, help="scan window (default heuristic)")
     p.add_argument("--grid", type=int, default=mixing.SCAN_GRID)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("ensemble", help="random circulant ensemble statistics")
     _add_common_args(p, formats=("json", "csv", "table"))
+    _add_tol_arg(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)

@@ -23,30 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import AbelianGroupSpec, Symbol
-from .spectra import DEGENERACY_TOL
+from .spectra import (
+    DEGENERACY_TOL,
+    _roots_of_unity,
+    character_phases,
+    circulant_eigenvalues,
+    degeneracy_labels,
+)
 
 MAX_RESAMPLE_ATTEMPTS = 1000
 BLOCK_SIZE = 4096
-
-
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-
-
-def _symmetric_cosine_table(n: int) -> np.ndarray:
-    """cos(2 pi k / n) with cos(2 pi (n-k)/n) copied from cos(2 pi k / n).
-
-    The copy makes the symmetry eigenvalue identity lambda_a == lambda_{-a}
-    exact in floating point for every sampled symbol.
-    """
-    table = np.cos(2.0 * np.pi * np.arange(n) / n)
-    for k in range(1, n // 2 + 1):
-        table[n - k] = table[k]
-    if n % 2 == 0:
-        table[n // 2] = -1.0
-    table[0] = 1.0
-    return table
 
 
 def _symbol_values(bits: np.ndarray, n: int) -> np.ndarray:
@@ -64,25 +50,14 @@ def _connected(bits: np.ndarray, n: int) -> np.ndarray:
     return np.gcd.reduce(np.where(bits, orbit_gcd, n), axis=1) == 1
 
 
-def _eigenvalues(vals: np.ndarray, cos_table: np.ndarray) -> np.ndarray:
-    """lambda_a = sum_{x in S} cos(2 pi x a / n) per row, summed over x in increasing order."""
-    n = vals.shape[1]
-    lams = np.zeros(vals.shape)
-    for x in range(1, n):
-        lams += vals[:, x, None] * cos_table[(x * np.arange(n)) % n]
-    return lams
-
-
 def _class_labels(lams: np.ndarray, tol: float) -> np.ndarray:
     """Degeneracy class of each eigenvalue, numbered in descending order.
 
-    Each row is sorted stably and cut where the gap exceeds tol.  A row with
+    Each row is sorted stably and cut by `degeneracy_labels`.  A row with
     no degenerate pair contradicts the zero spectral gap and raises.
     """
     order = np.argsort(-lams, axis=1, kind="stable")
-    desc = np.take_along_axis(lams, order, axis=1)
-    sorted_labels = np.zeros(lams.shape, dtype=np.int64)
-    np.cumsum(desc[:, :-1] - desc[:, 1:] > tol, axis=1, out=sorted_labels[:, 1:])
+    sorted_labels = degeneracy_labels(np.take_along_axis(lams, order, axis=1), tol)
     if np.any(sorted_labels[:, -1] == lams.shape[1] - 1):
         raise RuntimeError("sampled circulant with nonzero spectral gap")
     labels = np.empty_like(sorted_labels)
@@ -90,7 +65,7 @@ def _class_labels(lams: np.ndarray, tol: float) -> np.ndarray:
     return labels
 
 
-def _uniform_deviation(labels: np.ndarray, cos_table: np.ndarray) -> np.ndarray:
+def _uniform_deviation(labels: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """sum_l |Pbar(l) - 1/n| per row, Pbar being row 0 of the average mixing matrix.
 
     Pbar(l) = n^-2 sum_d c(d) cos(2 pi d l / n) with c(d) = #{a : a ~ a - d},
@@ -98,10 +73,11 @@ def _uniform_deviation(labels: np.ndarray, cos_table: np.ndarray) -> np.ndarray:
     "Average mixing of continuous quantum walks", JCTA 2013).
     """
     n = labels.shape[1]
+    cos = _roots_of_unity(n).real
     pbar = np.zeros(labels.shape)
     for d in range(n):
         c = (labels == np.roll(labels, d, axis=1)).sum(axis=1)
-        pbar += c[:, None] * cos_table[(d * np.arange(n)) % n]
+        pbar += c[:, None] * cos[phase[d]]
     return np.abs(pbar / (n * n) - 1.0 / n).sum(axis=1)
 
 
@@ -192,16 +168,15 @@ def ensemble_stats(n: int, trials: int, seed: int, tol: float = DEGENERACY_TOL) 
         raise ValueError("random circulants require n >= 3")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_tol(tol)
-    cos_table = _symmetric_cosine_table(n)
+    _, phase = character_phases(AbelianGroupSpec((n,)))
     entropy = np.random.SeedSequence(seed).entropy
     blocks = []
     for start in range(0, trials, BLOCK_SIZE):
         bits, accepted = _draw_block(n, entropy, range(start, min(start + BLOCK_SIZE, trials)))
-        lams = _eigenvalues(_symbol_values(bits, n), cos_table)
+        lams = circulant_eigenvalues(_symbol_values(bits, n), phase, n)
         labels = _class_labels(lams[accepted], tol)
         blocks.append((lams[:, 0], lams[:, 1:].mean(axis=1), accepted,
-                       labels.max(axis=1) + 1, _uniform_deviation(labels, cos_table)))
+                       labels.max(axis=1) + 1, _uniform_deviation(labels, phase)))
     unc_lam0, unc_other, accepted, types, deviations = (np.concatenate(col) for col in zip(*blocks))
     accepted_lam0 = unc_lam0[accepted]
     accepted_other = unc_other[accepted]
@@ -239,9 +214,9 @@ def _all_symbol_bits(n: int) -> np.ndarray:
 def type_spectrum_exhaustive(n: int, tol: float = DEGENERACY_TOL) -> dict[int, int]:
     """Exact type histogram over all connected symbols; oracle for the sampler."""
     bits = _all_symbol_bits(n)
-    _check_tol(tol)
     bits = bits[_connected(bits, n)]
-    lams = _eigenvalues(_symbol_values(bits, n), _symmetric_cosine_table(n))
+    _, phase = character_phases(AbelianGroupSpec((n,)))
+    lams = circulant_eigenvalues(_symbol_values(bits, n), phase, n)
     return _histogram(_class_labels(lams, tol).max(axis=1) + 1)
 
 
@@ -249,7 +224,8 @@ def exhaustive_expectations(n: int) -> dict[str, float]:
     """Exact ensemble expectations by enumerating all 2^floor(n/2) symbols."""
     bits = _all_symbol_bits(n)
     connected = _connected(bits, n)
-    lams = _eigenvalues(_symbol_values(bits, n), _symmetric_cosine_table(n))
+    _, phase = character_phases(AbelianGroupSpec((n,)))
+    lams = circulant_eigenvalues(_symbol_values(bits, n), phase, n)
     lam0 = lams[:, 0]
     other = lams[:, 1:].mean(axis=1)
     return {

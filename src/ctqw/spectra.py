@@ -3,9 +3,9 @@ otherwise, and the degeneracy structure both feed into walk averaging.
 
 Eigenvalues are always sorted descending with ties broken by ascending
 pre-sort index, so output is reproducible across runs and platforms.
-Closed-form circulant constructions assign one computed eigenvalue per
-{a, -a} orbit, which makes the symmetry degeneracy lambda_a == lambda_{-a}
-exact in floating point rather than approximate.
+Circulant eigenvalues are read from one conjugate-symmetric table of roots
+of unity, summed in a fixed order, which makes the symmetry degeneracy
+lambda_a == lambda_{-a} exact in floating point rather than approximate.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphValidationError, Symbol
+from .graphs import AbelianGroupSpec, Graph, GraphValidationError, Symbol
 
 DEGENERACY_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
@@ -37,15 +37,10 @@ class JacobiConvergenceError(RuntimeError):
 
 @dataclass
 class Spectrum:
-    """Eigenvalues (descending) with paired orthonormal eigenvector columns.
-
-    exact_pairs lists sorted-index pairs whose degeneracy is exact by
-    construction (circulant a <-> -a), independent of floating rounding.
-    """
+    """Eigenvalues (descending) with paired orthonormal eigenvector columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    exact_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -59,7 +54,7 @@ class Spectrum:
         """Spectrum of factor * A; eigenvectors and ordering are unchanged."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        return Spectrum(self.eigenvalues * factor, self.eigenvectors, self.exact_pairs)
+        return Spectrum(self.eigenvalues * factor, self.eigenvectors)
 
 
 @dataclass
@@ -127,38 +122,51 @@ class CharacterTable:
             raise ValueError(f"malformed character table JSON: {exc}") from None
 
 
-def _sorted_spectrum(
-    eigenvalues: np.ndarray,
-    eigenvectors: np.ndarray,
-    pairs: list[tuple[int, int]] | None = None,
-) -> Spectrum:
-    """Sort descending, ties by ascending original index; remap exact pairs."""
+def _sorted_spectrum(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> Spectrum:
+    """Sort descending, ties by ascending original index."""
     order = np.lexsort((np.arange(len(eigenvalues)), -eigenvalues))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    remapped = ()
-    if pairs:
-        remapped = tuple(
-            sorted(
-                (int(min(rank[a], rank[b])), int(max(rank[a], rank[b])))
-                for a, b in pairs
-            )
-        )
-    return Spectrum(eigenvalues[order], eigenvectors[:, order], remapped)
+    return Spectrum(eigenvalues[order], eigenvectors[:, order])
 
 
 def _roots_of_unity(L: int) -> np.ndarray:
-    """The L-th roots e^{2 pi i k / L} with exact values at quarter turns.
+    """The L-th roots e^{2 pi i k / L}: root[L - k] == conj(root[k]) bitwise,
+    with exact values at quarter turns.
 
-    Quarter-turn exactness keeps Z_2 and Z_4 character sums integral, which
-    downstream checks rely on (exact zero spectral gaps).
+    Conjugate symmetry makes lambda_a == lambda_{-a} exact; quarter-turn
+    exactness keeps integer character sums integral for groups with a Z_2 or
+    Z_4 factor (exact zero spectral gaps, C_4 printing 0.0).
     """
-    k = np.arange(L)
-    roots = np.exp(2j * np.pi * k / L)
-    for num, val in ((0, 1.0), (1, 1j), (2, -1.0), (3, -1j)):
+    theta = 2.0 * np.pi * np.arange(L // 2 + 1) / L
+    half = np.cos(theta) + 1j * np.sin(theta)
+    for num, val in ((0, 1.0), (1, 1j), (2, -1.0)):
         if (num * L) % 4 == 0:
-            roots[num * L // 4] = val
-    return roots
+            half[num * L // 4] = val
+    return np.concatenate([half, half[1 : (L + 1) // 2][::-1].conj()])
+
+
+def character_phases(group: AbelianGroupSpec) -> tuple[int, np.ndarray]:
+    """(L, phase) with chi_a(x) = root_L[phase[x, a]], L the lcm of the factors.
+
+    Together with `_roots_of_unity(L)` this is the character table of the group.
+    """
+    L = math.lcm(*group.factors)
+    coords = group.coordinates()
+    # phase[x, a] = sum_j a_j x_j L / n_j (mod L)
+    weights = np.array([L // f for f in group.factors], dtype=np.int64)
+    return L, ((coords * weights) @ coords.T) % L
+
+
+def circulant_eigenvalues(values: np.ndarray, phase: np.ndarray, L: int) -> np.ndarray:
+    """lambda_a = sum_{x in S} Re root_L[phase[x, a]] for each row of symbol values.
+
+    Rows are 0/1 symbol values on the group; x runs in increasing order, so
+    a symmetric symbol gives lambda_a == lambda_{-a} bitwise.
+    """
+    cos = _roots_of_unity(L).real
+    lams = np.zeros(values.shape)
+    for x in np.flatnonzero(values.any(axis=0)):
+        lams += values[:, x, None] * cos[phase[x]]
+    return lams
 
 
 def abelian_circulant_eigensystem(sym: Symbol) -> Spectrum:
@@ -167,32 +175,12 @@ def abelian_circulant_eigensystem(sym: Symbol) -> Spectrum:
     Eigenvalue for character a: sum over the symbol support of Re chi_a(x);
     eigenvector entries chi_a(x) / sqrt(|G|).
     """
-    group = sym.group
-    n = group.order
-    L = math.lcm(*group.factors)
-    coords = group.coordinates()
-    # phase[x, a] = sum_j a_j x_j L / n_j (mod L); chi_a(x) = root^phase
-    weights = np.array([L // f for f in group.factors], dtype=np.int64)
-    phase = ((coords * weights) @ coords.T) % L
-    chars = _roots_of_unity(L)[phase]
-
-    support = sym.support
-    eigenvalues = np.empty(n, dtype=np.float64)
-    seen = np.zeros(n, dtype=bool)
-    pairs: list[tuple[int, int]] = []
-    for a in range(n):
-        if seen[a]:
-            continue
-        neg = group.negate_index(a)
-        lam = float(np.sum(chars[support, a].real))
-        eigenvalues[a] = lam
-        seen[a] = True
-        if neg != a:
-            eigenvalues[neg] = lam
-            seen[neg] = True
-            pairs.append((a, neg))
-    eigenvectors = chars / math.sqrt(n)  # column a holds chi_a(x) / sqrt(|G|)
-    return _sorted_spectrum(eigenvalues, eigenvectors, pairs)
+    L, phase = character_phases(sym.group)
+    eigenvalues = circulant_eigenvalues(sym.values[None, :], phase, L)[0]
+    eigenvectors = _roots_of_unity(L)[phase]  # column a holds chi_a(x)
+    del phase  # free the n x n phase table before the sorted copy is made
+    eigenvectors /= math.sqrt(sym.group.order)
+    return _sorted_spectrum(eigenvalues, eigenvectors)
 
 
 def class_circulant_eigenvalues(
@@ -229,20 +217,20 @@ def path_eigensystem(n: int) -> Spectrum:
     eigenvalues = 2.0 * np.cos(j * np.pi / (n + 1))
     grid = np.outer(j, j) * (np.pi / (n + 1))
     vecs = np.sqrt(2.0 / (n + 1)) * np.sin(grid)  # vecs[l, j-1]
-    return _sorted_spectrum(eigenvalues, vecs.astype(np.complex128), None)
+    return _sorted_spectrum(eigenvalues, vecs.astype(np.complex128))
 
 
 def bunkbed_eigensystem(base_spec: Spectrum) -> Spectrum:
     """Spectrum of a bunkbed from its base: lambda_j +- 1 with (|0> +- |1>)/sqrt(2)
-    tensor factors.  exact_pairs is left empty; lambda_j + 1 may collide with
-    lambda_k - 1, so degeneracy is recomputed numerically downstream.
+    tensor factors.  lambda_j + 1 may collide with lambda_k - 1, so degeneracy
+    is decided downstream from the sorted values.
     """
     n = base_spec.n
     eigenvalues = np.concatenate([base_spec.eigenvalues + 1.0, base_spec.eigenvalues - 1.0])
     plus = np.vstack([base_spec.eigenvectors, base_spec.eigenvectors]) / math.sqrt(2)
     minus = np.vstack([base_spec.eigenvectors, -base_spec.eigenvectors]) / math.sqrt(2)
     eigenvectors = np.hstack([plus, minus])
-    return _sorted_spectrum(eigenvalues, eigenvectors, None)
+    return _sorted_spectrum(eigenvalues, eigenvectors)
 
 
 def jacobi_eigensystem(
@@ -311,7 +299,7 @@ def dense_eigensystem(g: Graph) -> Spectrum:
     """Independent oracle: full eigensystem of the adjacency via cyclic Jacobi."""
     g.validate()
     eigenvalues, vecs = jacobi_eigensystem(g.adjacency.astype(np.float64))
-    return _sorted_spectrum(eigenvalues, vecs.astype(np.complex128), None)
+    return _sorted_spectrum(eigenvalues, vecs.astype(np.complex128))
 
 
 def graph_eigensystem(g: Graph, method: str = "auto") -> Spectrum:
@@ -336,35 +324,25 @@ def graph_eigensystem(g: Graph, method: str = "auto") -> Spectrum:
     return dense_eigensystem(g)
 
 
+def degeneracy_labels(desc: np.ndarray, tol: float) -> np.ndarray:
+    """Class label of each entry of rows sorted descending, numbered from 0.
+
+    A new class starts wherever the gap to the previous entry exceeds tol;
+    this is the one place degeneracy is decided.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"degeneracy tol must be finite and > 0, got {tol}")
+    labels = np.zeros(desc.shape, dtype=np.int64)
+    np.cumsum(desc[..., :-1] - desc[..., 1:] > tol, axis=-1, out=labels[..., 1:])
+    return labels
+
+
 def degeneracy_classes(spec: Spectrum, tol: float = DEGENERACY_TOL) -> DegeneracyPartition:
-    """Cluster sorted eigenvalues by adjacent gap; force-merge exact pairs."""
-    if tol <= 0:
-        raise ValueError("degeneracy tolerance must be positive")
-    lam = spec.eigenvalues
-    n = len(lam)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for j in range(1, n):
-        if lam[j - 1] - lam[j] <= tol:
-            union(j - 1, j)
-    for a, b in spec.exact_pairs:
-        union(a, b)
-    groups: dict[int, list[int]] = {}
-    for j in range(n):
-        groups.setdefault(find(j), []).append(j)
-    classes = [sorted(groups[r]) for r in sorted(groups)]
-    return DegeneracyPartition(classes)
+    """Cluster the (descending) eigenvalues where adjacent gaps are <= tol."""
+    labels = degeneracy_labels(spec.eigenvalues, tol)
+    bounds = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), spec.n]
+    indices = list(range(spec.n))
+    return DegeneracyPartition([indices[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
 def spectral_gap(spec: Spectrum, tol: float = DEGENERACY_TOL) -> float:

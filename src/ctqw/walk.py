@@ -39,7 +39,7 @@ def as_distribution(raw: np.ndarray) -> np.ndarray:
         log.debug("clamped %.3e of negative probability residue", -negative.sum())
         probs = np.where(probs < 0, 0.0, probs)
     total = probs.sum()
-    if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
+    if not (abs(total - 1.0) <= DISTRIBUTION_SUM_TOL):
         raise RuntimeError(f"distribution sums to {total!r}, not 1")
     return probs
 
@@ -58,7 +58,7 @@ def evolve(spec: Spectrum, start: int, t: float) -> np.ndarray:
     weights = _start_weights(spec, start)
     amp = spec.eigenvectors @ (np.exp(-1j * spec.eigenvalues * t) * weights)
     norm = np.linalg.norm(amp)
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
+    if not (abs(norm - 1.0) <= UNIT_NORM_TOL):
         raise RuntimeError(f"evolved amplitude has norm {norm!r}; spectrum is inconsistent")
     return amp
 

@@ -385,8 +385,7 @@ def test_criterion_10_property_suites():
         spec = spectra.dense_eigensystem(g)
         base = walk.average_distribution(spec, 0)
         for c in rng.normal(0.0, 5.0, size=10):
-            shifted = spectra.Spectrum(
-                spec.eigenvalues + float(c), spec.eigenvectors, spec.exact_pairs)
+            shifted = spectra.Spectrum(spec.eigenvalues + float(c), spec.eigenvectors)
             assert np.max(np.abs(walk.average_distribution(shifted, 0) - base)) <= 1e-10
             cases += 1
     assert cases == 1000

@@ -168,12 +168,45 @@ def test_ensemble_subcommand(capsys):
     assert json.loads(out)["type_histogram"] == {"2": 1, "3": 1}
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-@pytest.mark.parametrize("mode", [["--exhaustive"], ["--trials", "50"]])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("mode", [
+    ["ensemble", "--n", "7", "--exhaustive"],
+    ["ensemble", "--n", "7", "--trials", "50"],
+    ["spectrum", "--family", "cycle", "--n", "8"],
+    ["average", "--family", "cycle", "--n", "8"],
+])
 def test_ensemble_rejects_bad_tol(capsys, tol, mode):
-    code, out, err = run_cli(capsys, "ensemble", "--n", "7", *mode, "--tol", tol)
+    code, out, err = run_cli(capsys, *mode, "--tol", tol)
     assert code == 1
     assert out == "" and "tol" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "cycle", "--n", "5", "--tol", "7"],
+    ["walk", "--family", "cycle", "--n", "5", "--t", "1", "--tol", "0.5"],
+    ["scan", "--family", "cycle", "--n", "5", "--tol", "0.5"],
+    ["verify", "--checks", "cycle_average", "--tol", "0.5"],
+    ["build", "--family", "cycle", "--n", "5", "--normalize"],
+    ["ensemble", "--n", "5", "--trials", "10", "--normalize"],
+    ["verify", "--checks", "cycle_average", "--normalize"],
+], ids=["build-tol", "walk-tol", "scan-tol", "verify-tol",
+        "build-normalize", "ensemble-normalize", "verify-normalize"])
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == "" and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "--family", "cycle", "--n", "5", "--t", "nan"],
+    ["walk", "--family", "cycle", "--n", "5", "--t", "inf"],
+    ["scan", "--family", "cycle", "--n", "5", "--t-max", "nan"],
+    ["scan", "--family", "cycle", "--n", "5", "--eps", "nan"],
+], ids=["walk-t-nan", "walk-t-inf", "scan-t-max-nan", "scan-eps-nan"])
+def test_non_finite_times_are_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == "" and "usage error" in err
 
 
 def test_verify_subcommand_reports_discrepancies(capsys):

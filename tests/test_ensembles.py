@@ -8,14 +8,17 @@ from ctqw import graphs
 from ctqw.ensembles import (
     BLOCK_SIZE,
     MAX_RESAMPLE_ATTEMPTS,
-    _symmetric_cosine_table,
     ensemble_stats,
     exhaustive_expectations,
     sample_random_circulant,
     stats_to_json,
     type_spectrum_exhaustive,
 )
-from ctqw.spectra import DEGENERACY_TOL
+from ctqw.spectra import DEGENERACY_TOL, _roots_of_unity
+
+
+def _symmetric_cosine_table(n):
+    return _roots_of_unity(n).real
 
 
 # Reference oracle: the one-trial-at-a-time route the batched pipeline replaced.

@@ -195,6 +195,14 @@ def test_verify_bunkbed_flags_resonances_as_discrepancies():
     assert not mixing.has_failures(reports)
 
 
+def test_verify_bunkbed_layers_carry_half_the_mass():
+    reports = verify_all(VerifyConfig(checks=("bunkbed_layers",)))
+    assert len(reports) == 39
+    for rep in reports:
+        assert rep.flags["layer_mass_half"]["status"] == "pass", rep.descriptor
+        assert rep.flags["layer_mass_half"]["measured"] <= 1e-12
+
+
 def test_verify_ensemble_expectation_holds_for_even_n():
     # E[lambda_0] = (n-1)/2 for every n, not floor(n/2)
     cfg = VerifyConfig(checks=("ensemble_expectations",), ensemble_n=8, ensemble_trials=4000)

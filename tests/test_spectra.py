@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from ctqw import graphs, spectra
+from ctqw import ensembles, graphs, spectra
 from ctqw.graphs import AbelianGroupSpec, GraphValidationError, Symbol
 from ctqw.spectra import (
     CharacterTable,
     JacobiConvergenceError,
+    _roots_of_unity,
     abelian_circulant_eigensystem,
     bunkbed_eigensystem,
+    character_phases,
+    circulant_eigenvalues,
     class_circulant_eigenvalues,
     degeneracy_classes,
     dense_eigensystem,
@@ -43,12 +46,36 @@ def test_cube_eigenvalues_by_weight():
 
 
 def test_circulant_pairing_is_exact():
-    for n in (5, 8, 12, 17):
-        sym = Symbol.from_support(AbelianGroupSpec((n,)), [1, n - 1, 2, n - 2])
-        spec = abelian_circulant_eigensystem(sym)
-        assert spec.exact_pairs, "nontrivial orbits must be recorded"
-        for a, b in spec.exact_pairs:
-            assert spec.eigenvalues[a] == spec.eigenvalues[b]  # bitwise equal
+    rng = np.random.default_rng(3)
+    for factors in [(n,) for n in range(3, 18)] + [(2, 4), (4, 4), (3, 6)]:
+        group = AbelianGroupSpec(factors)
+        L, phase = character_phases(group)
+        roots = _roots_of_unity(L)
+        assert np.array_equal(roots[L - np.arange(1, L)], roots[1:].conj())
+        neg = [group.negate_index(a) for a in range(group.order)]
+        symbols = 0
+        while symbols < 10:
+            vals = rng.integers(0, 2, size=group.order).astype(bool)
+            vals[0] = False
+            try:
+                sym = Symbol(group, vals | vals[neg])
+            except GraphValidationError:
+                continue
+            lams = circulant_eigenvalues(sym.values[None, :], phase, L)[0]
+            assert np.array_equal(lams, lams[neg]), factors  # lambda_a == lambda_{-a} bitwise
+            symbols += 1
+
+
+def test_ensemble_route_eigenvalues_match_closed_form():
+    for n in range(3, 41):
+        _, phase = character_phases(AbelianGroupSpec((n,)))
+        entropy = np.random.SeedSequence(n).entropy
+        bits, accepted = ensembles._draw_block(n, entropy, range(8))
+        vals = ensembles._symbol_values(bits[accepted], n)
+        rows = circulant_eigenvalues(vals, phase, n)
+        for row, v in zip(rows, vals):
+            spec = abelian_circulant_eigensystem(Symbol(AbelianGroupSpec((n,)), v))
+            assert np.array_equal(np.sort(row)[::-1], spec.eigenvalues), n
 
 
 @pytest.mark.parametrize("g", [graphs.build_cycle(8), graphs.build_hypercube(3)],
@@ -75,7 +102,6 @@ def test_bunkbed_eigensystem_multisets():
     k3 = graph_eigensystem(graphs.build_complete(3))
     prism = bunkbed_eigensystem(k3)
     assert np.allclose(prism.eigenvalues, [3, 1, 0, 0, -2, -2], atol=1e-12)
-    assert prism.exact_pairs == ()
     spectra.check_spectrum(prism, graphs.build_bunkbed(graphs.build_complete(3)).adjacency)
 
 

@@ -42,6 +42,12 @@ def test_evolve_rejects_bad_start():
         evolve(spec, -1, 1.0)
 
 
+def test_evolve_rejects_nan_time():
+    spec = spec_of(graphs.build_cycle(4))
+    with pytest.raises(RuntimeError, match="norm"):
+        evolve(spec, 0, float("nan"))
+
+
 def test_q3_quarter_pi_is_uniform_with_product_phases():
     spec = spec_of(graphs.build_hypercube(3))
     amp = evolve(spec, 0, math.pi / 4)
@@ -139,11 +145,13 @@ def test_distribution_clamp_and_errors():
         as_distribution(np.array([1.0, -1e-8, 1e-8]))
     with pytest.raises(RuntimeError, match="sums to"):
         as_distribution(np.array([0.5, 0.4]))
+    with pytest.raises(RuntimeError, match="sums to"):
+        as_distribution(np.array([0.5, float("nan")]))
 
 
 def test_shift_invariance_of_average():
     spec = spec_of(graphs.build_cycle(6))
-    shifted = spectra.Spectrum(spec.eigenvalues + 3.7, spec.eigenvectors, spec.exact_pairs)
+    shifted = spectra.Spectrum(spec.eigenvalues + 3.7, spec.eigenvectors)
     a = average_distribution(spec, 0)
     b = average_distribution(shifted, 0)
     assert np.max(np.abs(a - b)) < 1e-10
