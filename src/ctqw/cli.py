@@ -198,6 +198,7 @@ def _cmd_spectrum(args) -> int:
             extra={"family": g.family, "normalized": bool(args.normalize)},
         )
     elif args.format == "csv":
+        spectra.degeneracy_labels(spec.eigenvalues, args.tol)  # rejects a bad --tol
         lines = ["index,eigenvalue"]
         lines += [f"{j},{float(x)!r}" for j, x in enumerate(spec.eigenvalues)]
         text = "\n".join(lines)

@@ -81,13 +81,18 @@ class AbelianGroupSpec:
         ea, eb = self.element_of(a), self.element_of(b)
         return self.index_of(tuple(x + y for x, y in zip(ea, eb)))
 
+    @property
+    def _place_values(self) -> np.ndarray:
+        # mixed-radix place value of each coordinate: index = coords @ place values
+        return np.cumprod((self.factors[1:] + (1,))[::-1], dtype=np.int64)[::-1]
+
     def coordinates(self) -> np.ndarray:
         """(order, k) array of element coordinates in index order."""
-        n, k = self.order, len(self.factors)
-        coords = np.empty((n, k), dtype=np.int64)
-        for i in range(n):
-            coords[i] = self.element_of(i)
-        return coords
+        return (np.arange(self.order)[:, None] // self._place_values) % self.factors
+
+    def indices_of(self, coords: np.ndarray) -> np.ndarray:
+        """Index of each coordinate row (last axis), reduced mod the factors."""
+        return (coords % np.array(self.factors)) @ self._place_values
 
     def difference_table(self) -> np.ndarray:
         """Table D[s, t] = index(s - t), used to lay out circulant adjacency."""
@@ -130,29 +135,29 @@ class Symbol:
     def validate(self) -> None:
         if self.values[0]:
             raise GraphValidationError("symbol has f(identity) = 1 (self-loop)")
-        for x in self.support:
-            if not self.values[self.group.negate_index(int(x))]:
-                raise GraphValidationError(
-                    f"symbol is not symmetric: f({x}) = 1 but f(-{x}) = 0"
-                )
+        coords = self.group.coordinates()
+        negated = self.values[self.group.indices_of(-coords)]
+        asymmetric = np.flatnonzero(self.values & ~negated)
+        if asymmetric.size:
+            x = asymmetric[0]
+            raise GraphValidationError(f"symbol is not symmetric: f({x}) = 1 but f(-{x}) = 0")
         if self.support.size == 0:
             raise GraphValidationError("symbol is empty (graph has no edges)")
-        if not self._generates_group():
+        if not self._generates_group(coords):
             raise GraphValidationError("symbol support does not generate the group")
 
-    def _generates_group(self) -> bool:
-        # Closure of the support under addition; start from the identity.
-        seen = {0}
-        frontier = [0]
-        gens = [int(x) for x in self.support]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = self.group.add_index(cur, g)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == self.group.order
+    def _generates_group(self, coords: np.ndarray) -> bool:
+        # Closure of the support under addition, one BFS level per step from
+        # the identity; coords are the group's element coordinates.
+        gens = coords[self.support]
+        seen = np.zeros(self.group.order, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            nxt = self.group.indices_of(coords[frontier, None, :] + gens[None, :, :]).ravel()
+            frontier = np.unique(nxt[~seen[nxt]])
+            seen[frontier] = True
+        return bool(seen.all())
 
 
 @dataclass
@@ -197,16 +202,13 @@ class Graph:
 
 
 def _connected(adjacency: np.ndarray) -> bool:
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
+    # BFS from vertex 0, one numpy step per level
+    seen = np.zeros(adjacency.shape[0], dtype=bool)
     seen[0] = True
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in np.flatnonzero(adjacency[v]):
-            if not seen[u]:
-                seen[u] = True
-                stack.append(int(u))
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        frontier = np.flatnonzero(adjacency[frontier].any(axis=0) & ~seen)
+        seen[frontier] = True
     return bool(seen.all())
 
 
@@ -262,9 +264,20 @@ def build_abelian_circulant(
     sym: Symbol, family: str = "abelian_circulant", labels: list[str] | None = None
 ) -> Graph:
     """Adjacency A[s, t] = f(s - t) under the group's mixed-radix encoding."""
-    diff = sym.group.difference_table()
-    a = sym.values[diff].astype(np.uint8)
+    a = _circulant_adjacency(sym)
     return Graph(a, family=family, labels=labels, symbol=sym).validate()
+
+
+def _circulant_adjacency(sym: Symbol) -> np.ndarray:
+    # A[s, t] = 1 iff s - t lies in the support, so each x in the support
+    # sets A[s, index(s - x)] for every s: O(n |S|) with no n x n table.
+    group = sym.group
+    coords = group.coordinates()
+    rows = np.arange(group.order)
+    a = np.zeros((group.order, group.order), dtype=np.uint8)
+    for x in sym.support:
+        a[rows, group.indices_of(coords - coords[x])] = 1
+    return a
 
 
 def build_bunkbed(base: Graph) -> Graph:
@@ -329,7 +342,6 @@ def _graph_from_doc(doc: dict) -> Graph:
     base = _graph_from_doc(doc["base"]) if "base" in doc else None
     g = Graph(a, family=family, labels=labels, symbol=symbol, base=base).validate()
     if symbol is not None:
-        expected = symbol.values[symbol.group.difference_table()].astype(np.uint8)
-        if not np.array_equal(expected, a):
+        if not np.array_equal(_circulant_adjacency(symbol), a):
             raise GraphValidationError("symbol metadata does not match adjacency")
     return g

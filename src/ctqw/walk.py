@@ -64,10 +64,21 @@ def evolve(spec: Spectrum, start: int, t: float) -> np.ndarray:
 
 
 def evolve_many(spec: Spectrum, start: int, times: np.ndarray) -> np.ndarray:
-    """Amplitudes at many times at once, shape (len(times), n)."""
+    """Amplitudes at many times at once, shape (len(times), n); every row is
+    checked for unit norm as in `evolve`."""
     weights = _start_weights(spec, start)
-    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=np.float64), spec.eigenvalues))
-    return (phases * weights) @ spec.eigenvectors.T
+    times = np.asarray(times, dtype=np.float64)
+    phases = np.exp(-1j * np.outer(times, spec.eigenvalues))
+    amps = (phases * weights) @ spec.eigenvectors.T
+    norms = np.linalg.norm(amps, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
+    if bad.size:
+        k = bad[0]
+        raise RuntimeError(
+            f"evolved amplitude at t = {float(times[k])!r} has norm {float(norms[k])!r};"
+            " spectrum is inconsistent"
+        )
+    return amps
 
 
 def instantaneous_distribution(spec: Spectrum, start: int, t: float) -> np.ndarray:

@@ -174,6 +174,7 @@ def test_ensemble_subcommand(capsys):
     ["ensemble", "--n", "7", "--trials", "50"],
     ["spectrum", "--family", "cycle", "--n", "8"],
     ["average", "--family", "cycle", "--n", "8"],
+    ["spectrum", "--family", "cycle", "--n", "8", "--format", "csv"],
 ])
 def test_ensemble_rejects_bad_tol(capsys, tol, mode):
     code, out, err = run_cli(capsys, *mode, "--tol", tol)

@@ -208,3 +208,103 @@ def test_json_rejects_malformed():
         graph_from_json(json.dumps({"n": 2, "adjacency_rows": ["01"]}))
     with pytest.raises(GraphValidationError):
         graph_from_json(json.dumps({"n": 2, "adjacency_rows": ["0x", "10"]}))
+
+
+# Per-element group arithmetic the graph builders used before they were
+# vectorized, kept as references.
+
+
+def _reference_coordinates(group):
+    coords = np.empty((group.order, len(group.factors)), dtype=np.int64)
+    for i in range(group.order):
+        coords[i] = group.element_of(i)
+    return coords
+
+
+def _reference_difference_table(group):
+    coords = _reference_coordinates(group)
+    diff = np.zeros((group.order, group.order), dtype=np.int64)
+    for j, f in enumerate(group.factors):
+        col = coords[:, j]
+        diff = diff * f + (col[:, None] - col[None, :]) % f
+    return diff
+
+
+def _reference_generates_group(group, support):
+    seen = {0}
+    frontier = [0]
+    gens = [int(x) for x in support]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = group.add_index(cur, g)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen) == group.order
+
+
+def _reference_asymmetry(group, values):
+    for x in np.flatnonzero(values):
+        if not values[group.negate_index(int(x))]:
+            return f"symbol is not symmetric: f({x}) = 1 but f(-{x}) = 0"
+    return None
+
+
+REFERENCE_GROUPS = (
+    [(n,) for n in range(2, 41)]
+    + [(2,) * d for d in range(1, 9)]
+    + [(4, 6), (3, 5, 7), (2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize("factors", REFERENCE_GROUPS, ids=lambda f: "x".join(map(str, f)))
+def test_group_arithmetic_matches_per_element_reference(factors):
+    group = AbelianGroupSpec(factors)
+    coords = group.coordinates()
+    assert coords.dtype == np.int64
+    assert np.array_equal(coords, _reference_coordinates(group))
+    table = _reference_difference_table(group)
+    assert np.array_equal(group.difference_table(), table)
+    neg = np.array([group.negate_index(x) for x in range(group.order)])
+    rng = np.random.default_rng(sum(factors) * 100 + len(factors))
+    verdicts = set()
+    for _ in range(12):
+        # sparse and dense random symmetric symbols, generating or not
+        vals = rng.random(group.order) < rng.uniform(0.0, 0.6)
+        vals[0] = False
+        vals |= vals[neg]
+        support = np.flatnonzero(vals)
+        if support.size == 0:
+            continue
+        generates = _reference_generates_group(group, support)
+        verdicts.add(generates)
+        if not generates:
+            with pytest.raises(GraphValidationError, match="does not generate"):
+                Symbol(group, vals)
+            continue
+        g = build_abelian_circulant(Symbol(group, vals))
+        assert np.array_equal(g.adjacency, vals[table].astype(np.uint8))
+        # keep one element of each pair {x, -x} with x != -x: every kept x
+        # is offending, and the message names the smallest
+        one_sided = vals & ~(np.arange(group.order) > neg)
+        if not np.array_equal(one_sided, vals):
+            message = _reference_asymmetry(group, one_sided)
+            with pytest.raises(GraphValidationError) as exc:
+                Symbol(group, one_sided)
+            assert str(exc.value) == message
+    assert True in verdicts
+
+
+@pytest.mark.parametrize("factors, support", [
+    *(((n,), [2, n - 2]) for n in range(6, 41, 2)),
+    ((4,), [2]),
+    ((2, 4), [2, 6]),  # {(0,2), (1,2)} generates the subgroup Z_2 x 2Z_4
+    ((2, 4), [4]),
+    ((2, 4), [2, 4, 6]),
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else "-".join(map(str, v)))
+def test_non_generating_supports_are_rejected(factors, support):
+    group = AbelianGroupSpec(factors)
+    assert not _reference_generates_group(group, support)
+    with pytest.raises(GraphValidationError, match="does not generate"):
+        Symbol.from_support(group, support)

@@ -82,6 +82,151 @@ def test_scan_default_window_and_errors():
         instantaneous_mixing_scan(spec, 0, grid=1)
 
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_minimum(f, a, b, width=mixing.GOLDEN_WIDTH):
+    """Scalar golden-section search, one evaluation per call (reference)."""
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    best_t, best_f = (c, fc) if fc <= fd else (d, fd)
+    while b - a > width:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+            if fc < best_f:
+                best_t, best_f = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+            if fd < best_f:
+                best_t, best_f = d, fd
+    return best_t, best_f
+
+
+def _reference_scan(spec, start=0, eps=math.inf, t_max=None, grid=mixing.SCAN_GRID):
+    """The scan that refines one minimum at a time with `walk.evolve` (reference)."""
+    if t_max is None:
+        t_max = mixing.default_scan_window(spec)
+    u = 1.0 / spec.n
+    ts = np.arange(1, grid + 1) * (t_max / grid)
+    amps = walk.evolve_many(spec, start, ts)
+    devs = np.abs((amps * amps.conj()).real - u).sum(axis=1)
+
+    def deviation(t):
+        amp = walk.evolve(spec, start, t)
+        return float(np.abs((amp * amp.conj()).real - u).sum())
+
+    minima = []
+    for i in range(1, grid - 1):
+        if devs[i] <= devs[i - 1] and devs[i] <= devs[i + 1]:
+            t_best, f_best = _golden_minimum(deviation, float(ts[i - 1]), float(ts[i + 1]))
+            minima.append((float(t_best), float(f_best)))
+    minima.sort()
+    merged = []
+    step = t_max / grid
+    for t, f in minima:
+        if merged and t - merged[-1][0] < 1.5 * step:
+            if f < merged[-1][1]:
+                merged[-1] = (t, f)
+        else:
+            merged.append((t, f))
+    return [(t, f) for t, f in merged if f <= eps]
+
+
+def test_golden_minima_match_the_scalar_search_bitwise():
+    # Exact IEEE arithmetic only, so both routes see the same values.  Bracket
+    # k lies inside (k - 1/2, k + 1/2) and each shape has its minimum at
+    # k + 0.03: a flat floor (1 + tiny rounds to 1, so fc == fd ties), a
+    # smooth bowl and a kink; some brackets miss the minimum, and the last
+    # ten are already narrower than GOLDEN_WIDTH around it (no step taken).
+    rng = np.random.default_rng(11)
+    k = np.arange(1, 311)
+    a = k + rng.uniform(-0.45, 0.2, size=k.size)
+    b = a + rng.uniform(1e-11, 0.25, size=k.size)
+    a[-10:] = k[-10:] + 0.03 - rng.uniform(0.0, 5e-11, size=10)
+    b[-10:] = a[-10:] + 5e-11
+    shapes = [
+        lambda x: 1.0 + x * x,
+        lambda x: 0.25 + 3.0 * x * x,
+        lambda x: 0.5 + 2.0 * abs(x),
+    ]
+    for shape in shapes:
+        probes = []
+
+        def batched(ts, shape=shape):
+            probes.append(ts.size)
+            return shape(ts - np.round(ts) - 0.03)
+
+        got_t, got_f = mixing._golden_minima(batched, a, b)
+        evaluated = 0
+        for j in range(k.size):
+            def scalar(t, shape=shape):
+                nonlocal evaluated
+                evaluated += 1
+                return shape(t - round(t) - 0.03)
+
+            want = _golden_minimum(scalar, float(a[j]), float(b[j]))
+            assert (got_t[j], got_f[j]) == want, j
+        assert sum(probes) == evaluated
+
+
+@pytest.mark.parametrize("g, t_max, eps", [
+    (graphs.build_cycle(33), None, math.inf),
+    (graphs.build_path(20), None, math.inf),
+    (graphs.build_hypercube(3), None, math.inf),
+    (graphs.build_hypercube(3), math.pi, 1e-9),
+], ids=["C33", "P20", "Q3", "Q3-pi"])
+def test_batched_refinement_matches_scalar_reference(g, t_max, eps):
+    spec = spectra.graph_eigensystem(g)
+    got = instantaneous_mixing_scan(spec, 0, eps=eps, t_max=t_max)
+    want = _reference_scan(spec, 0, eps=eps, t_max=t_max)
+    assert len(got) == len(want) > 0
+    # these minima sit at kinks of the deviation, where every comparison of
+    # two probes is decided far above rounding noise: same probes, bitwise
+    assert [t for t, _ in got] == [t for t, _ in want]
+    assert max(abs(f - w) for (_, f), (_, w) in zip(got, want)) <= 1e-12
+
+
+@pytest.mark.parametrize("t_max", [None, 4 * math.pi], ids=["default", "4pi"])
+def test_batched_refinement_matches_scalar_reference_on_k8(t_max):
+    # On K_8 the deviation is (42 + 14 cos 8t) / 32, smooth at its minima
+    # t = pi/8 + k pi/4 (curvature 28): within about 3e-9 of a minimum it is
+    # flat to one ulp, so which probe wins is decided by rounding and the two
+    # evaluation orders may stop at different points of that flat bottom.
+    spec = spectra.graph_eigensystem(graphs.build_complete(8))
+    got = instantaneous_mixing_scan(spec, 0, t_max=t_max)
+    want = _reference_scan(spec, 0, t_max=t_max)
+    assert len(got) == len(want) > 0
+    for (t, f), (tw, fw) in zip(got, want):
+        assert abs(t - tw) <= 2e-8 and abs(f - fw) <= 1e-12
+        assert abs((t - math.pi / 8) / (math.pi / 4) - round((t - math.pi / 8) / (math.pi / 4))) < 1e-7
+
+
+def _reference_scan_window(spec, tol=spectra.DEGENERACY_TOL):
+    lam = spec.eigenvalues
+    gaps = lam[:-1] - lam[1:]
+    nonzero = gaps[gaps > tol]
+    if nonzero.size == 0:
+        return 2.0 * math.pi
+    return min(2.0 * math.pi * spec.n / float(nonzero.min()), mixing.SCAN_T_MAX_CAP)
+
+
+def test_default_scan_window_uses_the_shared_degeneracy_cut():
+    for g in (graphs.build_cycle(257), graphs.build_hypercube(3), graphs.build_complete(8),
+              graphs.build_path(20), graphs.build_complete(2)):
+        spec = spectra.graph_eigensystem(g)
+        assert mixing.default_scan_window(spec) == _reference_scan_window(spec)
+        assert mixing.default_scan_window(spec, 1e-3) == _reference_scan_window(spec, 1e-3)
+    spec = spectra.graph_eigensystem(graphs.build_cycle(5))
+    for tol in (math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            mixing.default_scan_window(spec, tol)
+
+
 def test_scan_scale_invariance():
     spec = spectra.graph_eigensystem(graphs.build_hypercube(2))
     base = instantaneous_mixing_scan(spec, 0, t_max=math.pi, grid=2048)
@@ -201,6 +346,14 @@ def test_verify_bunkbed_layers_carry_half_the_mass():
     for rep in reports:
         assert rep.flags["layer_mass_half"]["status"] == "pass", rep.descriptor
         assert rep.flags["layer_mass_half"]["measured"] <= 1e-12
+
+
+def test_verify_layer_equality_matches_the_assembled_bed():
+    reports = verify_all(VerifyConfig(checks=("bunkbed_layers",)))
+    bases = mixing._bunkbed_bases(VerifyConfig())
+    assert [r.descriptor for r in reports] == [f"bunkbed over {name}" for name, _ in bases]
+    for rep, (_, base) in zip(reports, bases):
+        assert rep.flags["layer_equality"]["measured"] == bunkbed_layer_equality(base)
 
 
 def test_verify_ensemble_expectation_holds_for_even_n():

@@ -9,6 +9,7 @@ from ctqw.walk import (
     average_distribution,
     bunkbed_instantaneous,
     evolve,
+    evolve_many,
     finite_time_average,
     instantaneous_distribution,
 )
@@ -58,6 +59,19 @@ def test_q3_quarter_pi_is_uniform_with_product_phases():
         w = bin(v).count("1")
         expected = (c ** (3 - w)) * ((-1j * c) ** w)
         assert abs(amp[v] - expected) < 1e-12
+
+
+def test_evolve_many_checks_every_row_for_unit_norm():
+    spec = spec_of(graphs.build_cycle(6))
+    amps = evolve_many(spec, 0, np.array([0.0, 0.4, 2.5]))
+    for t, amp in zip((0.0, 0.4, 2.5), amps):
+        assert np.allclose(amp, evolve(spec, 0, t), atol=1e-12)
+    with pytest.raises(RuntimeError, match="at t = nan has norm nan"):
+        evolve_many(spec, 0, np.array([0.4, float("nan"), 2.5]))
+    # eigenvectors that are not unit vectors: the norm is off at every time
+    inconsistent = spectra.Spectrum(spec.eigenvalues, 1.5 * spec.eigenvectors)
+    with pytest.raises(RuntimeError, match="at t = 0.4 has norm"):
+        evolve_many(inconsistent, 0, np.array([0.4, 2.5]))
 
 
 def test_instantaneous_uniform_times():
