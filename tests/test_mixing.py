@@ -110,7 +110,7 @@ def _golden_minimum(f, a, b, width=mixing.GOLDEN_WIDTH):
 def _reference_scan(spec, start=0, eps=math.inf, t_max=None, grid=mixing.SCAN_GRID):
     """The scan that refines one minimum at a time with `walk.evolve` (reference)."""
     if t_max is None:
-        t_max = mixing.default_scan_window(spec)
+        t_max = _reference_scan_window(spec)
     u = 1.0 / spec.n
     ts = np.arange(1, grid + 1) * (t_max / grid)
     amps = walk.evolve_many(spec, start, ts)
