@@ -33,6 +33,7 @@ from .spectra import (
     class_circulant_eigenvalues,
     degeneracy_classes,
     dense_eigensystem,
+    dense_eigensystems,
     graph_eigensystem,
     jacobi_eigensystem,
     path_eigensystem,

@@ -224,6 +224,7 @@ def _cmd_spectrum_char_table(args) -> int:
         raise UsageError(f"cannot read character table: {exc}") from None
     f_by_class = _parse_int_list(args.class_function, "--class-function")
     pairs = spectra.class_circulant_eigenvalues(table, f_by_class)
+    spectra.degeneracy_labels(np.array([lam for lam, _ in pairs]), args.tol)  # rejects a bad --tol
     if args.format == "json":
         doc = {
             "schema": SCHEMA,
@@ -490,7 +491,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`ctqw ... | head -1`): end quietly, with
+        # stdout on devnull so the interpreter's final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -323,34 +323,33 @@ def _check_complete_average(cfg: VerifyConfig) -> list[MixingReport]:
     return [report]
 
 
-def _check_abelian_spectral_gap(cfg: VerifyConfig) -> list[MixingReport]:
+def _gap_symbols(cfg: VerifyConfig) -> list[graphs.Symbol]:
+    """The random symbols of the spectral-gap check: cfg.gap_symbols on each
+    Z_n, then on each (Z_2)^d."""
     from .ensembles import sample_random_circulant
 
-    failures = 0
-    count = 0
-    worst_dense = 0.0
-    for n in range(3, cfg.gap_zn_max + 1):
-        for i in range(cfg.gap_symbols):
-            sym = sample_random_circulant(n, seed=(cfg.seed, n, i))
-            g = graphs.build_abelian_circulant(sym)
-            spec = spectra.abelian_circulant_eigensystem(sym)
-            if spectra.spectral_gap(spec, cfg.tol) != 0.0:
-                failures += 1
-            dense = spectra.dense_eigensystem(g)
-            worst_dense = max(worst_dense, float(np.min(np.abs(np.diff(dense.eigenvalues)))))
-            count += 1
+    symbols = [
+        sample_random_circulant(n, seed=(cfg.seed, n, i))
+        for n in range(3, cfg.gap_zn_max + 1)
+        for i in range(cfg.gap_symbols)
+    ]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 2))))
     for d in range(2, cfg.gap_cube_max_d + 1):
         group = graphs.AbelianGroupSpec((2,) * d)
-        for _ in range(cfg.gap_symbols):
-            sym = _random_cube_symbol(group, rng)
-            spec = spectra.abelian_circulant_eigensystem(sym)
-            if spectra.spectral_gap(spec, cfg.tol) != 0.0:
-                failures += 1
-            dense = spectra.dense_eigensystem(graphs.build_abelian_circulant(sym))
-            worst_dense = max(worst_dense, float(np.min(np.abs(np.diff(dense.eigenvalues)))))
-            count += 1
-    report = MixingReport(descriptor=f"abelian circulants ({count} random symbols)")
+        symbols += [_random_cube_symbol(group, rng) for _ in range(cfg.gap_symbols)]
+    return symbols
+
+
+def _check_abelian_spectral_gap(cfg: VerifyConfig) -> list[MixingReport]:
+    symbols = _gap_symbols(cfg)
+    failures = sum(
+        spectra.spectral_gap(spectra.abelian_circulant_eigensystem(sym), cfg.tol) != 0.0
+        for sym in symbols
+    )
+    dense = spectra.dense_eigensystems([graphs.build_abelian_circulant(s) for s in symbols])
+    worst_dense = max(
+        (float(np.min(np.abs(np.diff(d.eigenvalues)))) for d in dense), default=0.0)
+    report = MixingReport(descriptor=f"abelian circulants ({len(symbols)} random symbols)")
     report.flags["zero_spectral_gap"] = _flag(
         "pass" if failures == 0 else "fail",
         measured=f"{failures} nonzero gaps",
@@ -563,26 +562,27 @@ def _check_path_classical(cfg: VerifyConfig) -> list[MixingReport]:
     return [report]
 
 
-def _check_oracle_agreement(cfg: VerifyConfig) -> list[MixingReport]:
+def _oracle_cases(cfg: VerifyConfig) -> list[Graph]:
+    """The closed-form families the oracle check compares, up to cfg.oracle_max."""
     cap = cfg.oracle_max
-    cases: list[tuple[str, Graph]] = []
-    cases += [(f"C_{n}", graphs.build_cycle(n)) for n in range(3, cap + 1)]
-    cases += [(f"K_{n}", graphs.build_complete(n)) for n in range(2, cap + 1)]
-    cases += [(f"P_{n}", graphs.build_path(n)) for n in range(2, cap + 1)]
+    cases = [graphs.build_cycle(n) for n in range(3, cap + 1)]
+    cases += [graphs.build_complete(n) for n in range(2, cap + 1)]
+    cases += [graphs.build_path(n) for n in range(2, cap + 1)]
     cases += [
-        (f"Q_{d}", graphs.build_hypercube(d))
-        for d in range(1, cfg.hypercube_max_d + 1)
-        if 2**d <= cap
+        graphs.build_hypercube(d) for d in range(1, cfg.hypercube_max_d + 1) if 2**d <= cap
     ]
-    cases += [
-        (f"bunkbed(C_{n})", graphs.build_bunkbed(graphs.build_cycle(n)))
-        for n in range(3, cap // 2 + 1)
-    ]
-    worst = 0.0
-    for _, g in cases:
-        closed = spectra.graph_eigensystem(g, method="closed")
-        dense = spectra.dense_eigensystem(g)
-        worst = max(worst, float(np.max(np.abs(closed.eigenvalues - dense.eigenvalues))))
+    cases += [graphs.build_bunkbed(graphs.build_cycle(n)) for n in range(3, cap // 2 + 1)]
+    return cases
+
+
+def _check_oracle_agreement(cfg: VerifyConfig) -> list[MixingReport]:
+    cases = _oracle_cases(cfg)
+    dense = spectra.dense_eigensystems(cases)
+    worst = max(
+        (float(np.max(np.abs(spectra.graph_eigensystem(g, method="closed").eigenvalues
+                             - d.eigenvalues))) for g, d in zip(cases, dense)),
+        default=0.0,
+    )
     report = MixingReport(descriptor=f"closed form vs Jacobi oracle ({len(cases)} graphs)")
     report.flags["eigenvalue_multisets"] = _flag(
         "pass" if worst <= 1e-9 else "fail", measured=worst, expected="<= 1e-9"

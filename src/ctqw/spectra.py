@@ -1,5 +1,5 @@
-"""Eigensystems by closed form where one exists, a cyclic-Jacobi dense oracle
-otherwise, and the degeneracy structure both feed into walk averaging.
+"""Eigensystems by closed form where one exists, a round-robin Jacobi dense
+oracle otherwise, and the degeneracy structure both feed into walk averaging.
 
 Eigenvalues are always sorted descending with ties broken by ascending
 pre-sort index, so output is reproducible across runs and platforms.
@@ -233,73 +233,156 @@ def bunkbed_eigensystem(base_spec: Spectrum) -> Spectrum:
     return _sorted_spectrum(eigenvalues, eigenvectors)
 
 
+def _round_robin(m: int) -> list[tuple[np.ndarray, ...]]:
+    """The m - 1 rounds of one round-robin sweep over an even number m of indices.
+
+    Index 0 stays put while 1..m-1 rotate one place per round, and position i
+    plays position m-1-i (Brent-Luk; Golub & Van Loan section 8.5), so each
+    round holds m/2 disjoint pairs and a sweep meets every pair once.  A round
+    is (p, q, partner, pair_of, sign, fix): the pairs as p < q, each index's
+    partner and pair number, the sign of its sine term (-1 at p, +1 at q) and
+    the flat positions of the diagonal and of (i, partner[i]).
+    """
+    k = m // 2
+    turn = np.arange(m - 1)[:, None]
+    order = np.hstack([np.zeros_like(turn), 1 + (turn + np.arange(m - 1)) % (m - 1)])
+    first, second = order[:, :k], order[:, :k - 1 : -1]
+    ps, qs = np.minimum(first, second), np.maximum(first, second)
+    rounds = []
+    for p, q in zip(ps, qs):
+        partner = np.empty(m, dtype=np.intp)
+        partner[p], partner[q] = q, p
+        pair_of = np.empty(m, dtype=np.intp)
+        pair_of[p] = pair_of[q] = np.arange(k)
+        sign = np.ones(m)
+        sign[p] = -1.0
+        fix = np.concatenate([np.arange(m) * (m + 1), np.arange(m) * m + partner])
+        rounds.append((p, q, partner, pair_of, sign, fix))
+    return rounds
+
+
+def _off_norms(a: np.ndarray) -> np.ndarray:
+    # computed from the off-diagonal entries directly; the algebraic
+    # shortcut ||m||^2 - ||diag||^2 cancels catastrophically near zero
+    stripped = a.copy()
+    diag = np.arange(a.shape[-1])
+    stripped[:, diag, diag] = 0.0
+    return np.sqrt(np.einsum("bij,bij->b", stripped, stripped))
+
+
 def jacobi_eigensystem(
     matrix: np.ndarray, max_sweeps: int = 64
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations on a real symmetric matrix.
+    """Round-robin Jacobi rotations on a real symmetric matrix or a stack of them.
 
-    Converges when the off-diagonal Frobenius norm drops below
-    1e-12 * (1 + ||A||_F); raises JacobiConvergenceError past the sweep cap.
-    Returns (eigenvalues, eigenvector columns), unsorted.
+    `matrix` is (n, n) or (B, n, n); its upper triangle is used.  Each step
+    rotates the n/2 disjoint pairs of one round of every unconverged matrix at
+    once; a pair with |a_pq| <= thresh / n is left untouched.  Each matrix
+    converges when its off-diagonal Frobenius norm drops below
+    thresh = 1e-12 * (1 + ||A||_F) and then leaves the stack;
+    JacobiConvergenceError is raised past the sweep cap.
+    Returns (eigenvalues, eigenvector columns), unsorted, shaped (n,), (n, n)
+    or (B, n), (B, n, n) like the input.
     """
     a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, atol=0.0):
+    if not np.isfinite(a).all():
+        raise ValueError("matrix must be finite")
+    if not np.allclose(a, a.swapaxes(-1, -2), atol=0.0):
         raise ValueError("matrix must be symmetric")
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-    thresh = 1e-12 * (1.0 + np.linalg.norm(a))
-    skip = thresh / n  # elements this small cannot lift the off norm above thresh
+    a = np.triu(a) + np.triu(a, 1).swapaxes(-1, -2)  # exactly symmetric from here on
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    n = a.shape[-1]
+    eigenvalues = np.diagonal(a, axis1=1, axis2=2).copy()
+    eigenvectors = np.broadcast_to(np.eye(n), a.shape).copy()
+    if n > 1 and len(a):
+        _round_robin_sweeps(a, max_sweeps, eigenvalues, eigenvectors)
+    if single:
+        return eigenvalues[0], eigenvectors[0]
+    return eigenvalues, eigenvectors
 
-    def off_norm(m: np.ndarray) -> float:
-        # computed from the off-diagonal entries directly; the algebraic
-        # shortcut ||m||^2 - ||diag||^2 cancels catastrophically near zero
-        stripped = m.copy()
-        np.fill_diagonal(stripped, 0.0)
-        return float(np.linalg.norm(stripped))
 
-    for _ in range(max_sweeps):
-        off = off_norm(a)
-        if off < thresh:
-            eigenvalues = np.diag(a).copy()
-            return eigenvalues, v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    off = off_norm(a)
-    if off < thresh:
-        return np.diag(a).copy(), v
-    raise JacobiConvergenceError(off, max_sweeps)
+def _round_robin_sweeps(
+    a: np.ndarray, max_sweeps: int, eigenvalues: np.ndarray, eigenvectors: np.ndarray
+) -> None:
+    """Diagonalize the (B, n, n) stack `a`, writing each matrix's results into
+    row b of `eigenvalues` and `eigenvectors` as it converges."""
+    n = a.shape[-1]
+    thresh = 1e-12 * (1.0 + np.linalg.norm(a, axis=(1, 2)))
+    skip = (thresh / n)[:, None]  # elements this small cannot lift the off norm above thresh
+    m = n + n % 2
+    if m > n:  # a zero dummy index: its pair always has a_pq = 0, so it sits the round out
+        a = np.pad(a, ((0, 0), (0, 1), (0, 1)))
+    v = np.broadcast_to(np.eye(m), a.shape).copy()
+    rounds = _round_robin(m)
+    active = np.arange(len(a))
+    for sweep in range(max_sweeps + 1):
+        off = _off_norms(a)
+        done = off < thresh
+        if done.any():
+            eigenvalues[active[done]] = np.diagonal(a[done], axis1=1, axis2=2)[:, :n]
+            eigenvectors[active[done]] = v[done][:, :n, :n]
+            keep = ~done
+            if not keep.any():
+                return
+            a, v, off, active, thresh, skip = (
+                x[keep] for x in (a, v, off, active, thresh, skip))
+        if sweep == max_sweeps:
+            raise JacobiConvergenceError(float(off.max()), max_sweeps)
+        for p, q, partner, pair_of, sign, fix in rounds:
+            # a_c[b, i, j] = a[b, i, partner[j]]; d holds the diagonal
+            a_c = a[:, :, partner]
+            d = a.diagonal(axis1=1, axis2=2)
+            app, aqq = d[:, p], d[:, q]
+            apq = a_c.diagonal(axis1=1, axis2=2)[:, p]
+            rot = np.abs(apq) > skip
+            theta = (aqq - app) / np.where(rot, 2.0 * apq, 1.0)
+            t = np.copysign(rot / (np.abs(theta) + np.hypot(theta, 1.0)), theta)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            # per index: the rotation's cosine and signed sine, so that
+            # (A J)[:, j] = c_j A[:, j] + s_j A[:, partner[j]]
+            cf = c[:, pair_of]
+            sf = s[:, pair_of] * sign
+            # J^T A J = cc*A + ss*A[partner, partner] + X + X^T with
+            # X = cs * A[:, partner]; each term is symmetric bit for bit
+            x = (cf[:, :, None] * sf[:, None, :]) * a_c
+            rotated = (cf[:, :, None] * cf[:, None, :]) * a
+            rotated += (sf[:, :, None] * sf[:, None, :]) * a_c[:, partner, :]
+            rotated += x + x.swapaxes(1, 2)
+            # the pairs themselves: a_pp - t a_pq, a_qq + t a_pq, and a_pq
+            # zeroed only where a rotation took place
+            shift = (t * apq)[:, pair_of] * sign
+            pivots = np.where(rot, 0.0, apq)[:, pair_of]
+            rotated.reshape(len(a), m * m)[:, fix] = np.hstack([d + shift, pivots])
+            a = rotated
+            v = v * cf[:, None, :] + v[:, :, partner] * sf[:, None, :]
+
+
+def dense_eigensystems(graphs: list[Graph]) -> list[Spectrum]:
+    """Independent oracle for many graphs: one stacked Jacobi call per vertex
+    count, every result checked for orthonormality and eigen-residual."""
+    by_n: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        g.validate()
+        by_n.setdefault(g.n, []).append(i)
+    out: list = [None] * len(graphs)
+    for ids in by_n.values():
+        adjacency = np.stack([graphs[i].adjacency for i in ids]).astype(np.float64)
+        eigenvalues, vecs = jacobi_eigensystem(adjacency)
+        for i, adj, lam, vec in zip(ids, adjacency, eigenvalues, vecs):
+            spec = _sorted_spectrum(lam, vec.astype(np.complex128))
+            check_spectrum(spec, adj)
+            out[i] = spec
+    return out
 
 
 def dense_eigensystem(g: Graph) -> Spectrum:
-    """Independent oracle: full eigensystem of the adjacency via cyclic Jacobi."""
-    g.validate()
-    eigenvalues, vecs = jacobi_eigensystem(g.adjacency.astype(np.float64))
-    return _sorted_spectrum(eigenvalues, vecs.astype(np.complex128))
+    """Independent oracle: full eigensystem of the adjacency via round-robin Jacobi."""
+    return dense_eigensystems([g])[0]
 
 
 def graph_eigensystem(g: Graph, method: str = "auto") -> Spectrum:

@@ -78,28 +78,18 @@ def _random_cube_symbol(d, rng):
 
 
 def test_criterion_02_abelian_spectral_gap():
-    checked = 0
-    worst_oracle_gap = 0.0
-    for n in range(3, 13):
-        for i in range(100):
-            sym = sample_random_circulant(n, seed=(2, n, i))
-            spec = spectra.abelian_circulant_eigensystem(sym)
-            assert spectra.spectral_gap(spec) == 0.0
-            dense = spectra.dense_eigensystem(graphs.build_abelian_circulant(sym))
-            worst_oracle_gap = max(
-                worst_oracle_gap, float(np.min(np.abs(np.diff(dense.eigenvalues)))))
-            checked += 1
+    symbols = [sample_random_circulant(n, seed=(2, n, i))
+               for n in range(3, 13) for i in range(100)]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(22)))
     for d in (2, 3, 4, 5):
-        symbols = list(_all_cube_symbols(d)) if d <= 3 else [
+        symbols += list(_all_cube_symbols(d)) if d <= 3 else [
             _random_cube_symbol(d, rng) for _ in range(100)]
-        for sym in symbols:
-            spec = spectra.abelian_circulant_eigensystem(sym)
-            assert spectra.spectral_gap(spec) == 0.0
-            dense = spectra.dense_eigensystem(graphs.build_abelian_circulant(sym))
-            worst_oracle_gap = max(
-                worst_oracle_gap, float(np.min(np.abs(np.diff(dense.eigenvalues)))))
-            checked += 1
+    for sym in symbols:
+        spec = spectra.abelian_circulant_eigensystem(sym)
+        assert spectra.spectral_gap(spec) == 0.0
+    checked = len(symbols)
+    dense = spectra.dense_eigensystems([graphs.build_abelian_circulant(s) for s in symbols])
+    worst_oracle_gap = max(float(np.min(np.abs(np.diff(d.eigenvalues)))) for d in dense)
     _report(f"criterion 2: PASS ({checked} symbols, gap exactly 0; "
             f"worst oracle degenerate-pair gap {worst_oracle_gap:.2e})")
     assert worst_oracle_gap <= 1e-9
@@ -293,16 +283,14 @@ def test_criterion_08_oracle_equivalence():
     cases += [graphs.build_bunkbed(graphs.build_path(n)) for n in range(2, 17)]
     cases += [graphs.build_bunkbed(graphs.build_hypercube(d)) for d in range(1, 4)]
     worst_spec = 0.0
-    for g in cases:
+    for g, dense in zip(cases, spectra.dense_eigensystems(cases)):
         closed = spectra.graph_eigensystem(g, method="closed")
-        dense = spectra.dense_eigensystem(g)
         worst_spec = max(worst_spec, float(np.max(np.abs(
             closed.eigenvalues - dense.eigenvalues))))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2024)))
+    randoms = [random_connected_graph(rng, n_min=4, n_max=13) for _ in range(20)]
     worst_avg = 0.0
-    for _ in range(20):
-        g = random_connected_graph(rng, n_min=4, n_max=13)
-        spec = spectra.dense_eigensystem(g)
+    for spec in spectra.dense_eigensystems(randoms):
         pbar = walk.average_distribution(spec, 0)
         fta = walk.finite_time_average(spec, 0, 1e4)
         worst_avg = max(worst_avg, float(np.max(np.abs(pbar - fta))))

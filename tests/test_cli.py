@@ -1,10 +1,22 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctqw.cli import main
+
+S3_TABLE = {
+    "class_sizes": [1, 3, 2],
+    "dims": [1, 1, 2],
+    "chars": [[[1, 0], [1, 0], [1, 0]],
+              [[1, 0], [-1, 0], [1, 0]],
+              [[2, 0], [0, 0], [-1, 0]]],
+}
 
 
 def run_cli(capsys, *argv):
@@ -109,15 +121,8 @@ def test_circulant_and_bunkbed_flags(capsys):
 
 
 def test_char_table_subcommand(tmp_path, capsys):
-    table = {
-        "class_sizes": [1, 3, 2],
-        "dims": [1, 1, 2],
-        "chars": [[[1, 0], [1, 0], [1, 0]],
-                  [[1, 0], [-1, 0], [1, 0]],
-                  [[2, 0], [0, 0], [-1, 0]]],
-    }
     path = tmp_path / "s3.json"
-    path.write_text(json.dumps(table))
+    path.write_text(json.dumps(S3_TABLE))
     code, out, _ = run_cli(capsys, "spectrum", "--char-table", str(path),
                            "--class-function", "0,1,0")
     assert code == 0
@@ -175,8 +180,14 @@ def test_ensemble_subcommand(capsys):
     ["spectrum", "--family", "cycle", "--n", "8"],
     ["average", "--family", "cycle", "--n", "8"],
     ["spectrum", "--family", "cycle", "--n", "8", "--format", "csv"],
+    ["spectrum", "--char-table", "S3", "--class-function", "0,1,0"],
+    ["spectrum", "--char-table", "S3", "--class-function", "0,1,0", "--format", "csv"],
+    ["spectrum", "--char-table", "S3", "--class-function", "0,1,0", "--format", "table"],
 ])
-def test_ensemble_rejects_bad_tol(capsys, tol, mode):
+def test_ensemble_rejects_bad_tol(capsys, tmp_path, tol, mode):
+    table = tmp_path / "s3.json"
+    table.write_text(json.dumps(S3_TABLE))
+    mode = [str(table) if arg == "S3" else arg for arg in mode]
     code, out, err = run_cli(capsys, *mode, "--tol", tol)
     assert code == 1
     assert out == "" and "tol" in err
@@ -217,3 +228,19 @@ def test_verify_subcommand_reports_discrepancies(capsys):
     assert any("even_cycle_C4" in d for d in doc["discrepancies"])
     code, _, err = run_cli(capsys, "verify", "--checks", "bogus")
     assert code == 1
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader is gone before the first write, as after `ctqw ... | head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctqw", "spectrum", "--family", "hypercube", "--d", "4",
+             "--format", "table"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0

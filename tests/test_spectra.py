@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ctqw import ensembles, graphs, spectra
+from ctqw import ensembles, graphs, mixing, spectra
 from ctqw.graphs import AbelianGroupSpec, GraphValidationError, Symbol
 from ctqw.spectra import (
     CharacterTable,
@@ -24,6 +24,75 @@ from ctqw.spectra import (
 )
 
 SQRT2 = math.sqrt(2.0)
+# Stacked kernel vs the scalar reference: sorted eigenvalues agree to
+# EIGENVALUE_BOUND * (1 + ||A||_F).  Both stop once the off-diagonal norm is
+# below 1e-12 * (1 + ||A||_F); measured agreement is within 8.4e-16 of that
+# scale on verify's matrices and 1.4e-15 on random 0/1 matrices up to n = 32.
+EIGENVALUE_BOUND = 1e-14
+
+
+def _scalar_jacobi(matrix, max_sweeps=64):
+    """The cyclic-by-row Jacobi routine the package used before the stacked
+    round-robin kernel, kept as the reference: one (p, q) rotation at a time."""
+    a = np.array(matrix, dtype=np.float64)
+    n = a.shape[0]
+    v = np.eye(n)
+    if n == 1:
+        return np.diag(a).copy(), v
+    thresh = 1e-12 * (1.0 + np.linalg.norm(a))
+    skip = thresh / n
+
+    def off_norm(m):
+        stripped = m.copy()
+        np.fill_diagonal(stripped, 0.0)
+        return float(np.linalg.norm(stripped))
+
+    for _ in range(max_sweeps):
+        if off_norm(a) < thresh:
+            return np.diag(a).copy(), v
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                app, aqq = a[p, p], a[q, q]
+                theta = (aqq - app) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                a[p, :] = a[:, p]
+                a[q, :] = a[:, q]
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = a[q, p] = 0.0
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    if off_norm(a) < thresh:
+        return np.diag(a).copy(), v
+    raise JacobiConvergenceError(off_norm(a), max_sweeps)
+
+
+def _assert_matches_reference(stack, eigenvalues, eigenvectors):
+    """Each member: sorted eigenvalues within the bound of the scalar
+    reference, eigen-residual <= 1e-9 and orthonormality error <= 1e-10."""
+    n = stack.shape[-1]
+    for a, lam, vec in zip(stack, eigenvalues, eigenvectors):
+        ref, _ = _scalar_jacobi(a)
+        bound = EIGENVALUE_BOUND * (1.0 + np.linalg.norm(a))
+        assert np.max(np.abs(np.sort(lam) - np.sort(ref))) <= bound
+        assert np.max(np.abs(a @ vec - vec * lam)) <= spectra.RESIDUAL_TOL
+        assert np.max(np.abs(vec.T @ vec - np.eye(n))) <= spectra.ORTHONORMALITY_TOL
+
+
+def _random_01_stack(rng, count, n):
+    upper = np.triu(rng.random((count, n, n)) < 0.5, 1)
+    return (upper | upper.swapaxes(1, 2)).astype(np.float64)
 
 
 def test_k2_eigenvalues():
@@ -133,6 +202,147 @@ def test_jacobi_against_numpy_on_random_symmetric():
 def test_jacobi_rejects_asymmetric():
     with pytest.raises(ValueError):
         jacobi_eigensystem(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def test_stacked_jacobi_matches_reference_on_verify_matrices():
+    cfg = mixing.VerifyConfig()
+    gs = [graphs.build_abelian_circulant(s) for s in mixing._gap_symbols(cfg)]
+    gs += mixing._oracle_cases(cfg)
+    assert len(gs) == 328
+    for n in sorted({g.n for g in gs}):
+        stack = np.stack([g.adjacency for g in gs if g.n == n]).astype(np.float64)
+        _assert_matches_reference(stack, *jacobi_eigensystem(stack))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32])
+def test_stacked_jacobi_matches_reference_on_random_01_stacks(n):
+    stack = _random_01_stack(np.random.default_rng(n), 6, n)
+    eigenvalues, eigenvectors = jacobi_eigensystem(stack)
+    assert eigenvalues.shape == (6, n) and eigenvectors.shape == (6, n, n)
+    _assert_matches_reference(stack, eigenvalues, eigenvectors)
+    lam, vec = jacobi_eigensystem(stack[0])  # a 2-D input keeps 2-D shapes
+    assert lam.shape == (n,) and vec.shape == (n, n)
+
+
+def test_jacobi_leaves_a_diagonal_matrix_alone():
+    diag = np.diag([3.0, -1.0, 0.5, 2.0, 0.0])
+    lam, vec = jacobi_eigensystem(diag, max_sweeps=0)  # converged before any sweep
+    assert np.array_equal(lam, np.diag(diag))
+    assert np.array_equal(vec, np.eye(5))
+    stack = np.stack([diag, _random_01_stack(np.random.default_rng(0), 1, 5)[0]])
+    lam, vec = jacobi_eigensystem(stack)
+    assert np.array_equal(lam[0], np.diag(diag)) and np.array_equal(vec[0], np.eye(5))
+
+
+def _sweeps_needed(a):
+    for cap in range(65):
+        try:
+            jacobi_eigensystem(a, max_sweeps=cap)
+            return cap
+        except JacobiConvergenceError:
+            continue
+    raise AssertionError("no convergence within 64 sweeps")
+
+
+def test_stack_members_converge_after_different_sweep_counts():
+    n = 10
+    spread = np.diag(np.arange(n, dtype=np.float64))
+    one_pair = spread.copy()
+    one_pair[2, 7] = one_pair[7, 2] = 1.0  # a single rotation finishes it
+    noise = _random_01_stack(np.random.default_rng(4), 1, n)[0]
+    stack = np.stack([spread, one_pair, spread + 1e-3 * noise, spread + 1e-2 * noise, noise])
+    needed = [_sweeps_needed(a) for a in stack]
+    assert needed[:2] == [0, 1] and len(set(needed)) == len(needed)  # 0, 1, 2, 3, 5
+    eigenvalues, eigenvectors = jacobi_eigensystem(stack)
+    _assert_matches_reference(stack, eigenvalues, eigenvectors)
+    for a, lam, vec in zip(stack, eigenvalues, eigenvectors):
+        alone_lam, alone_vec = jacobi_eigensystem(a)
+        assert np.allclose(lam, alone_lam, rtol=0, atol=1e-13)
+        assert np.allclose(vec, alone_vec, rtol=0, atol=1e-13)
+    with pytest.raises(JacobiConvergenceError):
+        jacobi_eigensystem(stack, max_sweeps=max(needed) - 1)
+
+
+def test_jacobi_sweep_cap_raises():
+    stack = _random_01_stack(np.random.default_rng(2), 3, 16)
+    with pytest.raises(JacobiConvergenceError) as info:
+        jacobi_eigensystem(stack, max_sweeps=2)
+    assert info.value.sweeps == 2 and info.value.off_norm > 0.0
+    with pytest.raises(JacobiConvergenceError):
+        jacobi_eigensystem(stack[0], max_sweeps=2)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.zeros(3),
+    np.zeros((2, 3)),
+    np.zeros((2, 3, 4)),
+    np.zeros((1, 2, 2, 2)),
+    np.array([[0.0, 1.0], [0.5, 0.0]]),
+    np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]),
+    np.array([[0.0, np.nan], [np.nan, 0.0]]),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+], ids=["1d", "non-square", "non-square-stack", "4d", "asymmetric", "asymmetric-member",
+        "nan", "inf"])
+def test_jacobi_rejects_bad_input(matrix):
+    with pytest.raises(ValueError):
+        jacobi_eigensystem(matrix)
+
+
+def test_jacobi_reads_the_upper_triangle_of_a_nearly_symmetric_matrix():
+    # accepted as symmetric (relative mismatch 1e-9 < the 1e-5 allowed), then
+    # solved as the exactly symmetric matrix of its upper triangle
+    upper = _random_01_stack(np.random.default_rng(7), 3, 9)
+    nearly = upper.copy()
+    lower = np.tril_indices(9, -1)
+    nearly[:, lower[0], lower[1]] *= 1.0 + 1e-9
+    for got, want in zip(jacobi_eigensystem(nearly), jacobi_eigensystem(upper)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_jacobi_keeps_pivots_below_the_skip_threshold(n):
+    # an all-ones off-diagonal with one pair shrunk to 0.9 * thresh / n: the
+    # pair is skipped while it is that small, but its value still counts, so
+    # the eigenvalues match an independent solver to rounding, far below
+    # the first-order shift (up to about 1e-12 here) that dropping it would cause
+    base = np.ones((n, n)) - np.eye(n) + np.diag(np.arange(n) * 0.37)
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            a = base.copy()
+            thresh = 1e-12 * (1.0 + np.linalg.norm(base))
+            a[p, q] = a[q, p] = 0.9 * thresh / n
+            lam, vec = jacobi_eigensystem(a)
+            exact = np.linalg.eigvalsh(a)
+            assert np.max(np.abs(np.sort(lam) - exact)) <= 2e-14, (p, q)
+            ref, _ = _scalar_jacobi(a)
+            assert np.max(np.abs(np.sort(ref) - exact)) <= 2e-14, (p, q)
+
+
+def test_dense_eigensystems_groups_by_size_and_keeps_order():
+    gs = [graphs.build_cycle(5), graphs.build_path(4), graphs.build_cycle(4),
+          graphs.build_complete(5), graphs.build_hypercube(2)]
+    specs = spectra.dense_eigensystems(gs)
+    assert [s.n for s in specs] == [5, 4, 4, 5, 4]
+    for g, spec in zip(gs, specs):
+        closed = graph_eigensystem(g, method="closed")
+        assert np.max(np.abs(spec.eigenvalues - closed.eigenvalues)) <= 1e-12
+        single = dense_eigensystem(g)
+        assert np.array_equal(single.eigenvalues, spec.eigenvalues)
+        assert np.array_equal(single.eigenvectors, spec.eigenvectors)
+    assert spectra.dense_eigensystems([]) == []
+
+
+def test_dense_eigensystems_checks_every_result(monkeypatch):
+    exact = spectra.jacobi_eigensystem
+
+    def off_by_one_vector(matrix, max_sweeps=64):
+        lam, vec = exact(matrix, max_sweeps)
+        vec[-1, :, 0] *= 1.0 + 1e-6  # last member, first eigenvector
+        return lam, vec
+
+    monkeypatch.setattr(spectra, "jacobi_eigensystem", off_by_one_vector)
+    with pytest.raises(RuntimeError, match="orthonormal"):
+        spectra.dense_eigensystems([graphs.build_cycle(6), graphs.build_path(6)])
 
 
 def test_jacobi_convergence_error_reports_off_norm():
