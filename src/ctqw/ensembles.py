@@ -1,11 +1,15 @@
 """Random circulant sampling C(n, 1/2) and ensemble statistics.
 
-Reproducibility contract: the generator is PCG64 and trial i draws from the
-substream SeedSequence(entropy=seed, spawn_key=(i,)), so results are
-identical bit for bit across platforms.  Only the coin draws run one trial
-at a time; spectra, degeneracy classes and averages run on blocks of
-BLOCK_SIZE trials with loops in a fixed order (no BLAS), and statistics
-aggregate in trial-then-draw order.
+Reproducibility contract: trial i draws its coins from the substream
+SeedSequence(entropy=seed, spawn_key=(i,)) + PCG64 + Generator.integers(0, 2),
+so results are identical bit for bit across platforms.  The substreams of a
+block of BLOCK_SIZE trials are computed together: the seed hash, the 128-bit
+LCG and the coin extraction run as uint64 numpy steps over the whole block,
+bit-identical to numpy's per-trial objects, and every block redraws its
+first trial through numpy's own Generator to check that.  Spectra,
+degeneracy classes and averages run on the same blocks with loops in a
+fixed order (no BLAS), and statistics aggregate in trial-then-draw order.
+The one-word spawn key bounds a run at 2**32 trials.
 
 The model draws the connection coins unconditionally, but downstream walk
 machinery needs connected graphs, so disconnected draws are rejected and
@@ -33,6 +37,7 @@ from .spectra import (
 
 MAX_RESAMPLE_ATTEMPTS = 1000
 BLOCK_SIZE = 4096
+MAX_TRIALS = 2**32
 
 
 def _symbol_values(bits: np.ndarray, n: int) -> np.ndarray:
@@ -104,27 +109,151 @@ def sample_random_circulant(n: int, seed) -> Symbol:
     )
 
 
+# SeedSequence's hash constants and PCG64's 128-bit LCG multiplier as numpy
+# defines them (bit_generator.pyx, pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+def _hashmix(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix on a uint32 array; the hash constant is a Python int."""
+    next_const = hash_const * mult & _MASK32
+    value = (value ^ np.uint32(hash_const)) * np.uint32(next_const)
+    return value ^ value >> 16, next_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ result >> 16
+
+
+def _seed_words(entropy: int, keys: np.ndarray) -> list[np.ndarray]:
+    """generate_state(4, uint64) of SeedSequence(entropy, spawn_key=(k,)) for
+    every uint32 k: four uint64 arrays.
+
+    The entropy words are padded to the pool size because a spawn key is
+    present, so the key is always the last word hashed and the only one
+    that differs between trials.
+    """
+    words = [np.array([entropy >> s & _MASK32], dtype=np.uint32)
+             for s in range(0, max(entropy.bit_length(), 1), 32)]
+    words += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(words)) + [keys]
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        word, hash_const = _hashmix(word, hash_const, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for src in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            word, hash_const = _hashmix(src, hash_const, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+    hash_const, state = _INIT_B, []
+    for j in range(2 * _POOL_SIZE):
+        word, hash_const = _hashmix(pool[j % _POOL_SIZE], hash_const, _MULT_B)
+        state.append(word.astype(np.uint64))
+    return [state[j] | state[j + 1] << 32 for j in range(0, len(state), 2)]
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of a * b for a uint64 array, from 32-bit limbs."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    lo = lo + add_lo
+    return hi + add_hi + (lo < add_lo).astype(np.uint64), lo
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """state * multiplier + inc mod 2**128, on (hi, lo) uint64 arrays."""
+    mult_hi, mult_lo = np.uint64(_PCG_MULT_HI), np.uint64(_PCG_MULT_LO)
+    new_hi = _mulhi64(lo, _PCG_MULT_LO) + hi * mult_lo + lo * mult_hi
+    return _add128(new_hi, lo * mult_lo, inc_hi, inc_lo)
+
+
+class _Substreams:
+    """PCG64(SeedSequence(entropy, spawn_key=(k,))) for a vector of uint32
+    keys k, advanced together as (hi, lo) uint64 arrays.
+
+    Seeding follows numpy (O'Neill, HMC-CS-2014-0905): state = 0,
+    inc = 2 seq + 1, step, state += seed, step.
+    """
+
+    def __init__(self, entropy: int, keys: np.ndarray):
+        seed_hi, seed_lo, seq_hi, seq_lo = _seed_words(entropy, keys)
+        self.inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+        self.state = _lcg_step(*_add128(*self.inc, seed_hi, seed_lo), *self.inc)
+        self.spare = None  # coin of the 32-bit word the last call left buffered
+
+    def coins(self, count: int) -> np.ndarray:
+        """(keys, count) bool: the next Generator.integers(0, 2, size=count) of each stream.
+
+        Each 64-bit XSL-RR output rotr(hi ^ lo, hi >> 58) is two 32-bit words,
+        low half first, and a coin is bit 31 of its word: Lemire's bounded
+        method (TOMACS 2019) never rejects at range 2.  A word left over is
+        buffered for the next call, as numpy buffers it.
+        """
+        coins = [] if self.spare is None else [self.spare]
+        while len(coins) < count:
+            self.state = hi, lo = _lcg_step(*self.state, *self.inc)
+            x, rot = hi ^ lo, hi >> 58
+            out = x >> rot | x << (64 - rot & 63)
+            coins += [out >> 31 & 1 == 1, out >> 63 == 1]
+        self.spare = coins[count] if len(coins) > count else None
+        return np.stack(coins[:count], axis=1)
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.state = tuple(s[mask] for s in self.state)
+        self.inc = tuple(s[mask] for s in self.inc)
+        if self.spare is not None:
+            self.spare = self.spare[mask]
+
+
+def _check_stream(n: int, entropy: int, trial: int, bits: np.ndarray) -> None:
+    """Redraw `trial`'s coin rows through numpy's own Generator; raise on any mismatch."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(trial,))))
+    expected = np.array([rng.integers(0, 2, size=n // 2) for _ in bits], dtype=bool)
+    if not np.array_equal(bits, expected):
+        raise RuntimeError(f"vectorized PCG64 stream of trial {trial} differs from numpy's")
+
+
 def _draw_block(n: int, entropy, trials: range) -> tuple[np.ndarray, np.ndarray]:
     """Orbit coins of every draw of the given trials, and which draws were accepted.
 
     Rows come in trial-then-draw order.  Trial i redraws from its own
-    substream until connected; its generator is dropped once it is accepted.
+    substream until connected; all substreams of the block advance together
+    and trial i leaves them once it is accepted.  The first trial's rows are
+    checked against numpy's Generator.
     """
-    pending = {
-        i: np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(i,))))
-        for i in trials
-    }
+    owner = np.arange(trials.start, trials.stop)
+    streams = _Substreams(int(entropy), owner.astype(np.uint32))
     owners, rows, accepted = [], [], []
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
-        bits = np.array([rng.integers(0, 2, size=n // 2) for rng in pending.values()], dtype=bool)
+        bits = streams.coins(n // 2)
         ok = _connected(bits, n)
-        owners.append(list(pending))
+        owners.append(owner)
         rows.append(bits)
         accepted.append(ok)
-        pending = {i: rng for (i, rng), done in zip(pending.items(), ok) if not done}
-        if not pending:
+        owner = owner[~ok]
+        streams.keep(~ok)
+        if not owner.size:
             order = np.argsort(np.concatenate(owners), kind="stable")
-            return np.concatenate(rows)[order], np.concatenate(accepted)[order]
+            bits, ok = np.concatenate(rows)[order], np.concatenate(accepted)[order]
+            _check_stream(n, entropy, trials.start, bits[: np.argmax(ok) + 1])
+            return bits, ok
     raise RuntimeError(f"no connected symbol after {MAX_RESAMPLE_ATTEMPTS} draws (n={n})")
 
 
@@ -168,6 +297,8 @@ def ensemble_stats(n: int, trials: int, seed: int, tol: float = DEGENERACY_TOL) 
         raise ValueError("random circulants require n >= 3")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be <= 2**32 (one uint32 spawn key per trial), got {trials}")
     _, phase = character_phases(AbelianGroupSpec((n,)))
     entropy = np.random.SeedSequence(seed).entropy
     blocks = []

@@ -283,14 +283,15 @@ def _circulant_adjacency(sym: Symbol) -> np.ndarray:
 def build_bunkbed(base: Graph) -> Graph:
     """Two copies of `base` joined by a perfect matching, layer-major order."""
     base.validate()
-    n = base.n
-    a = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-    a[:n, :n] = base.adjacency
-    a[n:, n:] = base.adjacency
-    a[:n, n:] = np.eye(n, dtype=np.uint8)
-    a[n:, :n] = np.eye(n, dtype=np.uint8)
-    labels = [f"({b},{v})" for b in (0, 1) for v in range(n)]
-    return Graph(a, family="bunkbed", labels=labels, base=base).validate()
+    labels = [f"({b},{v})" for b in (0, 1) for v in range(base.n)]
+    return Graph(_bunkbed_adjacency(base.adjacency), family="bunkbed", labels=labels,
+                 base=base).validate()
+
+
+def _bunkbed_adjacency(base: np.ndarray) -> np.ndarray:
+    # blocks (base, I; I, base): layer-major, rungs joining (0, v) and (1, v)
+    eye = np.eye(len(base), dtype=np.uint8)
+    return np.block([[base, eye], [eye, base]])
 
 
 def from_adjacency(matrix, family: str = "custom", labels: list[str] | None = None) -> Graph:
@@ -341,7 +342,13 @@ def _graph_from_doc(doc: dict) -> Graph:
         symbol = Symbol.from_support(group, doc["symbol_support"])
     base = _graph_from_doc(doc["base"]) if "base" in doc else None
     g = Graph(a, family=family, labels=labels, symbol=symbol, base=base).validate()
+    # every label that selects a closed-form spectrum must match the adjacency
     if symbol is not None:
         if not np.array_equal(_circulant_adjacency(symbol), a):
             raise GraphValidationError("symbol metadata does not match adjacency")
+    if family == "path" and not np.array_equal(build_path(n).adjacency, a):
+        raise GraphValidationError("family 'path' does not match adjacency (not P_n in path order)")
+    if base is not None and not np.array_equal(_bunkbed_adjacency(base.adjacency), a):
+        raise GraphValidationError(
+            "bunkbed 'base' does not match adjacency (blocks must be base, I, I, base)")
     return g

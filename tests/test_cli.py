@@ -85,6 +85,59 @@ def test_round_trip_graph_file(tmp_path, capsys):
     assert direct == via_file  # identical downstream results, bit for bit
 
 
+BUILD_ARGV = [
+    ["--family", "cycle", "--n", "7"],
+    ["--family", "complete", "--n", "5"],
+    ["--family", "path", "--n", "6"],
+    ["--family", "hypercube", "--d", "3"],
+    ["--family", "complete_bipartite", "--n", "3"],
+    ["--family", "circulant", "--group", "2,4", "--symbol", "1,3,4"],
+    ["--family", "bunkbed", "--base-family", "cycle", "--base-n", "5"],
+    ["--family", "bunkbed", "--base-family", "complete", "--base-n", "4"],
+    ["--family", "bunkbed", "--base-family", "path", "--base-n", "4"],
+    ["--family", "bunkbed", "--base-family", "hypercube", "--base-d", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", BUILD_ARGV, ids=lambda a: "-".join(a[1::2]))
+def test_every_build_output_round_trips(tmp_path, capsys, argv):
+    out_file = tmp_path / "g.json"
+    assert run_cli(capsys, "build", *argv, "-o", str(out_file))[0] == 0
+    code, direct, _ = run_cli(capsys, "spectrum", *argv)
+    assert code == 0
+    code, via_file, _ = run_cli(capsys, "spectrum", "--graph-file", str(out_file))
+    assert code == 0 and via_file == direct
+
+
+def _built_doc(capsys, *argv):
+    code, out, _ = run_cli(capsys, "build", *argv)
+    assert code == 0
+    return json.loads(out)
+
+
+def test_path_label_on_a_cycle_is_rejected(tmp_path, capsys):
+    # C_5 with its symbol fields removed would route to the P_5 closed form
+    doc = _built_doc(capsys, "--family", "cycle", "--n", "5")
+    del doc["group_factors"], doc["symbol_support"]
+    doc["family"] = "path"
+    path = tmp_path / "c5_as_path.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "spectrum", "--graph-file", str(path))
+    assert code == 1 and out == ""
+    assert "'path'" in err
+
+
+def test_bunkbed_base_not_matching_its_layers_is_rejected(tmp_path, capsys):
+    # layers are C_4 but the base claims P_4: the closed form would give 2.618, not 3
+    doc = _built_doc(capsys, "--family", "bunkbed", "--base-family", "cycle", "--base-n", "4")
+    doc["base"] = _built_doc(capsys, "--family", "path", "--n", "4")
+    path = tmp_path / "bad_bunkbed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "spectrum", "--graph-file", str(path))
+    assert code == 1 and out == ""
+    assert "'base'" in err
+
+
 def test_output_is_atomic_no_tmp_left(tmp_path, capsys):
     out_file = tmp_path / "out.json"
     run_cli(capsys, "walk", "--family", "cycle", "--n", "4", "--t", "1.0",

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from ctqw import graphs
+from ctqw import ensembles, graphs
+from ctqw.cli import main
 from ctqw.ensembles import (
     BLOCK_SIZE,
     MAX_RESAMPLE_ATTEMPTS,
+    MAX_TRIALS,
     ensemble_stats,
     exhaustive_expectations,
     sample_random_circulant,
@@ -247,3 +249,82 @@ def test_stats_json():
     assert doc["schema"] == "ctqw/1"
     assert doc["n"] == 5 and doc["trials"] == 50
     assert "type_histogram" in doc and "deviation_quantiles" in doc
+
+
+# Reference for the block stream: numpy's own objects, one Generator per
+# trial, rows in trial-then-draw order.
+
+
+def _ref_draw_block(n, entropy, trials):
+    owners, rows = [], []
+    for i in trials:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(i,))))
+        for _ in range(MAX_RESAMPLE_ATTEMPTS):
+            bits = rng.integers(0, 2, size=(1, n // 2)).astype(bool)
+            owners.append(i)
+            rows.append(bits[0])
+            if ensembles._connected(bits, n)[0]:
+                break
+    return np.array(rows), np.array(owners)
+
+
+ENTROPIES = {
+    "1word": 7,
+    "2words": 2**32 + 5,
+    "4words": 2**127 + 3,
+    "5words": 2**128 + 11,
+    "7words": 2**200 + 1,
+    "random": np.random.SeedSequence().entropy,
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 24, 365])
+@pytest.mark.parametrize("entropy", ENTROPIES.values(), ids=ENTROPIES.keys())
+def test_block_stream_is_bit_identical_to_numpy(n, entropy):
+    assert 1 <= -(-entropy.bit_length() // 32) <= 7
+    for start in (0, BLOCK_SIZE, MAX_TRIALS - 40):
+        trials = range(start, start + 40)
+        bits, accepted = ensembles._draw_block(n, entropy, trials)
+        ref_bits, owners = _ref_draw_block(n, entropy, trials)
+        assert np.array_equal(bits, ref_bits), (entropy, n, start)
+        assert np.array_equal(accepted, np.append(owners[1:] != owners[:-1], True))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_block_stream_matches_numpy_across_redraws(n):
+    # odd and even n//2, half or more of the draws disconnected
+    trials = range(3 * BLOCK_SIZE, 3 * BLOCK_SIZE + 200)
+    bits, accepted = ensembles._draw_block(n, 12345, trials)
+    ref_bits, owners = _ref_draw_block(n, 12345, trials)
+    assert np.bincount(owners - trials.start).max() >= 4
+    assert np.array_equal(bits, ref_bits)
+    assert accepted.sum() == len(trials)
+
+
+def test_spot_check_catches_a_corrupted_coin(monkeypatch, capsys):
+    coins = ensembles._Substreams.coins
+
+    def corrupt(self, count):
+        bits = coins(self, count)
+        bits[0, -1] = ~bits[0, -1]
+        return bits
+
+    monkeypatch.setattr(ensembles._Substreams, "coins", corrupt)
+    with pytest.raises(RuntimeError, match="differs from numpy"):
+        ensemble_stats(7, 10, seed=1)
+    assert main(["ensemble", "--n", "7", "--trials", "10", "--seed", "1"]) == 2
+    assert "differs from numpy" in capsys.readouterr().err
+
+
+def test_trials_beyond_one_word_spawn_key_are_refused(monkeypatch, capsys):
+    def no_draws(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(ensembles, "_draw_block", no_draws)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        ensemble_stats(7, MAX_TRIALS + 1, seed=1)
+    assert main(["ensemble", "--n", "7", "--trials", str(MAX_TRIALS + 1), "--seed", "1"]) == 1
+    assert "2**32" in capsys.readouterr().err
+    # a negative seed is still refused by SeedSequence
+    assert main(["ensemble", "--n", "7", "--trials", "10", "--seed", "-1"]) == 1
+    assert "non-negative" in capsys.readouterr().err
