@@ -127,8 +127,10 @@ def instantaneous_mixing_scan(
 ) -> list[tuple[float, float]]:
     """Locate local minima of t -> ||P_t - U|| over (0, t_max].
 
-    Evaluates on a uniform grid, refines all interior local minima together
-    by golden-section search to a bracket width of 1e-10 in t, and returns
+    The class projections of `start` are computed once; every probe then
+    costs r cosines, r sines and two real r x n products.  Evaluates on a
+    uniform grid, refines all interior local minima together by
+    golden-section search to a bracket width of 1e-10 in t, and returns
     the (time, deviation) pairs with deviation <= eps (all minima when eps is
     infinite), sorted by time.  Where the deviation is smooth at a minimum,
     rounding flattens its bottom, so t is fixed only to about
@@ -141,10 +143,15 @@ def instantaneous_mixing_scan(
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     u = 1.0 / spec.n
+    theta, proj = walk.class_projections(spec, start, walk.exact_labels(spec.eigenvalues))
 
     def deviations(times: np.ndarray) -> np.ndarray:
-        amps = walk.evolve_many(spec, start, times)
-        return np.abs((amps * amps.conj()).real - u).sum(axis=1)
+        re, im = walk.class_amplitudes(theta, proj, times)
+        # |re^2 + im^2 - u| in place: these arrays are the large ones of a probe
+        np.square(re, out=re)
+        re += np.square(im, out=im)
+        re -= u
+        return np.abs(re, out=re).sum(axis=1)
 
     ts = np.arange(1, grid + 1) * (t_max / grid)
     devs = deviations(ts)
@@ -217,22 +224,15 @@ def bunkbed_resonance_difference(base_spec: Spectrum, tol: float = spectra.DEGEN
     """Predicted layer difference Pbar(0,.) - Pbar(1,.) from base resonances.
 
     Averaging cos(2t) e^{-it(lambda_j - lambda_k)} term by term leaves
-    exactly the pairs with lambda_j - lambda_k = 2, so the layers differ by
-    D(l) = Re sum over those pairs of c_j(l) conj(c_k(l)) with
-    c_j(l) = <l|alpha_j><alpha_j|0>.  Zero iff no base eigenvalue pair
-    differs by exactly 2 (with nonvanishing coefficients).
+    exactly the class pairs with theta_j - theta_k = 2 (to tol), so the
+    layers differ by D(l) = sum over those pairs of p_j(l) p_k(l) with
+    p_j = E_j e_0 the real class projections of the base.  Zero iff no base
+    eigenvalue pair differs by exactly 2 (with nonvanishing projections).
     """
-    part = spectra.degeneracy_classes(base_spec, tol)
-    lam = base_spec.eigenvalues
-    coeff = base_spec.eigenvectors * base_spec.eigenvectors[0, :].conj()[None, :]
-    class_sums = [coeff[:, cls].sum(axis=1) for cls in part.classes]
-    class_vals = [float(np.mean(lam[cls])) for cls in part.classes]
-    diff = np.zeros(base_spec.n, dtype=np.complex128)
-    for j, vj in enumerate(class_vals):
-        for k, vk in enumerate(class_vals):
-            if abs(vj - vk - 2.0) <= tol:
-                diff += class_sums[j] * class_sums[k].conj()
-    return diff.real
+    labels = spectra.degeneracy_labels(base_spec.eigenvalues, tol)
+    theta, proj = walk.class_projections(base_spec, 0, labels)
+    resonant = np.abs(theta[:, None] - theta[None, :] - 2.0) <= tol
+    return np.einsum("jk,jl,kl->l", resonant.astype(np.float64), proj, proj)
 
 
 @dataclass
@@ -516,11 +516,10 @@ def _check_bunkbed_layers(cfg: VerifyConfig) -> list[MixingReport]:
             measured=off_half,
             expected="1/2 of the average mass per layer to 1e-12, starts in either layer",
         )
-        worst = 0.0
-        for t in rng.uniform(0.0, 2.0 * math.pi, size=10):
-            fast = walk.bunkbed_instantaneous(base_spec, t)
-            generic = walk.instantaneous_distribution(bed_spec, 0, t)
-            worst = max(worst, float(np.max(np.abs(fast - generic))))
+        times = rng.uniform(0.0, 2.0 * math.pi, size=10)
+        fast = walk.bunkbed_instantaneous(base_spec, times)
+        generic = walk.instantaneous_distribution(bed_spec, 0, times)
+        worst = float(np.max(np.abs(fast - generic)))
         rep.flags["factorized_instantaneous"] = _flag(
             "pass" if worst <= 1e-10 else "fail", measured=worst, expected="<= 1e-10"
         )

@@ -6,6 +6,8 @@ pre-sort index, so output is reproducible across runs and platforms.
 Circulant eigenvalues are read from one conjugate-symmetric table of roots
 of unity, summed in a fixed order, which makes the symmetry degeneracy
 lambda_a == lambda_{-a} exact in floating point rather than approximate.
+Closed-form routes build their eigenvectors only when `Spectrum.eigenvectors`
+is first read, so spectra, types and gaps never pay for the n x n table.
 """
 
 from __future__ import annotations
@@ -35,16 +37,25 @@ class JacobiConvergenceError(RuntimeError):
         )
 
 
-@dataclass
 class Spectrum:
-    """Eigenvalues (descending) with paired orthonormal eigenvector columns."""
+    """Eigenvalues (descending) with paired orthonormal eigenvector columns.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    A closed-form route may pass a zero-argument builder in place of the
+    eigenvector array; it runs on the first read of `eigenvectors` and its
+    result is kept, so callers that need only eigenvalues never build them.
+    """
 
-    def __post_init__(self):
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
-        self.eigenvectors = np.asarray(self.eigenvectors, dtype=np.complex128)
+    def __init__(self, eigenvalues, eigenvectors):
+        self.eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
+        self._build = eigenvectors if callable(eigenvectors) else None
+        self._eigenvectors = None if self._build else np.asarray(eigenvectors, dtype=np.complex128)
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if self._eigenvectors is None:
+            self._eigenvectors = np.asarray(self._build(), dtype=np.complex128)
+            self._build = None
+        return self._eigenvectors
 
     @property
     def n(self) -> int:
@@ -54,7 +65,8 @@ class Spectrum:
         """Spectrum of factor * A; eigenvectors and ordering are unchanged."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        return Spectrum(self.eigenvalues * factor, self.eigenvectors)
+        vectors = self._eigenvectors if self._build is None else (lambda: self.eigenvectors)
+        return Spectrum(self.eigenvalues * factor, vectors)
 
 
 @dataclass
@@ -122,9 +134,17 @@ class CharacterTable:
             raise ValueError(f"malformed character table JSON: {exc}") from None
 
 
-def _sorted_spectrum(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> Spectrum:
-    """Sort descending, ties by ascending original index."""
-    order = np.lexsort((np.arange(len(eigenvalues)), -eigenvalues))
+def _descending(eigenvalues: np.ndarray) -> np.ndarray:
+    """The sort order: descending, ties by ascending original index."""
+    return np.lexsort((np.arange(len(eigenvalues)), -eigenvalues))
+
+
+def _sorted_spectrum(eigenvalues: np.ndarray, eigenvectors) -> Spectrum:
+    """Sort descending, ties by ascending original index; `eigenvectors` is an
+    array or a builder of one, whose columns are then sorted when it runs."""
+    order = _descending(eigenvalues)
+    if callable(eigenvectors):
+        return Spectrum(eigenvalues[order], lambda: eigenvectors()[:, order])
     return Spectrum(eigenvalues[order], eigenvectors[:, order])
 
 
@@ -149,21 +169,27 @@ def character_phases(group: AbelianGroupSpec) -> tuple[int, np.ndarray]:
 
     Together with `_roots_of_unity(L)` this is the character table of the group.
     """
+    return _phase_rows(group, slice(None))
+
+
+def _phase_rows(group: AbelianGroupSpec, rows) -> tuple[int, np.ndarray]:
+    """(L, phase[rows]): the rows of the `character_phases` table at elements `rows`."""
     L = math.lcm(*group.factors)
     coords = group.coordinates()
     # phase[x, a] = sum_j a_j x_j L / n_j (mod L)
     weights = np.array([L // f for f in group.factors], dtype=np.int64)
-    return L, ((coords * weights) @ coords.T) % L
+    return L, ((coords[rows] * weights) @ coords.T) % L
 
 
 def circulant_eigenvalues(values: np.ndarray, phase: np.ndarray, L: int) -> np.ndarray:
     """lambda_a = sum_{x in S} Re root_L[phase[x, a]] for each row of symbol values.
 
-    Rows are 0/1 symbol values on the group; x runs in increasing order, so
-    a symmetric symbol gives lambda_a == lambda_{-a} bitwise.
+    Rows are 0/1 symbol values, one column per row of `phase` (the group, or
+    only the support); x runs in increasing order, so a symmetric symbol
+    gives lambda_a == lambda_{-a} bitwise.
     """
     cos = _roots_of_unity(L).real
-    lams = np.zeros(values.shape)
+    lams = np.zeros((len(values), phase.shape[1]))
     for x in np.flatnonzero(values.any(axis=0)):
         lams += values[:, x, None] * cos[phase[x]]
     return lams
@@ -172,15 +198,21 @@ def circulant_eigenvalues(values: np.ndarray, phase: np.ndarray, L: int) -> np.n
 def abelian_circulant_eigensystem(sym: Symbol) -> Spectrum:
     """Closed-form eigensystem of the circulant defined by `sym`.
 
-    Eigenvalue for character a: sum over the symbol support of Re chi_a(x);
-    eigenvector entries chi_a(x) / sqrt(|G|).
+    Eigenvalue for character a: sum over the symbol support of Re chi_a(x),
+    read from the |S| support rows of the phase table.  Eigenvector entries
+    chi_a(x) / sqrt(|G|) need the whole n x n table and are built on first read.
     """
-    L, phase = character_phases(sym.group)
-    eigenvalues = circulant_eigenvalues(sym.values[None, :], phase, L)[0]
-    eigenvectors = _roots_of_unity(L)[phase]  # column a holds chi_a(x)
-    del phase  # free the n x n phase table before the sorted copy is made
-    eigenvectors /= math.sqrt(sym.group.order)
-    return _sorted_spectrum(eigenvalues, eigenvectors)
+    group = sym.group
+    support = np.flatnonzero(sym.values)
+    L, support_phase = _phase_rows(group, support)
+    eigenvalues = circulant_eigenvalues(sym.values[None, support], support_phase, L)[0]
+    order = _descending(eigenvalues)
+
+    def eigenvectors() -> np.ndarray:
+        phase = character_phases(group)[1][:, order]  # column j holds chi_{order[j]}
+        return (_roots_of_unity(L) / math.sqrt(group.order))[phase]
+
+    return Spectrum(eigenvalues[order], eigenvectors)
 
 
 def class_circulant_eigenvalues(
@@ -215,21 +247,28 @@ def path_eigensystem(n: int) -> Spectrum:
         raise GraphValidationError("path requires n >= 2")
     j = np.arange(1, n + 1)
     eigenvalues = 2.0 * np.cos(j * np.pi / (n + 1))
-    grid = np.outer(j, j) * (np.pi / (n + 1))
-    vecs = np.sqrt(2.0 / (n + 1)) * np.sin(grid)  # vecs[l, j-1]
-    return _sorted_spectrum(eigenvalues, vecs.astype(np.complex128))
+
+    def eigenvectors() -> np.ndarray:
+        grid = np.outer(j, j) * (np.pi / (n + 1))
+        return np.sqrt(2.0 / (n + 1)) * np.sin(grid)  # vecs[l, j-1]
+
+    return _sorted_spectrum(eigenvalues, eigenvectors)
 
 
 def bunkbed_eigensystem(base_spec: Spectrum) -> Spectrum:
     """Spectrum of a bunkbed from its base: lambda_j +- 1 with (|0> +- |1>)/sqrt(2)
-    tensor factors.  lambda_j + 1 may collide with lambda_k - 1, so degeneracy
-    is decided downstream from the sorted values.
+    tensor factors, built (with the base's eigenvectors) on first read.
+    lambda_j + 1 may collide with lambda_k - 1, so degeneracy is decided
+    downstream from the sorted values.
     """
-    n = base_spec.n
     eigenvalues = np.concatenate([base_spec.eigenvalues + 1.0, base_spec.eigenvalues - 1.0])
-    plus = np.vstack([base_spec.eigenvectors, base_spec.eigenvectors]) / math.sqrt(2)
-    minus = np.vstack([base_spec.eigenvectors, -base_spec.eigenvectors]) / math.sqrt(2)
-    eigenvectors = np.hstack([plus, minus])
+
+    def eigenvectors() -> np.ndarray:
+        base = base_spec.eigenvectors
+        plus = np.vstack([base, base]) / math.sqrt(2)
+        minus = np.vstack([base, -base]) / math.sqrt(2)
+        return np.hstack([plus, minus])
+
     return _sorted_spectrum(eigenvalues, eigenvectors)
 
 

@@ -297,3 +297,28 @@ def test_closed_stdout_ends_quietly():
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_spectrum_never_builds_eigenvectors_it_does_not_print(capsys, monkeypatch, fmt):
+    from ctqw import graphs, spectra
+
+    def refuse(group):
+        raise RuntimeError("eigenvector table built")
+
+    monkeypatch.setattr(spectra, "character_phases", refuse)
+    with pytest.raises(RuntimeError, match="eigenvector table built"):
+        spectra.graph_eigensystem(graphs.build_hypercube(8)).eigenvectors
+    code, out, err = run_cli(capsys, "spectrum", "--family", "hypercube", "--d", "8",
+                             "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "table":
+        assert "type: 9" in out
+    elif fmt == "csv":
+        assert len(out.splitlines()) == 1 + 256
+    else:
+        doc = json.loads(out)
+        assert (doc["n"], doc["type"]) == (256, 9) and "eigenvectors" not in doc
+        code, _, err = run_cli(capsys, "spectrum", "--family", "hypercube", "--d", "8",
+                               "--eigenvectors")
+        assert code == 2 and "eigenvector table built" in err

@@ -19,6 +19,7 @@ from ctqw.mixing import (
     uniform_target,
     verify_all,
 )
+from tests.conftest import _eigenvector_evolve
 
 
 def test_total_variation_basics():
@@ -108,16 +109,17 @@ def _golden_minimum(f, a, b, width=mixing.GOLDEN_WIDTH):
 
 
 def _reference_scan(spec, start=0, eps=math.inf, t_max=None, grid=mixing.SCAN_GRID):
-    """The scan that refines one minimum at a time with `walk.evolve` (reference)."""
+    """The scan that refines one minimum at a time with per-eigenvector
+    evolution (reference)."""
     if t_max is None:
         t_max = _reference_scan_window(spec)
     u = 1.0 / spec.n
     ts = np.arange(1, grid + 1) * (t_max / grid)
-    amps = walk.evolve_many(spec, start, ts)
+    amps = _eigenvector_evolve(spec, start, ts)
     devs = np.abs((amps * amps.conj()).real - u).sum(axis=1)
 
     def deviation(t):
-        amp = walk.evolve(spec, start, t)
+        amp = _eigenvector_evolve(spec, start, t)
         return float(np.abs((amp * amp.conj()).real - u).sum())
 
     minima = []

@@ -459,3 +459,60 @@ def test_spectrum_json():
     assert "eigenvectors" not in doc
     doc2 = json.loads(spectra.spectrum_to_json(spec, include_eigenvectors=True))
     assert len(doc2["eigenvectors"]) == 4
+
+
+def _eager_circulant(sym):
+    """The eigensystem built in full, as the closed form did before its
+    eigenvectors became lazy: the whole phase table, then one sort."""
+    L, phase = character_phases(sym.group)
+    lam = circulant_eigenvalues(sym.values[None, :], phase, L)[0]
+    vecs = _roots_of_unity(L)[phase]
+    vecs /= math.sqrt(sym.group.order)
+    order = np.lexsort((np.arange(len(lam)), -lam))
+    return lam[order], vecs[:, order]
+
+
+def _lazy_cases():
+    z4z6 = AbelianGroupSpec((4, 6))
+    yield graphs.build_cycle(12).symbol
+    yield Symbol.from_support(z4z6, [1, 5, 6, 18])
+    yield graphs.build_hypercube(4).symbol
+    for n in range(3, 41):
+        yield ensembles.sample_random_circulant(n, seed=(12, n))
+
+
+def test_lazy_circulant_eigensystem_is_bitwise_the_eager_one():
+    for sym in _lazy_cases():
+        spec = abelian_circulant_eigensystem(sym)
+        lam, vecs = _eager_circulant(sym)
+        assert np.array_equal(spec.eigenvalues, lam), sym.group.factors
+        assert np.array_equal(spec.eigenvectors, vecs), sym.group.factors
+        scaled = spec.scaled(0.5)
+        assert scaled.eigenvectors is spec.eigenvectors
+
+
+def test_closed_forms_build_eigenvectors_only_when_read(monkeypatch):
+    calls = []
+    phases = spectra.character_phases
+
+    def counted(group):
+        calls.append(group.factors)
+        return phases(group)
+
+    monkeypatch.setattr(spectra, "character_phases", counted)
+    cube = graph_eigensystem(graphs.build_hypercube(3))
+    scaled = cube.scaled(1.0 / 3.0)
+    bed = graph_eigensystem(graphs.build_bunkbed(graphs.build_cycle(5)))
+    assert calls == []
+    assert np.array_equal(scaled.eigenvectors, cube.eigenvectors)
+    assert calls == [(2, 2, 2)]  # built once, shared by the scaled spectrum
+    vecs = bed.eigenvectors
+    assert calls == [(2, 2, 2), (5,)]
+    assert vecs is bed.eigenvectors
+    spectra.check_spectrum(bed, graphs.build_bunkbed(graphs.build_cycle(5)).adjacency)
+
+    path = path_eigensystem(7)
+    j = np.arange(1, 8)
+    eager = math.sqrt(2.0 / 8) * np.sin(np.outer(j, j) * (math.pi / 8))
+    order = np.lexsort((np.arange(7), -2.0 * np.cos(j * math.pi / 8)))
+    assert np.array_equal(path.eigenvectors, eager[:, order].astype(np.complex128))

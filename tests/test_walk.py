@@ -8,11 +8,14 @@ from ctqw.walk import (
     as_distribution,
     average_distribution,
     bunkbed_instantaneous,
+    class_projections,
     evolve,
     evolve_many,
+    exact_labels,
     finite_time_average,
     instantaneous_distribution,
 )
+from tests.conftest import _eigenvector_evolve
 
 
 def spec_of(g):
@@ -132,6 +135,13 @@ def test_finite_time_average_converges_to_limit():
         finite_time_average(c4, 0, 0.0)
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+def test_finite_time_average_rejects_non_positive_or_non_finite_windows(T):
+    c4 = spec_of(graphs.build_cycle(4))
+    with pytest.raises(ValueError, match="finite and positive"):
+        finite_time_average(c4, 0, T)
+
+
 def test_bunkbed_instantaneous_matches_generic_path():
     rng = np.random.default_rng(3)
     for base in [graphs.build_complete(2), graphs.build_cycle(5), graphs.build_path(4)]:
@@ -169,3 +179,102 @@ def test_shift_invariance_of_average():
     a = average_distribution(spec, 0)
     b = average_distribution(shifted, 0)
     assert np.max(np.abs(a - b)) < 1e-10
+
+
+def _dense_gnp(n, p, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        upper = np.triu(rng.random((n, n)) < p, k=1)
+        try:
+            return graphs.from_adjacency((upper | upper.T).astype(np.uint8))
+        except graphs.GraphValidationError:
+            continue
+
+
+_CLASS_ROUTE_CASES = {
+    "C257": lambda: spec_of(graphs.build_cycle(257)),
+    "Q9": lambda: spec_of(graphs.build_hypercube(9)),
+    "K64": lambda: spec_of(graphs.build_complete(64)),
+    "P20": lambda: spec_of(graphs.build_path(20)),
+    "bunkbed-C6": lambda: spec_of(graphs.build_bunkbed(graphs.build_cycle(6))),
+    "dense-G24": lambda: spectra.dense_eigensystem(_dense_gnp(24, 0.3, 5)),
+    "scaled-Q4": lambda: spec_of(graphs.build_hypercube(4)).scaled(0.25),
+}
+
+
+@pytest.mark.parametrize("case", list(_CLASS_ROUTE_CASES))
+def test_class_route_matches_per_eigenvector_reference(case):
+    spec = _CLASS_ROUTE_CASES[case]()
+    times = np.concatenate([[0.0, 1000.0], np.random.default_rng(8).uniform(0, 1000, 62)])
+    want = _eigenvector_evolve(spec, 1, times)
+    got = evolve_many(spec, 1, times)
+    assert got.shape == want.shape == (64, spec.n)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for t in (0.0, 1000.0, float(times[5])):
+        assert np.max(np.abs(evolve(spec, 1, t) - _eigenvector_evolve(spec, 1, t))) <= 1e-12
+
+
+def test_evolution_never_merges_eigenvalues_one_ulp_apart():
+    lam = np.array([1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0), 0.5, 0.5, 0.5])
+    assert exact_labels(lam).tolist() == [0, 1, 1, 2, 2, 2]
+    # a real orthonormal basis: the two top eigenvalues stay separate classes
+    q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(6, 6)))
+    spec = spectra.Spectrum(lam, q)
+    theta, proj = class_projections(spec, 0, exact_labels(lam))
+    assert theta.tolist() == [lam[0], lam[1], lam[3]]
+    assert np.array_equal(proj[0], q[:, 0] * q[0, 0])
+    t = 1e15  # far enough for the one-ulp gap to turn a phase
+    assert np.max(np.abs(evolve(spec, 0, t) - _eigenvector_evolve(spec, 0, t))) <= 1e-9
+
+
+def test_class_projections_reject_a_class_split_from_its_conjugate():
+    spec = spec_of(graphs.build_cycle(4))
+    # sorted C_4 spectrum: 2 (a=0), 0 (a=1), 0 (a=3), -2 (a=2)
+    assert spec.eigenvalues.tolist() == [2.0, 0.0, 0.0, -2.0]
+    lam = spec.eigenvalues.copy()
+    lam[1] = np.nextafter(lam[1], 1.0)  # lambda_1 one ulp above lambda_{-1}
+    nudged = spectra.Spectrum(lam, spec.eigenvectors)
+    assert exact_labels(lam).tolist() == [0, 1, 2, 3]
+    with pytest.raises(RuntimeError, match="imaginary residue"):
+        class_projections(nudged, 0, exact_labels(lam))
+    with pytest.raises(RuntimeError, match="imaginary residue"):
+        evolve(nudged, 0, 1.0)
+
+
+def test_class_projections_check_their_labels():
+    spec = spec_of(graphs.build_cycle(5))
+    for bad in ([0, 0, 1, 1], [1, 1, 2, 2, 3], [0, 2, 2, 3, 3], [0, 1, 0, 1, 2]):
+        with pytest.raises(ValueError, match="labels"):
+            class_projections(spec, 0, np.array(bad))
+    with pytest.raises(ValueError, match="start"):
+        class_projections(spec, 5, exact_labels(spec.eigenvalues))
+
+
+def test_average_rejects_classes_that_are_not_runs():
+    spec = spec_of(graphs.build_cycle(4))
+    scattered = spectra.DegeneracyPartition([[0, 3], [1, 2]])
+    with pytest.raises(ValueError, match="runs"):
+        average_distribution(spec, 0, scattered)
+
+
+def test_batched_times_match_single_time_calls():
+    base = spec_of(graphs.build_cycle(7))
+    bed = spec_of(graphs.build_bunkbed(graphs.build_cycle(7)))
+    times = np.random.default_rng(4).uniform(0, 2 * math.pi, size=10)
+    fast = bunkbed_instantaneous(base, times)
+    generic = instantaneous_distribution(bed, 0, times)
+    assert fast.shape == generic.shape == (10, 14)
+    # one product over all times and a single-time product may round differently
+    for row_fast, row_generic, t in zip(fast, generic, times):
+        assert np.max(np.abs(row_fast - bunkbed_instantaneous(base, t))) <= 1e-15
+        assert np.max(np.abs(row_generic - instantaneous_distribution(bed, 0, t))) <= 1e-15
+    assert np.max(np.abs(fast - generic)) < 1e-10
+
+
+def test_distribution_checks_every_row():
+    good = np.array([[0.5, 0.5], [1.0, -5e-13]])
+    assert as_distribution(good)[1, 1] == 0.0
+    with pytest.raises(RuntimeError, match="sums to"):
+        as_distribution(np.array([[0.5, 0.5], [0.5, 0.4]]))
+    with pytest.raises(RuntimeError, match="clamp budget"):
+        as_distribution(np.array([[0.5, 0.5], [1.0, -1e-8]]))
