@@ -13,7 +13,9 @@ degeneracy-sensitive downstream results reproduce bit for bit:
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,45 +56,20 @@ class AbelianGroupSpec:
 
     @property
     def order(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
-
-    def element_of(self, index: int) -> tuple[int, ...]:
-        coords = []
-        for f in reversed(self.factors):
-            coords.append(index % f)
-            index //= f
-        return tuple(reversed(coords))
-
-    def index_of(self, element: tuple[int, ...]) -> int:
-        if len(element) != len(self.factors):
-            raise GraphValidationError("element length does not match factor count")
-        idx = 0
-        for x, f in zip(element, self.factors):
-            idx = idx * f + (int(x) % f)
-        return idx
-
-    def negate_index(self, index: int) -> int:
-        return self.index_of(tuple(-x for x in self.element_of(index)))
-
-    def add_index(self, a: int, b: int) -> int:
-        ea, eb = self.element_of(a), self.element_of(b)
-        return self.index_of(tuple(x + y for x, y in zip(ea, eb)))
-
-    @property
-    def _place_values(self) -> np.ndarray:
-        # mixed-radix place value of each coordinate: index = coords @ place values
-        return np.cumprod((self.factors[1:] + (1,))[::-1], dtype=np.int64)[::-1]
+        return math.prod(self.factors)
 
     def coordinates(self) -> np.ndarray:
-        """(order, k) array of element coordinates in index order."""
-        return (np.arange(self.order)[:, None] // self._place_values) % self.factors
+        """(order, k) array of element coordinates in index order (read-only)."""
+        return _group_tables(self.factors)[1]
+
+    @property
+    def negation(self) -> np.ndarray:
+        """Index of -x for each index x (read-only)."""
+        return _group_tables(self.factors)[2]
 
     def indices_of(self, coords: np.ndarray) -> np.ndarray:
         """Index of each coordinate row (last axis), reduced mod the factors."""
-        return (coords % np.array(self.factors)) @ self._place_values
+        return (coords % np.array(self.factors)) @ _group_tables(self.factors)[0]
 
     def difference_table(self) -> np.ndarray:
         """Table D[s, t] = index(s - t), used to lay out circulant adjacency."""
@@ -103,6 +80,19 @@ class AbelianGroupSpec:
             col = coords[:, j]
             diff = diff * f + (col[:, None] - col[None, :]) % f
         return diff
+
+
+@functools.lru_cache(maxsize=64)
+def _group_tables(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(place values, coordinates, negation) of Z_n1 x ... x Z_nk, built once
+    per factor tuple and read-only, so every caller can share them."""
+    # mixed-radix place value of each coordinate: index = coords @ place values
+    place = np.cumprod((factors[1:] + (1,))[::-1], dtype=np.int64)[::-1]
+    coords = (np.arange(math.prod(factors), dtype=np.int64)[:, None] // place) % factors
+    negation = ((-coords) % factors) @ place
+    for table in (place, coords, negation):
+        table.flags.writeable = False
+    return place, coords, negation
 
 
 @dataclass
@@ -123,9 +113,18 @@ class Symbol:
 
     @classmethod
     def from_support(cls, group: AbelianGroupSpec, support) -> "Symbol":
+        """Symbol with f(x) = 1 exactly on `support`, integer indices in 0..order-1."""
+        idx = np.asarray(support if isinstance(support, np.ndarray) else list(support))
+        if idx.size == 0:
+            idx = idx.astype(np.int64)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise GraphValidationError("symbol support must be a list of integer indices")
+        bad = idx[(idx < 0) | (idx >= group.order)]
+        if bad.size:
+            raise GraphValidationError(
+                f"symbol index {int(bad[0])} is out of range 0..{group.order - 1}")
         vals = np.zeros(group.order, dtype=bool)
-        for idx in support:
-            vals[int(idx)] = True
+        vals[idx] = True
         return cls(group, vals)
 
     @property
@@ -135,29 +134,36 @@ class Symbol:
     def validate(self) -> None:
         if self.values[0]:
             raise GraphValidationError("symbol has f(identity) = 1 (self-loop)")
-        coords = self.group.coordinates()
-        negated = self.values[self.group.indices_of(-coords)]
-        asymmetric = np.flatnonzero(self.values & ~negated)
+        asymmetric = np.flatnonzero(self.values & ~self.values[self.group.negation])
         if asymmetric.size:
             x = asymmetric[0]
             raise GraphValidationError(f"symbol is not symmetric: f({x}) = 1 but f(-{x}) = 0")
-        if self.support.size == 0:
+        if not self.values.any():
             raise GraphValidationError("symbol is empty (graph has no edges)")
-        if not self._generates_group(coords):
+        if not self._generates_group():
             raise GraphValidationError("symbol support does not generate the group")
 
-    def _generates_group(self, coords: np.ndarray) -> bool:
-        # Closure of the support under addition, one BFS level per step from
-        # the identity; coords are the group's element coordinates.
-        gens = coords[self.support]
-        seen = np.zeros(self.group.order, dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size:
-            nxt = self.group.indices_of(coords[frontier, None, :] + gens[None, :, :]).ravel()
-            frontier = np.unique(nxt[~seen[nxt]])
-            seen[frontier] = True
-        return bool(seen.all())
+    def _generates_group(self) -> bool:
+        # Subgroup closure H <- H + <x> over the support.  When x is outside
+        # H, the index m = [H + <x> : H] is the least k >= 1 with kx in H, and
+        # H + <x> is the union of the cosets H + kx for k < m: each enlarging
+        # step at least doubles |H| and touches at most |G| elements.
+        group = self.group
+        coords = group.coordinates()
+        factors = np.array(group.factors)
+        exponent = math.lcm(*group.factors)
+        members = np.zeros(group.order, dtype=bool)
+        members[0] = True
+        h = coords[:1]  # coordinates of the elements of H
+        for x in self.support:
+            if members[x]:
+                continue
+            multiples = np.arange(1, exponent + 1)[:, None] * coords[x] % factors
+            m = 1 + int(np.argmax(members[group.indices_of(multiples)]))
+            cosets = np.concatenate([coords[:1], multiples[: m - 1]])
+            h = ((cosets[:, None, :] + h[None, :, :]) % factors).reshape(-1, len(factors))
+            members[group.indices_of(h)] = True
+        return len(h) == group.order
 
 
 @dataclass
@@ -176,7 +182,11 @@ class Graph:
     base: "Graph | None" = None
 
     def __post_init__(self):
-        self.adjacency = np.asarray(self.adjacency, dtype=np.uint8)
+        a = np.asarray(self.adjacency)
+        if a.dtype != np.uint8 and not _zero_one(a):
+            # checked before the cast, which would turn 257 or 1.5 into an edge
+            raise GraphValidationError("adjacency entries must be 0 or 1")
+        self.adjacency = a.astype(np.uint8, copy=False)
 
     @property
     def n(self) -> int:
@@ -190,20 +200,44 @@ class Graph:
         a = self.adjacency
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise GraphValidationError("adjacency must be a nonempty square matrix")
-        if not np.isin(a, (0, 1)).all():
+        if not _zero_one(a):
             raise GraphValidationError("adjacency entries must be 0 or 1")
         if not np.array_equal(a, a.T):
             raise GraphValidationError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0):
+        if np.diagonal(a).any():
             raise GraphValidationError("adjacency must have a zero diagonal")
         if not _connected(a):
             raise GraphValidationError("graph is not connected")
         return self
 
 
+def _zero_one(a: np.ndarray) -> bool:
+    """Every entry is exactly 0 or 1; for unsigned or bool arrays a max test."""
+    if a.dtype.kind in "ub":
+        return a.size == 0 or int(a.max()) <= 1
+    if a.dtype.kind not in "ifcO":
+        return False
+    return bool(((a == 0) | (a == 1)).all())
+
+
+# Up to this many vertices connectivity squares the reachability matrix:
+# ceil(log2 n) small products beat up to n - 1 BFS levels (a path or cycle).
+# Above it each O(n^3) product costs more than a whole BFS on the graphs
+# built here (Q_11 takes 11 levels, C_257 128 levels of two rows each).
+SQUARING_MAX_N = 64
+
+
 def _connected(adjacency: np.ndarray) -> bool:
+    n = adjacency.shape[0]
+    if n <= SQUARING_MAX_N:
+        # after k squarings reach[i, j] = 1 iff j lies within 2^k steps of i;
+        # entries are clipped to 0/1, so the float products are exact
+        reach = adjacency + np.eye(n)
+        for _ in range((n - 1).bit_length()):
+            reach = np.minimum(reach @ reach, 1.0)
+        return bool(reach[0].all())
     # BFS from vertex 0, one numpy step per level
-    seen = np.zeros(adjacency.shape[0], dtype=bool)
+    seen = np.zeros(n, dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
@@ -269,14 +303,13 @@ def build_abelian_circulant(
 
 
 def _circulant_adjacency(sym: Symbol) -> np.ndarray:
-    # A[s, t] = 1 iff s - t lies in the support, so each x in the support
-    # sets A[s, index(s - x)] for every s: O(n |S|) with no n x n table.
+    # A[s, t] = 1 iff s - t lies in the support, so row s has its ones at
+    # index(s - x) for x in the support: one (n, |S|) gather, no n x n table.
     group = sym.group
     coords = group.coordinates()
-    rows = np.arange(group.order)
+    cols = group.indices_of(coords[:, None, :] - coords[sym.support])
     a = np.zeros((group.order, group.order), dtype=np.uint8)
-    for x in sym.support:
-        a[rows, group.indices_of(coords - coords[x])] = 1
+    a[np.arange(group.order)[:, None], cols] = 1
     return a
 
 

@@ -12,6 +12,7 @@ is first read, so spectra, types and gaps never pay for the n x n table.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -148,9 +149,10 @@ def _sorted_spectrum(eigenvalues: np.ndarray, eigenvectors) -> Spectrum:
     return Spectrum(eigenvalues[order], eigenvectors[:, order])
 
 
+@functools.lru_cache(maxsize=64)
 def _roots_of_unity(L: int) -> np.ndarray:
     """The L-th roots e^{2 pi i k / L}: root[L - k] == conj(root[k]) bitwise,
-    with exact values at quarter turns.
+    with exact values at quarter turns.  Built once per L and read-only.
 
     Conjugate symmetry makes lambda_a == lambda_{-a} exact; quarter-turn
     exactness keeps integer character sums integral for groups with a Z_2 or
@@ -161,7 +163,9 @@ def _roots_of_unity(L: int) -> np.ndarray:
     for num, val in ((0, 1.0), (1, 1j), (2, -1.0)):
         if (num * L) % 4 == 0:
             half[num * L // 4] = val
-    return np.concatenate([half, half[1 : (L + 1) // 2][::-1].conj()])
+    roots = np.concatenate([half, half[1 : (L + 1) // 2][::-1].conj()])
+    roots.flags.writeable = False
+    return roots
 
 
 def character_phases(group: AbelianGroupSpec) -> tuple[int, np.ndarray]:

@@ -37,6 +37,37 @@ def _eigenvector_evolve(spec, start, t):
     return amps[0] if np.ndim(t) == 0 else amps
 
 
+# Per-element arithmetic in Z_n1 x ... x Z_nk under the mixed-radix encoding
+# of `graphs.AbelianGroupSpec` (first factor most significant), the reference
+# the vectorized group tables are checked against.
+
+
+def element_of(group, index: int) -> tuple[int, ...]:
+    coords = []
+    for f in reversed(group.factors):
+        coords.append(index % f)
+        index //= f
+    return tuple(reversed(coords))
+
+
+def index_of(group, element: tuple[int, ...]) -> int:
+    if len(element) != len(group.factors):
+        raise graphs.GraphValidationError("element length does not match factor count")
+    idx = 0
+    for x, f in zip(element, group.factors):
+        idx = idx * f + (int(x) % f)
+    return idx
+
+
+def negate_index(group, index: int) -> int:
+    return index_of(group, tuple(-x for x in element_of(group, index)))
+
+
+def add_index(group, a: int, b: int) -> int:
+    ea, eb = element_of(group, a), element_of(group, b)
+    return index_of(group, tuple(x + y for x, y in zip(ea, eb)))
+
+
 @pytest.fixture
 def s3_table():
     """Character table of S3: classes (e, transpositions, 3-cycles)."""

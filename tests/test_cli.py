@@ -202,6 +202,27 @@ def test_custom_adjacency_through_graph_file(tmp_path, capsys):
     assert code == 1 and "symmetric" in err
 
 
+@pytest.mark.parametrize("group, symbol, bad", [
+    ("5", "1,7", "7"),
+    ("2,4", "-1,1", "-1"),  # must not wrap to index 7
+])
+def test_symbol_index_out_of_range_exits_1(capsys, group, symbol, bad):
+    code, out, err = run_cli(capsys, "build", "--family", "circulant", "--group", group,
+                             f"--symbol={symbol}")
+    assert code == 1 and out == ""
+    assert f"symbol index {bad} is out of range" in err
+
+
+def test_graph_file_symbol_index_out_of_range_exits_1(tmp_path, capsys):
+    doc = _built_doc(capsys, "--family", "cycle", "--n", "3")
+    doc["symbol_support"] = [1, 5]
+    path = tmp_path / "bad_symbol.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "spectrum", "--graph-file", str(path))
+    assert code == 1 and out == ""
+    assert "symbol index 5 is out of range 0..2" in err
+
+
 def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "build")[0] == 1
     assert run_cli(capsys, "build", "--family", "cycle")[0] == 1

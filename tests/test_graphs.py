@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ctqw.graphs import (
+    SQUARING_MAX_N,
     AbelianGroupSpec,
     GraphValidationError,
     Symbol,
@@ -18,6 +21,9 @@ from ctqw.graphs import (
     graph_from_json,
     graph_to_json,
 )
+from ctqw.graphs import _connected
+from ctqw.spectra import _roots_of_unity
+from tests.conftest import add_index, element_of, index_of, negate_index
 
 
 def all_builders_small():
@@ -121,13 +127,46 @@ def test_symbol_invariants_enforced():
         Symbol.from_support(AbelianGroupSpec((4,)), [2])
 
 
+@pytest.mark.parametrize("factors, support, bad", [
+    ((5,), [1, 7], 7),
+    ((3,), [1, 5], 5),
+    ((2, 4), [-1, 1], -1),  # would wrap to index 7
+])
+def test_symbol_indices_out_of_range_are_rejected(factors, support, bad):
+    with pytest.raises(GraphValidationError, match=f"symbol index {bad} is out of range"):
+        Symbol.from_support(AbelianGroupSpec(factors), support)
+
+
+def test_symbol_support_forms():
+    z8 = AbelianGroupSpec((8,))
+    expected = [1, 7]
+    for support in ([1, 7], {7, 1}, (1, 7, 1), np.array([7, 1]), range(1, 8, 6)):
+        assert list(Symbol.from_support(z8, support).support) == expected
+    for support in ([1.0, 7.0], ["1", "7"], [[1, 7]]):
+        with pytest.raises(GraphValidationError, match="integer indices"):
+            Symbol.from_support(z8, support)
+
+
+def test_group_tables_are_cached_and_read_only():
+    group = AbelianGroupSpec((2, 4, 3))
+    coords = group.coordinates()
+    assert coords is AbelianGroupSpec((2, 4, 3)).coordinates()
+    for table in (coords, group.negation, _roots_of_unity(12)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+    assert _roots_of_unity(12) is _roots_of_unity(12)
+    assert np.array_equal(group.negation,
+                          [negate_index(group, x) for x in range(group.order)])
+
+
 def test_group_encoding():
     g = AbelianGroupSpec((2, 3))
     assert g.order == 6
-    assert g.index_of((0, 0)) == 0
-    assert g.index_of((1, 2)) == 5
-    assert g.element_of(4) == (1, 1)
-    assert g.negate_index(g.index_of((1, 1))) == g.index_of((1, 2))
+    assert index_of(g, (0, 0)) == 0
+    assert index_of(g, (1, 2)) == 5
+    assert element_of(g, 4) == (1, 1)
+    assert negate_index(g, index_of(g, (1, 1))) == index_of(g, (1, 2))
     with pytest.raises(GraphValidationError):
         AbelianGroupSpec((1, 3))
 
@@ -184,6 +223,53 @@ def test_custom_adjacency_validation():
         from_adjacency([[0, 2], [2, 0]])
 
 
+def _reference_connected(adjacency):
+    seen, stack = {0}, [0]
+    while stack:
+        for w in np.flatnonzero(adjacency[stack.pop()]):
+            if int(w) not in seen:
+                seen.add(int(w))
+                stack.append(int(w))
+    return len(seen) == len(adjacency)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, SQUARING_MAX_N, SQUARING_MAX_N + 1, 100])
+def test_connectivity_matches_per_vertex_reference(n):
+    # both sides of the squaring / BFS switch: paths (diameter n - 1), a path
+    # cut in two, and random graphs around the connectivity threshold
+    path = build_path(n).adjacency if n > 1 else np.zeros((1, 1), dtype=np.uint8)
+    assert _connected(path)
+    if n > 2:
+        cut = path.copy()
+        cut[n // 2, n // 2 - 1] = cut[n // 2 - 1, n // 2] = 0
+        assert not _connected(cut)
+    rng = np.random.default_rng(n)
+    verdicts = set()
+    for _ in range(30):
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.3, 2.5) * np.log(n) / n, 1)
+        a = (upper | upper.T).astype(np.uint8)
+        verdicts.add(_connected(a))
+        assert _connected(a) == _reference_connected(a)
+    assert n < 3 or verdicts == {True, False}
+
+
+@pytest.mark.parametrize("entry", [257, 1.5, -255, 1 + 1j, float("nan")])
+def test_adjacency_entries_are_checked_before_the_uint8_cast(entry):
+    # 257, 1.5 and -255 all cast to uint8 1 and would pass as K_2
+    with pytest.raises(GraphValidationError, match="0 or 1"):
+        from_adjacency([[0, entry], [entry, 0]])
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[False, True], [True, False]],
+    np.array([[0, 1], [1, 0]], dtype=object),
+])
+def test_exact_zero_one_entries_of_any_numeric_type_are_accepted(matrix):
+    g = from_adjacency(matrix)
+    assert g.adjacency.dtype == np.uint8 and g.adjacency.tolist() == [[0, 1], [1, 0]]
+
+
 def test_json_round_trip_preserves_structure():
     for g in [build_cycle(6), build_hypercube(2), build_bunkbed(build_path(3))]:
         doc = graph_to_json(g)
@@ -217,7 +303,7 @@ def test_json_rejects_malformed():
 def _reference_coordinates(group):
     coords = np.empty((group.order, len(group.factors)), dtype=np.int64)
     for i in range(group.order):
-        coords[i] = group.element_of(i)
+        coords[i] = element_of(group, i)
     return coords
 
 
@@ -237,7 +323,7 @@ def _reference_generates_group(group, support):
     while frontier:
         cur = frontier.pop()
         for g in gens:
-            nxt = group.add_index(cur, g)
+            nxt = add_index(group, cur, g)
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -246,7 +332,7 @@ def _reference_generates_group(group, support):
 
 def _reference_asymmetry(group, values):
     for x in np.flatnonzero(values):
-        if not values[group.negate_index(int(x))]:
+        if not values[negate_index(group, int(x))]:
             return f"symbol is not symmetric: f({x}) = 1 but f(-{x}) = 0"
     return None
 
@@ -266,7 +352,7 @@ def test_group_arithmetic_matches_per_element_reference(factors):
     assert np.array_equal(coords, _reference_coordinates(group))
     table = _reference_difference_table(group)
     assert np.array_equal(group.difference_table(), table)
-    neg = np.array([group.negate_index(x) for x in range(group.order)])
+    neg = np.array([negate_index(group, x) for x in range(group.order)])
     rng = np.random.default_rng(sum(factors) * 100 + len(factors))
     verdicts = set()
     for _ in range(12):
@@ -308,3 +394,64 @@ def test_non_generating_supports_are_rejected(factors, support):
     assert not _reference_generates_group(group, support)
     with pytest.raises(GraphValidationError, match="does not generate"):
         Symbol.from_support(group, support)
+
+
+@pytest.mark.parametrize("factors, support", [
+    *(((n,), [2, n - 2]) for n in range(5, 22)),  # generates iff n is odd
+    ((12,), [1, 2, 10, 11]),  # 2 and 10 already lie in <1>
+    ((12,), [3, 4, 8, 9]),  # <3> has index 3; 4 enlarges it to Z_12
+    ((12,), [4, 6, 8]),  # <4> + <6> = <2>, index 2
+    ((2, 4), [1, 2, 6, 7]),  # 2 lies in <(0,1)>; 7 lies in <(0,1), (1,2)>
+    ((2, 4), [3, 4, 5]),  # (0,1) gives Z_4; (1,0) doubles it; the rest lie inside
+    ((2, 2, 2), [1, 2, 3]),  # 3 = 1 + 2 lies in H: never reaches the first factor
+    ((3, 5, 7), [1, 7, 14, 34, 71, 104]),
+    ((4, 6), [6, 18, 4, 20]),
+])
+def test_subgroup_closure_matches_per_element_bfs(factors, support):
+    group = AbelianGroupSpec(factors)
+    vals = np.zeros(group.order, dtype=bool)
+    vals[support] = True
+    vals |= vals[group.negation]
+    generates = _reference_generates_group(group, np.flatnonzero(vals))
+    if generates:
+        assert np.array_equal(Symbol(group, vals).values, vals)
+    else:
+        with pytest.raises(GraphValidationError, match="does not generate"):
+            Symbol(group, vals)
+
+
+@st.composite
+def groups_and_symmetric_supports(draw):
+    factors = tuple(draw(st.lists(st.integers(2, 7), min_size=1, max_size=3)))
+    group = AbelianGroupSpec(factors)
+    vals = np.array(draw(st.lists(st.booleans(), min_size=group.order, max_size=group.order)))
+    vals[0] = False
+    return group, vals | vals[group.negation]
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups_and_symmetric_supports())
+def test_generation_check_matches_per_element_bfs(case):
+    group, vals = case
+    support = np.flatnonzero(vals)
+    assume(support.size)
+    if _reference_generates_group(group, support):
+        Symbol(group, vals)
+    else:
+        with pytest.raises(GraphValidationError, match="does not generate"):
+            Symbol(group, vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups_and_symmetric_supports())
+def test_one_gather_adjacency_matches_difference_table_layout(case):
+    group, vals = case
+    # add +-e_j for every factor so the symbol always generates the group
+    for j in range(len(group.factors)):
+        unit = [0] * len(group.factors)
+        unit[j] = 1
+        vals[index_of(group, tuple(unit))] = True
+    vals |= vals[group.negation]
+    g = build_abelian_circulant(Symbol(group, vals))
+    table = _reference_difference_table(group)
+    assert np.array_equal(g.adjacency, vals[table].astype(np.uint8))

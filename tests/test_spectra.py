@@ -22,6 +22,7 @@ from ctqw.spectra import (
     spectral_gap,
     spectrum_type,
 )
+from tests.conftest import negate_index
 
 SQRT2 = math.sqrt(2.0)
 # Stacked kernel vs the scalar reference: sorted eigenvalues agree to
@@ -121,7 +122,7 @@ def test_circulant_pairing_is_exact():
         L, phase = character_phases(group)
         roots = _roots_of_unity(L)
         assert np.array_equal(roots[L - np.arange(1, L)], roots[1:].conj())
-        neg = [group.negate_index(a) for a in range(group.order)]
+        neg = [negate_index(group, a) for a in range(group.order)]
         symbols = 0
         while symbols < 10:
             vals = rng.integers(0, 2, size=group.order).astype(bool)
