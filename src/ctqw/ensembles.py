@@ -6,9 +6,13 @@ so results are identical bit for bit across platforms.  The substreams of a
 block of BLOCK_SIZE trials are computed together: the seed hash, the 128-bit
 LCG and the coin extraction run as uint64 numpy steps over the whole block,
 bit-identical to numpy's per-trial objects, and every block redraws its
-first trial through numpy's own Generator to check that.  Spectra,
-degeneracy classes and averages run on the same blocks with loops in a
-fixed order (no BLAS), and statistics aggregate in trial-then-draw order.
+first trial through numpy's own Generator to check that.  A block keeps
+only its packed coin rows and accepted flags, ceil(floor(n/2)/8) + 9 bytes
+per draw with the index into the distinct symbols.  Spectra, degeneracy
+classes and averages then run once per distinct symbol of the run (C(n, 1/2)
+has only 2**floor(n/2)), in chunks of BLOCK_SIZE with loops in a fixed order
+(no BLAS); each row's arithmetic is independent of its chunk, and the
+results are gathered back so statistics aggregate in trial-then-draw order.
 The one-word spawn key bounds a run at 2**32 trials.
 
 The model draws the connection coins unconditionally, but downstream walk
@@ -291,24 +295,59 @@ class EnsembleStats:
         return self
 
 
+def _symbol_stats(bits: np.ndarray, accepted: np.ndarray, n: int, tol: float):
+    """lambda_0, the mean of the other eigenvalues, the type and the deviation
+    of each row of orbit coins, in chunks of BLOCK_SIZE rows.
+
+    Types and deviations are computed for accepted rows only and are 0 on
+    the others.  Every row's arithmetic is independent of the rows sharing
+    its chunk, so results do not depend on how rows are grouped.
+    """
+    _, phase = character_phases(AbelianGroupSpec((n,)))
+    lam0, other = np.empty(len(bits)), np.empty(len(bits))
+    types, deviations = np.zeros(len(bits), dtype=np.int64), np.zeros(len(bits))
+    for start in range(0, len(bits), BLOCK_SIZE):
+        rows = slice(start, start + BLOCK_SIZE)
+        lams = circulant_eigenvalues(_symbol_values(bits[rows], n), phase, n)
+        lam0[rows], other[rows] = lams[:, 0], lams[:, 1:].mean(axis=1)
+        ok = accepted[rows]
+        labels = _class_labels(lams[ok], tol)
+        kept = start + np.flatnonzero(ok)
+        types[kept] = labels.max(axis=1) + 1
+        deviations[kept] = _uniform_deviation(labels, phase)
+    return lam0, other, types, deviations
+
+
 def ensemble_stats(n: int, trials: int, seed: int, tol: float = DEGENERACY_TOL) -> EnsembleStats:
-    """Seeded Monte Carlo over C(n, 1/2) with closed-form spectra, block by block."""
+    """Seeded Monte Carlo over C(n, 1/2) with closed-form spectra.
+
+    Draws run block by block and keep only their packed coin rows and
+    accepted flags.  Spectra, classes and deviations then run once per
+    distinct symbol of the run and are gathered back in trial-then-draw order.
+    """
     if n < 3:
         raise ValueError("random circulants require n >= 3")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > MAX_TRIALS:
         raise ValueError(f"trials must be <= 2**32 (one uint32 spawn key per trial), got {trials}")
-    _, phase = character_phases(AbelianGroupSpec((n,)))
+    degeneracy_labels(np.zeros(1), tol)  # rejects a bad tol before any drawing
     entropy = np.random.SeedSequence(seed).entropy
-    blocks = []
+    packed, accepted = [], []
     for start in range(0, trials, BLOCK_SIZE):
-        bits, accepted = _draw_block(n, entropy, range(start, min(start + BLOCK_SIZE, trials)))
-        lams = circulant_eigenvalues(_symbol_values(bits, n), phase, n)
-        labels = _class_labels(lams[accepted], tol)
-        blocks.append((lams[:, 0], lams[:, 1:].mean(axis=1), accepted,
-                       labels.max(axis=1) + 1, _uniform_deviation(labels, phase)))
-    unc_lam0, unc_other, accepted, types, deviations = (np.concatenate(col) for col in zip(*blocks))
+        bits, ok = _draw_block(n, entropy, range(start, min(start + BLOCK_SIZE, trials)))
+        packed.append(np.packbits(bits, axis=1))
+        accepted.append(ok)
+    packed, accepted = np.concatenate(packed), np.concatenate(accepted)
+    keys = packed.view(np.dtype(("S", packed.shape[1])))[:, 0]  # one fixed-width key per draw
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)  # numpy 2.0.0 shaped it like the input
+    # connectivity is a function of the symbol, so its first draw's flag holds for all
+    distinct_bits = np.unpackbits(packed[first], axis=1, count=n // 2).astype(bool)
+    lam0, other, types, deviations = _symbol_stats(distinct_bits, accepted[first], n, tol)
+    unc_lam0, unc_other = lam0[inverse], other[inverse]
+    accepted_symbol = inverse[accepted]
+    types, deviations = types[accepted_symbol], deviations[accepted_symbol]
     accepted_lam0 = unc_lam0[accepted]
     accepted_other = unc_other[accepted]
     total = len(unc_lam0)

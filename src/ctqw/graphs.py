@@ -103,12 +103,15 @@ class Symbol:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=bool)
+        vals = np.asarray(self.values)
         if vals.shape != (self.group.order,):
             raise GraphValidationError(
                 f"symbol length {vals.shape} does not match group order {self.group.order}"
             )
-        self.values = vals
+        if not _zero_one(vals):
+            # checked before the cast, which would turn 2 or 0.5 into True
+            raise GraphValidationError("symbol values must be 0 or 1")
+        self.values = vals.astype(bool, copy=False)
         self.validate()
 
     @classmethod
@@ -361,12 +364,14 @@ def _graph_from_doc(doc: dict) -> Graph:
     n = doc.get("n")
     if rows is None or n is None:
         raise GraphValidationError("graph JSON must contain 'n' and 'adjacency_rows'")
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise GraphValidationError("adjacency_rows shape does not match n")
-    try:
-        a = np.array([[int(c) for c in row] for row in rows], dtype=np.uint8)
-    except ValueError as exc:
-        raise GraphValidationError(f"bad adjacency bitstring: {exc}") from None
+    if (not isinstance(n, int) or not isinstance(rows, list) or len(rows) != n
+            or any(not isinstance(r, str) or len(r) != n for r in rows)):
+        raise GraphValidationError("adjacency_rows must be n strings of n characters")
+    # every non-ASCII character becomes '?', which the 0/1 check refuses
+    a = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8) - np.uint8(ord("0"))
+    if (a > 1).any():
+        raise GraphValidationError("adjacency_rows characters must be '0' or '1'")
+    a = a.reshape(n, n)
     family = doc.get("family", "custom")
     labels = doc.get("labels")
     symbol = None

@@ -127,6 +127,24 @@ def test_path_label_on_a_cycle_is_rejected(tmp_path, capsys):
     assert "'path'" in err
 
 
+@pytest.mark.parametrize("rows", [
+    ["0\u0661\u0661", "\u066101", "\u0661\u06610"],  # Arabic-Indic digit one
+    [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+], ids=["non-ascii-digits", "int-lists"])
+def test_graph_file_rows_must_be_zero_one_strings(tmp_path, capsys, rows):
+    doc = _built_doc(capsys, "--family", "complete", "--n", "3")
+    good = tmp_path / "k3.json"
+    good.write_text(json.dumps(doc))
+    code, k3, _ = run_cli(capsys, "spectrum", "--graph-file", str(good))
+    assert code == 0 and k3
+    doc["adjacency_rows"] = rows
+    bad = tmp_path / "k3_bad_rows.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "spectrum", "--graph-file", str(bad))
+    assert code == 1 and out == ""
+    assert "adjacency_rows" in err
+
+
 def test_bunkbed_base_not_matching_its_layers_is_rejected(tmp_path, capsys):
     # layers are C_4 but the base claims P_4: the closed form would give 2.618, not 3
     doc = _built_doc(capsys, "--family", "bunkbed", "--base-family", "cycle", "--base-n", "4")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +11,21 @@ from ctqw.ensembles import (
     BLOCK_SIZE,
     MAX_RESAMPLE_ATTEMPTS,
     MAX_TRIALS,
+    EnsembleStats,
     ensemble_stats,
     exhaustive_expectations,
     sample_random_circulant,
     stats_to_json,
     type_spectrum_exhaustive,
 )
-from ctqw.spectra import DEGENERACY_TOL, _roots_of_unity
+from ctqw.spectra import (
+    DEGENERACY_TOL,
+    _roots_of_unity,
+    character_phases,
+    circulant_eigenvalues,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def _symmetric_cosine_table(n):
@@ -200,8 +209,12 @@ def test_ensemble_stats_fields_and_determinism():
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
-def test_bad_tol_is_rejected(tol):
-    with pytest.raises(ValueError):
+def test_bad_tol_is_rejected(monkeypatch, tol):
+    def no_draws(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(ensembles, "_draw_block", no_draws)
+    with pytest.raises(ValueError, match="tol"):
         ensemble_stats(7, 10, seed=1, tol=tol)
     with pytest.raises(ValueError):
         type_spectrum_exhaustive(7, tol=tol)
@@ -328,3 +341,109 @@ def test_trials_beyond_one_word_spawn_key_are_refused(monkeypatch, capsys):
     # a negative seed is still refused by SeedSequence
     assert main(["ensemble", "--n", "7", "--trials", "10", "--seed", "-1"]) == 1
     assert "non-negative" in capsys.readouterr().err
+
+
+# Reference for the run-level dedup: the per-block route it replaced, which
+# computed spectra, classes and deviations for every draw of each block.
+
+
+def _ref_block_ensemble_stats(n, trials, seed, tol=DEGENERACY_TOL):
+    _, phase = character_phases(graphs.AbelianGroupSpec((n,)))
+    entropy = np.random.SeedSequence(seed).entropy
+    blocks = []
+    for start in range(0, trials, BLOCK_SIZE):
+        trial_range = range(start, min(start + BLOCK_SIZE, trials))
+        bits, accepted = ensembles._draw_block(n, entropy, trial_range)
+        lams = circulant_eigenvalues(ensembles._symbol_values(bits, n), phase, n)
+        labels = ensembles._class_labels(lams[accepted], tol)
+        blocks.append((lams[:, 0], lams[:, 1:].mean(axis=1), accepted,
+                       labels.max(axis=1) + 1, ensembles._uniform_deviation(labels, phase)))
+    unc_lam0, unc_other, accepted, types, deviations = (np.concatenate(col) for col in zip(*blocks))
+    accepted_lam0, accepted_other = unc_lam0[accepted], unc_other[accepted]
+    total = len(unc_lam0)
+    q10, q50, q90 = np.quantile(deviations, [0.1, 0.5, 0.9])
+    return EnsembleStats(
+        n=n,
+        trials=trials,
+        seed=seed,
+        rejections=total - trials,
+        total_draws=total,
+        rejection_rate=(total - trials) / total,
+        mean_lambda0=float(accepted_lam0.mean()),
+        var_lambda0=float(accepted_lam0.var()),
+        mean_lambda_other=float(accepted_other.mean()),
+        var_lambda_other=float(accepted_other.var()),
+        mean_lambda0_unconditional=float(unc_lam0.mean()),
+        se_lambda0_unconditional=float(unc_lam0.std() / math.sqrt(total)),
+        mean_lambda_other_unconditional=float(unc_other.mean()),
+        se_lambda_other_unconditional=float(unc_other.std() / math.sqrt(total)),
+        type_histogram=ensembles._histogram(types),
+        deviation_quantiles={"q10": float(q10), "q50": float(q50), "q90": float(q90)},
+    )
+
+
+def _bitwise(stats):
+    """Every field of `stats` with floats as their exact hex form."""
+    def exact(v):
+        if isinstance(v, dict):
+            return {k: exact(x) for k, x in v.items()}
+        return v.hex() if isinstance(v, float) else v
+
+    return {k: exact(v) for k, v in dataclasses.asdict(stats).items()}
+
+
+@pytest.mark.parametrize("n,trials,seed", [
+    # symbols repeat within and across blocks
+    (3, 3 * BLOCK_SIZE + 5, 1),
+    (7, 3 * BLOCK_SIZE + 5, 2),
+    (8, 3 * BLOCK_SIZE + 5, 3),
+    (24, 3 * BLOCK_SIZE + 5, 4),
+    # (almost) every symbol distinct; n=40 fills more than one chunk
+    (40, 3 * BLOCK_SIZE + 5, 5),
+    (365, 300, 6),
+])
+def test_run_level_dedup_is_bitwise_equal_to_per_block_reference(n, trials, seed):
+    assert _bitwise(ensemble_stats(n, trials, seed)) == _bitwise(_ref_block_ensemble_stats(n, trials, seed))
+
+
+def test_spectra_run_once_per_distinct_symbol(monkeypatch):
+    rows = []
+    real = ensembles.circulant_eigenvalues
+
+    def counting(values, phase, L):
+        rows.append(len(values))
+        return real(values, phase, L)
+
+    monkeypatch.setattr(ensembles, "circulant_eigenvalues", counting)
+    stats = ensemble_stats(7, 100_000, seed=3)
+    assert stats.total_draws > 100_000
+    assert 0 < sum(rows) <= 2 ** (7 // 2)
+
+
+@pytest.mark.parametrize("coins,raises", [
+    ([True, False, False], True),  # C_7, accepted
+    ([False, False, False], False),  # the empty symbol, always rejected
+])
+def test_nonzero_gap_on_an_accepted_symbol_raises(monkeypatch, coins, raises):
+    real = ensembles.circulant_eigenvalues
+    target = ensembles._symbol_values(np.array([coins]), 7)
+
+    def split(values, phase, L):
+        # break lambda_a == lambda_{-a} on the target symbol only
+        lams = real(values, phase, L)
+        lams[(values == target).all(axis=1)] += 1e-3 * np.arange(lams.shape[1])
+        return lams
+
+    monkeypatch.setattr(ensembles, "circulant_eigenvalues", split)
+    if raises:
+        with pytest.raises(RuntimeError, match="nonzero spectral gap"):
+            ensemble_stats(7, 200, seed=1)
+    else:
+        assert ensemble_stats(7, 200, seed=1).rejections > 0
+
+
+@pytest.mark.parametrize("n,trials,seed", [(7, 20000, 3), (24, 5000, 5)])
+def test_ensemble_json_is_pinned(n, trials, seed):
+    # generated before the run-level dedup; holds on every numpy the CI runs
+    pinned = (DATA / f"ensemble_n{n}_trials{trials}_seed{seed}.json").read_text()
+    assert stats_to_json(ensemble_stats(n, trials, seed)) == pinned

@@ -296,6 +296,46 @@ def test_json_rejects_malformed():
         graph_from_json(json.dumps({"n": 2, "adjacency_rows": ["0x", "10"]}))
 
 
+@pytest.mark.parametrize("rows", [
+    ["0\u0661\u0661", "\u066101", "\u0661\u06610"],  # Arabic-Indic digit one
+    [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    ["01\ud800", "101", "110"],  # lone surrogate, which utf-8 cannot encode
+    ["0 1", "101", "110"],
+    ["011", "10", "1101"],
+    ["011", "101", "110", "000"],
+    "011101110",
+])
+def test_json_rows_must_be_n_strings_of_zero_one(rows):
+    # each of these used to load as K_3 or fail past the parser
+    with pytest.raises(GraphValidationError, match="adjacency_rows"):
+        graph_from_json(json.dumps({"n": 3, "adjacency_rows": rows}))
+    assert graph_from_json(json.dumps({"n": 3, "adjacency_rows": ["011", "101", "110"]})).n == 3
+
+
+@pytest.mark.parametrize("values", [
+    [0, 2, 0.5, 7],  # used to pass as support [1, 2, 3]
+    [0, 1, 2, 1],
+    [0, 1, -1, 1],
+    [0, 1, float("nan"), 1],
+    ["0", "1", "0", "1"],
+])
+def test_symbol_values_are_checked_before_the_bool_cast(values):
+    with pytest.raises(GraphValidationError, match="0 or 1"):
+        Symbol(AbelianGroupSpec((4,)), values)
+
+
+@pytest.mark.parametrize("values", [
+    [0, 1, 0, 1],
+    [0.0, 1.0, 0.0, 1.0],
+    [False, True, False, True],
+    np.array([0, 1, 0, 1], dtype=np.uint8),
+    np.array([0, 1, 0, 1], dtype=object),
+])
+def test_exact_zero_one_symbol_values_are_accepted(values):
+    sym = Symbol(AbelianGroupSpec((4,)), values)
+    assert sym.values.dtype == bool and list(sym.support) == [1, 3]
+
+
 # Per-element group arithmetic the graph builders used before they were
 # vectorized, kept as references.
 
