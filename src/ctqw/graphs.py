@@ -338,11 +338,13 @@ def from_adjacency(matrix, family: str = "custom", labels: list[str] | None = No
 def graph_to_json(g: Graph) -> str:
     """Serialize with bitstring rows; symbol/base metadata is kept so that a
     re-ingested graph routes to the same closed-form spectrum."""
+    n = g.n
+    text = (g.adjacency + ord("0")).tobytes().decode("ascii")  # the reverse of the parser
     doc: dict = {
         "schema": SCHEMA,
-        "n": g.n,
+        "n": n,
         "family": g.family,
-        "adjacency_rows": ["".join(str(int(x)) for x in row) for row in g.adjacency],
+        "adjacency_rows": [text[i : i + n] for i in range(0, n * n, n)],
     }
     if g.labels is not None:
         doc["labels"] = g.labels

@@ -1,8 +1,11 @@
-"""Eigensystems by closed form where one exists, a round-robin Jacobi dense
-oracle otherwise, and the degeneracy structure both feed into walk averaging.
+"""Eigensystems by closed form where one exists, LAPACK `eigh` for the other
+production graphs, a round-robin Jacobi oracle behind `--dense` and `verify`,
+and the degeneracy structure all of them feed into walk averaging.
 
 Eigenvalues are always sorted descending with ties broken by ascending
-pre-sort index, so output is reproducible across runs and platforms.
+pre-sort index, so output is reproducible from run to run.  The dense routes'
+last bits depend on the platform: numpy may fuse the Jacobi kernel's complex
+multiply, and `eigh` depends on the BLAS build.
 Circulant eigenvalues are read from one conjugate-symmetric table of roots
 of unity, summed in a fixed order, which makes the symmetry degeneracy
 lambda_a == lambda_{-a} exact in floating point rather than approximate.
@@ -97,8 +100,8 @@ class CharacterTable:
     chars: np.ndarray
 
     def __post_init__(self):
-        self.class_sizes = [int(s) for s in self.class_sizes]
-        self.dims = [int(d) for d in self.dims]
+        self.class_sizes = _exact_integers(self.class_sizes, "class sizes")
+        self.dims = _exact_integers(self.dims, "dims")
         self.chars = np.asarray(self.chars, dtype=np.complex128)
         self.validate()
 
@@ -110,7 +113,7 @@ class CharacterTable:
         h = len(self.class_sizes)
         if len(self.dims) != h or self.chars.shape != (h, h):
             raise ValueError("character table shape mismatch")
-        if self.class_sizes[0] != 1:
+        if not h or self.class_sizes[0] != 1:
             raise ValueError("first class must be the identity class (size 1)")
         if sum(d * d for d in self.dims) != self.order:
             raise ValueError("sum of squared dimensions must equal the group order")
@@ -133,6 +136,16 @@ class CharacterTable:
             return cls(doc["class_sizes"], doc["dims"], chars)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed character table JSON: {exc}") from None
+
+
+def _exact_integers(values, name: str) -> list[int]:
+    """`values` as ints, refused unless every entry is exactly an integer; checked
+    before the cast, which would turn 3.9 into 3, "3" into 3 and true into 1."""
+    a = np.asarray(values)
+    if (a.ndim != 1 or a.dtype.kind not in "iuf" or any(isinstance(x, bool) for x in values)
+            or not np.all(np.isfinite(a) & (a == np.round(a)))):
+        raise ValueError(f"character table {name} must be a list of integers")
+    return [int(x) for x in a]
 
 
 def _descending(eigenvalues: np.ndarray) -> np.ndarray:
@@ -276,32 +289,23 @@ def bunkbed_eigensystem(base_spec: Spectrum) -> Spectrum:
     return _sorted_spectrum(eigenvalues, eigenvectors)
 
 
-def _round_robin(m: int) -> list[tuple[np.ndarray, ...]]:
-    """The m - 1 rounds of one round-robin sweep over an even number m of indices.
+def _ring_slots(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(start, perm): the slot layout of a round-robin sweep over an even m.
 
     Index 0 stays put while 1..m-1 rotate one place per round, and position i
     plays position m-1-i (Brent-Luk; Golub & Van Loan section 8.5), so each
-    round holds m/2 disjoint pairs and a sweep meets every pair once.  A round
-    is (p, q, partner, pair_of, sign, fix): the pairs as p < q, each index's
-    partner and pair number, the sign of its sine term (-1 at p, +1 at q) and
-    the flat positions of the diagonal and of (i, partner[i]).
+    round holds m/2 disjoint pairs and a sweep meets every pair once.  Slots
+    2j and 2j+1 hold positions j and m-1-j, so a round's pairs sit in
+    adjacent slots.  `start[s]` is the index in slot s at the first round, and
+    slot s of the next round holds what slot perm[s] held; after m - 1 rounds
+    the slots are back at `start`.
     """
-    k = m // 2
-    turn = np.arange(m - 1)[:, None]
-    order = np.hstack([np.zeros_like(turn), 1 + (turn + np.arange(m - 1)) % (m - 1)])
-    first, second = order[:, :k], order[:, :k - 1 : -1]
-    ps, qs = np.minimum(first, second), np.maximum(first, second)
-    rounds = []
-    for p, q in zip(ps, qs):
-        partner = np.empty(m, dtype=np.intp)
-        partner[p], partner[q] = q, p
-        pair_of = np.empty(m, dtype=np.intp)
-        pair_of[p] = pair_of[q] = np.arange(k)
-        sign = np.ones(m)
-        sign[p] = -1.0
-        fix = np.concatenate([np.arange(m) * (m + 1), np.arange(m) * m + partner])
-        rounds.append((p, q, partner, pair_of, sign, fix))
-    return rounds
+    j = np.arange(m // 2)
+    start = np.empty(m, dtype=np.intp)
+    start[0::2], start[1::2] = j, m - 1 - j
+    slot_of = np.argsort(start)
+    moved = np.where(start == 0, 0, start % (m - 1) + 1)  # the position one place on
+    return start, slot_of[moved]
 
 
 def _off_norms(a: np.ndarray) -> np.ndarray:
@@ -352,22 +356,40 @@ def _round_robin_sweeps(
     a: np.ndarray, max_sweeps: int, eigenvalues: np.ndarray, eigenvectors: np.ndarray
 ) -> None:
     """Diagonalize the (B, n, n) stack `a`, writing each matrix's results into
-    row b of `eigenvalues` and `eigenvectors` as it converges."""
+    row b of `eigenvalues` and `eigenvectors` as it converges.
+
+    The matrices live in slot order (`_ring_slots`), so the pairs of a round
+    are the column pairs (2j, 2j + 1).  Viewed as complex, such a pair is one
+    number, and multiplying it by c_j + i s_j gives (c a_p - s a_q) +
+    i (s a_p + c a_q), the rotated pair: A J is one multiply, and J^T (A J)
+    is a transposed copy and a second one.  One flat gather then moves the
+    result to the next round's slots, reading only its upper triangle, so
+    every round starts from an exactly symmetric matrix.
+    """
     n = a.shape[-1]
     thresh = 1e-12 * (1.0 + np.linalg.norm(a, axis=(1, 2)))
     skip = (thresh / n)[:, None]  # elements this small cannot lift the off norm above thresh
     m = n + n % 2
     if m > n:  # a zero dummy index: its pair always has a_pq = 0, so it sits the round out
         a = np.pad(a, ((0, 0), (0, 1), (0, 1)))
-    v = np.broadcast_to(np.eye(m), a.shape).copy()
-    rounds = _round_robin(m)
+    start, perm = _ring_slots(m)
+    unslot = np.argsort(start)[:n]  # the slot of each index at every sweep boundary
+    # a[b, s, t] = A[b, start[s], start[t]] at each sweep boundary, and column
+    # s of v[b] is the eigenvector of slot s
+    a = a.reshape(len(a), m * m).take((start[:, None] * m + start).ravel(), axis=1)
+    a = a.reshape(-1, m, m)
+    v = np.broadcast_to(np.eye(m)[:, start], a.shape).copy()
+    gather = (np.minimum.outer(perm, perm) * m + np.maximum.outer(perm, perm)).ravel()
+    at_pp = np.arange(0, m * m, 2 * (m + 1))  # flat positions of (2j, 2j)
+    at_pq = at_pp + 1
+    fix = np.concatenate([at_pp, at_pp + m + 1, at_pq])  # a_pp, a_qq, a_pq
     active = np.arange(len(a))
     for sweep in range(max_sweeps + 1):
         off = _off_norms(a)
         done = off < thresh
         if done.any():
-            eigenvalues[active[done]] = np.diagonal(a[done], axis1=1, axis2=2)[:, :n]
-            eigenvectors[active[done]] = v[done][:, :n, :n]
+            eigenvalues[active[done]] = np.diagonal(a[done], axis1=1, axis2=2)[:, unslot]
+            eigenvectors[active[done]] = v[done][:, :n, unslot]
             keep = ~done
             if not keep.any():
                 return
@@ -375,34 +397,34 @@ def _round_robin_sweeps(
                 x[keep] for x in (a, v, off, active, thresh, skip))
         if sweep == max_sweeps:
             raise JacobiConvergenceError(float(off.max()), max_sweeps)
-        for p, q, partner, pair_of, sign, fix in rounds:
-            # a_c[b, i, j] = a[b, i, partner[j]]; d holds the diagonal
-            a_c = a[:, :, partner]
+        b = len(a)
+        flat, a_c, v_c = a.reshape(b, m * m), a.view(np.complex128), v.view(np.complex128)
+        work, v_next = np.empty_like(a), np.empty_like(v)
+        work_flat, work_c = work.reshape(b, m * m), work.view(np.complex128)
+        cs = np.empty((b, 1, m // 2), dtype=np.complex128)
+        for _ in range(m - 1):
             d = a.diagonal(axis1=1, axis2=2)
-            app, aqq = d[:, p], d[:, q]
-            apq = a_c.diagonal(axis1=1, axis2=2)[:, p]
+            app, aqq = d[:, 0::2], d[:, 1::2]
+            apq = flat[:, at_pq]
             rot = np.abs(apq) > skip
             theta = (aqq - app) / np.where(rot, 2.0 * apq, 1.0)
             t = np.copysign(rot / (np.abs(theta) + np.hypot(theta, 1.0)), theta)
             c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            # per index: the rotation's cosine and signed sine, so that
-            # (A J)[:, j] = c_j A[:, j] + s_j A[:, partner[j]]
-            cf = c[:, pair_of]
-            sf = s[:, pair_of] * sign
-            # J^T A J = cc*A + ss*A[partner, partner] + X + X^T with
-            # X = cs * A[:, partner]; each term is symmetric bit for bit
-            x = (cf[:, :, None] * sf[:, None, :]) * a_c
-            rotated = (cf[:, :, None] * cf[:, None, :]) * a
-            rotated += (sf[:, :, None] * sf[:, None, :]) * a_c[:, partner, :]
-            rotated += x + x.swapaxes(1, 2)
+            cs.real[:, 0] = c
+            np.multiply(t, c, out=cs.imag[:, 0])
             # the pairs themselves: a_pp - t a_pq, a_qq + t a_pq, and a_pq
             # zeroed only where a rotation took place
-            shift = (t * apq)[:, pair_of] * sign
-            pivots = np.where(rot, 0.0, apq)[:, pair_of]
-            rotated.reshape(len(a), m * m)[:, fix] = np.hstack([d + shift, pivots])
-            a = rotated
-            v = v * cf[:, None, :] + v[:, :, partner] * sf[:, None, :]
+            shift = t * apq
+            pinned = np.concatenate([app - shift, aqq + shift, np.where(rot, 0.0, apq)], axis=1)
+            np.multiply(a_c, cs, out=a_c)
+            np.copyto(work, a.swapaxes(1, 2))
+            np.multiply(work_c, cs, out=work_c)
+            work_flat[:, fix] = pinned
+            work_flat.take(gather, axis=1, out=flat, mode="clip")
+            np.multiply(v_c, cs, out=v_c)
+            v.take(perm, axis=2, out=v_next, mode="clip")
+            v, v_next = v_next, v
+            v_c = v.view(np.complex128)
 
 
 def dense_eigensystems(graphs: list[Graph]) -> list[Spectrum]:
@@ -428,12 +450,28 @@ def dense_eigensystem(g: Graph) -> Spectrum:
     return dense_eigensystems([g])[0]
 
 
+def _lapack_eigensystem(g: Graph) -> Spectrum:
+    """Production dense route: LAPACK `eigh`, sorted and checked like the oracle.
+
+    A LAPACK failure is a computational failure (RuntimeError), not bad input.
+    """
+    g.validate()
+    adjacency = g.adjacency.astype(np.float64)
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(adjacency)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"LAPACK eigh failed: {exc}") from None
+    spec = _sorted_spectrum(eigenvalues, eigenvectors)
+    check_spectrum(spec, adjacency)
+    return spec
+
+
 def graph_eigensystem(g: Graph, method: str = "auto") -> Spectrum:
     """Eigensystem of a graph, closed form when available.
 
     method: "auto" picks the closed form keyed by construction metadata and
-    falls back to the dense oracle; "closed" errors when no closed form
-    exists; "dense" forces the oracle.
+    falls back to LAPACK `eigh`; "closed" errors when no closed form exists;
+    "dense" forces the Jacobi oracle.
     """
     if method not in ("auto", "closed", "dense"):
         raise ValueError(f"unknown method {method!r}")
@@ -447,7 +485,7 @@ def graph_eigensystem(g: Graph, method: str = "auto") -> Spectrum:
         return bunkbed_eigensystem(graph_eigensystem(g.base, method="auto"))
     if method == "closed":
         raise ValueError(f"no closed-form eigensystem for family {g.family!r}")
-    return dense_eigensystem(g)
+    return _lapack_eigensystem(g)
 
 
 def degeneracy_labels(desc: np.ndarray, tol: float) -> np.ndarray:

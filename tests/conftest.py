@@ -69,6 +69,21 @@ def add_index(group, a: int, b: int) -> int:
 
 
 @pytest.fixture
+def jacobi_calls(monkeypatch):
+    """Shapes of the matrices passed to `spectra.jacobi_eigensystem`, which
+    still runs; appended to on every call for the rest of the test."""
+    calls = []
+    exact = spectra.jacobi_eigensystem
+
+    def counting(matrix, max_sweeps=64):
+        calls.append(np.shape(matrix))
+        return exact(matrix, max_sweeps)
+
+    monkeypatch.setattr(spectra, "jacobi_eigensystem", counting)
+    return calls
+
+
+@pytest.fixture
 def s3_table():
     """Character table of S3: classes (e, transpositions, 3-cycles)."""
     chars = np.array(

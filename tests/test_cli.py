@@ -361,3 +361,83 @@ def test_spectrum_never_builds_eigenvectors_it_does_not_print(capsys, monkeypatc
         code, _, err = run_cli(capsys, "spectrum", "--family", "hypercube", "--d", "8",
                                "--eigenvectors")
         assert code == 2 and "eigenvector table built" in err
+
+
+@pytest.mark.parametrize("sizes, dims", [([1, 3.9, 2.5], [1, 1, 2]), ([1, "3", 2], [1, 1, 2]),
+                                         ([1, 3, 2], [1, 1, 2.7]), ([1, 3, 2], [1, 1, "2"])])
+def test_char_table_entries_must_be_exact_integers(tmp_path, capsys, sizes, dims):
+    path = tmp_path / "s3_bad.json"
+    path.write_text(json.dumps({**S3_TABLE, "class_sizes": sizes, "dims": dims}))
+    code, out, err = run_cli(capsys, "spectrum", "--char-table", str(path),
+                             "--class-function", "0,1,0")
+    assert code == 1 and out == ""
+    assert "must be a list of integers" in err
+
+
+PAW = {"n": 4, "family": "custom", "adjacency_rows": ["0111", "1010", "1100", "1000"]}
+
+
+def test_graph_file_spectrum_is_lapack_and_dense_is_jacobi(tmp_path, capsys, jacobi_calls):
+    path = tmp_path / "paw.json"
+    path.write_text(json.dumps(PAW))
+    code, production, _ = run_cli(capsys, "spectrum", "--graph-file", str(path))
+    assert code == 0 and jacobi_calls == []
+    code, dense, _ = run_cli(capsys, "spectrum", "--dense", "--graph-file", str(path))
+    assert code == 0 and jacobi_calls == [(1, 4, 4)]
+    got, want = json.loads(production), json.loads(dense)
+    assert np.max(np.abs(np.subtract(got["eigenvalues"], want["eigenvalues"]))) <= 1e-12
+    assert got["multiplicities"] == want["multiplicities"]
+
+
+def test_bad_lapack_results_exit_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "paw.json"
+    path.write_text(json.dumps(PAW))
+    exact = np.linalg.eigh
+
+    def one_vector_off(a):
+        lam, vec = exact(a)
+        vec[:, 0] *= 1.0 + 1e-6
+        return lam, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", one_vector_off)
+    code, out, err = run_cli(capsys, "spectrum", "--graph-file", str(path))
+    assert code == 2 and out == ""
+    assert "computational failure" in err and "orthonormal" in err
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code, out, err = run_cli(capsys, "spectrum", "--graph-file", str(path))
+    assert code == 2 and out == ""
+    assert "computational failure: LAPACK eigh failed" in err
+
+
+def test_lapack_route_agrees_across_openblas_thread_counts(tmp_path):
+    from ctqw import graphs
+
+    rng = np.random.default_rng(40)
+    while True:
+        upper = np.triu(rng.random((40, 40)) < 0.2, 1)
+        adjacency = (upper | upper.T).astype(np.uint8)
+        try:
+            g = graphs.from_adjacency(adjacency)
+            break
+        except graphs.GraphValidationError:
+            continue
+    path = tmp_path / "g40.json"
+    path.write_text(graphs.graph_to_json(g))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    docs = {}
+    for threads in ("1", "2"):
+        runs = [subprocess.run([sys.executable, "-m", "ctqw", "spectrum", "--graph-file", str(path)],
+                               capture_output=True, timeout=120,
+                               env={**env, "OPENBLAS_NUM_THREADS": threads}) for _ in range(2)]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout, threads  # repeats byte for byte
+        docs[threads] = json.loads(runs[0].stdout)
+    one, two = docs["1"], docs["2"]
+    bound = 1e-12 * (1.0 + np.linalg.norm(adjacency.astype(np.float64)))
+    assert np.max(np.abs(np.subtract(one["eigenvalues"], two["eigenvalues"]))) <= bound
+    for key in ("multiplicities", "degeneracy_classes", "type"):
+        assert one[key] == two[key], key

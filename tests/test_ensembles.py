@@ -220,14 +220,6 @@ def test_bad_tol_is_rejected(monkeypatch, tol):
         type_spectrum_exhaustive(7, tol=tol)
 
 
-def test_ensemble_stats_threaded_matches_serial(monkeypatch):
-    monkeypatch.setenv("CTQW_THREADS", "4")
-    threaded = ensemble_stats(6, 300, seed=5)
-    monkeypatch.setenv("CTQW_THREADS", "1")
-    serial = ensemble_stats(6, 300, seed=5)
-    assert threaded == serial
-
-
 def test_conditional_vs_unconditional_means():
     stats = ensemble_stats(7, 4000, seed=11)
     exact = exhaustive_expectations(7)

@@ -21,7 +21,7 @@ from ctqw.graphs import (
     graph_from_json,
     graph_to_json,
 )
-from ctqw.graphs import _connected
+from ctqw.graphs import SCHEMA, _connected
 from ctqw.spectra import _roots_of_unity
 from tests.conftest import add_index, element_of, index_of, negate_index
 
@@ -287,6 +287,31 @@ def test_json_symbol_metadata_round_trip():
     bed = build_bunkbed(build_cycle(4))
     back = graph_from_json(graph_to_json(bed))
     assert back.base is not None and back.base.symbol is not None
+
+
+def _graph_to_json_reference(g):
+    """The per-entry writer `graph_to_json` replaced, kept as the reference:
+    one `str(int(x))` per adjacency entry."""
+    doc = {
+        "schema": SCHEMA,
+        "n": g.n,
+        "family": g.family,
+        "adjacency_rows": ["".join(str(int(x)) for x in row) for row in g.adjacency],
+    }
+    if g.labels is not None:
+        doc["labels"] = g.labels
+    if g.symbol is not None:
+        doc["group_factors"] = list(g.symbol.group.factors)
+        doc["symbol_support"] = [int(x) for x in g.symbol.support]
+    if g.base is not None:
+        doc["base"] = json.loads(_graph_to_json_reference(g.base))
+    return json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("g", [build_cycle(9), build_hypercube(4), build_complete_bipartite(3),
+                               build_bunkbed(build_cycle(5))], ids=["C9", "Q4", "K33", "bunkbed-C5"])
+def test_graph_to_json_is_byte_identical_to_the_per_entry_writer(g):
+    assert graph_to_json(g) == _graph_to_json_reference(g)
 
 
 def test_json_rejects_malformed():

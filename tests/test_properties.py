@@ -1,10 +1,15 @@
 """Property-based checks of the structural invariants."""
 
+import json
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctqw import graphs, mixing, spectra, walk
+from ctqw.cli import main
 from tests.conftest import random_connected_graph
 
 
@@ -84,3 +89,27 @@ def test_builders_always_validate(n):
     for g in (graphs.build_complete(n), graphs.build_path(n),
               graphs.build_cycle(max(n, 3)), graphs.build_complete_bipartite(n)):
         g.validate()
+
+
+@given(st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=30, deadline=None)
+def test_graph_file_spectra_agree_with_the_jacobi_oracle(seed):
+    # production (LAPACK) and --dense (Jacobi) spectra of one random graph file,
+    # and the production average against the average over the Jacobi spectrum
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    g = random_connected_graph(rng, n_min=2, n_max=25)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(graphs.graph_to_json(g))
+        docs = []
+        for argv in (["spectrum"], ["spectrum", "--dense"], ["average"]):
+            out = os.path.join(tmp, "out.json")
+            assert main([*argv, "--graph-file", path, "-o", out]) == 0
+            with open(out, encoding="utf-8") as fh:
+                docs.append(json.load(fh))
+    production, dense, average = docs
+    assert np.max(np.abs(np.subtract(production["eigenvalues"], dense["eigenvalues"]))) <= 1e-9
+    assert production["multiplicities"] == dense["multiplicities"]
+    oracle = walk.average_distribution(spectra.graph_eigensystem(g, method="dense"), 0)
+    assert np.max(np.abs(np.subtract(average["probabilities"], oracle))) <= 1e-9

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -319,6 +320,48 @@ def test_jacobi_keeps_pivots_below_the_skip_threshold(n):
             assert np.max(np.abs(np.sort(ref) - exact)) <= 2e-14, (p, q)
 
 
+def test_ring_slots_meet_every_pair_once_and_return_to_the_start():
+    for n in range(2, 41):
+        m = n + n % 2
+        start, perm = spectra._ring_slots(m)
+        slots, met = start, []
+        for r in range(m - 1):
+            # the Brent-Luk ring: index 0 fixed, 1..m-1 one place on per round,
+            # position i against position m-1-i
+            order = [0] + [1 + (r + k) % (m - 1) for k in range(m - 1)]
+            want = {frozenset((order[i], order[m - 1 - i])) for i in range(m // 2)}
+            pairs = [frozenset(p) for p in slots.reshape(-1, 2).tolist()]
+            assert set(pairs) == want, (m, r)
+            met += pairs
+            slots = slots[perm]
+        assert len(met) == len(set(met)) == m * (m - 1) // 2, m
+        assert np.array_equal(slots, start), m
+
+
+def test_production_dense_routes_use_lapack_and_the_oracle_stays_jacobi(jacobi_calls):
+    custom = graphs.from_adjacency(_random_01_stack(np.random.default_rng(11), 1, 12)[0])
+    production = [custom, graphs.build_complete_bipartite(4), graphs.build_bunkbed(custom)]
+    oracle = [spectra.dense_eigensystem(g) for g in production]
+    jacobi_calls.clear()
+    for g, want in zip(production, oracle):
+        spec = graph_eigensystem(g)
+        spectra.check_spectrum(spec, g.adjacency)
+        assert np.max(np.abs(spec.eigenvalues - want.eigenvalues)) <= 1e-12
+    assert jacobi_calls == []
+    graph_eigensystem(custom, method="dense")
+    spectra.dense_eigensystems(production[:2])
+    assert jacobi_calls == [(1, 12, 12), (1, 12, 12), (1, 8, 8)]
+
+
+def test_lapack_failure_is_a_computational_failure(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(spectra.np.linalg, "eigh", fail)
+    with pytest.raises(RuntimeError, match="LAPACK eigh failed"):
+        graph_eigensystem(graphs.build_complete_bipartite(3))
+
+
 def test_dense_eigensystems_groups_by_size_and_keeps_order():
     gs = [graphs.build_cycle(5), graphs.build_path(4), graphs.build_cycle(4),
           graphs.build_complete(5), graphs.build_hypercube(2)]
@@ -429,9 +472,39 @@ def test_character_table_validation():
         CharacterTable([1, 2], [1, 2], np.array([[1, 1], [2, -1]], dtype=complex))
 
 
-def test_character_table_json_round_trip(s3_table):
-    import json
+S3_CHARS = [[[1, 0], [1, 0], [1, 0]], [[1, 0], [-1, 0], [1, 0]], [[2, 0], [0, 0], [-1, 0]]]
 
+
+@pytest.mark.parametrize("sizes, dims", [
+    ([1, 3.9, 2.5], [1, 1, 2]),
+    ([1, "3", 2], [1, 1, 2]),
+    ([1, 3, 2], [1, 1, 2.7]),
+    ([1, 3, 2], [1, 1, "2"]),
+    ([True, 3, 2], [1, 1, 2]),
+    ([1, 3, float("nan")], [1, 1, 2]),
+    ([[1, 3, 2]], [1, 1, 2]),
+], ids=["fractional-sizes", "string-size", "fractional-dim", "string-dim", "bool-size",
+        "nan-size", "nested-sizes"])
+def test_character_table_entries_are_checked_before_the_int_cast(s3_table, sizes, dims):
+    with pytest.raises(ValueError, match="must be a list of integers"):
+        CharacterTable(sizes, dims, s3_table.chars)
+    if not any(isinstance(x, float) and math.isnan(x) for x in sizes):
+        doc = {"class_sizes": sizes, "dims": dims, "chars": S3_CHARS}
+        with pytest.raises(ValueError, match="must be a list of integers"):
+            CharacterTable.from_json(json.dumps(doc))
+
+
+def test_exact_integer_character_table_entries_of_any_numeric_type_load(s3_table):
+    for sizes, dims in [([1.0, 3.0, 2.0], [1, 1, 2]), (np.array([1, 3, 2], dtype=np.uint8),
+                                                      np.array([1.0, 1.0, 2.0]))]:
+        table = CharacterTable(sizes, dims, s3_table.chars)
+        assert table.class_sizes == [1, 3, 2] and table.dims == [1, 1, 2]
+        assert all(type(x) is int for x in table.class_sizes + table.dims)
+    with pytest.raises(ValueError, match="identity class"):
+        CharacterTable([], [], np.zeros((0, 0)))
+
+
+def test_character_table_json_round_trip(s3_table):
     doc = {
         "class_sizes": [1, 3, 2],
         "dims": [1, 1, 2],
