@@ -44,15 +44,12 @@ from .walk import (
     average_distribution,
     bunkbed_instantaneous,
     evolve,
-    finite_time_average,
     instantaneous_distribution,
 )
 from .mixing import (
     MixingReport,
     VerifyConfig,
-    average_classical_deviation,
     average_uniform_deviation,
-    bunkbed_layer_equality,
     complete_graph_average,
     cycle_fourier_bound,
     instantaneous_mixing_scan,

@@ -17,10 +17,8 @@ import tempfile
 import numpy as np
 
 from . import __version__, ensembles, graphs, mixing, spectra, walk
-from .graphs import Graph, GraphValidationError
+from .graphs import SCHEMA, Graph, GraphValidationError
 from .spectra import JacobiConvergenceError
-
-SCHEMA = "ctqw/1"
 
 
 class UsageError(ValueError):
@@ -268,8 +266,7 @@ def _cmd_walk(args) -> int:
 def _cmd_average(args) -> int:
     g = _build_graph(args)
     spec = _spectrum_for(g, args)
-    part = spectra.degeneracy_classes(spec, args.tol)
-    pbar = walk.average_distribution(spec, args.start, part)
+    pbar = walk.average_distribution(spec, args.start, args.tol)
     meta = {
         "family": g.family,
         "n": g.n,
@@ -277,7 +274,7 @@ def _cmd_average(args) -> int:
         "deviation_uniform": mixing.total_variation(pbar, mixing.uniform_target(g.n)),
         "deviation_classical": mixing.total_variation(pbar, mixing.lazy_stationary(g)),
         "spectral_gap": spectra.spectral_gap(spec, args.tol),
-        "type": len(part.classes),
+        "type": spectra.spectrum_type(spec, args.tol),
     }
     _emit(_distribution_text(pbar, args.format, meta), args.output)
     return 0
@@ -364,11 +361,11 @@ def _reports_json(reports) -> str:
         "reports": [
             {
                 "descriptor": r.descriptor,
-                **{
-                    k: getattr(r, k)
-                    for k in ("deviation_uniform", "deviation_classical", "spectral_gap", "type")
-                    if getattr(r, k) is not None
-                },
+                **(
+                    {"deviation_uniform": r.deviation_uniform}
+                    if r.deviation_uniform is not None
+                    else {}
+                ),
                 **(
                     {"instantaneous_times": [[t, d] for t, d in r.instantaneous_times]}
                     if r.instantaneous_times
@@ -399,12 +396,10 @@ def _reports_table(reports) -> str:
 
 
 def _cmd_verify(args) -> int:
-    cfg = mixing.VerifyConfig(seed=args.seed, ensemble_trials=args.trials)
+    checks = mixing.ALL_CHECKS
     if args.checks:
-        names = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
-        cfg = mixing.VerifyConfig(
-            checks=names, seed=args.seed, ensemble_trials=args.trials
-        )
+        checks = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
+    cfg = mixing.VerifyConfig(checks=checks, seed=args.seed, ensemble_trials=args.trials)
     if args.max_n is not None:
         cfg = cfg.capped(args.max_n)
     reports = mixing.verify_all(cfg)

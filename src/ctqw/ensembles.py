@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import AbelianGroupSpec, Symbol
+from .graphs import SCHEMA, AbelianGroupSpec, Symbol
 from .spectra import (
     DEGENERACY_TOL,
     _roots_of_unity,
@@ -408,7 +408,7 @@ def exhaustive_expectations(n: int) -> dict[str, float]:
 
 
 def stats_to_json(stats: EnsembleStats) -> str:
-    doc = {"schema": "ctqw/1"}
+    doc = {"schema": SCHEMA}
     doc.update(
         {
             k: getattr(stats, k)

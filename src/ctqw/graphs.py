@@ -20,22 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FAMILIES = (
-    "cycle",
-    "complete",
-    "path",
-    "hypercube",
-    "complete_bipartite",
-    "abelian_circulant",
-    "bunkbed",
-    "custom",
-)
-
 SCHEMA = "ctqw/1"
 
 
 class GraphValidationError(ValueError):
     """Input that violates the walk model (symmetry, loops, connectivity)."""
+
+
+def exact_integers(values, what: str) -> list[int]:
+    """`values` as ints, refused unless every entry is exactly an integer; checked
+    before the cast, which would turn 3.9 into 3, "3" into 3 and true into 1."""
+    a = np.asarray(values)
+    if (a.ndim != 1 or a.dtype.kind not in "iuf"
+            or any(isinstance(x, (bool, np.bool_)) for x in values)
+            or not np.all(np.isfinite(a) & (a == np.round(a)))):
+        raise GraphValidationError(f"{what} must be a list of integers")
+    return [int(x) for x in a]
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class AbelianGroupSpec:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(int(f) for f in self.factors)
+        factors = tuple(exact_integers(self.factors, "group factors"))
         if not factors or any(f < 2 for f in factors):
             raise GraphValidationError("group factors must all be >= 2")
         object.__setattr__(self, "factors", factors)
@@ -201,8 +201,11 @@ class Graph:
 
     def validate(self) -> "Graph":
         a = self.adjacency
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise GraphValidationError("adjacency must be a nonempty square matrix")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise GraphValidationError("adjacency must be a square matrix")
+        if a.shape[0] < 2:
+            # one vertex has no walk to mix over: spectral gap inf, lazy walk 0/0
+            raise GraphValidationError("graph must have at least 2 vertices")
         if not _zero_one(a):
             raise GraphValidationError("adjacency entries must be 0 or 1")
         if not np.array_equal(a, a.T):
@@ -366,6 +369,8 @@ def _graph_from_doc(doc: dict) -> Graph:
     n = doc.get("n")
     if rows is None or n is None:
         raise GraphValidationError("graph JSON must contain 'n' and 'adjacency_rows'")
+    if isinstance(n, bool):  # JSON true is an int to Python, and would pass as n = 1
+        raise GraphValidationError("graph JSON 'n' must be an integer, not a boolean")
     if (not isinstance(n, int) or not isinstance(rows, list) or len(rows) != n
             or any(not isinstance(r, str) or len(r) != n for r in rows)):
         raise GraphValidationError("adjacency_rows must be n strings of n characters")

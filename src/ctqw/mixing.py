@@ -23,6 +23,9 @@ from .spectra import Spectrum
 SCAN_GRID = 4096
 SCAN_T_MAX_CAP = 1e3
 GOLDEN_WIDTH = 1e-10
+# The smallest `VerifyConfig.capped` cap: the path check's Pbar(0) > pi(0)
+# direction is claimed for n > 5, so a cap of 5 or less checks no case of it.
+MIN_MAX_N = 6
 
 ALL_CHECKS = (
     "complete_average",
@@ -63,13 +66,6 @@ def average_uniform_deviation(g: Graph, tol: float = spectra.DEGENERACY_TOL) -> 
     spec = spectra.graph_eigensystem(g)
     pbar = walk.average_distribution(spec, 0, tol=tol)
     return total_variation(pbar, uniform_target(g.n))
-
-
-def average_classical_deviation(g: Graph, tol: float = spectra.DEGENERACY_TOL) -> float:
-    """||Pbar - pi|| against the lazy-walk stationary distribution."""
-    spec = spectra.graph_eigensystem(g)
-    pbar = walk.average_distribution(spec, 0, tol=tol)
-    return total_variation(pbar, lazy_stationary(g))
 
 
 def default_scan_window(spec: Spectrum, tol: float = spectra.DEGENERACY_TOL) -> float:
@@ -204,22 +200,6 @@ def path_start_average(n: int) -> float:
     return float(4.0 / (n + 1) ** 2 * np.sum(np.sin(j * np.pi / (n + 1)) ** 4))
 
 
-def bunkbed_layer_equality(base: Graph, tol: float = spectra.DEGENERACY_TOL) -> float:
-    """max_l |Pbar(0,l) - Pbar(1,l)| on the assembled bunkbed.
-
-    Averages the walk from (0, 0) with `graph_eigensystem` of the assembled
-    graph, which routes a bunkbed to `bunkbed_eigensystem`, the same closed
-    form the factorized route uses; it checks the averaging and degeneracy
-    classes on 2n vertices, not the closed form.  The independent route is a
-    dense spectrum of the assembled graph (criterion 6 compares against it).
-    """
-    bed = graphs.build_bunkbed(base)
-    spec = spectra.graph_eigensystem(bed)
-    pbar = walk.average_distribution(spec, 0, tol=tol)
-    n = base.n
-    return float(np.max(np.abs(pbar[:n] - pbar[n:])))
-
-
 def bunkbed_resonance_difference(base_spec: Spectrum, tol: float = spectra.DEGENERACY_TOL) -> np.ndarray:
     """Predicted layer difference Pbar(0,.) - Pbar(1,.) from base resonances.
 
@@ -241,9 +221,6 @@ class MixingReport:
 
     descriptor: str
     deviation_uniform: float | None = None
-    deviation_classical: float | None = None
-    spectral_gap: float | None = None
-    type: int | None = None
     instantaneous_times: list[tuple[float, float]] = field(default_factory=list)
     flags: dict[str, dict] = field(default_factory=dict)
 
@@ -283,17 +260,22 @@ class VerifyConfig:
     tol: float = spectra.DEGENERACY_TOL
 
     def capped(self, max_n: int) -> "VerifyConfig":
-        """Apply a global vertex-count cap across families."""
-        d_cap = max(int(math.log2(max_n)), 1) if max_n >= 2 else 1
+        """Apply a global vertex-count cap across families; refuses a cap below
+        MIN_MAX_N, under which some check would report over no input."""
+        if max_n < MIN_MAX_N:
+            raise ValueError(
+                f"size cap must be at least {MIN_MAX_N}, where every check has a case;"
+                f" got {max_n}")
+        d_cap = int(math.log2(max_n))
         return replace(
             self,
             complete_max=min(self.complete_max, max_n),
             cycle_max=min(self.cycle_max, max_n),
             path_max=min(self.path_max, max_n),
             hypercube_max_d=min(self.hypercube_max_d, d_cap),
-            bunkbed_complete_max=min(self.bunkbed_complete_max, max(max_n // 2, 2)),
-            bunkbed_cycle_max=min(self.bunkbed_cycle_max, max(max_n // 2, 3)),
-            bunkbed_path_max=min(self.bunkbed_path_max, max(max_n // 2, 2)),
+            bunkbed_complete_max=min(self.bunkbed_complete_max, max_n // 2),
+            bunkbed_cycle_max=min(self.bunkbed_cycle_max, max_n // 2),
+            bunkbed_path_max=min(self.bunkbed_path_max, max_n // 2),
             bunkbed_hypercube_max_d=min(self.bunkbed_hypercube_max_d, d_cap),
             gap_zn_max=min(self.gap_zn_max, max_n),
             gap_cube_max_d=min(self.gap_cube_max_d, d_cap),
@@ -486,9 +468,8 @@ def _check_bunkbed_layers(cfg: VerifyConfig) -> list[MixingReport]:
     for name, base in _bunkbed_bases(cfg):
         base_spec = spectra.graph_eigensystem(base)
         bed_spec = spectra.graph_eigensystem(graphs.build_bunkbed(base))
-        part = spectra.degeneracy_classes(bed_spec, cfg.tol)
         n = base.n
-        pbars = [walk.average_distribution(bed_spec, start, part) for start in (0, n)]
+        pbars = [walk.average_distribution(bed_spec, start, cfg.tol) for start in (0, n)]
         diff = float(np.max(np.abs(pbars[0][:n] - pbars[0][n:])))
         predicted = bunkbed_resonance_difference(base_spec, cfg.tol)
         resonant = bool(np.max(np.abs(predicted)) > 1e-12)

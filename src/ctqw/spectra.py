@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import AbelianGroupSpec, Graph, GraphValidationError, Symbol
+from .graphs import SCHEMA, AbelianGroupSpec, Graph, GraphValidationError, Symbol, exact_integers
 
 DEGENERACY_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
@@ -80,10 +80,6 @@ class DegeneracyPartition:
     classes: list[list[int]]
 
     @property
-    def n(self) -> int:
-        return sum(len(c) for c in self.classes)
-
-    @property
     def multiplicities(self) -> list[int]:
         return [len(c) for c in self.classes]
 
@@ -100,8 +96,8 @@ class CharacterTable:
     chars: np.ndarray
 
     def __post_init__(self):
-        self.class_sizes = _exact_integers(self.class_sizes, "class sizes")
-        self.dims = _exact_integers(self.dims, "dims")
+        self.class_sizes = exact_integers(self.class_sizes, "character table class sizes")
+        self.dims = exact_integers(self.dims, "character table dims")
         self.chars = np.asarray(self.chars, dtype=np.complex128)
         self.validate()
 
@@ -131,21 +127,19 @@ class CharacterTable:
         doc = json.loads(text)
         try:
             chars = np.array(
-                [[complex(re, im) for re, im in row] for row in doc["chars"]]
+                [[complex(_real(re), _real(im)) for re, im in row] for row in doc["chars"]]
             )
             return cls(doc["class_sizes"], doc["dims"], chars)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed character table JSON: {exc}") from None
 
 
-def _exact_integers(values, name: str) -> list[int]:
-    """`values` as ints, refused unless every entry is exactly an integer; checked
-    before the cast, which would turn 3.9 into 3, "3" into 3 and true into 1."""
-    a = np.asarray(values)
-    if (a.ndim != 1 or a.dtype.kind not in "iuf" or any(isinstance(x, bool) for x in values)
-            or not np.all(np.isfinite(a) & (a == np.round(a)))):
-        raise ValueError(f"character table {name} must be a list of integers")
-    return [int(x) for x in a]
+def _real(x):
+    """`x` itself when it is a real number; checked before `complex()`, which
+    would read true as 1 and false as 0."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"character table values must be real numbers, got {x!r}")
+    return x
 
 
 def _descending(eigenvalues: np.ndarray) -> np.ndarray:
@@ -544,7 +538,7 @@ def spectrum_to_json(
 ) -> str:
     part = degeneracy_classes(spec, tol)
     doc: dict = {
-        "schema": "ctqw/1",
+        "schema": SCHEMA,
         "n": spec.n,
         "eigenvalues": [float(x) for x in spec.eigenvalues],
         "multiplicities": part.multiplicities,

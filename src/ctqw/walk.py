@@ -7,22 +7,19 @@ average from a start vertex s read one real r x n matrix whose rows are E_r e_s
 (`class_projections`): amplitudes are sum_r e^{-i theta_r t} E_r e_s, and the
 limiting average is sum_r (E_r e_s)^2.  Evolution merges only bitwise-equal
 eigenvalues (`exact_labels`), so no tolerance enters psi(t); the average uses
-the degeneracy partition, never quadrature.  `finite_time_average` is the
-independent convergence oracle and integrates each eigenpair term analytically.
+the degeneracy partition, never quadrature.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 
 import numpy as np
 
 from .spectra import (
     DEGENERACY_TOL,
-    DegeneracyPartition,
     Spectrum,
-    degeneracy_classes,
+    degeneracy_classes,  # unused here: ctqwbench/test_bench.py reads ctqw.walk.degeneracy_classes
     degeneracy_labels,
 )
 
@@ -59,11 +56,6 @@ def as_distribution(raw: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _check_start(spec: Spectrum, start: int) -> None:
-    if not 0 <= start < spec.n:
-        raise ValueError(f"start vertex {start} out of range [0, {spec.n})")
-
-
 def exact_labels(eigenvalues: np.ndarray) -> np.ndarray:
     """Class labels for evolution: adjacent descending eigenvalues share a
     class only when they are bitwise equal.
@@ -86,7 +78,8 @@ def class_projections(
     for a real symmetric A (on a circulant every class is closed under
     a -> -a); an imaginary residue above IMAG_RESIDUE_TOL raises.
     """
-    _check_start(spec, start)
+    if not 0 <= start < spec.n:
+        raise ValueError(f"start vertex {start} out of range [0, {spec.n})")
     steps = np.diff(labels, prepend=-1)
     if np.shape(labels) != (spec.n,) or not np.isin(steps, (0, 1)).all():
         raise ValueError("labels must number the classes of the sorted eigenvalues from 0, in order")
@@ -123,89 +116,32 @@ def class_amplitudes(
     return re, im
 
 
-def evolve_many(spec: Spectrum, start: int, times: np.ndarray) -> np.ndarray:
-    """Amplitudes at many times at once, shape (len(times), n); every row is
-    checked for unit norm."""
+def evolve(spec: Spectrum, start: int, t) -> np.ndarray:
+    """Amplitudes psi(t) = sum_r e^{-i theta_r t} E_r e_start of a walk started
+    at `start`, shaped t.shape + (n,) for a scalar or an array of times; every
+    amplitude vector is checked for unit norm."""
+    times = np.asarray(t, dtype=np.float64)
     proj = class_projections(spec, start, exact_labels(spec.eigenvalues))
-    re, im = class_amplitudes(*proj, times)
-    return re + 1j * im
-
-
-def evolve(spec: Spectrum, start: int, t: float) -> np.ndarray:
-    """Amplitude vector at time t for a walk started at `start`:
-    psi(t) = sum_r e^{-i theta_r t} E_r e_start."""
-    return evolve_many(spec, start, np.array([t], dtype=np.float64))[0]
+    re, im = class_amplitudes(*proj, times.reshape(-1))
+    return (re + 1j * im).reshape(times.shape + (spec.n,))
 
 
 def instantaneous_distribution(spec: Spectrum, start: int, t) -> np.ndarray:
     """Born-rule distribution |<l|psi(t)>|^2; one row per time when t is an array."""
-    times = np.asarray(t, dtype=np.float64)
-    proj = class_projections(spec, start, exact_labels(spec.eigenvalues))
-    re, im = class_amplitudes(*proj, times.reshape(-1))
-    return as_distribution((re * re + im * im).reshape(times.shape + (spec.n,)))
+    amp = evolve(spec, start, t)
+    re, im = amp.real, amp.imag
+    return as_distribution(re * re + im * im)
 
 
-def _partition_labels(part: DegeneracyPartition, n: int) -> np.ndarray:
-    if part.n != n:
-        raise ValueError("degeneracy partition does not match the spectrum size")
-    flat = [i for cls in part.classes for i in cls]
-    if flat != list(range(n)):
-        raise ValueError("degeneracy classes must be runs of the sorted eigenvalues, in order")
-    return np.repeat(np.arange(len(part.classes)), part.multiplicities)
-
-
-def average_distribution(
-    spec: Spectrum,
-    start: int,
-    part: DegeneracyPartition | None = None,
-    tol: float = DEGENERACY_TOL,
-) -> np.ndarray:
-    """Limiting time-average distribution, exact from the degeneracy partition.
+def average_distribution(spec: Spectrum, start: int, tol: float = DEGENERACY_TOL) -> np.ndarray:
+    """Limiting time-average distribution, exact from the degeneracy partition at `tol`.
 
     Only index pairs within one degeneracy class survive the Cesaro limit;
     class r contributes (E_r e_start)^2, the squared projection of |start>
     onto its eigenspace.
     """
-    if part is None:
-        labels = degeneracy_labels(spec.eigenvalues, tol)
-    else:
-        labels = _partition_labels(part, spec.n)
-    _, proj = class_projections(spec, start, labels)
+    _, proj = class_projections(spec, start, degeneracy_labels(spec.eigenvalues, tol))
     return as_distribution((proj * proj).sum(axis=0))
-
-
-def finite_time_average(
-    spec: Spectrum,
-    start: int,
-    T: float,
-    part: DegeneracyPartition | None = None,
-    tol: float = DEGENERACY_TOL,
-) -> np.ndarray:
-    """Exact value of (1/T) integral_0^T P_t dt via per-term analytic integrals.
-
-    Pairs inside one degeneracy class get weight exactly 1; a pair with gap
-    delta gets (1 - e^{-i delta T}) / (i delta T).  Serves as the
-    convergence oracle for `average_distribution`.
-    """
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"averaging window T must be finite and positive, got {T!r}")
-    _check_start(spec, start)
-    if part is None:
-        part = degeneracy_classes(spec, tol)
-    if part.n != spec.n:
-        raise ValueError("degeneracy partition does not match the spectrum size")
-    lam = spec.eigenvalues
-    delta = lam[:, None] - lam[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = (1.0 - np.exp(-1j * delta * T)) / (1j * delta * T)
-    class_id = np.empty(spec.n, dtype=np.int64)
-    for c, cls in enumerate(part.classes):
-        class_id[cls] = c
-    same = class_id[:, None] == class_id[None, :]
-    weights[same] = 1.0
-    coeff = spec.eigenvectors * spec.eigenvectors[start].conj()
-    probs = np.einsum("lj,jk,lk->l", coeff, weights, coeff.conj())
-    return as_distribution(probs.real)
 
 
 def bunkbed_instantaneous(base_spec: Spectrum, t) -> np.ndarray:

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from ctqw import graphs, spectra
+from ctqw import graphs, spectra, walk
 
 
 def random_connected_graph(rng, n_min=4, n_max=13):
@@ -35,6 +37,44 @@ def _eigenvector_evolve(spec, start, t):
     norms = np.linalg.norm(amps, axis=1)
     assert np.all(np.abs(norms - 1.0) <= 1e-10), norms
     return amps[0] if np.ndim(t) == 0 else amps
+
+
+def finite_time_average(spec, start, T, tol=spectra.DEGENERACY_TOL):
+    """Exact value of (1/T) integral_0^T P_t dt via per-term analytic integrals,
+    the convergence oracle for `walk.average_distribution`.
+
+    Pairs inside one degeneracy class get weight exactly 1; a pair with gap
+    delta gets (1 - e^{-i delta T}) / (i delta T).
+    """
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"averaging window T must be finite and positive, got {T!r}")
+    if not 0 <= start < spec.n:
+        raise ValueError(f"start vertex {start} out of range [0, {spec.n})")
+    lam = spec.eigenvalues
+    delta = lam[:, None] - lam[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = (1.0 - np.exp(-1j * delta * T)) / (1j * delta * T)
+    class_id = np.empty(spec.n, dtype=np.int64)
+    for c, cls in enumerate(spectra.degeneracy_classes(spec, tol).classes):
+        class_id[cls] = c
+    weights[class_id[:, None] == class_id[None, :]] = 1.0
+    coeff = spec.eigenvectors * spec.eigenvectors[start].conj()
+    probs = np.einsum("lj,jk,lk->l", coeff, weights, coeff.conj())
+    return walk.as_distribution(probs.real)
+
+
+def bunkbed_layer_equality(base, tol=spectra.DEGENERACY_TOL):
+    """max_l |Pbar(0,l) - Pbar(1,l)| on the assembled bunkbed, from (0, 0).
+
+    `graph_eigensystem` routes the assembled graph to `bunkbed_eigensystem`,
+    the closed form the factorized route uses, so this checks the averaging
+    and degeneracy classes on 2n vertices, not the closed form; a dense
+    spectrum of the assembled graph is the independent route.
+    """
+    spec = spectra.graph_eigensystem(graphs.build_bunkbed(base))
+    pbar = walk.average_distribution(spec, 0, tol)
+    n = base.n
+    return float(np.max(np.abs(pbar[:n] - pbar[n:])))
 
 
 # Per-element arithmetic in Z_n1 x ... x Z_nk under the mixed-radix encoding

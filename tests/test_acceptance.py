@@ -25,7 +25,7 @@ from ctqw.ensembles import (
     sample_random_circulant,
     type_spectrum_exhaustive,
 )
-from tests.conftest import random_connected_graph
+from tests.conftest import bunkbed_layer_equality, finite_time_average, random_connected_graph
 
 
 def _report(line: str) -> None:
@@ -184,7 +184,7 @@ def test_criterion_06_bunkbed_layer_equality(family, size, builder):
                    for p in pbars for layer in (slice(0, n), slice(n, None)))
     oracle_err = max(float(np.max(np.abs(walk.average_distribution(dense, start) - p)))
                      for start, p in zip((0, n), pbars))
-    diff = mixing.bunkbed_layer_equality(base)
+    diff = bunkbed_layer_equality(base)
     checks = {"layer mass 1/2": mass_err <= 1e-12, "dense oracle": oracle_err <= 1e-12}
     if (family, size) in RESONANT_BASES:
         split = pbars[0][:n] - pbars[0][n:]
@@ -214,12 +214,12 @@ def test_criterion_06_split_matches_independent_analysis():
         base = builder(size)
         base_spec = spectra.graph_eigensystem(base)
         predicted = float(np.max(np.abs(mixing.bunkbed_resonance_difference(base_spec))))
-        measured = mixing.bunkbed_layer_equality(base)
+        measured = bunkbed_layer_equality(base)
         worst = max(worst, abs(measured - predicted))
         assert ((family, size) in RESONANT_BASES) == (predicted > 1e-12)
     # independent confirmation by the finite-time oracle on the smallest case
     bed_spec = spectra.dense_eigensystem(graphs.build_bunkbed(graphs.build_complete(2)))
-    fta = walk.finite_time_average(bed_spec, 0, 2e4)
+    fta = finite_time_average(bed_spec, 0, 2e4)
     assert np.max(np.abs(fta - [3 / 8, 1 / 8, 1 / 8, 3 / 8])) <= 1e-3
     _report(f"criterion 6 (analysis): PASS (measured splits match the resonance "
             f"formula to {worst:.2e}; finite-time oracle agrees)")
@@ -259,7 +259,7 @@ def test_criterion_07_path_classical_mixing():
         min_sep = min(min_sep, abs(pbar0 - pi0))
         if n > 5:
             assert pbar0 > pi0  # recorded discrepancy: claimed direction is <
-        fta0 = float(walk.finite_time_average(spec, 0, 1e4)[0])
+        fta0 = float(finite_time_average(spec, 0, 1e4)[0])
         worst_oracle = max(worst_oracle, abs(pbar0 - fta0))
     _report(f"criterion 7: PASS (closed-form err {worst_closed:.2e}, oracle gap "
             f"{worst_oracle:.2e}, min |Pbar(0)-pi(0)| {min_sep:.4f}; direction "
@@ -292,7 +292,7 @@ def test_criterion_08_oracle_equivalence():
     worst_avg = 0.0
     for spec in spectra.dense_eigensystems(randoms):
         pbar = walk.average_distribution(spec, 0)
-        fta = walk.finite_time_average(spec, 0, 1e4)
+        fta = finite_time_average(spec, 0, 1e4)
         worst_avg = max(worst_avg, float(np.max(np.abs(pbar - fta))))
     elapsed = time.time() - t0
     _report(f"criterion 8: PASS ({len(cases)} closed-vs-dense graphs, worst "

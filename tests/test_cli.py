@@ -322,6 +322,83 @@ def test_verify_subcommand_reports_discrepancies(capsys):
     assert code == 1
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-finite number {name} in JSON output")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "bunkbed", "--base-family", "cycle", "--base-n", "4"],
+    ["spectrum", "--family", "path", "--n", "5", "--eigenvectors"],
+    ["spectrum", "--char-table", "S3", "--class-function", "0,1,0"],
+    ["walk", "--family", "hypercube", "--d", "3", "--t", "0.7", "--amplitudes"],
+    ["average", "--family", "complete", "--n", "2"],
+    ["scan", "--family", "cycle", "--n", "7", "--grid", "256"],
+    ["ensemble", "--n", "7", "--trials", "500", "--seed", "1"],
+    ["ensemble", "--n", "10", "--exhaustive"],
+    ["verify", "--max-n", "8"],
+], ids=["build", "spectrum", "spectrum-char-table", "walk-amplitudes", "average", "scan",
+        "ensemble", "ensemble-exhaustive", "verify"])
+def test_json_output_has_no_nan_or_infinity(tmp_path, capsys, argv):
+    (tmp_path / "s3.json").write_text(json.dumps(S3_TABLE))
+    argv = [str(tmp_path / "s3.json") if a == "S3" else a for a in argv]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    json.loads(out, parse_constant=_refuse_constant)
+
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["average"], ["walk", "--t", "1"], ["scan"]],
+                         ids=lambda a: a[0])
+def test_one_vertex_graph_file_exits_1(tmp_path, capsys, argv):
+    # used to print "spectral_gap": Infinity and "deviation_classical": NaN
+    path = tmp_path / "k1.json"
+    path.write_text(json.dumps({"n": 1, "adjacency_rows": ["0"]}))
+    code, out, err = run_cli(capsys, *argv, "--graph-file", str(path))
+    assert code == 1 and out == ""
+    assert "at least 2 vertices" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-n", "5", "--checks", "path_classical"],
+    ["--max-n", "2"],
+    ["--max-n", "1"],
+], ids=["5-path", "2", "1"])
+def test_verify_cap_below_every_check_having_a_case_exits_1(capsys, argv):
+    # used to pass or flag checks over empty ranges
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1 and out == ""
+    assert "at least 6" in err
+
+
+@pytest.mark.parametrize("factors", [[4.9], ["4"]], ids=["float", "string"])
+def test_graph_file_group_factors_must_be_integers(tmp_path, capsys, factors):
+    doc = _built_doc(capsys, "--family", "cycle", "--n", "4")
+    doc["group_factors"] = factors  # loaded as Z_4 before the check
+    path = tmp_path / "c4_bad_group.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "spectrum", "--graph-file", str(path))
+    assert code == 1 and out == ""
+    assert "group factors must be a list of integers" in err
+
+
+def test_graph_file_boolean_n_exits_1(tmp_path, capsys):
+    # JSON true passed as n = 1 and then failed in reshape with a TypeError
+    path = tmp_path / "bool_n.json"
+    path.write_text(json.dumps({"n": True, "adjacency_rows": ["0"]}))
+    code, out, err = run_cli(capsys, "spectrum", "--graph-file", str(path))
+    assert code == 1 and out == ""
+    assert "boolean" in err
+
+
+def test_char_table_boolean_values_exit_1(tmp_path, capsys):
+    path = tmp_path / "z2_bools.json"
+    path.write_text(json.dumps({"class_sizes": [1, 1], "dims": [1, 1],
+                                "chars": [[[True, 0], [1, 0]], [[1, 0], [-1, False]]]}))
+    code, out, err = run_cli(capsys, "spectrum", "--char-table", str(path),
+                             "--class-function", "0,1")
+    assert code == 1 and out == ""
+    assert "real numbers" in err
+
+
 def test_closed_stdout_ends_quietly():
     # the reader is gone before the first write, as after `ctqw ... | head -1`
     read_end, write_end = os.pipe()

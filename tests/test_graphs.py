@@ -171,6 +171,13 @@ def test_group_encoding():
         AbelianGroupSpec((1, 3))
 
 
+@pytest.mark.parametrize("factors", [(2.5, 3), (4.9,), ("4",), (True, 3), (np.True_, 3)])
+def test_group_factors_are_checked_before_the_int_cast(factors):
+    # the cast would make (2.5, 3) Z_2 x Z_3 and (4.9,) Z_4
+    with pytest.raises(GraphValidationError, match="group factors must be a list of integers"):
+        AbelianGroupSpec(factors)
+
+
 def all_bases_up_to_16():
     bases = [build_complete(n) for n in range(2, 17)]
     bases += [build_cycle(n) for n in range(3, 17)]
@@ -221,6 +228,9 @@ def test_custom_adjacency_validation():
         from_adjacency(np.zeros((3, 3), dtype=int))
     with pytest.raises(GraphValidationError, match="0 or 1"):
         from_adjacency([[0, 2], [2, 0]])
+    for tiny in ([[0]], np.zeros((0, 0), dtype=np.uint8)):
+        with pytest.raises(GraphValidationError, match="at least 2 vertices"):
+            from_adjacency(tiny)
 
 
 def _reference_connected(adjacency):

@@ -6,9 +6,7 @@ import pytest
 from ctqw import graphs, mixing, spectra, walk
 from ctqw.mixing import (
     VerifyConfig,
-    average_classical_deviation,
     average_uniform_deviation,
-    bunkbed_layer_equality,
     bunkbed_resonance_difference,
     complete_graph_average,
     cycle_fourier_bound,
@@ -19,7 +17,7 @@ from ctqw.mixing import (
     uniform_target,
     verify_all,
 )
-from tests.conftest import _eigenvector_evolve
+from tests.conftest import _eigenvector_evolve, bunkbed_layer_equality, finite_time_average
 
 
 def test_total_variation_basics():
@@ -48,6 +46,11 @@ def test_average_uniform_deviation_values():
 
 
 def test_average_classical_deviation_values():
+    # ||Pbar - pi|| as `ctqw average` reports it in "deviation_classical"
+    def average_classical_deviation(g):
+        pbar = walk.average_distribution(spectra.graph_eigensystem(g), 0)
+        return total_variation(pbar, lazy_stationary(g))
+
     assert average_classical_deviation(graphs.build_complete(2)) < 1e-12
     assert abs(average_classical_deviation(graphs.build_path(3)) - 0.5) < 1e-12
     for n in (3, 5, 8):
@@ -288,7 +291,7 @@ def test_bunkbed_layer_split_matches_resonance_analysis():
     # the degeneracy-partition machinery
     bed = graphs.build_bunkbed(graphs.build_complete(2))
     spec = spectra.dense_eigensystem(bed)
-    fta = walk.finite_time_average(spec, 0, 2e4)
+    fta = finite_time_average(spec, 0, 2e4)
     assert np.max(np.abs(fta - [3 / 8, 1 / 8, 1 / 8, 3 / 8])) < 1e-3
 
 
@@ -377,3 +380,13 @@ def test_capped_caps_sizes_and_keeps_other_fields():
     assert (capped.gap_zn_max, capped.oracle_max) == (8, 8)
     for name in ("checks", "gap_symbols", "ensemble_n", "ensemble_trials", "seed", "tol"):
         assert getattr(capped, name) == getattr(cfg, name)
+
+
+def test_capped_refuses_a_cap_under_which_a_check_has_no_case():
+    # at 6 the path check's n > 5 direction has its first case, P_6
+    capped = VerifyConfig(checks=("path_classical",)).capped(mixing.MIN_MAX_N)
+    (report,) = verify_all(capped)
+    assert report.flags["start_average_direction"]["status"] == "discrepancy"
+    for cap in (5, 2, 1, 0, -3):
+        with pytest.raises(ValueError, match="at least 6"):
+            VerifyConfig().capped(cap)

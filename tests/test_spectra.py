@@ -494,6 +494,19 @@ def test_character_table_entries_are_checked_before_the_int_cast(s3_table, sizes
             CharacterTable.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("chars", [
+    [[[True, 0], [1, 0]], [[1, 0], [-1, False]]],  # loaded as Z_2 before the check
+    [[[1, 0], [1, 0]], [[1, 0], ["-1", 0]]],
+    [[[1, 0], [1, None]], [[1, 0], [-1, 0]]],
+], ids=["bools", "string", "null"])
+def test_character_values_are_checked_before_the_complex_cast(chars):
+    doc = {"class_sizes": [1, 1], "dims": [1, 1], "chars": chars}
+    with pytest.raises(ValueError, match="real numbers"):
+        CharacterTable.from_json(json.dumps(doc))
+    doc["chars"] = [[[1, 0], [1, 0]], [[1.0, 0], [-1, 0.0]]]
+    assert CharacterTable.from_json(json.dumps(doc)).order == 2
+
+
 def test_exact_integer_character_table_entries_of_any_numeric_type_load(s3_table):
     for sizes, dims in [([1.0, 3.0, 2.0], [1, 1, 2]), (np.array([1, 3, 2], dtype=np.uint8),
                                                       np.array([1.0, 1.0, 2.0]))]:
