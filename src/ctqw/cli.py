@@ -399,9 +399,8 @@ def _cmd_verify(args) -> int:
     checks = mixing.ALL_CHECKS
     if args.checks:
         checks = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
-    cfg = mixing.VerifyConfig(checks=checks, seed=args.seed, ensemble_trials=args.trials)
-    if args.max_n is not None:
-        cfg = cfg.capped(args.max_n)
+    cfg = mixing.VerifyConfig(checks=checks, max_n=args.max_n, seed=args.seed,
+                              ensemble_trials=args.trials)
     reports = mixing.verify_all(cfg)
     text = _reports_json(reports) if args.format == "json" else _reports_table(reports)
     _emit(text, args.output)

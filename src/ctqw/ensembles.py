@@ -6,14 +6,18 @@ so results are identical bit for bit across platforms.  The substreams of a
 block of BLOCK_SIZE trials are computed together: the seed hash, the 128-bit
 LCG and the coin extraction run as uint64 numpy steps over the whole block,
 bit-identical to numpy's per-trial objects, and every block redraws its
-first trial through numpy's own Generator to check that.  A block keeps
-only its packed coin rows and accepted flags, ceil(floor(n/2)/8) + 9 bytes
-per draw with the index into the distinct symbols.  Spectra, degeneracy
-classes and averages then run once per distinct symbol of the run (C(n, 1/2)
-has only 2**floor(n/2)), in chunks of BLOCK_SIZE with loops in a fixed order
-(no BLAS); each row's arithmetic is independent of its chunk, and the
-results are gathered back so statistics aggregate in trial-then-draw order.
-The one-word spawn key bounds a run at 2**32 trials.
+first trial through numpy's own Generator to check that.  The one-word spawn
+key bounds a run at 2**32 trials.
+
+Every statistic is a function of the run table: the distinct rows of orbit
+coins drawn and how often each was drawn.  Each block is merged into it as
+soon as it is drawn, so a run holds one block and the distinct rows, whatever
+its trial count.  Spectra, degeneracy classes and averages run once per
+distinct symbol (C(n, 1/2) has only 2**floor(n/2)) with loops in a fixed
+order (no BLAS).  Means and variances are exact sums rounded once and
+quantiles follow numpy's linear rule on the cumulative counts, so no result
+depends on a summation order.  The exhaustive routes reduce the same table
+over every symbol, each counted once.
 
 The model draws the connection coins unconditionally, but downstream walk
 machinery needs connected graphs, so disconnected draws are rejected and
@@ -88,11 +92,6 @@ def _uniform_deviation(labels: np.ndarray, phase: np.ndarray) -> np.ndarray:
         c = (labels == np.roll(labels, d, axis=1)).sum(axis=1)
         pbar += c[:, None] * cos[phase[d]]
     return np.abs(pbar / (n * n) - 1.0 / n).sum(axis=1)
-
-
-def _histogram(types: np.ndarray) -> dict[int, int]:
-    keys, counts = np.unique(types, return_counts=True)
-    return {int(k): int(c) for k, c in zip(keys, counts)}
 
 
 def sample_random_circulant(n: int, seed) -> Symbol:
@@ -295,14 +294,18 @@ class EnsembleStats:
         return self
 
 
-def _symbol_stats(bits: np.ndarray, accepted: np.ndarray, n: int, tol: float):
-    """lambda_0, the mean of the other eigenvalues, the type and the deviation
-    of each row of orbit coins, in chunks of BLOCK_SIZE rows.
+def _symbol_stats(bits: np.ndarray, draws: np.ndarray, n: int, tol: float):
+    """The run table of distinct rows of orbit coins `bits`, drawn `draws`
+    times each: per row the accepted count, lambda_0, the mean of the other
+    eigenvalues, the type and the deviation, in chunks of BLOCK_SIZE rows.
 
-    Types and deviations are computed for accepted rows only and are 0 on
-    the others.  Every row's arithmetic is independent of the rows sharing
-    its chunk, so results do not depend on how rows are grouped.
+    Connectivity is a function of the symbol, so every draw of a connected
+    row was accepted and none of another.  Types and deviations are computed
+    for connected rows only and are 0 on the others.  Every row's arithmetic
+    is independent of the rows sharing its chunk, so results do not depend
+    on how rows are grouped.
     """
+    connected = _connected(bits, n)
     _, phase = character_phases(AbelianGroupSpec((n,)))
     lam0, other = np.empty(len(bits)), np.empty(len(bits))
     types, deviations = np.zeros(len(bits), dtype=np.int64), np.zeros(len(bits))
@@ -310,20 +313,90 @@ def _symbol_stats(bits: np.ndarray, accepted: np.ndarray, n: int, tol: float):
         rows = slice(start, start + BLOCK_SIZE)
         lams = circulant_eigenvalues(_symbol_values(bits[rows], n), phase, n)
         lam0[rows], other[rows] = lams[:, 0], lams[:, 1:].mean(axis=1)
-        ok = accepted[rows]
+        ok = connected[rows]
         labels = _class_labels(lams[ok], tol)
         kept = start + np.flatnonzero(ok)
         types[kept] = labels.max(axis=1) + 1
         deviations[kept] = _uniform_deviation(labels, phase)
-    return lam0, other, types, deviations
+    return draws * connected, lam0, other, types, deviations
+
+
+def _merge_counts(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in sorted order, each with the sum of its counts."""
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    first = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    return keys[first], np.add.reduceat(counts, first)
+
+
+def _draw_table(n: int, entropy: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of orbit coins drawn by `trials` trials, and how often
+    each was drawn.  Each block is merged into the table as soon as it is drawn."""
+    width = -(-(n // 2) // 8)
+    key = np.dtype(("S", width))  # one fixed-width key per packed row
+    keys, draws = np.empty(0, dtype=key), np.empty(0, dtype=np.int64)
+    for start in range(0, trials, BLOCK_SIZE):
+        bits, _ = _draw_block(n, entropy, range(start, min(start + BLOCK_SIZE, trials)))
+        block = np.packbits(bits, axis=1).view(key)[:, 0]
+        keys, draws = _merge_counts(np.concatenate([keys, block]),
+                                    np.concatenate([draws, np.ones(len(block), dtype=np.int64)]))
+    packed = keys.view(np.uint8).reshape(len(keys), width)
+    return np.unpackbits(packed, axis=1, count=n // 2).astype(bool), draws
+
+
+def _exact_moments(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    """Mean and population variance of `values`, each taken `counts` times:
+    the exact rationals, each rounded once to the nearest float.
+
+    A finite float is an integer over a power of two, so over the common
+    denominator 2**k both sums are Python ints, and int / int rounds once.
+    """
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    k = max(den.bit_length() for _, den in ratios) - 1
+    nums = [num << (k + 1 - den.bit_length()) for num, den in ratios]
+    counts = counts.tolist()
+    total = sum(counts)
+    s1 = sum(c * x for c, x in zip(counts, nums))
+    s2 = sum(c * x * x for c, x in zip(counts, nums))
+    return s1 / (total << k), (total * s2 - s1 * s1) / (total * total << 2 * k)
+
+
+def _count_quantiles(values: np.ndarray, counts: np.ndarray, qs) -> list[float]:
+    """np.quantile(np.repeat(values, counts), qs) without the repeat.
+
+    numpy's default linear rule, step for step: the virtual index (N-1) q,
+    its floor and the next index (both the last at or past N-1), and
+    numpy's _lerp, which interpolates down from the upper value once the
+    weight reaches 1/2.  A position is found in the cumulative counts of
+    the sorted values.
+    """
+    order = np.argsort(values, kind="stable")
+    values, ends = values[order].tolist(), np.cumsum(counts[order])
+    last = int(ends[-1]) - 1
+    out = []
+    for q in qs:
+        index = last * q
+        below = -1 if index >= last else math.floor(index)  # -1: numpy's index of the last
+        t = index - below
+        lo, hi = (values[np.searchsorted(ends, p, side="right")]
+                  for p in ((last, last) if below < 0 else (below, below + 1)))
+        diff = hi - lo
+        out.append(hi - diff * (1 - t) if t >= 0.5 else lo + diff * t)
+    return out
+
+
+def _count_histogram(types: np.ndarray, counts: np.ndarray) -> dict[int, int]:
+    """{type: summed count} over the types with a nonzero count, in type order."""
+    hist = np.zeros(int(types.max()) + 1, dtype=np.int64)
+    np.add.at(hist, types, counts)
+    return {t: c for t, c in enumerate(hist.tolist()) if c}
 
 
 def ensemble_stats(n: int, trials: int, seed: int, tol: float = DEGENERACY_TOL) -> EnsembleStats:
     """Seeded Monte Carlo over C(n, 1/2) with closed-form spectra.
 
-    Draws run block by block and keep only their packed coin rows and
-    accepted flags.  Spectra, classes and deviations then run once per
-    distinct symbol of the run and are gathered back in trial-then-draw order.
+    Draws run block by block into the run table of distinct symbols and
+    their draw counts; every statistic is a reduction of that table.
     """
     if n < 3:
         raise ValueError("random circulants require n >= 3")
@@ -333,25 +406,16 @@ def ensemble_stats(n: int, trials: int, seed: int, tol: float = DEGENERACY_TOL) 
         raise ValueError(f"trials must be <= 2**32 (one uint32 spawn key per trial), got {trials}")
     degeneracy_labels(np.zeros(1), tol)  # rejects a bad tol before any drawing
     entropy = np.random.SeedSequence(seed).entropy
-    packed, accepted = [], []
-    for start in range(0, trials, BLOCK_SIZE):
-        bits, ok = _draw_block(n, entropy, range(start, min(start + BLOCK_SIZE, trials)))
-        packed.append(np.packbits(bits, axis=1))
-        accepted.append(ok)
-    packed, accepted = np.concatenate(packed), np.concatenate(accepted)
-    keys = packed.view(np.dtype(("S", packed.shape[1])))[:, 0]  # one fixed-width key per draw
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    inverse = inverse.reshape(-1)  # numpy 2.0.0 shaped it like the input
-    # connectivity is a function of the symbol, so its first draw's flag holds for all
-    distinct_bits = np.unpackbits(packed[first], axis=1, count=n // 2).astype(bool)
-    lam0, other, types, deviations = _symbol_stats(distinct_bits, accepted[first], n, tol)
-    unc_lam0, unc_other = lam0[inverse], other[inverse]
-    accepted_symbol = inverse[accepted]
-    types, deviations = types[accepted_symbol], deviations[accepted_symbol]
-    accepted_lam0 = unc_lam0[accepted]
-    accepted_other = unc_other[accepted]
-    total = len(unc_lam0)
-    q10, q50, q90 = np.quantile(deviations, [0.1, 0.5, 0.9])
+    bits, draws = _draw_table(n, entropy, trials)
+    accepted, lam0, other, types, deviations = _symbol_stats(bits, draws, n, tol)
+    if int(accepted.sum()) != trials:
+        raise RuntimeError("accepted draws do not sum to the trial count")
+    total = int(draws.sum())
+    mean_lam0, var_lam0 = _exact_moments(lam0, accepted)
+    mean_other, var_other = _exact_moments(other, accepted)
+    unc_lam0, unc_var_lam0 = _exact_moments(lam0, draws)
+    unc_other, unc_var_other = _exact_moments(other, draws)
+    q10, q50, q90 = _count_quantiles(deviations, accepted, (0.1, 0.5, 0.9))
     return EnsembleStats(
         n=n,
         trials=trials,
@@ -359,51 +423,45 @@ def ensemble_stats(n: int, trials: int, seed: int, tol: float = DEGENERACY_TOL) 
         rejections=total - trials,
         total_draws=total,
         rejection_rate=(total - trials) / total,
-        mean_lambda0=float(accepted_lam0.mean()),
-        var_lambda0=float(accepted_lam0.var()),
-        mean_lambda_other=float(accepted_other.mean()),
-        var_lambda_other=float(accepted_other.var()),
-        mean_lambda0_unconditional=float(unc_lam0.mean()),
-        se_lambda0_unconditional=float(unc_lam0.std() / math.sqrt(total)),
-        mean_lambda_other_unconditional=float(unc_other.mean()),
-        se_lambda_other_unconditional=float(unc_other.std() / math.sqrt(total)),
-        type_histogram=_histogram(types),
-        deviation_quantiles={"q10": float(q10), "q50": float(q50), "q90": float(q90)},
+        mean_lambda0=mean_lam0,
+        var_lambda0=var_lam0,
+        mean_lambda_other=mean_other,
+        var_lambda_other=var_other,
+        mean_lambda0_unconditional=unc_lam0,
+        se_lambda0_unconditional=math.sqrt(unc_var_lam0) / math.sqrt(total),
+        mean_lambda_other_unconditional=unc_other,
+        se_lambda_other_unconditional=math.sqrt(unc_var_other) / math.sqrt(total),
+        type_histogram=_count_histogram(types, accepted),
+        deviation_quantiles={"q10": q10, "q50": q50, "q90": q90},
     ).validate()
 
 
-def _all_symbol_bits(n: int) -> np.ndarray:
-    """Orbit coins of every symmetric symbol on Z_n: 2^floor(n/2) rows in mask
-    order, at most 1024, so the exhaustive routes fit in one block."""
+def _exhaustive_table(n: int, tol: float):
+    """The run table of all 2^floor(n/2) symmetric symbols on Z_n, each drawn
+    once: draw counts, then `_symbol_stats`.  At most 1024 rows, one chunk."""
     if not 3 <= n <= 20:
         raise ValueError("exhaustive enumeration is supported for 3 <= n <= 20")
     m = n // 2
-    return (np.arange(2**m)[:, None] >> np.arange(m)) & 1 == 1
+    draws = np.ones(2**m, dtype=np.int64)
+    bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1 == 1
+    return draws, *_symbol_stats(bits, draws, n, tol)
 
 
 def type_spectrum_exhaustive(n: int, tol: float = DEGENERACY_TOL) -> dict[int, int]:
     """Exact type histogram over all connected symbols; oracle for the sampler."""
-    bits = _all_symbol_bits(n)
-    bits = bits[_connected(bits, n)]
-    _, phase = character_phases(AbelianGroupSpec((n,)))
-    lams = circulant_eigenvalues(_symbol_values(bits, n), phase, n)
-    return _histogram(_class_labels(lams, tol).max(axis=1) + 1)
+    _, accepted, _, _, types, _ = _exhaustive_table(n, tol)
+    return _count_histogram(types, accepted)
 
 
 def exhaustive_expectations(n: int) -> dict[str, float]:
     """Exact ensemble expectations by enumerating all 2^floor(n/2) symbols."""
-    bits = _all_symbol_bits(n)
-    connected = _connected(bits, n)
-    _, phase = character_phases(AbelianGroupSpec((n,)))
-    lams = circulant_eigenvalues(_symbol_values(bits, n), phase, n)
-    lam0 = lams[:, 0]
-    other = lams[:, 1:].mean(axis=1)
+    draws, accepted, lam0, other, _, _ = _exhaustive_table(n, DEGENERACY_TOL)
     return {
-        "p_connected": int(connected.sum()) / len(connected),
-        "mean_lambda0": float(np.mean(lam0)),
-        "mean_lambda_other": float(np.mean(other)),
-        "mean_lambda0_connected": float(np.mean(lam0[connected])),
-        "mean_lambda_other_connected": float(np.mean(other[connected])),
+        "p_connected": int(accepted.sum()) / len(draws),
+        "mean_lambda0": _exact_moments(lam0, draws)[0],
+        "mean_lambda_other": _exact_moments(other, draws)[0],
+        "mean_lambda0_connected": _exact_moments(lam0, accepted)[0],
+        "mean_lambda_other_connected": _exact_moments(other, accepted)[0],
     }
 
 

@@ -12,7 +12,7 @@ never masked, and do not affect the exit status.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .spectra import Spectrum
 SCAN_GRID = 4096
 SCAN_T_MAX_CAP = 1e3
 GOLDEN_WIDTH = 1e-10
-# The smallest `VerifyConfig.capped` cap: the path check's Pbar(0) > pi(0)
+# The smallest `VerifyConfig.max_n`: the path check's Pbar(0) > pi(0)
 # direction is claimed for n > 5, so a cap of 5 or less checks no case of it.
 MIN_MAX_N = 6
 
@@ -238,49 +238,53 @@ def _flag(status: str, measured=None, expected=None, note: str | None = None) ->
 
 @dataclass
 class VerifyConfig:
-    """Size caps and selection for verify_all; defaults mirror the acceptance
-    ranges except for the dense-oracle cap, which stays small for speed."""
+    """Selection, seeds and sizes for verify_all.
+
+    Every size limit derives from one vertex-count cap `max_n`.  Without a
+    cap the limits are the acceptance ranges, except the dense-oracle cap,
+    which stays small for speed.  A cap under MIN_MAX_N is refused, since
+    some check would then report over no input.
+    """
 
     checks: tuple[str, ...] = ALL_CHECKS
-    complete_max: int = 64
-    cycle_max: int = 33
-    path_max: int = 32
-    hypercube_max_d: int = 6
-    bunkbed_complete_max: int = 8
-    bunkbed_cycle_max: int = 16
-    bunkbed_path_max: int = 16
-    bunkbed_hypercube_max_d: int = 3
-    gap_zn_max: int = 12
+    max_n: int | None = None
     gap_symbols: int = 20
-    gap_cube_max_d: int = 4
-    oracle_max: int = 20
     ensemble_n: int = 7
     ensemble_trials: int = 10000
     seed: int = 7
     tol: float = spectra.DEGENERACY_TOL
+    complete_max: int = field(init=False)
+    cycle_max: int = field(init=False)
+    path_max: int = field(init=False)
+    hypercube_max_d: int = field(init=False)
+    bunkbed_complete_max: int = field(init=False)
+    bunkbed_cycle_max: int = field(init=False)
+    bunkbed_path_max: int = field(init=False)
+    bunkbed_hypercube_max_d: int = field(init=False)
+    gap_zn_max: int = field(init=False)
+    gap_cube_max_d: int = field(init=False)
+    oracle_max: int = field(init=False)
 
-    def capped(self, max_n: int) -> "VerifyConfig":
-        """Apply a global vertex-count cap across families; refuses a cap below
-        MIN_MAX_N, under which some check would report over no input."""
-        if max_n < MIN_MAX_N:
+    def __post_init__(self):
+        if self.max_n is None:
+            cap = d_cap = math.inf
+        elif self.max_n < MIN_MAX_N:
             raise ValueError(
                 f"size cap must be at least {MIN_MAX_N}, where every check has a case;"
-                f" got {max_n}")
-        d_cap = int(math.log2(max_n))
-        return replace(
-            self,
-            complete_max=min(self.complete_max, max_n),
-            cycle_max=min(self.cycle_max, max_n),
-            path_max=min(self.path_max, max_n),
-            hypercube_max_d=min(self.hypercube_max_d, d_cap),
-            bunkbed_complete_max=min(self.bunkbed_complete_max, max_n // 2),
-            bunkbed_cycle_max=min(self.bunkbed_cycle_max, max_n // 2),
-            bunkbed_path_max=min(self.bunkbed_path_max, max_n // 2),
-            bunkbed_hypercube_max_d=min(self.bunkbed_hypercube_max_d, d_cap),
-            gap_zn_max=min(self.gap_zn_max, max_n),
-            gap_cube_max_d=min(self.gap_cube_max_d, d_cap),
-            oracle_max=min(self.oracle_max, max_n),
-        )
+                f" got {self.max_n}")
+        else:
+            cap, d_cap = self.max_n, int(math.log2(self.max_n))
+        self.complete_max = min(64, cap)
+        self.cycle_max = min(33, cap)
+        self.path_max = min(32, cap)
+        self.hypercube_max_d = min(6, d_cap)
+        self.bunkbed_complete_max = min(8, cap // 2)
+        self.bunkbed_cycle_max = min(16, cap // 2)
+        self.bunkbed_path_max = min(16, cap // 2)
+        self.bunkbed_hypercube_max_d = min(3, d_cap)
+        self.gap_zn_max = min(12, cap)
+        self.gap_cube_max_d = min(4, d_cap)
+        self.oracle_max = min(20, cap)
 
 
 def _check_complete_average(cfg: VerifyConfig) -> list[MixingReport]:
@@ -570,6 +574,9 @@ def _check_oracle_agreement(cfg: VerifyConfig) -> list[MixingReport]:
     return [report]
 
 
+_ZERO_SE_NOTE = "standard error 0: every draw gave the same value, so only an exact match passes"
+
+
 def _check_ensemble_expectations(cfg: VerifyConfig) -> list[MixingReport]:
     from .ensembles import ensemble_stats, exhaustive_expectations
 
@@ -580,20 +587,21 @@ def _check_ensemble_expectations(cfg: VerifyConfig) -> list[MixingReport]:
     # lambda_0 is the degree: each orbit {j, n-j} adds 2 (1 for j = n/2) with
     # probability 1/2, so E[lambda_0] = (n-1)/2 for odd and even n alike
     expected_lam0 = (n - 1) / 2
-    z0 = abs(stats.mean_lambda0_unconditional - expected_lam0) / stats.se_lambda0_unconditional
+    se0, se_other = stats.se_lambda0_unconditional, stats.se_lambda_other_unconditional
     rep.flags["expected_lambda0"] = _flag(
-        "pass" if z0 <= 3.0 else "fail",
+        "pass" if abs(stats.mean_lambda0_unconditional - expected_lam0) <= 3.0 * se0 else "fail",
         measured=stats.mean_lambda0_unconditional,
         expected=f"{expected_lam0:g} within 3 standard errors",
         note=f"connectivity rejection rate {stats.rejection_rate:.4f};"
         f" conditional mean {stats.mean_lambda0:.4f}"
-        f" (exact conditional value {exact['mean_lambda0_connected']:.4f})",
+        f" (exact conditional value {exact['mean_lambda0_connected']:.4f})"
+        + (f"; {_ZERO_SE_NOTE}" if se0 == 0 else ""),
     )
-    zo = abs(stats.mean_lambda_other_unconditional + 0.5) / stats.se_lambda_other_unconditional
     rep.flags["expected_lambda_other"] = _flag(
-        "pass" if zo <= 3.0 else "fail",
+        "pass" if abs(stats.mean_lambda_other_unconditional + 0.5) <= 3.0 * se_other else "fail",
         measured=stats.mean_lambda_other_unconditional,
         expected="-0.5 within 3 standard errors",
+        note=_ZERO_SE_NOTE if se_other == 0 else None,
     )
     return [rep]
 

@@ -369,6 +369,18 @@ def test_verify_cap_below_every_check_having_a_case_exits_1(capsys, argv):
     assert "at least 6" in err
 
 
+@pytest.mark.parametrize("trials", ["1", "2"])
+def test_verify_with_a_zero_standard_error_prints_strict_json(capsys, trials):
+    # every draw of these runs gives one lambda_0; the z-tests used to divide by 0
+    code, out, err = run_cli(capsys, "verify", "--checks", "ensemble_expectations",
+                             "--trials", trials, "--format", "json")
+    assert code == 2 and err == ""
+    (report,) = json.loads(out, parse_constant=_refuse_constant)["reports"]
+    for flag in report["flags"].values():
+        assert flag["status"] == "fail"
+        assert "standard error 0" in flag["note"]
+
+
 @pytest.mark.parametrize("factors", [[4.9], ["4"]], ids=["float", "string"])
 def test_graph_file_group_factors_must_be_integers(tmp_path, capsys, factors):
     doc = _built_doc(capsys, "--family", "cycle", "--n", "4")

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,14 @@ DATA = Path(__file__).parent / "data"
 
 def _symmetric_cosine_table(n):
     return _roots_of_unity(n).real
+
+
+def _ref_moments(values):
+    """Mean and population variance of per-draw values as exact rationals,
+    each rounded once."""
+    xs = [Fraction(float(x)) for x in values]
+    mean = sum(xs, Fraction(0)) / len(xs)
+    return float(mean), float(sum((x - mean) ** 2 for x in xs) / len(xs))
 
 
 # Reference oracle: the one-trial-at-a-time route the batched pipeline replaced.
@@ -104,16 +114,19 @@ def _ref_ensemble_stats(n, trials, seed, tol=DEGENERACY_TOL):
         types[r[2]] = types.get(r[2], 0) + 1
     q10, q50, q90 = np.quantile([r[3] for r in results], [0.1, 0.5, 0.9])
     total = len(unc_lam0)
+    (mean_lam0, var_lam0), (mean_other, var_other) = _ref_moments(acc_lam0), _ref_moments(acc_other)
+    (unc_mean_lam0, unc_var_lam0), (unc_mean_other, unc_var_other) = (
+        _ref_moments(unc_lam0), _ref_moments(unc_other))
     return {
         "n": n, "trials": trials, "seed": seed,
         "rejections": total - trials, "total_draws": total,
         "rejection_rate": (total - trials) / total,
-        "mean_lambda0": float(acc_lam0.mean()), "var_lambda0": float(acc_lam0.var()),
-        "mean_lambda_other": float(acc_other.mean()), "var_lambda_other": float(acc_other.var()),
-        "mean_lambda0_unconditional": float(unc_lam0.mean()),
-        "se_lambda0_unconditional": float(unc_lam0.std() / math.sqrt(total)),
-        "mean_lambda_other_unconditional": float(unc_other.mean()),
-        "se_lambda_other_unconditional": float(unc_other.std() / math.sqrt(total)),
+        "mean_lambda0": mean_lam0, "var_lambda0": var_lam0,
+        "mean_lambda_other": mean_other, "var_lambda_other": var_other,
+        "mean_lambda0_unconditional": unc_mean_lam0,
+        "se_lambda0_unconditional": math.sqrt(unc_var_lam0) / math.sqrt(total),
+        "mean_lambda_other_unconditional": unc_mean_other,
+        "se_lambda_other_unconditional": math.sqrt(unc_var_other) / math.sqrt(total),
         "type_histogram": dict(sorted(types.items())),
         "deviation_quantiles": {"q10": float(q10), "q50": float(q50), "q90": float(q90)},
     }
@@ -335,8 +348,9 @@ def test_trials_beyond_one_word_spawn_key_are_refused(monkeypatch, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
-# Reference for the run-level dedup: the per-block route it replaced, which
-# computed spectra, classes and deviations for every draw of each block.
+# Reference for the run table: the per-block route it replaced, which computed
+# spectra, classes and deviations for every draw of each block and kept them
+# all; moments are exact rationals over the per-draw values.
 
 
 def _ref_block_ensemble_stats(n, trials, seed, tol=DEGENERACY_TOL):
@@ -351,9 +365,13 @@ def _ref_block_ensemble_stats(n, trials, seed, tol=DEGENERACY_TOL):
         blocks.append((lams[:, 0], lams[:, 1:].mean(axis=1), accepted,
                        labels.max(axis=1) + 1, ensembles._uniform_deviation(labels, phase)))
     unc_lam0, unc_other, accepted, types, deviations = (np.concatenate(col) for col in zip(*blocks))
-    accepted_lam0, accepted_other = unc_lam0[accepted], unc_other[accepted]
     total = len(unc_lam0)
+    (mean_lam0, var_lam0), (mean_other, var_other) = (
+        _ref_moments(unc_lam0[accepted]), _ref_moments(unc_other[accepted]))
+    (unc_mean_lam0, unc_var_lam0), (unc_mean_other, unc_var_other) = (
+        _ref_moments(unc_lam0), _ref_moments(unc_other))
     q10, q50, q90 = np.quantile(deviations, [0.1, 0.5, 0.9])
+    keys, counts = np.unique(types, return_counts=True)
     return EnsembleStats(
         n=n,
         trials=trials,
@@ -361,15 +379,15 @@ def _ref_block_ensemble_stats(n, trials, seed, tol=DEGENERACY_TOL):
         rejections=total - trials,
         total_draws=total,
         rejection_rate=(total - trials) / total,
-        mean_lambda0=float(accepted_lam0.mean()),
-        var_lambda0=float(accepted_lam0.var()),
-        mean_lambda_other=float(accepted_other.mean()),
-        var_lambda_other=float(accepted_other.var()),
-        mean_lambda0_unconditional=float(unc_lam0.mean()),
-        se_lambda0_unconditional=float(unc_lam0.std() / math.sqrt(total)),
-        mean_lambda_other_unconditional=float(unc_other.mean()),
-        se_lambda_other_unconditional=float(unc_other.std() / math.sqrt(total)),
-        type_histogram=ensembles._histogram(types),
+        mean_lambda0=mean_lam0,
+        var_lambda0=var_lam0,
+        mean_lambda_other=mean_other,
+        var_lambda_other=var_other,
+        mean_lambda0_unconditional=unc_mean_lam0,
+        se_lambda0_unconditional=math.sqrt(unc_var_lam0) / math.sqrt(total),
+        mean_lambda_other_unconditional=unc_mean_other,
+        se_lambda_other_unconditional=math.sqrt(unc_var_other) / math.sqrt(total),
+        type_histogram={int(k): int(c) for k, c in zip(keys, counts)},
         deviation_quantiles={"q10": float(q10), "q50": float(q50), "q90": float(q90)},
     )
 
@@ -436,6 +454,61 @@ def test_nonzero_gap_on_an_accepted_symbol_raises(monkeypatch, coins, raises):
 
 @pytest.mark.parametrize("n,trials,seed", [(7, 20000, 3), (24, 5000, 5)])
 def test_ensemble_json_is_pinned(n, trials, seed):
-    # generated before the run-level dedup; holds on every numpy the CI runs
+    # the n=7 file was regenerated when moments became exact sums rounded once
+    # (var_lambda_other moved in its last bit); holds on every numpy the CI runs
     pinned = (DATA / f"ensemble_n{n}_trials{trials}_seed{seed}.json").read_text()
     assert stats_to_json(ensemble_stats(n, trials, seed)) == pinned
+
+
+# The run table's reductions against numpy on the repeated values.
+
+
+def _quantile_cases():
+    rng = np.random.default_rng(5)
+    yield np.array([0.3]), np.array([1])  # N = 1
+    yield np.array([0.7, 0.7, 0.7]), np.array([2, 0, 5])  # all values equal
+    yield np.array([2.0, -1.5, 0.25]), np.array([3, 4, 4])  # N = 11: 10 q lands on an index
+    yield np.array([1.0, 0.0]), np.array([0, 6])  # a zero count at the top
+    yield np.array([0.7, 0.1]), np.array([1, 1])  # the t >= 0.5 branch rounds differently
+    for size in (2, 7, 40):
+        values = rng.normal(size=size) * 10.0 ** rng.integers(-3, 3, size=size)
+        yield values, rng.integers(0, 5, size=size) + (np.arange(size) == 0)
+
+
+@pytest.mark.parametrize("values,counts", list(_quantile_cases()))
+def test_count_quantiles_match_numpy_on_the_repeated_values(values, counts):
+    qs = (0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0)
+    got = ensembles._count_quantiles(values, counts, qs)
+    expected = np.quantile(np.repeat(values, counts), qs)
+    assert [x.hex() for x in got] == [float(x).hex() for x in expected]
+
+
+def test_exact_moments_are_the_rationals_rounded_once():
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=50) * 10.0 ** rng.integers(-8, 8, size=50)
+    counts = rng.integers(0, 6, size=50) + 1
+    mean, var = ensembles._exact_moments(values, counts)
+    assert (mean, var) == _ref_moments(np.repeat(values, counts))
+
+
+def test_variance_of_identical_values_is_exactly_zero():
+    assert ensembles._exact_moments(np.array([0.1, 0.1]), np.array([3, 4])) == (0.1, 0.0)
+    # on Z_3 every accepted symbol is {1, 2}; numpy's two-pass var gave 4.93e-32
+    stats = ensemble_stats(3, 4097, 1)
+    assert stats.var_lambda0 == stats.var_lambda_other == 0.0
+
+
+def test_peak_memory_does_not_grow_with_the_trial_count():
+    ensemble_stats(7, 100, seed=1)  # imports and caches outside the measurement
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            ensemble_stats(7, trials, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10**5), peak(4 * 10**5)
+    # a per-draw array would quadruple the peak
+    assert large <= 1.25 * small, (small, large)

@@ -312,7 +312,7 @@ def test_verify_requires_checks():
 
 
 def test_verify_subset_and_flags():
-    cfg = VerifyConfig(checks=("complete_average", "path_classical"), complete_max=8, path_max=8)
+    cfg = VerifyConfig(checks=("complete_average", "path_classical"), max_n=8)
     reports = verify_all(cfg)
     assert len(reports) == 2
     flags = reports[0].flags
@@ -327,13 +327,7 @@ def test_verify_subset_and_flags():
 
 
 def test_verify_bunkbed_flags_resonances_as_discrepancies():
-    cfg = VerifyConfig(
-        checks=("bunkbed_layers",),
-        bunkbed_complete_max=3,
-        bunkbed_cycle_max=4,
-        bunkbed_path_max=3,
-        bunkbed_hypercube_max_d=1,
-    )
+    cfg = VerifyConfig(checks=("bunkbed_layers",), max_n=8)
     reports = verify_all(cfg)
     by_name = {r.descriptor: r.flags["layer_equality"]["status"] for r in reports}
     assert by_name["bunkbed over K_2"] == "discrepancy"
@@ -371,22 +365,35 @@ def test_verify_ensemble_expectation_holds_for_even_n():
 
 
 def test_capped_caps_sizes_and_keeps_other_fields():
-    cfg = VerifyConfig(checks=("cycle_average",), gap_symbols=3, ensemble_n=9,
-                       ensemble_trials=11, seed=5, tol=1e-8)
-    capped = cfg.capped(8)
+    fields = dict(checks=("cycle_average",), gap_symbols=3, ensemble_n=9,
+                  ensemble_trials=11, seed=5, tol=1e-8)
+    capped = VerifyConfig(max_n=8, **fields)
     assert (capped.complete_max, capped.cycle_max, capped.path_max) == (8, 8, 8)
     assert (capped.hypercube_max_d, capped.gap_cube_max_d, capped.bunkbed_hypercube_max_d) == (3, 3, 3)
     assert (capped.bunkbed_complete_max, capped.bunkbed_cycle_max, capped.bunkbed_path_max) == (4, 4, 4)
     assert (capped.gap_zn_max, capped.oracle_max) == (8, 8)
-    for name in ("checks", "gap_symbols", "ensemble_n", "ensemble_trials", "seed", "tol"):
-        assert getattr(capped, name) == getattr(cfg, name)
+    for name, value in fields.items():
+        assert getattr(capped, name) == value
+    uncapped = VerifyConfig()
+    assert (uncapped.complete_max, uncapped.cycle_max, uncapped.path_max) == (64, 33, 32)
+    assert (uncapped.hypercube_max_d, uncapped.gap_cube_max_d, uncapped.bunkbed_hypercube_max_d) == (6, 4, 3)
+    assert (uncapped.bunkbed_complete_max, uncapped.bunkbed_cycle_max, uncapped.bunkbed_path_max) == (8, 16, 16)
+    assert (uncapped.gap_zn_max, uncapped.oracle_max) == (12, 20)
 
 
 def test_capped_refuses_a_cap_under_which_a_check_has_no_case():
     # at 6 the path check's n > 5 direction has its first case, P_6
-    capped = VerifyConfig(checks=("path_classical",)).capped(mixing.MIN_MAX_N)
+    capped = VerifyConfig(checks=("path_classical",), max_n=mixing.MIN_MAX_N)
     (report,) = verify_all(capped)
     assert report.flags["start_average_direction"]["status"] == "discrepancy"
-    for cap in (5, 2, 1, 0, -3):
+    for cap in (5, 4, 2, 1, 0, -3):
         with pytest.raises(ValueError, match="at least 6"):
-            VerifyConfig().capped(cap)
+            VerifyConfig(max_n=cap)
+
+
+def test_size_limits_are_not_settable_one_by_one():
+    # a limit set alone ran checks over empty ranges (path_max=4, path_max=2,
+    # hypercube_max_d=1); every limit now derives from max_n
+    for name in ("path_max", "hypercube_max_d", "complete_max"):
+        with pytest.raises(TypeError):
+            VerifyConfig(**{name: 4})
