@@ -10,14 +10,16 @@ first trial through numpy's own Generator to check that.  The one-word spawn
 key bounds a run at 2**32 trials.
 
 Every statistic is a function of the run table: the distinct rows of orbit
-coins drawn and how often each was drawn.  Each block is merged into it as
-soon as it is drawn, so a run holds one block and the distinct rows, whatever
-its trial count.  Spectra, degeneracy classes and averages run once per
-distinct symbol (C(n, 1/2) has only 2**floor(n/2)) with loops in a fixed
-order (no BLAS).  Means and variances are exact sums rounded once and
-quantiles follow numpy's linear rule on the cumulative counts, so no result
-depends on a summation order.  The exhaustive routes reduce the same table
-over every symbol, each counted once.
+coins drawn and how often each was drawn.  Blocks are merged into it as
+they are drawn, so a run holds the table and at most as many draws again
+plus one block.  The table has at most min(draws, 2**floor(n/2)) rows: it
+stops growing with the trial count once the draws repeat symbols, and when
+2**floor(n/2) is far above the draw count nearly every draw is a new row.
+Spectra, degeneracy classes and averages run once per distinct symbol with
+loops in a fixed order (no BLAS).  Means and variances are exact sums
+rounded once and quantiles follow numpy's linear rule on the cumulative
+counts, so no result depends on a summation order.  The exhaustive routes
+reduce the same table over every symbol, each counted once.
 
 The model draws the connection coins unconditionally, but downstream walk
 machinery needs connected graphs, so disconnected draws are rejected and
@@ -294,10 +296,11 @@ class EnsembleStats:
         return self
 
 
-def _symbol_stats(bits: np.ndarray, draws: np.ndarray, n: int, tol: float):
-    """The run table of distinct rows of orbit coins `bits`, drawn `draws`
-    times each: per row the accepted count, lambda_0, the mean of the other
-    eigenvalues, the type and the deviation, in chunks of BLOCK_SIZE rows.
+def _symbol_stats(packed: np.ndarray, draws: np.ndarray, n: int, tol: float):
+    """The run table of distinct rows of orbit coins, bit-packed in `packed`
+    and drawn `draws` times each: per row the accepted count, lambda_0, the
+    mean of the other eigenvalues, the type and the deviation, in chunks of
+    BLOCK_SIZE rows, each unpacked only for its chunk.
 
     Connectivity is a function of the symbol, so every draw of a connected
     row was accepted and none of another.  Types and deviations are computed
@@ -305,15 +308,16 @@ def _symbol_stats(bits: np.ndarray, draws: np.ndarray, n: int, tol: float):
     is independent of the rows sharing its chunk, so results do not depend
     on how rows are grouped.
     """
-    connected = _connected(bits, n)
     _, phase = character_phases(AbelianGroupSpec((n,)))
-    lam0, other = np.empty(len(bits)), np.empty(len(bits))
-    types, deviations = np.zeros(len(bits), dtype=np.int64), np.zeros(len(bits))
-    for start in range(0, len(bits), BLOCK_SIZE):
+    size = len(packed)
+    connected, lam0, other = np.empty(size, dtype=bool), np.empty(size), np.empty(size)
+    types, deviations = np.zeros(size, dtype=np.int64), np.zeros(size)
+    for start in range(0, size, BLOCK_SIZE):
         rows = slice(start, start + BLOCK_SIZE)
-        lams = circulant_eigenvalues(_symbol_values(bits[rows], n), phase, n)
+        bits = np.unpackbits(packed[rows], axis=1, count=n // 2).astype(bool)
+        lams = circulant_eigenvalues(_symbol_values(bits, n), phase, n)
         lam0[rows], other[rows] = lams[:, 0], lams[:, 1:].mean(axis=1)
-        ok = connected[rows]
+        connected[rows] = ok = _connected(bits, n)
         labels = _class_labels(lams[ok], tol)
         kept = start + np.flatnonzero(ok)
         types[kept] = labels.max(axis=1) + 1
@@ -323,25 +327,36 @@ def _symbol_stats(bits: np.ndarray, draws: np.ndarray, n: int, tol: float):
 
 def _merge_counts(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys in sorted order, each with the sum of its counts."""
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)  # equal keys are merged, so their order does not matter
     keys, counts = keys[order], counts[order]
     first = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
     return keys[first], np.add.reduceat(counts, first)
 
 
 def _draw_table(n: int, entropy: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of orbit coins drawn by `trials` trials, and how often
-    each was drawn.  Each block is merged into the table as soon as it is drawn."""
+    """The distinct rows of orbit coins drawn by `trials` trials, bit-packed,
+    and how often each was drawn.
+
+    Blocks are merged into the table once they outnumber it.  The table at
+    least doubles between merges when most draws are new symbols, so the
+    sorting grows as trials * log(trials) whatever the number of distinct
+    rows.  A packed row is one fixed-width key, an integer when it fits in
+    8 bytes; no result depends on the order of the keys.
+    """
     width = -(-(n // 2) // 8)
-    key = np.dtype(("S", width))  # one fixed-width key per packed row
-    keys, draws = np.empty(0, dtype=key), np.empty(0, dtype=np.int64)
+    size = 8 if width <= 8 else width
+    key = np.dtype(np.uint64) if size == 8 else np.dtype(("S", size))
+    parts = [(np.empty(0, dtype=key), np.empty(0, dtype=np.int64))]  # the table, then blocks
+    pending = 0
     for start in range(0, trials, BLOCK_SIZE):
         bits, _ = _draw_block(n, entropy, range(start, min(start + BLOCK_SIZE, trials)))
-        block = np.packbits(bits, axis=1).view(key)[:, 0]
-        keys, draws = _merge_counts(np.concatenate([keys, block]),
-                                    np.concatenate([draws, np.ones(len(block), dtype=np.int64)]))
-    packed = keys.view(np.uint8).reshape(len(keys), width)
-    return np.unpackbits(packed, axis=1, count=n // 2).astype(bool), draws
+        block = np.pad(np.packbits(bits, axis=1), ((0, 0), (0, size - width))).view(key)[:, 0]
+        parts.append((block, np.ones(len(block), dtype=np.int64)))
+        pending += len(block)
+        if pending >= len(parts[0][0]):
+            parts, pending = [_merge_counts(*map(np.concatenate, zip(*parts)))], 0
+    keys, draws = _merge_counts(*map(np.concatenate, zip(*parts)))
+    return keys.view(np.uint8).reshape(len(keys), size), draws
 
 
 def _exact_moments(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
@@ -350,7 +365,11 @@ def _exact_moments(values: np.ndarray, counts: np.ndarray) -> tuple[float, float
 
     A finite float is an integer over a power of two, so over the common
     denominator 2**k both sums are Python ints, and int / int rounds once.
+    Equal values are merged first, so the Python loops run once per distinct
+    value: a few hundred for lambda_0 or the mean of the other eigenvalues
+    even in runs with 10**5 to 10**6 distinct symbols.
     """
+    values, counts = _merge_counts(values, counts)
     ratios = [v.as_integer_ratio() for v in values.tolist()]
     k = max(den.bit_length() for _, den in ratios) - 1
     nums = [num << (k + 1 - den.bit_length()) for num, den in ratios]
@@ -387,9 +406,7 @@ def _count_quantiles(values: np.ndarray, counts: np.ndarray, qs) -> list[float]:
 
 def _count_histogram(types: np.ndarray, counts: np.ndarray) -> dict[int, int]:
     """{type: summed count} over the types with a nonzero count, in type order."""
-    hist = np.zeros(int(types.max()) + 1, dtype=np.int64)
-    np.add.at(hist, types, counts)
-    return {t: c for t, c in enumerate(hist.tolist()) if c}
+    return {t: c for t, c in zip(*(a.tolist() for a in _merge_counts(types, counts))) if c}
 
 
 def ensemble_stats(n: int, trials: int, seed: int, tol: float = DEGENERACY_TOL) -> EnsembleStats:
@@ -406,8 +423,8 @@ def ensemble_stats(n: int, trials: int, seed: int, tol: float = DEGENERACY_TOL) 
         raise ValueError(f"trials must be <= 2**32 (one uint32 spawn key per trial), got {trials}")
     degeneracy_labels(np.zeros(1), tol)  # rejects a bad tol before any drawing
     entropy = np.random.SeedSequence(seed).entropy
-    bits, draws = _draw_table(n, entropy, trials)
-    accepted, lam0, other, types, deviations = _symbol_stats(bits, draws, n, tol)
+    packed, draws = _draw_table(n, entropy, trials)
+    accepted, lam0, other, types, deviations = _symbol_stats(packed, draws, n, tol)
     if int(accepted.sum()) != trials:
         raise RuntimeError("accepted draws do not sum to the trial count")
     total = int(draws.sum())
@@ -444,7 +461,7 @@ def _exhaustive_table(n: int, tol: float):
     m = n // 2
     draws = np.ones(2**m, dtype=np.int64)
     bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1 == 1
-    return draws, *_symbol_stats(bits, draws, n, tol)
+    return draws, *_symbol_stats(np.packbits(bits, axis=1), draws, n, tol)
 
 
 def type_spectrum_exhaustive(n: int, tol: float = DEGENERACY_TOL) -> dict[int, int]:

@@ -512,3 +512,28 @@ def test_peak_memory_does_not_grow_with_the_trial_count():
     small, large = peak(10**5), peak(4 * 10**5)
     # a per-draw array would quadruple the peak
     assert large <= 1.25 * small, (small, large)
+
+
+def test_draw_table_counts_every_draw_with_log_linear_sorting(monkeypatch):
+    # 4096 draws of 3001 distinct symbols in 64 blocks, so nearly every draw
+    # is new.  Merging once the blocks outnumber the table sorts about 2.7
+    # rows per draw; rebuilding the table per block would sort about 30.
+    monkeypatch.setattr(ensembles, "BLOCK_SIZE", 64)
+    m, trials = 12, 4096
+
+    def rows(trials_range):
+        symbol = np.arange(trials_range.start, trials_range.stop) * 2654435761 % 3001
+        return (symbol[:, None] >> np.arange(m)) & 1 == 1
+
+    monkeypatch.setattr(ensembles, "_draw_block", lambda n, entropy, r: (rows(r), None))
+    sorted_rows = []
+    merge = ensembles._merge_counts
+    monkeypatch.setattr(ensembles, "_merge_counts",
+                        lambda keys, counts: sorted_rows.append(len(keys)) or merge(keys, counts))
+
+    packed, draws = ensembles._draw_table(2 * m, 0, trials)
+    keys, counts = np.unique(rows(range(trials)), axis=0, return_counts=True)
+    got = dict(zip(map(bytes, np.unpackbits(packed, axis=1, count=m)), draws.tolist()))
+    assert len(got) == len(packed) == 3001
+    assert got == dict(zip(map(bytes, keys.astype(np.uint8)), counts.tolist()))
+    assert sum(sorted_rows) <= 4 * trials, sum(sorted_rows)
