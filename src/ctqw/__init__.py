@@ -62,6 +62,6 @@ from .mixing import (
 from .ensembles import (
     EnsembleStats,
     ensemble_stats,
-    sample_random_circulant,
+    random_circulants,
     type_spectrum_exhaustive,
 )

@@ -30,10 +30,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Families built from one size flag: the flag, the builder, and whether the
+# family may be a bunkbed base (read from --base-n or --base-d).
+_SIZED_FAMILIES = {
+    "cycle": ("n", graphs.build_cycle, True),
+    "complete": ("n", graphs.build_complete, True),
+    "path": ("n", graphs.build_path, True),
+    "hypercube": ("d", graphs.build_hypercube, True),
+    "complete_bipartite": ("n", graphs.build_complete_bipartite, False),
+}
+
+
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--family",
-        choices=["cycle", "complete", "path", "hypercube", "complete_bipartite", "circulant", "bunkbed"],
+        choices=[*_SIZED_FAMILIES, "circulant", "bunkbed"],
         help="graph family to build",
     )
     p.add_argument("--n", type=int, help="size parameter (vertices or part size)")
@@ -42,7 +53,7 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--symbol", help="circulant symbol support indices, e.g. '1,7'")
     p.add_argument(
         "--base-family",
-        choices=["cycle", "complete", "path", "hypercube"],
+        choices=[fam for fam, (_, _, base) in _SIZED_FAMILIES.items() if base],
         help="bunkbed base family",
     )
     p.add_argument("--base-n", type=int, help="bunkbed base size")
@@ -89,21 +100,9 @@ def _build_graph(args) -> Graph:
     if not args.family:
         raise UsageError("either --family or --graph-file is required")
     fam = args.family
-    if fam == "cycle":
-        _require(args.n, "--n")
-        return graphs.build_cycle(args.n)
-    if fam == "complete":
-        _require(args.n, "--n")
-        return graphs.build_complete(args.n)
-    if fam == "path":
-        _require(args.n, "--n")
-        return graphs.build_path(args.n)
-    if fam == "hypercube":
-        _require(args.d, "--d")
-        return graphs.build_hypercube(args.d)
-    if fam == "complete_bipartite":
-        _require(args.n, "--n")
-        return graphs.build_complete_bipartite(args.n)
+    if fam in _SIZED_FAMILIES:
+        flag, build, _ = _SIZED_FAMILIES[fam]
+        return build(_require(getattr(args, flag), f"--{flag}"))
     if fam == "circulant":
         _require(args.group, "--group")
         _require(args.symbol, "--symbol")
@@ -111,25 +110,16 @@ def _build_graph(args) -> Graph:
         support = _parse_int_list(args.symbol, "--symbol")
         return graphs.build_abelian_circulant(graphs.Symbol.from_support(group, support))
     if fam == "bunkbed":
-        _require(args.base_family, "--base-family")
-        if args.base_family == "hypercube":
-            _require(args.base_d, "--base-d")
-            base = graphs.build_hypercube(args.base_d)
-        else:
-            _require(args.base_n, "--base-n")
-            builder = {
-                "cycle": graphs.build_cycle,
-                "complete": graphs.build_complete,
-                "path": graphs.build_path,
-            }[args.base_family]
-            base = builder(args.base_n)
-        return graphs.build_bunkbed(base)
+        flag, build, _ = _SIZED_FAMILIES[_require(args.base_family, "--base-family")]
+        return graphs.build_bunkbed(build(_require(getattr(args, f"base_{flag}"), f"--base-{flag}")))
     raise UsageError(f"unknown family {fam!r}")
 
 
-def _require(value, flag: str) -> None:
+def _require(value, flag: str):
+    """`value`, unless it is None: then `flag` was required."""
     if value is None:
         raise UsageError(f"{flag} is required for this invocation")
+    return value
 
 
 def _spectrum_for(g: Graph, args) -> spectra.Spectrum:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -94,24 +94,6 @@ def _uniform_deviation(labels: np.ndarray, phase: np.ndarray) -> np.ndarray:
         c = (labels == np.roll(labels, d, axis=1)).sum(axis=1)
         pbar += c[:, None] * cos[phase[d]]
     return np.abs(pbar / (n * n) - 1.0 / n).sum(axis=1)
-
-
-def sample_random_circulant(n: int, seed) -> Symbol:
-    """Sample a connected symbol of C(n, 1/2); resamples disconnected draws.
-
-    `seed` may be an int, a tuple of ints, or a numpy SeedSequence.
-    """
-    if n < 3:
-        raise ValueError("random circulants require n >= 3")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.Generator(np.random.PCG64(ss))
-    for _ in range(MAX_RESAMPLE_ATTEMPTS):
-        bits = rng.integers(0, 2, size=(1, n // 2)).astype(bool)
-        if _connected(bits, n)[0]:
-            return Symbol(AbelianGroupSpec((n,)), _symbol_values(bits, n)[0])
-    raise RuntimeError(
-        f"no connected symbol after {MAX_RESAMPLE_ATTEMPTS} draws (n={n})"
-    )
 
 
 # SeedSequence's hash constants and PCG64's 128-bit LCG multiplier as numpy
@@ -409,20 +391,36 @@ def _count_histogram(types: np.ndarray, counts: np.ndarray) -> dict[int, int]:
     return {t: c for t, c in zip(*(a.tolist() for a in _merge_counts(types, counts))) if c}
 
 
-def ensemble_stats(n: int, trials: int, seed: int, tol: float = DEGENERACY_TOL) -> EnsembleStats:
-    """Seeded Monte Carlo over C(n, 1/2) with closed-form spectra.
-
-    Draws run block by block into the run table of distinct symbols and
-    their draw counts; every statistic is a reduction of that table.
-    """
+def _run_entropy(n: int, trials: int, seed: int) -> int:
+    """The entropy of a run's substreams, after checking its arguments."""
     if n < 3:
         raise ValueError("random circulants require n >= 3")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > MAX_TRIALS:
         raise ValueError(f"trials must be <= 2**32 (one uint32 spawn key per trial), got {trials}")
+    return np.random.SeedSequence(seed).entropy
+
+
+def random_circulants(n: int, count: int, seed: int) -> list[Symbol]:
+    """The connected symbols accepted by trials 0..count-1 of C(n, 1/2) at
+    `seed`, in trial order: the draws `ensemble_stats(n, count, seed)` reduces."""
+    entropy, group = _run_entropy(n, count, seed), AbelianGroupSpec((n,))
+    symbols = []
+    for start in range(0, count, BLOCK_SIZE):
+        bits, ok = _draw_block(n, entropy, range(start, min(start + BLOCK_SIZE, count)))
+        symbols += [Symbol(group, values) for values in _symbol_values(bits[ok], n)]
+    return symbols
+
+
+def ensemble_stats(n: int, trials: int, seed: int, tol: float = DEGENERACY_TOL) -> EnsembleStats:
+    """Seeded Monte Carlo over C(n, 1/2) with closed-form spectra.
+
+    Draws run block by block into the run table of distinct symbols and
+    their draw counts; every statistic is a reduction of that table.
+    """
+    entropy = _run_entropy(n, trials, seed)
     degeneracy_labels(np.zeros(1), tol)  # rejects a bad tol before any drawing
-    entropy = np.random.SeedSequence(seed).entropy
     packed, draws = _draw_table(n, entropy, trials)
     accepted, lam0, other, types, deviations = _symbol_stats(packed, draws, n, tol)
     if int(accepted.sum()) != trials:
@@ -483,28 +481,4 @@ def exhaustive_expectations(n: int) -> dict[str, float]:
 
 
 def stats_to_json(stats: EnsembleStats) -> str:
-    doc = {"schema": SCHEMA}
-    doc.update(
-        {
-            k: getattr(stats, k)
-            for k in (
-                "n",
-                "trials",
-                "seed",
-                "rejections",
-                "total_draws",
-                "rejection_rate",
-                "mean_lambda0",
-                "var_lambda0",
-                "mean_lambda_other",
-                "var_lambda_other",
-                "mean_lambda0_unconditional",
-                "se_lambda0_unconditional",
-                "mean_lambda_other_unconditional",
-                "se_lambda_other_unconditional",
-            )
-        }
-    )
-    doc["type_histogram"] = {str(k): v for k, v in stats.type_histogram.items()}
-    doc["deviation_quantiles"] = stats.deviation_quantiles
-    return json.dumps(doc, indent=2)
+    return json.dumps({"schema": SCHEMA, **asdict(stats)}, indent=2)

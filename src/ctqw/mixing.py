@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import graphs, spectra, walk
+from . import ensembles, graphs, spectra, walk
 from .graphs import Graph
 from .spectra import Spectrum
 
@@ -26,6 +26,11 @@ GOLDEN_WIDTH = 1e-10
 # The smallest `VerifyConfig.max_n`: the path check's Pbar(0) > pi(0)
 # direction is claimed for n > 5, so a cap of 5 or less checks no case of it.
 MIN_MAX_N = 6
+# The fewest ensemble trials `verify` accepts.  For a correct sampler every
+# draw gives the same lambda_0 with probability at most p_max^(T-1), and
+# p_max <= 1/2 on every n >= 3: below 2e-9 at T = 30.  Above the floor a
+# standard error of 0 therefore means a faulty sampler, and its flags fail.
+MIN_ENSEMBLE_TRIALS = 30
 
 ALL_CHECKS = (
     "complete_average",
@@ -243,7 +248,8 @@ class VerifyConfig:
     Every size limit derives from one vertex-count cap `max_n`.  Without a
     cap the limits are the acceptance ranges, except the dense-oracle cap,
     which stays small for speed.  A cap under MIN_MAX_N is refused, since
-    some check would then report over no input.
+    some check would then report over no input, and so are fewer than
+    MIN_ENSEMBLE_TRIALS ensemble trials.
     """
 
     checks: tuple[str, ...] = ALL_CHECKS
@@ -266,6 +272,13 @@ class VerifyConfig:
     oracle_max: int = field(init=False)
 
     def __post_init__(self):
+        if type(self.ensemble_trials) is not int or type(self.max_n) not in (int, type(None)):
+            raise ValueError("max_n and ensemble_trials must be ints, got"
+                             f" {self.max_n!r} and {self.ensemble_trials!r}")
+        if self.ensemble_trials < MIN_ENSEMBLE_TRIALS:
+            raise ValueError(
+                f"ensemble trials must be at least {MIN_ENSEMBLE_TRIALS}, where a correct"
+                f" sampler gives a nonzero standard error; got {self.ensemble_trials}")
         if self.max_n is None:
             cap = d_cap = math.inf
         elif self.max_n < MIN_MAX_N:
@@ -310,15 +323,11 @@ def _check_complete_average(cfg: VerifyConfig) -> list[MixingReport]:
 
 
 def _gap_symbols(cfg: VerifyConfig) -> list[graphs.Symbol]:
-    """The random symbols of the spectral-gap check: cfg.gap_symbols on each
-    Z_n, then on each (Z_2)^d."""
-    from .ensembles import sample_random_circulant
-
-    symbols = [
-        sample_random_circulant(n, seed=(cfg.seed, n, i))
-        for n in range(3, cfg.gap_zn_max + 1)
-        for i in range(cfg.gap_symbols)
-    ]
+    """The random symbols of the spectral-gap check: on each Z_n the
+    cfg.gap_symbols symbols of the C(n, 1/2) ensemble at cfg.seed, then
+    cfg.gap_symbols on each (Z_2)^d."""
+    symbols = [sym for n in range(3, cfg.gap_zn_max + 1)
+               for sym in ensembles.random_circulants(n, cfg.gap_symbols, cfg.seed)]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 2))))
     for d in range(2, cfg.gap_cube_max_d + 1):
         group = graphs.AbelianGroupSpec((2,) * d)
@@ -578,11 +587,9 @@ _ZERO_SE_NOTE = "standard error 0: every draw gave the same value, so only an ex
 
 
 def _check_ensemble_expectations(cfg: VerifyConfig) -> list[MixingReport]:
-    from .ensembles import ensemble_stats, exhaustive_expectations
-
     n = cfg.ensemble_n
-    stats = ensemble_stats(n, cfg.ensemble_trials, cfg.seed)
-    exact = exhaustive_expectations(n)
+    stats = ensembles.ensemble_stats(n, cfg.ensemble_trials, cfg.seed)
+    exact = ensembles.exhaustive_expectations(n)
     rep = MixingReport(descriptor=f"random circulant ensemble C({n}, 1/2)")
     # lambda_0 is the degree: each orbit {j, n-j} adds 2 (1 for j = n/2) with
     # probability 1/2, so E[lambda_0] = (n-1)/2 for odd and even n alike

@@ -22,7 +22,7 @@ from ctqw import graphs, mixing, spectra, walk
 from ctqw.ensembles import (
     ensemble_stats,
     exhaustive_expectations,
-    sample_random_circulant,
+    random_circulants,
     type_spectrum_exhaustive,
 )
 from tests.conftest import bunkbed_layer_equality, finite_time_average, random_connected_graph
@@ -78,8 +78,7 @@ def _random_cube_symbol(d, rng):
 
 
 def test_criterion_02_abelian_spectral_gap():
-    symbols = [sample_random_circulant(n, seed=(2, n, i))
-               for n in range(3, 13) for i in range(100)]
+    symbols = [sym for n in range(3, 13) for sym in random_circulants(n, 100, 2)]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(22)))
     for d in (2, 3, 4, 5):
         symbols += list(_all_cube_symbols(d)) if d <= 3 else [
@@ -380,12 +379,13 @@ def test_criterion_10_property_suites():
 
     # circulant symmetry Pbar(l) = Pbar(-l): 1000 sampled symbols
     cases = 0
-    while cases < 1000:
-        n = int(rng.integers(3, 17))
-        sym = sample_random_circulant(n, seed=(10, cases))
-        pbar = walk.average_distribution(spectra.abelian_circulant_eigensystem(sym), 0)
-        assert np.max(np.abs(pbar - pbar[(-np.arange(n)) % n])) <= 1e-10
-        cases += 1
+    sizes = [int(rng.integers(3, 17)) for _ in range(1000)]
+    for n in sorted(set(sizes)):
+        for sym in random_circulants(n, sizes.count(n), 10):
+            pbar = walk.average_distribution(spectra.abelian_circulant_eigensystem(sym), 0)
+            assert np.max(np.abs(pbar - pbar[(-np.arange(n)) % n])) <= 1e-10
+            cases += 1
+    assert cases == 1000
 
     # total-variation metric axioms: 1000 random triples
     for _ in range(1000):

@@ -369,14 +369,35 @@ def test_verify_cap_below_every_check_having_a_case_exits_1(capsys, argv):
     assert "at least 6" in err
 
 
-@pytest.mark.parametrize("trials", ["1", "2"])
-def test_verify_with_a_zero_standard_error_prints_strict_json(capsys, trials):
-    # every draw of these runs gives one lambda_0; the z-tests used to divide by 0.
-    # The exit code is left open: whether a check too short to have a spread
-    # counts as a computational failure (exit 2) is not settled.
-    _, out, err = run_cli(capsys, "verify", "--checks", "ensemble_expectations",
-                          "--trials", trials, "--format", "json")
-    assert err == ""
+@pytest.mark.parametrize("trials", ["1", "2", "29"])
+def test_verify_refuses_fewer_ensemble_trials_than_the_floor(capsys, trials):
+    # every draw of a run this short may give one lambda_0, so a standard error
+    # of 0 would fail a correct sampler
+    code, out, err = run_cli(capsys, "verify", "--checks", "ensemble_expectations",
+                             "--trials", trials, "--format", "json")
+    assert code == 1 and out == ""
+    assert "at least 30" in err
+
+
+def test_verify_at_the_trial_floor_prints_strict_json(capsys):
+    code, out, err = run_cli(capsys, "verify", "--checks", "ensemble_expectations",
+                             "--trials", "30", "--format", "json")
+    assert code == 0 and err == ""
+    (report,) = json.loads(out, parse_constant=_refuse_constant)["reports"]
+    assert [flag["status"] for flag in report["flags"].values()] == ["pass", "pass"]
+
+
+def test_verify_fails_a_sampler_that_returns_one_symbol(capsys, monkeypatch):
+    # above the floor a standard error of 0 means a faulty sampler: exit 2
+    from ctqw import ensembles
+
+    def one_symbol(n, entropy, trials):
+        return np.ones((len(trials), n // 2), dtype=bool), np.ones(len(trials), dtype=bool)
+
+    monkeypatch.setattr(ensembles, "_draw_block", one_symbol)
+    code, out, err = run_cli(capsys, "verify", "--checks", "ensemble_expectations",
+                             "--trials", "30", "--format", "json")
+    assert code == 2 and err == ""
     (report,) = json.loads(out, parse_constant=_refuse_constant)["reports"]
     for flag in report["flags"].values():
         assert flag["status"] == "fail"

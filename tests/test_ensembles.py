@@ -9,6 +9,7 @@ import pytest
 
 from ctqw import ensembles, graphs
 from ctqw.cli import main
+from ctqw.mixing import total_variation, uniform_target
 from ctqw.ensembles import (
     BLOCK_SIZE,
     MAX_RESAMPLE_ATTEMPTS,
@@ -16,16 +17,18 @@ from ctqw.ensembles import (
     EnsembleStats,
     ensemble_stats,
     exhaustive_expectations,
-    sample_random_circulant,
+    random_circulants,
     stats_to_json,
     type_spectrum_exhaustive,
 )
 from ctqw.spectra import (
     DEGENERACY_TOL,
     _roots_of_unity,
+    abelian_circulant_eigensystem,
     character_phases,
     circulant_eigenvalues,
 )
+from ctqw.walk import average_distribution
 
 DATA = Path(__file__).parent / "data"
 
@@ -163,32 +166,81 @@ def test_exhaustive_histograms_match_reference_oracle():
         assert type_spectrum_exhaustive(n) == _ref_type_spectrum(n), n
 
 
-def test_sampler_produces_valid_connected_symbols():
-    for n in (3, 5, 8, 12):
-        sym = sample_random_circulant(n, seed=1)
-        g = graphs.build_abelian_circulant(sym)
-        g.validate()
-        assert sym.group.factors == (n,)
+def _ref_random_circulant(n, seed, trial):
+    """Trial `trial`'s symbol from numpy's own objects, redrawn until connected."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(trial,))))
+    for _ in range(MAX_RESAMPLE_ATTEMPTS):
+        vals = _ref_draw(n, rng)
+        if _ref_connected(n, vals):
+            return vals
+    raise AssertionError("no connected draw")
 
 
 def test_sampler_is_deterministic_and_platform_stable():
-    a = sample_random_circulant(8, seed=123)
-    b = sample_random_circulant(8, seed=123)
-    assert np.array_equal(a.values, b.values)
-    # frozen draw for the documented PCG64 / SeedSequence contract
-    assert list(a.support) == [2, 3, 5, 6]
+    # every symbol is numpy's own per-trial draw, also across a block boundary
+    for n in (3, 4, 7, 8, 24):
+        for seed in (123, 2**64 + 9):
+            symbols = random_circulants(n, 50, seed)
+            assert len(symbols) == 50
+            for i, sym in enumerate(symbols):
+                assert sym.group.factors == (n,)
+                assert np.array_equal(sym.values, _ref_random_circulant(n, seed, i)), (n, seed, i)
+    symbols = random_circulants(8, BLOCK_SIZE + 2, 31)
+    for i in range(BLOCK_SIZE - 2, BLOCK_SIZE + 2):
+        assert np.array_equal(symbols[i].values, _ref_random_circulant(8, 31, i)), i
+
+
+def test_random_circulants_are_the_draws_the_ensemble_reduces():
+    n, trials, seed = 7, BLOCK_SIZE + 1, 5
+    degrees = [int(sym.values.sum()) for sym in random_circulants(n, trials, seed)]
+    stats = ensemble_stats(n, trials, seed)
+    assert (stats.mean_lambda0, stats.var_lambda0) == _ref_moments(degrees)
+
+
+def test_sampler_produces_valid_connected_symbols():
+    for n in (3, 5, 8, 12):
+        for sym in random_circulants(n, 5, 1):
+            graphs.build_abelian_circulant(sym).validate()
 
 
 def test_sampler_n3_has_single_outcome():
     # only one nontrivial orbit; the empty draw is rejected and resampled
     for seed in range(6):
-        sym = sample_random_circulant(3, seed=seed)
-        assert list(sym.support) == [1, 2]
+        assert [list(sym.support) for sym in random_circulants(3, 4, seed)] == [[1, 2]] * 4
 
 
-def test_sampler_rejects_small_n():
+def _refuses_before_drawing(monkeypatch, n, count, seed):
+    def no_draws(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(ensembles, "_draw_block", no_draws)
     with pytest.raises(ValueError):
-        sample_random_circulant(2, seed=0)
+        random_circulants(n, count, seed)
+    with pytest.raises(ValueError):
+        ensemble_stats(n, count, seed)
+
+
+def test_sampler_rejects_small_n(monkeypatch):
+    for n in (2, 1, 0):
+        _refuses_before_drawing(monkeypatch, n, 1, 0)
+
+
+def test_random_circulants_refuse_what_the_ensemble_refuses(monkeypatch):
+    for count, seed in ((0, 0), (MAX_TRIALS + 1, 0), (1, -1)):
+        _refuses_before_drawing(monkeypatch, 7, count, seed)
+
+
+def test_uniform_deviation_equals_the_average_distribution_route():
+    # the ensemble's diagonal-shift formula for ||Pbar - U|| against walk's
+    # class projections, on the symbols of C(n, 1/2)
+    for n in [*range(3, 41), 64, 101, 128]:
+        symbols = random_circulants(n, 40, n)
+        _, phase = character_phases(graphs.AbelianGroupSpec((n,)))
+        lams = circulant_eigenvalues(np.array([sym.values for sym in symbols]), phase, n)
+        got = ensembles._uniform_deviation(ensembles._class_labels(lams, DEGENERACY_TOL), phase)
+        ref = [total_variation(average_distribution(abelian_circulant_eigensystem(sym), 0),
+                               uniform_target(n)) for sym in symbols]
+        assert np.max(np.abs(got - ref)) <= 1e-12, n
 
 
 def test_exhaustive_type_histograms():

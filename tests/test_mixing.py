@@ -366,7 +366,7 @@ def test_verify_ensemble_expectation_holds_for_even_n():
 
 def test_capped_caps_sizes_and_keeps_other_fields():
     fields = dict(checks=("cycle_average",), gap_symbols=3, ensemble_n=9,
-                  ensemble_trials=11, seed=5, tol=1e-8)
+                  ensemble_trials=30, seed=5, tol=1e-8)
     capped = VerifyConfig(max_n=8, **fields)
     assert (capped.complete_max, capped.cycle_max, capped.path_max) == (8, 8, 8)
     assert (capped.hypercube_max_d, capped.gap_cube_max_d, capped.bunkbed_hypercube_max_d) == (3, 3, 3)
@@ -389,6 +389,21 @@ def test_capped_refuses_a_cap_under_which_a_check_has_no_case():
     for cap in (5, 4, 2, 1, 0, -3):
         with pytest.raises(ValueError, match="at least 6"):
             VerifyConfig(max_n=cap)
+
+
+@pytest.mark.parametrize("value", [8.5, 8.0, True, "8"], ids=["8.5", "8.0", "True", "str"])
+@pytest.mark.parametrize("name", ["max_n", "ensemble_trials"])
+def test_sizes_that_are_not_ints_are_refused(name, value):
+    # max_n=8.5 ended in a TypeError from a range inside a check
+    with pytest.raises(ValueError, match="must be ints"):
+        VerifyConfig(checks=("complete_average",), **{name: value})
+
+
+def test_ensemble_trials_under_the_floor_are_refused():
+    assert VerifyConfig(ensemble_trials=mixing.MIN_ENSEMBLE_TRIALS).ensemble_trials == 30
+    for trials in (29, 2, 1, 0, -5):
+        with pytest.raises(ValueError, match="at least 30"):
+            VerifyConfig(ensemble_trials=trials)
 
 
 def test_size_limits_are_not_settable_one_by_one():

@@ -140,12 +140,10 @@ def test_circulant_pairing_is_exact():
 def test_ensemble_route_eigenvalues_match_closed_form():
     for n in range(3, 41):
         _, phase = character_phases(AbelianGroupSpec((n,)))
-        entropy = np.random.SeedSequence(n).entropy
-        bits, accepted = ensembles._draw_block(n, entropy, range(8))
-        vals = ensembles._symbol_values(bits[accepted], n)
-        rows = circulant_eigenvalues(vals, phase, n)
-        for row, v in zip(rows, vals):
-            spec = abelian_circulant_eigensystem(Symbol(AbelianGroupSpec((n,)), v))
+        symbols = ensembles.random_circulants(n, 8, n)
+        rows = circulant_eigenvalues(np.array([sym.values for sym in symbols]), phase, n)
+        for row, sym in zip(rows, symbols):
+            spec = abelian_circulant_eigensystem(sym)
             assert np.array_equal(np.sort(row)[::-1], spec.eigenvalues), n
 
 
@@ -565,7 +563,7 @@ def _lazy_cases():
     yield Symbol.from_support(z4z6, [1, 5, 6, 18])
     yield graphs.build_hypercube(4).symbol
     for n in range(3, 41):
-        yield ensembles.sample_random_circulant(n, seed=(12, n))
+        yield ensembles.random_circulants(n, 1, 12)[0]
 
 
 def test_lazy_circulant_eigensystem_is_bitwise_the_eager_one():
