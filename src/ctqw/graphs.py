@@ -208,7 +208,10 @@ class Graph:
             raise GraphValidationError("graph must have at least 2 vertices")
         if not _zero_one(a):
             raise GraphValidationError("adjacency entries must be 0 or 1")
-        if not np.array_equal(a, a.T):
+        # every edge (r, c) has its reverse, which for a 0/1 matrix is symmetry;
+        # reading only the edges beats transposing n^2 bytes
+        r, c = np.divmod(np.flatnonzero(a != 0), a.shape[0])
+        if not a[c, r].all():
             raise GraphValidationError("adjacency must be symmetric")
         if np.diagonal(a).any():
             raise GraphValidationError("adjacency must have a zero diagonal")

@@ -129,9 +129,10 @@ def instantaneous_mixing_scan(
     """Locate local minima of t -> ||P_t - U|| over (0, t_max].
 
     The class projections of `start` are computed once; every probe then
-    costs r cosines, r sines and two real r x n products.  Evaluates on a
-    uniform grid, refines all interior local minima together by
-    golden-section search to a bracket width of 1e-10 in t, and returns
+    costs r cosines, r sines and two real r x k products over the k distinct
+    columns, and each column's deviation counts once per vertex sharing it.
+    Evaluates on a uniform grid, refines all interior local minima together
+    by golden-section search to a bracket width of 1e-10 in t, and returns
     the (time, deviation) pairs with deviation <= eps (all minima when eps is
     infinite), sorted by time.  Where the deviation is smooth at a minimum,
     rounding flattens its bottom, so t is fixed only to about
@@ -144,15 +145,15 @@ def instantaneous_mixing_scan(
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     u = 1.0 / spec.n
-    theta, proj = walk.class_projections(spec, start, walk.exact_labels(spec.eigenvalues))
+    proj = walk.class_projections(spec, start, walk.exact_labels(spec.eigenvalues))
 
     def deviations(times: np.ndarray) -> np.ndarray:
-        re, im = walk.class_amplitudes(theta, proj, times)
+        re, im = walk.class_amplitudes(proj, times)
         # |re^2 + im^2 - u| in place: these arrays are the large ones of a probe
         np.square(re, out=re)
         re += np.square(im, out=im)
         re -= u
-        return np.abs(re, out=re).sum(axis=1)
+        return np.abs(re, out=re) @ proj.counts
 
     ts = np.arange(1, grid + 1) * (t_max / grid)
     devs = deviations(ts)
@@ -215,9 +216,9 @@ def bunkbed_resonance_difference(base_spec: Spectrum, tol: float = spectra.DEGEN
     eigenvalue pair differs by exactly 2 (with nonvanishing projections).
     """
     labels = spectra.degeneracy_labels(base_spec.eigenvalues, tol)
-    theta, proj = walk.class_projections(base_spec, 0, labels)
+    theta, columns, index, _ = walk.class_projections(base_spec, 0, labels)
     resonant = np.abs(theta[:, None] - theta[None, :] - 2.0) <= tol
-    return np.einsum("jk,jl,kl->l", resonant.astype(np.float64), proj, proj)
+    return np.einsum("jk,jl,kl->l", resonant.astype(np.float64), columns, columns)[index]
 
 
 @dataclass
@@ -249,7 +250,8 @@ class VerifyConfig:
     cap the limits are the acceptance ranges, except the dense-oracle cap,
     which stays small for speed.  A cap under MIN_MAX_N is refused, since
     some check would then report over no input, and so are fewer than
-    MIN_ENSEMBLE_TRIALS ensemble trials.
+    MIN_ENSEMBLE_TRIALS ensemble trials, fewer than one random symbol per
+    group and an ensemble over fewer than 3 vertices.
     """
 
     checks: tuple[str, ...] = ALL_CHECKS
@@ -272,6 +274,10 @@ class VerifyConfig:
     oracle_max: int = field(init=False)
 
     def __post_init__(self):
+        for name, floor in (("gap_symbols", 1), ("ensemble_n", 3)):
+            value = getattr(self, name)
+            if type(value) is not int or value < floor:
+                raise ValueError(f"{name} must be an int >= {floor}, got {value!r}")
         if type(self.ensemble_trials) is not int or type(self.max_n) not in (int, type(None)):
             raise ValueError("max_n and ensemble_trials must be ints, got"
                              f" {self.max_n!r} and {self.ensemble_trials!r}")

@@ -47,12 +47,16 @@ class Spectrum:
     A closed-form route may pass a zero-argument builder in place of the
     eigenvector array; it runs on the first read of `eigenvectors` and its
     result is kept, so callers that need only eigenvalues never build them.
+    On a G-circulant `characters` is (group, a): eigenvalue j belongs to the
+    character chi_{a[j]}, so class projections need no eigenvectors
+    (`character_projections`); it is None on every other route.
     """
 
-    def __init__(self, eigenvalues, eigenvectors):
+    def __init__(self, eigenvalues, eigenvectors, characters=None):
         self.eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
         self._build = eigenvectors if callable(eigenvectors) else None
         self._eigenvectors = None if self._build else np.asarray(eigenvectors, dtype=np.complex128)
+        self.characters = characters
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -70,7 +74,29 @@ class Spectrum:
         if factor <= 0:
             raise ValueError("scale factor must be positive")
         vectors = self._eigenvectors if self._build is None else (lambda: self.eigenvectors)
-        return Spectrum(self.eigenvalues * factor, vectors)
+        return Spectrum(self.eigenvalues * factor, vectors, self.characters)
+
+    def character_projections(self, start: int, starts: np.ndarray) -> np.ndarray:
+        """Rows E_r e_start, shape (r, n), of the classes of consecutive
+        eigenvalues that begin at `starts`, from the characters alone:
+
+            E_r(l, s) = n^-1 sum_{a in class r} Re root_L[phase(l - s, a)]
+
+        Every class must be closed under a -> -a (the caller checks), which
+        makes E_r real.  The sum runs in eigenvalue order over the
+        conjugate-symmetric root table, so columns whose offsets l - s are
+        negatives of each other come out bitwise equal.
+        """
+        group, chars = self.characters
+        coords = group.coordinates()
+        offsets = (coords - coords[start]) % np.array(group.factors)  # coordinates of l - start
+        L, raw = _unreduced_phases(group, offsets, coords[chars])
+        # a cosine table as long as the largest phase reduces them mod L in the gather
+        cos = _roots_of_unity(L).real[np.arange(int(raw.max()) + 1) % L]
+        table = cos.take(raw.astype(np.intp), out=raw, mode="clip")  # in range: unbuffered
+        proj = np.add.reduceat(table, starts, axis=1)
+        proj /= self.n
+        return proj.T
 
 
 @dataclass
@@ -185,11 +211,21 @@ def character_phases(group: AbelianGroupSpec) -> tuple[int, np.ndarray]:
 
 def _phase_rows(group: AbelianGroupSpec, rows) -> tuple[int, np.ndarray]:
     """(L, phase[rows]): the rows of the `character_phases` table at elements `rows`."""
-    L = math.lcm(*group.factors)
     coords = group.coordinates()
-    # phase[x, a] = sum_j a_j x_j L / n_j (mod L)
-    weights = np.array([L // f for f in group.factors], dtype=np.int64)
-    return L, ((coords[rows] * weights) @ coords.T) % L
+    L, raw = _unreduced_phases(group, coords[rows], coords)
+    return L, np.fmod(raw, L, out=raw).astype(np.int64)  # raw >= 0: fmod is the remainder
+
+
+def _unreduced_phases(group: AbelianGroupSpec, x: np.ndarray, a: np.ndarray) -> tuple[int, np.ndarray]:
+    """(L, raw): raw[i, j] = sum_k x_ik a_jk L / n_k, the phase of chi_{a_j}(x_i)
+    before its reduction mod L, for rows of element coordinates x and a.
+
+    One float product, and exact: its entries are integers below L n
+    (sum_k (n_k - 1)^2 L / n_k < L sum_k n_k <= L n), far under 2^53.
+    """
+    L = math.lcm(*group.factors)
+    weights = L // np.array(group.factors)
+    return L, (x * weights).astype(np.float64) @ a.T.astype(np.float64)
 
 
 def circulant_eigenvalues(values: np.ndarray, phase: np.ndarray, L: int) -> np.ndarray:
@@ -223,7 +259,7 @@ def abelian_circulant_eigensystem(sym: Symbol) -> Spectrum:
         phase = character_phases(group)[1][:, order]  # column j holds chi_{order[j]}
         return (_roots_of_unity(L) / math.sqrt(group.order))[phase]
 
-    return Spectrum(eigenvalues[order], eigenvectors)
+    return Spectrum(eigenvalues[order], eigenvectors, (group, order))
 
 
 def class_circulant_eigenvalues(

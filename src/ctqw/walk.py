@@ -3,16 +3,22 @@
 The Hamiltonian is the raw adjacency matrix (hbar = 1), written as
 A = sum_r theta_r E_r over its eigenvalue classes (Godsil, "Average mixing of
 continuous quantum walks", JCTA 120, 2013).  Evolution and the limiting
-average from a start vertex s read one real r x n matrix whose rows are E_r e_s
-(`class_projections`): amplitudes are sum_r e^{-i theta_r t} E_r e_s, and the
-limiting average is sum_r (E_r e_s)^2.  Evolution merges only bitwise-equal
-eigenvalues (`exact_labels`), so no tolerance enters psi(t); the average uses
-the degeneracy partition, never quadrature.
+average from a start vertex s read one real r x n matrix whose columns are
+(E_r e_s)(l) over the classes r (`class_projections`): amplitudes are
+sum_r e^{-i theta_r t} E_r e_s, and the limiting average is sum_r (E_r e_s)^2.
+On a G-circulant the matrix comes from the characters in closed form, with no
+eigenvectors.  Vertices with bitwise-equal columns (an equitable partition:
+the Hamming weights on Q_d, the pairs {s + x, s - x} on a circulant) are
+evaluated once, and full vectors are gathered back only where one is output.
+Evolution merges only bitwise-equal eigenvalues (`exact_labels`), so no
+tolerance enters psi(t); the average uses the degeneracy partition, never
+quadrature.
 """
 
 from __future__ import annotations
 
 import logging
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,45 +73,81 @@ def exact_labels(eigenvalues: np.ndarray) -> np.ndarray:
     return labels
 
 
-def class_projections(
-    spec: Spectrum, start: int, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, proj): each class's eigenvalue theta_r (its first member) and
-    the rows proj[r] = E_r e_start, shape (r, n).
+class ClassProjections(NamedTuple):
+    """The r x n matrix of class projections, stored by distinct column.
+
+    theta[r] is the eigenvalue of class r; columns[:, index[l]] is the column
+    of vertex l, (E_r e_start)(l) over r; counts[c] vertices share column c.
+    Columns are bitwise distinct and kept in order of first occurrence.
+    """
+
+    theta: np.ndarray
+    columns: np.ndarray
+    index: np.ndarray
+    counts: np.ndarray
+
+
+def class_projections(spec: Spectrum, start: int, labels: np.ndarray) -> ClassProjections:
+    """Each class's eigenvalue theta_r (its first member) and the projections
+    E_r e_start, by distinct column.
 
     `labels` numbers the classes of the descending eigenvalues from 0 in
     order, as `exact_labels` and `spectra.degeneracy_labels` do.  E_r is real
-    for a real symmetric A (on a circulant every class is closed under
-    a -> -a); an imaginary residue above IMAG_RESIDUE_TOL raises.
+    for a real symmetric A.  On a G-circulant it is formed from the
+    characters, and every class must be closed under a -> -a; elsewhere it is
+    the eigenvector product, and an imaginary residue above IMAG_RESIDUE_TOL
+    raises.
     """
     if not 0 <= start < spec.n:
         raise ValueError(f"start vertex {start} out of range [0, {spec.n})")
     steps = np.diff(labels, prepend=-1)
-    if np.shape(labels) != (spec.n,) or not np.isin(steps, (0, 1)).all():
+    if np.shape(labels) != (spec.n,) or not ((steps == 0) | (steps == 1)).all():
         raise ValueError("labels must number the classes of the sorted eigenvalues from 0, in order")
     starts = np.flatnonzero(steps)
-    z = spec.eigenvectors
-    proj = np.add.reduceat(z * z[start].conj(), starts, axis=1).T
-    residue = np.max(np.abs(proj.imag))
-    if not (residue <= IMAG_RESIDUE_TOL):
-        raise RuntimeError(
-            f"class projections have imaginary residue {residue:.3e} > {IMAG_RESIDUE_TOL:g};"
-            " an eigenvalue class is not closed under conjugation"
-        )
-    return spec.eigenvalues[starts], np.ascontiguousarray(proj.real)
+    if spec.characters is not None:
+        group, chars = spec.characters
+        slot = np.empty_like(chars)
+        slot[chars] = np.arange(spec.n)  # the eigenvalue position of each character
+        split = np.flatnonzero(labels[slot[group.negation[chars]]] != labels)
+        if split.size:
+            a = int(chars[split[0]])
+            raise RuntimeError(
+                f"character {a} and its conjugate {int(group.negation[a])} lie in different"
+                " classes; an eigenvalue class is not closed under conjugation")
+        proj = spec.character_projections(start, starts)
+    else:
+        z = spec.eigenvectors
+        full = np.add.reduceat(z * z[start].conj(), starts, axis=1).T
+        residue = np.max(np.abs(full.imag))
+        if not (residue <= IMAG_RESIDUE_TOL):
+            raise RuntimeError(
+                f"class projections have imaginary residue {residue:.3e} > {IMAG_RESIDUE_TOL:g};"
+                " an eigenvalue class is not closed under conjugation"
+            )
+        proj = full.real
+    # one key per vertex: the bytes of its column
+    rows = np.ascontiguousarray(proj.T)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)  # distinct columns in order of first occurrence
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return ClassProjections(spec.eigenvalues[starts], np.ascontiguousarray(proj[:, first[order]]),
+                            rank[inverse.ravel()], counts[order])
 
 
-def class_amplitudes(
-    theta: np.ndarray, proj: np.ndarray, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the amplitudes sum_r e^{-i theta_r t} proj[r]
-    at each time, shape (len(times), n) each; every row is checked for unit norm."""
+def class_amplitudes(proj: ClassProjections, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the amplitudes sum_r e^{-i theta_r t} E_r e_start
+    at each time on the distinct columns, shape (len(times), k) each; every
+    row is checked for unit norm over all n vertices."""
     times = np.asarray(times, dtype=np.float64)
-    phases = np.outer(times, theta)
-    im = np.sin(phases) @ proj
+    phases = np.outer(times, proj.theta)
+    im = np.sin(phases) @ proj.columns
     np.negative(im, out=im)
-    re = np.cos(phases, out=phases) @ proj
-    norms = np.sqrt(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
+    re = np.cos(phases, out=phases) @ proj.columns
+    norms = np.sqrt(np.einsum("ij,ij,j->i", re, re, proj.counts)
+                    + np.einsum("ij,ij,j->i", im, im, proj.counts))
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
     if bad.size:
         k = bad[0]
@@ -122,8 +164,9 @@ def evolve(spec: Spectrum, start: int, t) -> np.ndarray:
     amplitude vector is checked for unit norm."""
     times = np.asarray(t, dtype=np.float64)
     proj = class_projections(spec, start, exact_labels(spec.eigenvalues))
-    re, im = class_amplitudes(*proj, times.reshape(-1))
-    return (re + 1j * im).reshape(times.shape + (spec.n,))
+    re, im = class_amplitudes(proj, times.reshape(-1))
+    amp = re[:, proj.index] + 1j * im[:, proj.index]
+    return amp.reshape(times.shape + (spec.n,))
 
 
 def instantaneous_distribution(spec: Spectrum, start: int, t) -> np.ndarray:
@@ -140,8 +183,8 @@ def average_distribution(spec: Spectrum, start: int, tol: float = DEGENERACY_TOL
     class r contributes (E_r e_start)^2, the squared projection of |start>
     onto its eigenspace.
     """
-    _, proj = class_projections(spec, start, degeneracy_labels(spec.eigenvalues, tol))
-    return as_distribution((proj * proj).sum(axis=0))
+    proj = class_projections(spec, start, degeneracy_labels(spec.eigenvalues, tol))
+    return as_distribution((proj.columns * proj.columns).sum(axis=0)[proj.index])
 
 
 def bunkbed_instantaneous(base_spec: Spectrum, t) -> np.ndarray:

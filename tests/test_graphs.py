@@ -233,6 +233,21 @@ def test_custom_adjacency_validation():
             from_adjacency(tiny)
 
 
+@pytest.mark.parametrize("n", [5, 100, 2048])
+def test_a_single_asymmetric_entry_is_refused(n):
+    # the check reads the reverse of every edge; on both sides of
+    # SQUARING_MAX_N and at Q_11's size, one edge without its reverse is refused,
+    # whether it lies above or below the diagonal
+    path = build_path(n).adjacency
+    for r, c in ((0, n - 1), (n - 1, 0), (1, 3)):
+        a = path.copy()
+        a[r, c] = 1
+        with pytest.raises(GraphValidationError, match="symmetric"):
+            from_adjacency(a)
+        a[c, r] = 1
+        from_adjacency(a)  # with its reverse the edge is accepted
+
+
 def _reference_connected(adjacency):
     seen, stack = {0}, [0]
     while stack:

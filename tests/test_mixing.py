@@ -412,3 +412,37 @@ def test_size_limits_are_not_settable_one_by_one():
     for name in ("path_max", "hypercube_max_d", "complete_max"):
         with pytest.raises(TypeError):
             VerifyConfig(**{name: 4})
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.0, True], ids=["0", "-1", "2.0", "True"])
+@pytest.mark.parametrize("name", ["gap_symbols", "ensemble_n"])
+def test_ensemble_sizes_are_checked_by_name(name, value):
+    # gap_symbols=0 raised "trials must be >= 1" from the sampler, naming the
+    # wrong field, and ensemble_n was not checked at all
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        VerifyConfig(checks=("complete_average",), **{name: value})
+    floor = {"gap_symbols": 1, "ensemble_n": 3}[name]
+    assert getattr(VerifyConfig(**{name: floor}), name) == floor
+    with pytest.raises(ValueError, match=f"{name} must be an int >= {floor}"):
+        VerifyConfig(**{name: floor - 1})
+
+
+def _all_columns(proj):
+    """The class projections with every vertex its own column: the scan then
+    evaluates all n columns, as it did before columns were merged (reference)."""
+    columns = proj.columns[:, proj.index]
+    n = columns.shape[1]
+    return walk.ClassProjections(proj.theta, columns, np.arange(n), np.ones(n, dtype=np.int64))
+
+
+def test_scan_on_distinct_columns_matches_the_full_column_scan(monkeypatch):
+    spec = spectra.graph_eigensystem(graphs.build_cycle(257))
+    reduced = walk.class_projections(spec, 0, walk.exact_labels(spec.eigenvalues))
+    assert reduced.columns.shape == (129, 129)
+    got = instantaneous_mixing_scan(spec, 0)
+    exact = walk.class_projections
+    monkeypatch.setattr(walk, "class_projections", lambda *a: _all_columns(exact(*a)))
+    want = instantaneous_mixing_scan(spec, 0)
+    assert len(got) == len(want) == 955
+    assert [t for t, _ in got] == [t for t, _ in want]
+    assert max(abs(f - w) for (_, f), (_, w) in zip(got, want)) <= 1e-14

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ctqw import graphs, spectra
+from ctqw import cli, graphs, spectra
 from ctqw.walk import (
     as_distribution,
     average_distribution,
@@ -220,9 +220,9 @@ def test_evolution_never_merges_eigenvalues_one_ulp_apart():
     # a real orthonormal basis: the two top eigenvalues stay separate classes
     q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(6, 6)))
     spec = spectra.Spectrum(lam, q)
-    theta, proj = class_projections(spec, 0, exact_labels(lam))
+    theta, columns, index, _ = class_projections(spec, 0, exact_labels(lam))
     assert theta.tolist() == [lam[0], lam[1], lam[3]]
-    assert np.array_equal(proj[0], q[:, 0] * q[0, 0])
+    assert np.array_equal(columns[0, index], q[:, 0] * q[0, 0])
     t = 1e15  # far enough for the one-ulp gap to turn a phase
     assert np.max(np.abs(evolve(spec, 0, t) - _eigenvector_evolve(spec, 0, t))) <= 1e-9
 
@@ -271,3 +271,97 @@ def test_distribution_checks_every_row():
         as_distribution(np.array([[0.5, 0.5], [0.5, 0.4]]))
     with pytest.raises(RuntimeError, match="clamp budget"):
         as_distribution(np.array([[0.5, 0.5], [1.0, -1e-8]]))
+
+
+def _reference_projections(spec, start, labels):
+    """E_r e_start on every vertex by the eigenvector product (reference)."""
+    z = spec.eigenvectors
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    return np.add.reduceat(z * z[start].conj(), starts, axis=1).T
+
+
+def _z2_z4_z3_circulant():
+    group = graphs.AbelianGroupSpec((2, 4, 3))
+    gens = np.array([[1, 0, 0], [0, 1, 0], [0, 3, 0], [0, 0, 1], [0, 0, 2], [1, 1, 1], [1, 3, 2]])
+    return graphs.build_abelian_circulant(graphs.Symbol.from_support(group, group.indices_of(gens)))
+
+
+_REDUCED_ROUTE_CASES = {
+    "C257": lambda: spec_of(graphs.build_cycle(257)),
+    "Z2xZ4xZ3": lambda: spec_of(_z2_z4_z3_circulant()),
+    "Q6": lambda: spec_of(graphs.build_hypercube(6)),
+    "K64": lambda: spec_of(graphs.build_complete(64)),
+    "scaled-C12": lambda: spec_of(graphs.build_cycle(12)).scaled(0.5),
+    "P15": lambda: spec_of(graphs.build_path(15)),
+    "bunkbed-C7": lambda: spec_of(graphs.build_bunkbed(graphs.build_cycle(7))),
+    "dense-G24": lambda: spectra.dense_eigensystem(_dense_gnp(24, 0.3, 7)),
+}
+
+
+@pytest.mark.parametrize("start", [0, 5])
+@pytest.mark.parametrize("case", list(_REDUCED_ROUTE_CASES))
+def test_distinct_columns_match_the_per_eigenvector_reference(case, start):
+    spec = _REDUCED_ROUTE_CASES[case]()
+    assert (spec.characters is not None) == (case in ("C257", "Z2xZ4xZ3", "Q6", "K64", "scaled-C12"))
+    labels = exact_labels(spec.eigenvalues)
+    proj = class_projections(spec, start, labels)
+    k = proj.columns.shape[1]
+    # bitwise-distinct columns in order of first occurrence, counted per vertex
+    assert len({col.tobytes() for col in proj.columns.T}) == k
+    assert np.array_equal(np.bincount(proj.index, minlength=k), proj.counts)
+    assert np.all(np.diff(np.unique(proj.index, return_index=True)[1]) > 0)
+    times = np.concatenate([[0.0, 300.0], np.random.default_rng(9).uniform(0, 300, 30)])
+    got_evolve = evolve(spec, start, times)
+    got_average = average_distribution(spec, start)
+    ref = _reference_projections(spec, start, labels)
+    assert np.max(np.abs(ref.imag)) <= 1e-12
+    assert np.max(np.abs(proj.columns[:, proj.index] - ref.real)) <= 1e-12
+    assert np.max(np.abs(got_evolve - _eigenvector_evolve(spec, start, times))) <= 1e-12
+    pbar = np.abs(_reference_projections(spec, start, spectra.degeneracy_labels(
+        spec.eigenvalues, spectra.DEGENERACY_TOL))) ** 2
+    assert np.max(np.abs(got_average - pbar.sum(axis=0))) <= 1e-12
+
+
+@pytest.mark.parametrize("g, distinct", [
+    (graphs.build_cycle(257), 129), (graphs.build_hypercube(10), 11), (graphs.build_complete(64), 33),
+], ids=["C257", "Q10", "K64"])
+def test_distinct_column_counts_under_exact_labels(g, distinct):
+    # circulant columns pair as {x, -x} (Q_10's are the 11 Hamming weights):
+    # C_257 has 1 + 128 distinct, K_64 1 + 31 + 1 (the self-inverse 32)
+    spec = spec_of(g)
+    proj = class_projections(spec, 0, exact_labels(spec.eigenvalues))
+    assert proj.columns.shape[1] == proj.counts.size == distinct
+    assert proj.counts.sum() == g.n
+
+
+def test_average_and_scan_on_circulants_never_build_eigenvectors(monkeypatch, tmp_path):
+    reads = []
+    lazy = spectra.Spectrum.eigenvectors
+
+    def counted(self):
+        reads.append(self.n)
+        return lazy.fget(self)
+
+    monkeypatch.setattr(spectra.Spectrum, "eigenvectors", property(counted))
+    out = str(tmp_path / "out.json")
+    assert cli.main(["average", "--family", "hypercube", "--d", "10", "-o", out]) == 0
+    assert cli.main(["scan", "--family", "cycle", "--n", "257", "-o", out]) == 0
+    assert reads == []
+    # the counter sees the routes that still read eigenvectors
+    assert cli.main(["average", "--family", "path", "--n", "6", "-o", out]) == 0
+    assert reads == [6]
+
+
+def test_closed_route_refuses_labels_that_split_a_from_minus_a():
+    spec = spec_of(graphs.build_cycle(5))
+    # sorted C_5 spectrum: 2 (a=0), then the pairs {1, 4} and {2, 3}
+    assert spec.characters[1].tolist() == [0, 1, 4, 2, 3]
+    with pytest.raises(RuntimeError, match="character 1 and its conjugate 4"):
+        class_projections(spec, 0, np.arange(5))
+    with pytest.raises(RuntimeError, match="character 2 and its conjugate 3"):
+        class_projections(spec, 0, np.array([0, 1, 1, 2, 3]))
+    lam = spec.eigenvalues.copy()
+    lam[1] = np.nextafter(lam[1], 3.0)  # lambda_1 one ulp above lambda_4
+    nudged = spectra.Spectrum(lam, spec.eigenvectors, spec.characters)
+    with pytest.raises(RuntimeError, match="not closed under conjugation"):
+        evolve(nudged, 0, 1.0)
