@@ -8,6 +8,7 @@ Exit codes: 0 success (recorded discrepancies included), 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -465,10 +466,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The parser, built on the first `main` call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -209,8 +209,10 @@ class Graph:
         if not _zero_one(a):
             raise GraphValidationError("adjacency entries must be 0 or 1")
         # every edge (r, c) has its reverse, which for a 0/1 matrix is symmetry;
-        # reading only the edges beats transposing n^2 bytes
-        r, c = np.divmod(np.flatnonzero(a != 0), a.shape[0])
+        # reading only the edges beats transposing n^2 bytes, and 0/1 bytes
+        # (the builders' uint8) read as bool without a copy
+        edges = a.view(np.bool_) if a.dtype.kind in "iub" and a.dtype.itemsize == 1 else a != 0
+        r, c = np.divmod(np.flatnonzero(edges), a.shape[0])
         if not a[c, r].all():
             raise GraphValidationError("adjacency must be symmetric")
         if np.diagonal(a).any():

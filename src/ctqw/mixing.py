@@ -147,13 +147,19 @@ def instantaneous_mixing_scan(
     u = 1.0 / spec.n
     proj = walk.class_projections(spec, start, walk.exact_labels(spec.eigenvalues))
 
+    # times per block: each probe array holds at most spectra.BLOCK_ENTRIES entries
+    block = max(1, spectra.BLOCK_ENTRIES // max(proj.columns.shape))
+
     def deviations(times: np.ndarray) -> np.ndarray:
-        re, im = walk.class_amplitudes(proj, times)
-        # |re^2 + im^2 - u| in place: these arrays are the large ones of a probe
-        np.square(re, out=re)
-        re += np.square(im, out=im)
-        re -= u
-        return np.abs(re, out=re) @ proj.counts
+        devs = np.empty(len(times))
+        for lo in range(0, len(times), block):
+            re, im = walk.class_amplitudes(proj, times[lo : lo + block])
+            # |re^2 + im^2 - u| in place: these arrays are the large ones of a probe
+            np.square(re, out=re)
+            re += np.square(im, out=im)
+            re -= u
+            devs[lo : lo + block] = np.abs(re, out=re) @ proj.counts
+        return devs
 
     ts = np.arange(1, grid + 1) * (t_max / grid)
     devs = deviations(ts)

@@ -27,6 +27,9 @@ from .graphs import SCHEMA, AbelianGroupSpec, Graph, GraphValidationError, Symbo
 DEGENERACY_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
+# Closed-form walks build their n-wide tables (class projection phases, scan
+# amplitudes) in blocks of at most this many entries: 1 MiB of float64.
+BLOCK_ENTRIES = 2**17
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -85,16 +88,30 @@ class Spectrum:
         Every class must be closed under a -> -a (the caller checks), which
         makes E_r real.  The sum runs in eigenvalue order over the
         conjugate-symmetric root table, so columns whose offsets l - s are
-        negatives of each other come out bitwise equal.
+        negatives of each other come out bitwise equal.  The phase table is
+        built in blocks of vertex rows, at most BLOCK_ENTRIES entries each,
+        and each block is reduced into its rows of the result; the phases
+        are exact integers, so the blocking changes no bit.
         """
         group, chars = self.characters
         coords = group.coordinates()
         offsets = (coords - coords[start]) % np.array(group.factors)  # coordinates of l - start
-        L, raw = _unreduced_phases(group, offsets, coords[chars])
-        # a cosine table as long as the largest phase reduces them mod L in the gather
-        cos = _roots_of_unity(L).real[np.arange(int(raw.max()) + 1) % L]
-        table = cos.take(raw.astype(np.intp), out=raw, mode="clip")  # in range: unbuffered
-        proj = np.add.reduceat(table, starts, axis=1)
+        L, x, a = _phase_factors(group, offsets, coords[chars])
+        # a cosine table as long as the largest phase reduces the phases mod L
+        # in the gather; past one block's length they are reduced in place
+        bound = sum((f - 1) ** 2 * (L // f) for f in group.factors)
+        cos = _roots_of_unity(L).real
+        wrap = bound >= BLOCK_ENTRIES
+        if not wrap:
+            cos = cos[np.arange(bound + 1) % L]
+        proj = np.empty((self.n, len(starts)))
+        rows = max(1, BLOCK_ENTRIES // self.n)
+        for lo in range(0, self.n, rows):
+            raw = x[lo : lo + rows] @ a
+            if wrap:
+                np.fmod(raw, L, out=raw)  # raw >= 0: fmod is the remainder
+            table = cos.take(raw.astype(np.intp), out=raw, mode="clip")  # in range: unbuffered
+            np.add.reduceat(table, starts, axis=1, out=proj[lo : lo + rows])
         proj /= self.n
         return proj.T
 
@@ -212,20 +229,24 @@ def character_phases(group: AbelianGroupSpec) -> tuple[int, np.ndarray]:
 def _phase_rows(group: AbelianGroupSpec, rows) -> tuple[int, np.ndarray]:
     """(L, phase[rows]): the rows of the `character_phases` table at elements `rows`."""
     coords = group.coordinates()
-    L, raw = _unreduced_phases(group, coords[rows], coords)
+    L, x, a = _phase_factors(group, coords[rows], coords)
+    raw = x @ a
     return L, np.fmod(raw, L, out=raw).astype(np.int64)  # raw >= 0: fmod is the remainder
 
 
-def _unreduced_phases(group: AbelianGroupSpec, x: np.ndarray, a: np.ndarray) -> tuple[int, np.ndarray]:
-    """(L, raw): raw[i, j] = sum_k x_ik a_jk L / n_k, the phase of chi_{a_j}(x_i)
-    before its reduction mod L, for rows of element coordinates x and a.
+def _phase_factors(
+    group: AbelianGroupSpec, x: np.ndarray, a: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(L, xw, aw) with (xw @ aw)[i, j] = sum_k x_ik a_jk L / n_k, the phase of
+    chi_{a_j}(x_i) before its reduction mod L, for rows of element coordinates
+    x and a; any rows of xw give the same rows of the product.
 
-    One float product, and exact: its entries are integers below L n
+    The float product is exact: its entries are integers below L n
     (sum_k (n_k - 1)^2 L / n_k < L sum_k n_k <= L n), far under 2^53.
     """
     L = math.lcm(*group.factors)
     weights = L // np.array(group.factors)
-    return L, (x * weights).astype(np.float64) @ a.T.astype(np.float64)
+    return L, (x * weights).astype(np.float64), a.T.astype(np.float64)
 
 
 def circulant_eigenvalues(values: np.ndarray, phase: np.ndarray, L: int) -> np.ndarray:
@@ -348,7 +369,7 @@ def _off_norms(a: np.ndarray) -> np.ndarray:
 
 
 def jacobi_eigensystem(
-    matrix: np.ndarray, max_sweeps: int = 64
+    matrix: np.ndarray, max_sweeps: int = 64, sizes=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Round-robin Jacobi rotations on a real symmetric matrix or a stack of them.
 
@@ -358,6 +379,10 @@ def jacobi_eigensystem(
     converges when its off-diagonal Frobenius norm drops below
     thresh = 1e-12 * (1 + ||A||_F) and then leaves the stack;
     JacobiConvergenceError is raised past the sweep cap.
+    `sizes` holds the order of each matrix of a stack that is zero-padded to
+    n: matrix b is its leading sizes[b] x sizes[b] block, and its pairs are
+    skipped below thresh / sizes[b].  A zero index never rotates, so each one
+    comes back as the eigenpair (0, e_k) at its own index k >= sizes[b].
     Returns (eigenvalues, eigenvector columns), unsorted, shaped (n,), (n, n)
     or (B, n), (B, n, n) like the input.
     """
@@ -373,20 +398,32 @@ def jacobi_eigensystem(
     if single:
         a = a[None]
     n = a.shape[-1]
+    if sizes is None:
+        sizes = np.full(len(a), n)
+    else:
+        sizes = np.asarray(sizes)
+        if (sizes.shape != (len(a),) or sizes.dtype.kind not in "iu"
+                or np.any((sizes < 1) | (sizes > n))):
+            raise ValueError(f"sizes must hold one order in 1..{n} per matrix")
+        # the rows past each size; a is symmetric, so they cover the columns too
+        if a[np.arange(n) >= sizes[:, None]].any():
+            raise ValueError("entries past a matrix's size must be zero")
     eigenvalues = np.diagonal(a, axis1=1, axis2=2).copy()
     eigenvectors = np.broadcast_to(np.eye(n), a.shape).copy()
     if n > 1 and len(a):
-        _round_robin_sweeps(a, max_sweeps, eigenvalues, eigenvectors)
+        _round_robin_sweeps(a, max_sweeps, sizes, eigenvalues, eigenvectors)
     if single:
         return eigenvalues[0], eigenvectors[0]
     return eigenvalues, eigenvectors
 
 
 def _round_robin_sweeps(
-    a: np.ndarray, max_sweeps: int, eigenvalues: np.ndarray, eigenvectors: np.ndarray
+    a: np.ndarray, max_sweeps: int, sizes: np.ndarray, eigenvalues: np.ndarray,
+    eigenvectors: np.ndarray
 ) -> None:
-    """Diagonalize the (B, n, n) stack `a`, writing each matrix's results into
-    row b of `eigenvalues` and `eigenvectors` as it converges.
+    """Diagonalize the (B, n, n) stack `a`, whose matrix b has order sizes[b],
+    writing each matrix's results into row b of `eigenvalues` and
+    `eigenvectors` as it converges.
 
     The matrices live in slot order (`_ring_slots`), so the pairs of a round
     are the column pairs (2j, 2j + 1).  Viewed as complex, such a pair is one
@@ -398,7 +435,7 @@ def _round_robin_sweeps(
     """
     n = a.shape[-1]
     thresh = 1e-12 * (1.0 + np.linalg.norm(a, axis=(1, 2)))
-    skip = (thresh / n)[:, None]  # elements this small cannot lift the off norm above thresh
+    skip = (thresh / sizes)[:, None]  # elements this small cannot lift the off norm above thresh
     m = n + n % 2
     if m > n:  # a zero dummy index: its pair always has a_pq = 0, so it sits the round out
         a = np.pad(a, ((0, 0), (0, 1), (0, 1)))
@@ -458,20 +495,31 @@ def _round_robin_sweeps(
 
 
 def dense_eigensystems(graphs: list[Graph]) -> list[Spectrum]:
-    """Independent oracle for many graphs: one stacked Jacobi call per vertex
-    count, every result checked for orthonormality and eigen-residual."""
-    by_n: dict[int, list[int]] = {}
+    """Independent oracle for many graphs: one stacked Jacobi call per even
+    size m, where a graph with odd n joins the (n + 1)-vertex graphs with a
+    zero dummy index (the one the solver pads it with alone).  Each stack of
+    one vertex count is sorted, and checked for orthonormality and
+    eigen-residual, at once."""
+    by_m: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         g.validate()
-        by_n.setdefault(g.n, []).append(i)
+        by_m.setdefault(g.n + g.n % 2, []).append(i)
     out: list = [None] * len(graphs)
-    for ids in by_n.values():
-        adjacency = np.stack([graphs[i].adjacency for i in ids]).astype(np.float64)
-        eigenvalues, vecs = jacobi_eigensystem(adjacency)
-        for i, adj, lam, vec in zip(ids, adjacency, eigenvalues, vecs):
-            spec = _sorted_spectrum(lam, vec.astype(np.complex128))
-            check_spectrum(spec, adj)
-            out[i] = spec
+    for m, ids in by_m.items():
+        sizes = np.array([graphs[i].n for i in ids])
+        adjacency = np.zeros((len(ids), m, m))
+        for b, i in enumerate(ids):
+            adjacency[b, : sizes[b], : sizes[b]] = graphs[i].adjacency
+        eigenvalues, vecs = jacobi_eigensystem(adjacency, sizes=sizes)
+        for n in sorted(set(sizes.tolist())):
+            sel = np.flatnonzero(sizes == n)
+            lam = eigenvalues[sel, :n]
+            order = np.argsort(-lam, axis=1, kind="stable")  # `_descending`'s order
+            lam = np.take_along_axis(lam, order, axis=1)
+            vec = np.take_along_axis(vecs[sel, :n, :n], order[:, None, :], axis=2)
+            _check_eigensystems(adjacency[sel, :n, :n], lam, vec)
+            for b, values, vectors in zip(sel, lam, vec.astype(np.complex128)):
+                out[ids[b]] = Spectrum(values, vectors)
     return out
 
 
@@ -556,14 +604,25 @@ def spectrum_type(spec: Spectrum, tol: float = DEGENERACY_TOL) -> int:
 
 
 def check_spectrum(spec: Spectrum, adjacency: np.ndarray) -> None:
-    """Assert orthonormality and eigen-residual invariants; raises on failure."""
-    z = spec.eigenvectors
-    gram = z.conj().T @ z
-    if np.max(np.abs(gram - np.eye(spec.n))) > ORTHONORMALITY_TOL:
-        raise RuntimeError("eigenvectors are not orthonormal to 1e-10")
-    resid = adjacency.astype(np.float64) @ z - z * spec.eigenvalues
-    if np.max(np.abs(resid)) > RESIDUAL_TOL:
-        raise RuntimeError("eigen-residual exceeds 1e-9")
+    """Assert orthonormality and eigen-residual invariants; raises on failure,
+    NaN included."""
+    _check_eigensystems(np.asarray(adjacency)[None], spec.eigenvalues[None],
+                        spec.eigenvectors[None])
+
+
+def _check_eigensystems(
+    adjacency: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray
+) -> None:
+    """`check_spectrum` on a stack: (B, n, n) adjacencies, (B, n) eigenvalues
+    and (B, n, n) eigenvector columns."""
+    z = eigenvectors
+    with np.errstate(all="ignore"):  # NaN and inf fail the comparisons below
+        gram = z.conj().swapaxes(1, 2) @ z
+        if not np.max(np.abs(gram - np.eye(z.shape[-1]))) <= ORTHONORMALITY_TOL:
+            raise RuntimeError("eigenvectors are not orthonormal to 1e-10")
+        resid = adjacency.astype(np.float64) @ z - z * eigenvalues[:, None, :]
+        if not np.max(np.abs(resid)) <= RESIDUAL_TOL:
+            raise RuntimeError("eigen-residual exceeds 1e-9")
 
 
 def spectrum_to_json(

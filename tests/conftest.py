@@ -77,6 +77,17 @@ def bunkbed_layer_equality(base, tol=spectra.DEGENERACY_TOL):
     return float(np.max(np.abs(pbar[:n] - pbar[n:])))
 
 
+def full_table_character_projections(spec, start, starts):
+    """`Spectrum.character_projections` from the whole n x n character table
+    at once, the reference its row blocks are checked against."""
+    group, chars = spec.characters
+    L, phase = spectra.character_phases(group)
+    coords = group.coordinates()
+    offsets = group.indices_of((coords - coords[start]) % np.array(group.factors))
+    table = spectra._roots_of_unity(L).real[phase[offsets][:, chars]]
+    return (np.add.reduceat(table, starts, axis=1) / spec.n).T
+
+
 # Per-element arithmetic in Z_n1 x ... x Z_nk under the mixed-radix encoding
 # of `graphs.AbelianGroupSpec` (first factor most significant), the reference
 # the vectorized group tables are checked against.
@@ -115,9 +126,9 @@ def jacobi_calls(monkeypatch):
     calls = []
     exact = spectra.jacobi_eigensystem
 
-    def counting(matrix, max_sweeps=64):
+    def counting(matrix, max_sweeps=64, sizes=None):
         calls.append(np.shape(matrix))
-        return exact(matrix, max_sweeps)
+        return exact(matrix, max_sweeps, sizes)
 
     monkeypatch.setattr(spectra, "jacobi_eigensystem", counting)
     return calls

@@ -553,3 +553,20 @@ def test_lapack_route_agrees_across_openblas_thread_counts(tmp_path):
     assert np.max(np.abs(np.subtract(one["eigenvalues"], two["eigenvalues"]))) <= bound
     for key in ("multiplicities", "degeneracy_classes", "type"):
         assert one[key] == two[key], key
+
+
+def test_commands_in_one_process_run_as_they_run_alone(capsys):
+    # `main` builds its parser once per process and reuses it for every call
+    commands = [
+        ["build", "--family", "cycle", "--n", "6"],
+        ["spectrum", "--family", "hypercube", "--d", "3"],
+        ["walk", "--family", "cycle", "--n", "5"],  # no --t: a usage error
+        ["ensemble", "--n", "7", "--trials", "200", "--seed", "3"],
+    ]
+    together = [run_cli(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in together] == [0, 0, 1, 0]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for argv, (code, out, err) in zip(commands, together):
+        alone = subprocess.run([sys.executable, "-m", "ctqw", *argv], capture_output=True,
+                               text=True, env=env, timeout=120)
+        assert (alone.returncode, alone.stdout, alone.stderr) == (code, out, err), argv

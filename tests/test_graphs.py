@@ -248,6 +248,20 @@ def test_a_single_asymmetric_entry_is_refused(n):
         from_adjacency(a)  # with its reverse the edge is accepted
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.int64, np.float64, object])
+def test_asymmetry_is_refused_in_any_adjacency_dtype(dtype):
+    # the builders' uint8 is read as bool in place; another dtype, set after
+    # construction, takes the comparison route
+    g = build_path(6)
+    a = g.adjacency.astype(dtype)
+    a[0, 5] = 1
+    g.adjacency = a
+    with pytest.raises(GraphValidationError, match="symmetric"):
+        g.validate()
+    a[5, 0] = 1
+    g.validate()
+
+
 def _reference_connected(adjacency):
     seen, stack = {0}, [0]
     while stack:

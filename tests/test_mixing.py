@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,3 +447,17 @@ def test_scan_on_distinct_columns_matches_the_full_column_scan(monkeypatch):
     assert len(got) == len(want) == 955
     assert [t for t, _ in got] == [t for t, _ in want]
     assert max(abs(f - w) for (_, f), (_, w) in zip(got, want)) <= 1e-14
+
+
+def test_scan_evaluates_its_times_in_blocks():
+    spec = spectra.graph_eigensystem(graphs.build_cycle(257))
+    tracemalloc.start()
+    try:
+        minima = instantaneous_mixing_scan(spec, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(minima) == 955
+    # one array over the 4096-point grid and 129 columns is 4 MiB; a block
+    # of 1016 times holds 1 MiB per array
+    assert peak < 8 * 2**20, peak

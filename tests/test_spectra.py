@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ctqw import ensembles, graphs, mixing, spectra
+from ctqw import ensembles, graphs, mixing, spectra, walk
 from ctqw.graphs import AbelianGroupSpec, GraphValidationError, Symbol
 from ctqw.spectra import (
     CharacterTable,
@@ -23,7 +23,7 @@ from ctqw.spectra import (
     spectral_gap,
     spectrum_type,
 )
-from tests.conftest import negate_index
+from tests.conftest import full_table_character_projections, negate_index
 
 SQRT2 = math.sqrt(2.0)
 # Stacked kernel vs the scalar reference: sorted eigenvalues agree to
@@ -377,14 +377,88 @@ def test_dense_eigensystems_groups_by_size_and_keeps_order():
 def test_dense_eigensystems_checks_every_result(monkeypatch):
     exact = spectra.jacobi_eigensystem
 
-    def off_by_one_vector(matrix, max_sweeps=64):
-        lam, vec = exact(matrix, max_sweeps)
+    def off_by_one_vector(matrix, max_sweeps=64, sizes=None):
+        lam, vec = exact(matrix, max_sweeps, sizes)
         vec[-1, :, 0] *= 1.0 + 1e-6  # last member, first eigenvector
         return lam, vec
 
     monkeypatch.setattr(spectra, "jacobi_eigensystem", off_by_one_vector)
     with pytest.raises(RuntimeError, match="orthonormal"):
         spectra.dense_eigensystems([graphs.build_cycle(6), graphs.build_path(6)])
+
+
+def test_dense_eigensystems_solve_one_stack_per_even_size(jacobi_calls):
+    # an odd n joins the n + 1 stack with a zero dummy index: the same index
+    # the solver pads it with alone, and its pairs still skip below thresh / n
+    cfg = mixing.VerifyConfig()
+    gs = [graphs.build_abelian_circulant(s) for s in mixing._gap_symbols(cfg)]
+    gs += mixing._oracle_cases(cfg)
+    assert len(gs) == 328
+    specs = spectra.dense_eigensystems(gs)
+    evens = sorted({g.n + g.n % 2 for g in gs})
+    assert sorted(shape[1:] for shape in jacobi_calls) == [(m, m) for m in evens]
+    assert sum(shape[0] for shape in jacobi_calls) == len(gs)
+    for g, spec in zip(gs, specs):
+        alone = dense_eigensystem(g)
+        lam, vec = jacobi_eigensystem(g.adjacency)  # unpadded: an odd n is padded inside
+        order = spectra._descending(lam)
+        for want in (alone, spectra.Spectrum(lam[order], vec[:, order])):
+            assert spec.eigenvalues.tobytes() == want.eigenvalues.tobytes(), g.n
+            assert spec.eigenvectors.tobytes() == want.eigenvectors.tobytes(), g.n
+
+
+def test_jacobi_sizes_must_match_zero_padding():
+    stack = np.zeros((2, 4, 4))
+    stack[:, :3, :3] = graphs.build_cycle(3).adjacency
+    lam, vec = jacobi_eigensystem(stack, sizes=[3, 3])
+    assert np.array_equal(lam[:, 3], [0.0, 0.0])
+    assert np.array_equal(vec[:, :, 3], [np.eye(4)[3]] * 2)
+    assert np.allclose(np.sort(lam[:, :3]), [[-1.0, -1.0, 2.0]] * 2, rtol=0, atol=1e-12)
+    for sizes in ([3], [3, 5], [0, 3], [3.0, 3.0], [2, 3]):  # [2, 3]: a nonzero entry past size 2
+        with pytest.raises(ValueError):
+            jacobi_eigensystem(stack, sizes=sizes)
+
+
+def test_check_spectrum_refuses_nan():
+    g = graphs.build_cycle(5)
+    spec = dense_eigensystem(g)
+    vecs = spec.eigenvectors.copy()
+    vecs[2, 1] = np.nan
+    with pytest.raises(RuntimeError, match="orthonormal"):
+        spectra.check_spectrum(spectra.Spectrum(spec.eigenvalues, vecs), g.adjacency)
+    lam = spec.eigenvalues.copy()
+    lam[3] = np.nan
+    with pytest.raises(RuntimeError, match="residual"):
+        spectra.check_spectrum(spectra.Spectrum(lam, spec.eigenvectors), g.adjacency)
+
+
+def _closed_symbol(factors, seed):
+    """A random inverse-closed symbol on Z_n1 x ... x Z_nk that holds every unit."""
+    group = AbelianGroupSpec(factors)
+    values = np.random.default_rng(seed).random(group.order) < 0.3
+    values[np.cumprod((1, *factors[:0:-1]))] = True  # the units, last factor first
+    values |= values[group.negation]
+    values[0] = False
+    return Symbol(group, values)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: graphs.build_hypercube(10),
+    lambda: graphs.build_abelian_circulant(_closed_symbol((3, 4, 5), 3)),
+    lambda: graphs.build_cycle(257),
+    # 131 rows a block, 7.6 blocks; phases up to 999^2 are reduced in place
+    lambda: graphs.build_cycle(1000),
+], ids=["Q10", "Z3xZ4xZ5", "C257", "C1000"])
+def test_blocked_character_projections_are_the_full_table_bitwise(build):
+    g = build()
+    spec = graph_eigensystem(g)
+    for labels in (walk.exact_labels(spec.eigenvalues),
+                   spectra.degeneracy_labels(spec.eigenvalues, spectra.DEGENERACY_TOL)):
+        starts = np.flatnonzero(np.diff(labels, prepend=-1))
+        for start in (0, 1, g.n - 1):
+            got = spec.character_projections(start, starts)
+            want = full_table_character_projections(spec, start, starts)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), start
 
 
 def test_jacobi_convergence_error_reports_off_norm():

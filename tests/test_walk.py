@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +351,20 @@ def test_average_and_scan_on_circulants_never_build_eigenvectors(monkeypatch, tm
     # the counter sees the routes that still read eigenvectors
     assert cli.main(["average", "--family", "path", "--n", "6", "-o", out]) == 0
     assert reads == [6]
+
+
+def test_average_on_a_circulant_holds_no_n_by_n_table():
+    spec = spec_of(graphs.build_hypercube(10))
+    want = average_distribution(spec, 0)  # group tables are cached outside the measurement
+    tracemalloc.start()
+    try:
+        got = average_distribution(spec, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    # the 1024 x 1024 phase table alone is 8 MiB; its row blocks are 1 MiB
+    assert peak < 4 * 2**20, peak
 
 
 def test_closed_route_refuses_labels_that_split_a_from_minus_a():
