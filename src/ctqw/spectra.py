@@ -97,19 +97,14 @@ class Spectrum:
         coords = group.coordinates()
         offsets = (coords - coords[start]) % np.array(group.factors)  # coordinates of l - start
         L, x, a = _phase_factors(group, offsets, coords[chars])
-        # a cosine table as long as the largest phase reduces the phases mod L
-        # in the gather; past one block's length they are reduced in place
+        # a cosine table as long as the largest possible phase reduces the
+        # phases mod L in the gather
         bound = sum((f - 1) ** 2 * (L // f) for f in group.factors)
-        cos = _roots_of_unity(L).real
-        wrap = bound >= BLOCK_ENTRIES
-        if not wrap:
-            cos = cos[np.arange(bound + 1) % L]
+        cos = _roots_of_unity(L).real[np.arange(bound + 1) % L]
         proj = np.empty((self.n, len(starts)))
         rows = max(1, BLOCK_ENTRIES // self.n)
         for lo in range(0, self.n, rows):
             raw = x[lo : lo + rows] @ a
-            if wrap:
-                np.fmod(raw, L, out=raw)  # raw >= 0: fmod is the remainder
             table = cos.take(raw.astype(np.intp), out=raw, mode="clip")  # in range: unbuffered
             np.add.reduceat(table, starts, axis=1, out=proj[lo : lo + rows])
         proj /= self.n
@@ -186,8 +181,9 @@ def _real(x):
 
 
 def _descending(eigenvalues: np.ndarray) -> np.ndarray:
-    """The sort order: descending, ties by ascending original index."""
-    return np.lexsort((np.arange(len(eigenvalues)), -eigenvalues))
+    """The sort order along the last axis: descending, ties by ascending
+    original index."""
+    return np.argsort(-eigenvalues, axis=-1, kind="stable")
 
 
 def _sorted_spectrum(eigenvalues: np.ndarray, eigenvectors) -> Spectrum:
@@ -514,7 +510,7 @@ def dense_eigensystems(graphs: list[Graph]) -> list[Spectrum]:
         for n in sorted(set(sizes.tolist())):
             sel = np.flatnonzero(sizes == n)
             lam = eigenvalues[sel, :n]
-            order = np.argsort(-lam, axis=1, kind="stable")  # `_descending`'s order
+            order = _descending(lam)
             lam = np.take_along_axis(lam, order, axis=1)
             vec = np.take_along_axis(vecs[sel, :n, :n], order[:, None, :], axis=2)
             _check_eigensystems(adjacency[sel, :n, :n], lam, vec)

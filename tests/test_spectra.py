@@ -446,7 +446,7 @@ def _closed_symbol(factors, seed):
     lambda: graphs.build_hypercube(10),
     lambda: graphs.build_abelian_circulant(_closed_symbol((3, 4, 5), 3)),
     lambda: graphs.build_cycle(257),
-    # 131 rows a block, 7.6 blocks; phases up to 999^2 are reduced in place
+    # 131 rows a block, 7.6 blocks
     lambda: graphs.build_cycle(1000),
 ], ids=["Q10", "Z3xZ4xZ5", "C257", "C1000"])
 def test_blocked_character_projections_are_the_full_table_bitwise(build):
