@@ -570,3 +570,31 @@ def test_commands_in_one_process_run_as_they_run_alone(capsys):
         alone = subprocess.run([sys.executable, "-m", "ctqw", *argv], capture_output=True,
                                text=True, env=env, timeout=120)
         assert (alone.returncode, alone.stdout, alone.stderr) == (code, out, err), argv
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy's plain np.unique(x) and np.unique(x, axis=0) import numpy.ma on
+    # their first call (about 16 ms and 1 MB on numpy 2.4); np.unique with
+    # return_* arguments, as ctqw calls it, does not
+    commands = [
+        ["ensemble", "--n", "24", "--trials", "2000", "--seed", "1"],
+        ["ensemble", "--n", "12", "--exhaustive"],
+        ["average", "--family", "hypercube", "--d", "4"],
+        ["scan", "--family", "cycle", "--n", "9"],
+        ["spectrum", "--dense", "--family", "cycle", "--n", "9"],
+        ["verify", "--max-n", "8", "--trials", "30"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from ctqw.cli import main\n"
+        "seen = []\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    code = main([*argv, '-o', f'{sys.argv[2]}/out{i}'])\n"
+        "    seen.append([code, 'numpy.ma' in sys.modules])\n"
+        "print(json.dumps(seen))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, False]] * len(commands)

@@ -589,3 +589,114 @@ def test_draw_table_counts_every_draw_with_log_linear_sorting(monkeypatch):
     assert len(got) == len(packed) == 3001
     assert got == dict(zip(map(bytes, keys.astype(np.uint8)), counts.tolist()))
     assert sum(sorted_rows) <= 4 * trials, sum(sorted_rows)
+
+
+# Connectivity from the prime factors of n, against the gcd rule.
+
+
+def _gcd_rule(bits, n):
+    """Per row: gcd of the chosen orbits j and n is 1."""
+    return np.gcd.reduce(np.where(bits, np.arange(1, n // 2 + 1), n), axis=1) == 1
+
+
+def test_connected_is_the_gcd_rule_on_every_row_of_small_n():
+    for n in range(3, 25):
+        m = n // 2
+        bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1 == 1
+        got = ensembles._connected(bits, n)
+        assert got.dtype == bool and got.shape == (2**m,)
+        assert np.array_equal(got, _gcd_rule(bits, n)), n
+        assert got.sum() == sum(_ref_connected(n, v) for v in ensembles._symbol_values(bits, n))
+
+
+@pytest.mark.parametrize("n", [30, 64, 101, 210, 365, 1024])
+def test_connected_is_the_gcd_rule_on_random_rows(n):
+    rng = np.random.default_rng(n)
+    m, rows = n // 2, 10**4
+    dense = rng.integers(0, 2, size=(rows // 3, m)) == 1
+    sparse = rng.random((rows // 3, m)) < 2 / m
+    # coins on the multiples of one prime factor only: never connected
+    p = rng.choice(ensembles._prime_factors(n), size=rows - 2 * (rows // 3))
+    on_multiples = (rng.integers(0, 2, size=(len(p), m)) == 1) & (np.arange(1, m + 1) % p[:, None] == 0)
+    bits = np.concatenate([dense, sparse, on_multiples, np.zeros((1, m), dtype=bool)])
+    got = ensembles._connected(bits, n)
+    assert np.array_equal(got, _gcd_rule(bits, n))
+    assert not got[-1] and not got[2 * (rows // 3):].any() and got.any()
+
+
+def test_prime_factors_are_the_distinct_primes_of_n():
+    for n in range(1, 2000):
+        primes = ensembles._prime_factors(n)
+        assert primes == sorted(set(primes))
+        assert all(all(p % q for q in range(2, p)) for p in primes)
+        rest = n
+        for p in primes:
+            assert rest % p == 0
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1, n
+
+
+# Types and deviations once per distinct class partition.
+
+
+def _unkeyed_partition_stats(labels, phase):
+    return labels.max(axis=1) + 1, ensembles._uniform_deviation(labels, phase)
+
+
+def _table_stats_bytes(stats):
+    accepted, _, _, types, deviations = stats
+    return ([a.tobytes() for a in stats],
+            [q.hex() for q in ensembles._count_quantiles(deviations, accepted, (0.1, 0.5, 0.9))],
+            ensembles._count_histogram(types, accepted))
+
+
+@pytest.mark.parametrize("n,trials", [(24, 20000), (40, 50000), (101, 2000)])
+def test_keyed_deviations_are_the_per_row_route_bitwise(monkeypatch, n, trials):
+    packed, draws = ensembles._draw_table(n, np.random.SeedSequence(1).entropy, trials)
+    rows = []
+    real = ensembles._uniform_deviation
+    monkeypatch.setattr(ensembles, "_uniform_deviation",
+                        lambda labels, phase: rows.append(len(labels)) or real(labels, phase))
+    keyed = ensembles._symbol_stats(packed, draws, n, DEGENERACY_TOL)
+    connected = int((keyed[0] > 0).sum())
+    assert sum(rows) < connected  # partitions repeat in every one of these runs
+    monkeypatch.setattr(ensembles, "_partition_stats", _unkeyed_partition_stats)
+    unkeyed = ensembles._symbol_stats(packed, draws, n, DEGENERACY_TOL)
+    assert _table_stats_bytes(keyed) == _table_stats_bytes(unkeyed)
+
+
+def test_keyed_exhaustive_tables_are_the_per_row_route_bitwise(monkeypatch):
+    keyed = [ensembles._exhaustive_table(n, DEGENERACY_TOL)[1:] for n in range(3, 21)]
+    monkeypatch.setattr(ensembles, "_partition_stats", _unkeyed_partition_stats)
+    for n, stats in zip(range(3, 21), keyed):
+        assert _table_stats_bytes(stats) == _table_stats_bytes(
+            ensembles._exhaustive_table(n, DEGENERACY_TOL)[1:]), n
+
+
+def _chunk_labels(n, trials, seed):
+    """Class labels of the connected symbols of a run's first chunk."""
+    packed, _ = ensembles._draw_table(n, np.random.SeedSequence(seed).entropy, trials)
+    bits = np.unpackbits(packed[:BLOCK_SIZE], axis=1, count=n // 2).astype(bool)
+    _, phase = character_phases(graphs.AbelianGroupSpec((n,)))
+    lams = circulant_eigenvalues(ensembles._symbol_values(bits, n), phase, n)
+    return ensembles._class_labels(lams[ensembles._connected(bits, n)], DEGENERACY_TOL), phase
+
+
+@pytest.mark.parametrize("n,trials", [(7, 500), (24, 500), (40, 500), (365, 60)])
+def test_partition_keys_label_each_character_with_the_smallest_of_its_class(n, trials):
+    labels, _ = _chunk_labels(n, trials, n)
+    keys = ensembles._partition_keys(labels)
+    ref = [[int(np.flatnonzero(row == label)[0]) for label in row] for row in labels]
+    assert [np.frombuffer(k, dtype=np.min_scalar_type(n - 1)).tolist() for k in keys] == ref
+
+
+def test_partition_keys_do_not_depend_on_how_classes_are_numbered():
+    labels, phase = _chunk_labels(24, 20000, 1)
+    rng = np.random.default_rng(0)
+    relabel = rng.permuted(np.tile(np.arange(24), (len(labels), 1)), axis=1)
+    permuted = np.take_along_axis(relabel, labels, axis=1)
+    assert not np.array_equal(permuted, labels)
+    assert ensembles._partition_keys(permuted).tobytes() == ensembles._partition_keys(labels).tobytes()
+    _, deviations = ensembles._partition_stats(labels, phase)
+    assert deviations.tobytes() == ensembles._uniform_deviation(permuted, phase).tobytes()
