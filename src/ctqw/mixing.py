@@ -86,37 +86,115 @@ def default_scan_window(spec: Spectrum, tol: float = spectra.DEGENERACY_TOL) -> 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_minima(deviations, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section search on every bracket [a[k], b[k]] at once.
+def _golden_steps(width: float) -> list[float]:
+    """The step of each golden-section probe in a bracket of `width`.
 
-    `deviations` maps an array of times to their deviations.  Each step
-    evaluates one new probe per bracket still wider than GOLDEN_WIDTH, so
-    every bracket sees the probe sequence of a scalar search.  Returns the
-    best evaluated point of each bracket.
+    A bracket shrinks from width u_0 = width by 1/phi per step, u_{j+1} =
+    u_j / phi, and steps while u_j > GOLDEN_WIDTH.  Its first probe lies u_2
+    right of its left end, the second u_3 right of the first, and the probe
+    of step j u_{j+4} from the better of the two before it: u_2, u_3, ...
     """
-    a, b = a.copy(), b.copy()
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = deviations(c), deviations(d)
-    left = fc <= fd
-    best_t, best_f = np.where(left, c, d), np.where(left, fc, fd)
-    live = np.flatnonzero(b - a > GOLDEN_WIDTH)
-    while live.size:
-        left = fc[live] <= fd[live]
-        lo, hi = live[left], live[~left]
-        # fc <= fd: the minimum lies in [a, d]; probe a new c
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - _INVPHI * (b[lo] - a[lo])
-        # fc > fd: the minimum lies in [c, b]; probe a new d
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + _INVPHI * (b[hi] - a[hi])
-        probe = np.where(left, c[live], d[live])
-        f = deviations(probe)
-        fc[lo], fd[hi] = f[left], f[~left]
-        better = f < best_f[live]
-        best_t[live[better]], best_f[live[better]] = probe[better], f[better]
-        live = live[b[live] - a[live] > GOLDEN_WIDTH]
-    return best_t, best_f
+    u = [width]
+    while u[-1] > GOLDEN_WIDTH:
+        u.append(u[-1] * _INVPHI)
+    for _ in range(3):
+        u.append(u[-1] * _INVPHI)
+    return u[2:]
+
+
+def _golden_minima(probe, keep, a: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section search on every bracket [a[k], a[k] + width] at once.
+
+    All brackets follow the width schedule of `_golden_steps(width)`, so
+    probe j of every bracket lies the same distance, its j-th step, from the
+    kept point, the better of the bracket's two interior points (at first its
+    left end): to its right if the kept point is the left one of the two,
+    else to its left.
+    `probe(j, times)` returns the deviations at the j-th probe `times` of all
+    brackets, and `keep(better)` is then told in which brackets that probe
+    became the kept point.  Returns each bracket's kept point and its
+    deviation, the lowest of all its probes.
+    """
+    offset = np.zeros(a.size)
+    f = np.full(a.size, np.inf)
+    sign = np.ones(a.size)  # +1 while the next probe lies right of the kept point
+    for j, u in enumerate(_golden_steps(width)):
+        x = offset + sign * u
+        fx = probe(j, a + x)
+        # a tie keeps the left point, as a scalar search keeps [a, d] on fc <= fd
+        better = fx < f
+        np.less_equal(fx, f, out=better, where=sign < 0)
+        keep(better)
+        np.copyto(offset, x, where=better)
+        np.copyto(f, fx, where=better)
+        # a kept point that stays kept turns: the next probe lies on its other side
+        np.negative(sign, out=sign, where=~better)
+    return a + offset, f
+
+
+def _scan_deviations(proj: walk.ClassProjections, times: np.ndarray) -> np.ndarray:
+    """||P_t - U|| at each time, evaluated directly in blocks of times: each
+    probe array holds at most spectra.BLOCK_ENTRIES entries."""
+    u = 1.0 / proj.counts.sum()
+    block = max(1, spectra.BLOCK_ENTRIES // max(proj.columns.shape))
+    devs = np.empty(len(times))
+    for lo in range(0, len(times), block):
+        re, im = walk.class_amplitudes(proj, times[lo : lo + block])
+        # |re^2 + im^2 - u| in place: these arrays are the large ones of a probe
+        np.square(re, out=re)
+        re += np.square(im, out=im)
+        re -= u
+        devs[lo : lo + block] = np.abs(re, out=re) @ proj.counts
+    return devs
+
+
+def _refined_minima(proj: walk.ClassProjections, a: np.ndarray,
+                    width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minima of the deviation on the brackets [a, a + width].
+
+    Each bracket stores the phases e^{-i theta t} of its kept point, and a
+    probe a step u away is that vector times the phasor e^{-i theta u}, which
+    all brackets share: one table of sines for the whole schedule instead of
+    r sines per probe.  A probe to the left of the kept point uses the
+    conjugate phasor; a bracket instead stores the conjugate of its vector
+    while its next probe lies to the left, which gives the conjugate probe
+    (the same deviation) from the same product.  Brackets are searched in
+    chunks, so each stored table holds at most spectra.BLOCK_ENTRIES entries.
+    """
+    r, k = proj.columns.shape
+    u = 1.0 / proj.counts.sum()
+    sin_u, cos_u = walk.phase_table(proj.theta, np.array(_golden_steps(width)))
+    chunk = max(1, spectra.BLOCK_ENTRIES // (2 * max(r, k)))
+    kept_buf, probe_buf = np.empty(2 * chunk * r), np.empty(2 * chunk * r)
+    # scratch for the phasor product, then the product with the columns
+    amp_buf = np.empty(2 * chunk * max(r, k))
+    t_best, f_best = np.empty(a.size), np.empty(a.size)
+    for lo in range(0, a.size, chunk):
+        ends = a[lo : lo + chunk]
+        m = ends.size
+        kept = walk.phase_table(proj.theta, ends, out=kept_buf[: 2 * m * r].reshape(2, m, r))
+        table = probe_buf[: 2 * m * r].reshape(2, m, r)
+        scratch = amp_buf[: m * r].reshape(m, r)
+        amp = amp_buf[: 2 * m * k].reshape(2 * m, k)
+
+        def probe(j, times):
+            # (cos - i sin)(c - i s) = (cos c - sin s) - i (sin c + cos s)
+            np.multiply(kept, cos_u[j], out=table)
+            sin_t, cos_t = table
+            sin_t += np.multiply(kept[1], sin_u[j], out=scratch)
+            cos_t -= np.multiply(kept[0], sin_u[j], out=scratch)
+            probs = walk.class_probabilities(proj, table, times, out=amp)
+            probs -= u
+            return np.abs(probs, out=probs) @ proj.counts
+
+        def keep(better):
+            # a bracket that keeps its probe stores it; one that does not
+            # turns to probe the other side and stores its conjugate
+            np.negative(kept[0], out=kept[0])
+            np.copyto(kept, table, where=better[:, None])
+
+        t_best[lo : lo + m], f_best[lo : lo + m] = _golden_minima(probe, keep, ends, width)
+    return t_best, f_best
 
 
 def instantaneous_mixing_scan(
@@ -128,55 +206,56 @@ def instantaneous_mixing_scan(
 ) -> list[tuple[float, float]]:
     """Locate local minima of t -> ||P_t - U|| over (0, t_max].
 
-    The class projections of `start` are computed once; every probe then
-    costs r cosines, r sines and two real r x k products over the k distinct
-    columns, and each column's deviation counts once per vertex sharing it.
-    Evaluates on a uniform grid, refines all interior local minima together
-    by golden-section search to a bracket width of 1e-10 in t, and returns
-    the (time, deviation) pairs with deviation <= eps (all minima when eps is
-    infinite), sorted by time.  Where the deviation is smooth at a minimum,
-    rounding flattens its bottom, so t is fixed only to about
-    sqrt(machine epsilon / curvature) (about 3e-9 on K_8).
+    The class projections of `start` are computed once; a direct evaluation
+    then costs r cosines, r sines and two real r x k products per time over
+    the k distinct columns, and each column's deviation counts once per
+    vertex sharing it.  Evaluates directly on a uniform grid and refines
+    every interior local minimum by golden-section search on the bracket of
+    its two grid neighbours, 2 t_max / grid wide, to a width of GOLDEN_WIDTH
+    (1e-10) in t.  All brackets shrink on one width schedule, so a probe's
+    phases are those of its bracket's kept point times a phasor shared by
+    every bracket (`_refined_minima`): the refinement takes r sines and r
+    cosines per step, not per probe, and checks every probe for unit norm.
+    Adjacent grid minima that refine to one merge, and each reported time
+    is then evaluated directly once more: every deviation returned is the
+    direct one at its time.  Returns the (time, deviation) pairs with
+    deviation <= eps (all minima when eps is infinite), sorted by time.
+    Where the deviation is smooth at a minimum, rounding flattens its
+    bottom, so t is fixed only to about sqrt(machine epsilon / curvature)
+    (about 3e-9 on K_8).  A t_max where floats lie further apart than
+    GOLDEN_WIDTH (from 2^19) is refused, as are a NaN eps and a grid that
+    is not an integer of at least 2.
     """
     if t_max is None:
         t_max = default_scan_window(spec)
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
-    u = 1.0 / spec.n
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
+    if np.spacing(float(t_max)) > GOLDEN_WIDTH:
+        raise ValueError(f"t_max {t_max!r} is too large: floats there lie further apart"
+                         f" than the refinement width {GOLDEN_WIDTH:g}")
+    if not isinstance(grid, (int, np.integer)) or grid < 2:
+        raise ValueError(f"grid must be an integer of at least 2, got {grid!r}")
+    if math.isnan(eps):
+        raise ValueError("eps must not be NaN")
     proj = walk.class_projections(spec, start, walk.exact_labels(spec.eigenvalues))
-
-    # times per block: each probe array holds at most spectra.BLOCK_ENTRIES entries
-    block = max(1, spectra.BLOCK_ENTRIES // max(proj.columns.shape))
-
-    def deviations(times: np.ndarray) -> np.ndarray:
-        devs = np.empty(len(times))
-        for lo in range(0, len(times), block):
-            re, im = walk.class_amplitudes(proj, times[lo : lo + block])
-            # |re^2 + im^2 - u| in place: these arrays are the large ones of a probe
-            np.square(re, out=re)
-            re += np.square(im, out=im)
-            re -= u
-            devs[lo : lo + block] = np.abs(re, out=re) @ proj.counts
-        return devs
-
-    ts = np.arange(1, grid + 1) * (t_max / grid)
-    devs = deviations(ts)
+    step = t_max / grid
+    ts = np.arange(1, grid + 1) * step
+    devs = _scan_deviations(proj, ts)
     inner = devs[1:-1]
-    centers = np.flatnonzero((inner <= devs[:-2]) & (inner <= devs[2:])) + 1
-    t_best, f_best = _golden_minima(deviations, ts[centers - 1], ts[centers + 1])
+    lefts = np.flatnonzero((inner <= devs[:-2]) & (inner <= devs[2:]))  # left neighbours
+    t_best, f_best = _refined_minima(proj, ts[lefts], 2.0 * step)
     minima = sorted(zip(t_best.tolist(), f_best.tolist()))
     # adjacent grid ties refine to the same minimum; merge them
     merged: list[tuple[float, float]] = []
-    step = t_max / grid
     for t, f in minima:
         if merged and t - merged[-1][0] < 1.5 * step:
             if f < merged[-1][1]:
                 merged[-1] = (t, f)
         else:
             merged.append((t, f))
-    return [(t, f) for t, f in merged if f <= eps]
+    times = np.array([t for t, _ in merged])
+    return [(t, f) for t, f in zip(times.tolist(), _scan_deviations(proj, times).tolist())
+            if f <= eps]
 
 
 def cycle_fourier_bound(n: int, pbar: np.ndarray) -> float:

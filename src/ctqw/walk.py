@@ -10,6 +10,9 @@ On a G-circulant the matrix comes from the characters in closed form, with no
 eigenvectors.  Vertices with bitwise-equal columns (an equitable partition:
 the Hamming weights on Q_d, the pairs {s + x, s - x} on a circulant) are
 evaluated once, and full vectors are gathered back only where one is output.
+A scan's refinement builds its probe phases itself and reads the probabilities
+through one product of a stacked sine-over-cosine table with the columns
+(`phase_table`, `class_probabilities`).
 Evolution merges only bitwise-equal eigenvalues (`exact_labels`), so no
 tolerance enters psi(t); the average uses the degeneracy partition, never
 quadrature.
@@ -137,6 +140,31 @@ def class_projections(spec: Spectrum, start: int, labels: np.ndarray) -> ClassPr
                             rank[inverse.ravel()], counts[order])
 
 
+def phase_table(theta: np.ndarray, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sin(theta_r t) over cos(theta_r t), shape (2, len(times), len(theta)): the
+    rows of e^{-i theta t} = cos - i sin, one per time, written into `out` if given."""
+    if out is None:
+        out = np.empty((2, len(times), len(theta)))
+    np.multiply.outer(times, theta, out=out[1])
+    np.sin(out[1], out=out[0])
+    np.cos(out[1], out=out[1])
+    return out
+
+
+def _check_unit_norm(norm_sq: np.ndarray, times: np.ndarray) -> None:
+    """Raise unless the amplitude vector at every time, of squared norm
+    `norm_sq`, has unit norm to UNIT_NORM_TOL."""
+    norms = np.sqrt(norm_sq)
+    off = np.abs(norms - 1.0)
+    if off.max(initial=0.0) <= UNIT_NORM_TOL:  # NaN fails
+        return
+    k = np.flatnonzero(~(off <= UNIT_NORM_TOL))[0]
+    raise RuntimeError(
+        f"evolved amplitude at t = {float(times[k])!r} has norm {float(norms[k])!r};"
+        " spectrum is inconsistent"
+    )
+
+
 def class_amplitudes(proj: ClassProjections, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the amplitudes sum_r e^{-i theta_r t} E_r e_start
     at each time on the distinct columns, shape (len(times), k) each; every
@@ -146,16 +174,25 @@ def class_amplitudes(proj: ClassProjections, times: np.ndarray) -> tuple[np.ndar
     im = np.sin(phases) @ proj.columns
     np.negative(im, out=im)
     re = np.cos(phases, out=phases) @ proj.columns
-    norms = np.sqrt(np.einsum("ij,ij,j->i", re, re, proj.counts)
-                    + np.einsum("ij,ij,j->i", im, im, proj.counts))
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
-    if bad.size:
-        k = bad[0]
-        raise RuntimeError(
-            f"evolved amplitude at t = {float(times[k])!r} has norm {float(norms[k])!r};"
-            " spectrum is inconsistent"
-        )
+    _check_unit_norm(np.einsum("ij,ij,j->i", re, re, proj.counts)
+                     + np.einsum("ij,ij,j->i", im, im, proj.counts), times)
     return re, im
+
+
+def class_probabilities(proj: ClassProjections, table: np.ndarray, times: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """|amplitude|^2 on the distinct columns, shape (m, k), from a phase table
+    (2, m, r) as `phase_table` lays it out, for the m `times`.  A table of the
+    conjugate phases gives the same values.  One product of the stacked table
+    with the columns, written into `out` (2m x k) if given; every row is
+    checked for unit norm over all n vertices."""
+    m = table.shape[1]
+    amp = np.matmul(table.reshape(2 * m, -1), proj.columns, out=out)
+    np.square(amp, out=amp)
+    probs = amp[:m]
+    probs += amp[m:]
+    _check_unit_norm(probs @ proj.counts, times)
+    return probs
 
 
 def evolve(spec: Spectrum, start: int, t) -> np.ndarray:

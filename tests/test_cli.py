@@ -313,6 +313,20 @@ def test_non_finite_times_are_rejected(capsys, argv):
     assert out == "" and "usage error" in err
 
 
+def test_scan_refuses_a_window_its_refinement_cannot_resolve():
+    # from t = 2^19 floats lie further apart than the refinement width; a
+    # scan there once never returned, so the run has a timeout
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = [sys.executable, "-m", "ctqw", "scan", "--family", "cycle", "--n", "5", "--grid", "64"]
+    refused = subprocess.run([*argv, "--t-max", "6e5"], capture_output=True, text=True,
+                             env=env, timeout=60)
+    assert refused.returncode == 1 and refused.stdout == ""
+    assert "t_max" in refused.stderr and "too large" in refused.stderr
+    resolved = subprocess.run([*argv, "--t-max", "4e5"], capture_output=True, text=True,
+                              env=env, timeout=60)
+    assert resolved.returncode == 0 and json.loads(resolved.stdout)["minima"]
+
+
 def test_verify_subcommand_reports_discrepancies(capsys):
     code, out, _ = run_cli(capsys, "verify", "--checks", "cycle_average", "--max-n", "8")
     assert code == 0

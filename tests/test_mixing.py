@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -87,38 +88,76 @@ def test_scan_default_window_and_errors():
         instantaneous_mixing_scan(spec, 0, grid=1)
 
 
+@pytest.mark.parametrize("kwargs, reason", [
+    ({"eps": math.nan}, "eps"),
+    ({"grid": 7.5, "t_max": 10.0}, "grid"),
+    ({"grid": 64.0}, "grid"),
+    ({"t_max": math.nan}, "t_max"),
+    ({"t_max": math.inf}, "t_max"),
+    # from 2^19 floats lie 1.16e-10 apart, more than GOLDEN_WIDTH
+    ({"t_max": 2.0**19}, "t_max"),
+    ({"t_max": 6e5}, "t_max"),
+], ids=["eps-nan", "grid-7.5", "grid-float", "t_max-nan", "t_max-inf", "t_max-2^19",
+        "t_max-6e5"])
+def test_scan_refuses_bad_inputs_before_any_evaluation(monkeypatch, kwargs, reason):
+    spec = spectra.graph_eigensystem(graphs.build_cycle(5))
+
+    def evaluated(*args):
+        raise AssertionError("the scan evaluated before refusing its input")
+
+    monkeypatch.setattr(walk, "class_projections", evaluated)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=reason):
+            instantaneous_mixing_scan(spec, 0, **kwargs)
+
+
+def test_scan_accepts_the_largest_window_its_refinement_resolves():
+    spec = spectra.graph_eigensystem(graphs.build_cycle(5))
+    t_max = float(np.nextafter(2.0**19, 0.0))
+    assert np.spacing(t_max) <= mixing.GOLDEN_WIDTH < np.spacing(2.0**19)
+    minima = instantaneous_mixing_scan(spec, 0, t_max=t_max, grid=64)
+    assert minima and all(0 < t <= t_max for t, _ in minima)
+
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_minimum(f, a, b, width=mixing.GOLDEN_WIDTH):
-    """Scalar golden-section search, one evaluation per call (reference)."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    best_t, best_f = (c, fc) if fc <= fd else (d, fd)
-    while b - a > width:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-            if fc < best_f:
-                best_t, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-            if fd < best_f:
-                best_t, best_f = d, fd
-    return best_t, best_f
+def _golden_minimum(f, a, width):
+    """Scalar golden-section search on [a, a + width], one evaluation per call
+    (reference).  The bracket shrinks by 1/phi per step, u_{j+1} = u_j / phi
+    from u_0 = width, while u_j > GOLDEN_WIDTH; the interior points c < d sit
+    at offsets from a, and each new probe is a step u_{j+4} from the point kept."""
+    stop = mixing.GOLDEN_WIDTH
+    u = [width]
+    while len(u) < 4 or u[-4] > stop:
+        u.append(u[-1] * _INVPHI)
+    xc = u[2]
+    fc = f(a + xc)
+    xd = xc + u[3]
+    fd = f(a + xd)
+    j = 0
+    while u[j] > stop:
+        if fc <= fd:  # the minimum lies in [a, d]: d <- c, probe a new c
+            xd, fd = xc, fc
+            xc = xc - u[j + 4]
+            fc = f(a + xc)
+        else:  # the minimum lies in [c, b]: c <- d, probe a new d
+            xc, fc = xd, fd
+            xd = xd + u[j + 4]
+            fd = f(a + xd)
+        j += 1
+    return (a + xc, fc) if fc <= fd else (a + xd, fd)
 
 
 def _reference_scan(spec, start=0, eps=math.inf, t_max=None, grid=mixing.SCAN_GRID):
-    """The scan that refines one minimum at a time with per-eigenvector
-    evolution (reference)."""
+    """The scan that refines one minimum at a time on the same width schedule,
+    with per-eigenvector evolution at every probe (reference)."""
     if t_max is None:
         t_max = _reference_scan_window(spec)
     u = 1.0 / spec.n
-    ts = np.arange(1, grid + 1) * (t_max / grid)
+    step = t_max / grid
+    ts = np.arange(1, grid + 1) * step
     amps = _eigenvector_evolve(spec, start, ts)
     devs = np.abs((amps * amps.conj()).real - u).sum(axis=1)
 
@@ -129,11 +168,10 @@ def _reference_scan(spec, start=0, eps=math.inf, t_max=None, grid=mixing.SCAN_GR
     minima = []
     for i in range(1, grid - 1):
         if devs[i] <= devs[i - 1] and devs[i] <= devs[i + 1]:
-            t_best, f_best = _golden_minimum(deviation, float(ts[i - 1]), float(ts[i + 1]))
+            t_best, f_best = _golden_minimum(deviation, float(ts[i - 1]), 2.0 * step)
             minima.append((float(t_best), float(f_best)))
     minima.sort()
     merged = []
-    step = t_max / grid
     for t, f in minima:
         if merged and t - merged[-1][0] < 1.5 * step:
             if f < merged[-1][1]:
@@ -143,41 +181,97 @@ def _reference_scan(spec, start=0, eps=math.inf, t_max=None, grid=mixing.SCAN_GR
     return [(t, f) for t, f in merged if f <= eps]
 
 
+def _direct_deviations(spec, times, start=0):
+    """The scan's direct evaluation at `times`, all in one call."""
+    proj = walk.class_projections(spec, start, walk.exact_labels(spec.eigenvalues))
+    return mixing._scan_deviations(proj, np.array(times))
+
+
 def test_golden_minima_match_the_scalar_search_bitwise():
     # Exact IEEE arithmetic only, so both routes see the same values.  Bracket
-    # k lies inside (k - 1/2, k + 1/2) and each shape has its minimum at
+    # k starts inside (k - 1/2, k + 1/2) and each shape has its minimum at
     # k + 0.03: a flat floor (1 + tiny rounds to 1, so fc == fd ties), a
-    # smooth bowl and a kink; some brackets miss the minimum, and the last
-    # ten are already narrower than GOLDEN_WIDTH around it (no step taken).
+    # smooth bowl and a kink.  Some brackets miss the minimum, and at the
+    # last width, under GOLDEN_WIDTH, every bracket holds it and no step is
+    # taken.
     rng = np.random.default_rng(11)
     k = np.arange(1, 311)
-    a = k + rng.uniform(-0.45, 0.2, size=k.size)
-    b = a + rng.uniform(1e-11, 0.25, size=k.size)
-    a[-10:] = k[-10:] + 0.03 - rng.uniform(0.0, 5e-11, size=10)
-    b[-10:] = a[-10:] + 5e-11
     shapes = [
         lambda x: 1.0 + x * x,
         lambda x: 0.25 + 3.0 * x * x,
         lambda x: 0.5 + 2.0 * abs(x),
     ]
-    for shape in shapes:
-        probes = []
+    for width in (0.25, 0.07, 3e-9, 5e-11):
+        if width < mixing.GOLDEN_WIDTH:
+            a = k + 0.03 - rng.uniform(0.0, width, size=k.size)
+        else:
+            a = k + rng.uniform(-0.45, 0.2, size=k.size)
+        for shape in shapes:
+            probes = []
 
-        def batched(ts, shape=shape):
-            probes.append(ts.size)
-            return shape(ts - np.round(ts) - 0.03)
+            def batched(j, ts, shape=shape):
+                probes.append(ts.size)
+                return shape(ts - np.round(ts) - 0.03)
 
-        got_t, got_f = mixing._golden_minima(batched, a, b)
-        evaluated = 0
-        for j in range(k.size):
-            def scalar(t, shape=shape):
-                nonlocal evaluated
-                evaluated += 1
-                return shape(t - round(t) - 0.03)
+            got_t, got_f = mixing._golden_minima(batched, lambda better: None, a, width)
+            evaluated = 0
+            for i in range(k.size):
+                def scalar(t, shape=shape):
+                    nonlocal evaluated
+                    evaluated += 1
+                    return shape(t - round(t) - 0.03)
 
-            want = _golden_minimum(scalar, float(a[j]), float(b[j]))
-            assert (got_t[j], got_f[j]) == want, j
-        assert sum(probes) == evaluated
+                want = _golden_minimum(scalar, float(a[i]), width)
+                assert (got_t[i], got_f[i]) == want, (width, i)
+            assert sum(probes) == evaluated
+
+
+@pytest.mark.parametrize("g", [
+    graphs.build_cycle(257), graphs.build_hypercube(10), graphs.build_cycle(33),
+    graphs.build_path(20),
+], ids=["C257", "Q10", "C33", "P20"])
+def test_every_phasor_probe_matches_the_direct_kernel(monkeypatch, g):
+    spec = spectra.graph_eigensystem(g)
+    search = mixing._golden_minima
+    worst, probed = 0.0, 0
+
+    def checked_search(probe, keep, a, width):
+        def checked(j, times):
+            nonlocal worst, probed
+            f = probe(j, times)
+            worst = max(worst, float(np.max(np.abs(f - _direct_deviations(spec, times)))))
+            probed += times.size
+            return f
+
+        return search(checked, keep, a, width)
+
+    monkeypatch.setattr(mixing, "_golden_minima", checked_search)
+    minima = instantaneous_mixing_scan(spec, 0)
+    assert len(minima) > 0 and probed >= len(minima) * 30
+    assert worst <= 1e-12, worst
+
+
+def test_scan_takes_its_sines_per_step_not_per_probe(monkeypatch):
+    spec = spectra.graph_eigensystem(graphs.build_cycle(257))
+    proj = walk.class_projections(spec, 0, walk.exact_labels(spec.eigenvalues))
+    r = proj.theta.size
+    grid, t_max = mixing.SCAN_GRID, mixing.default_scan_window(spec)
+    devs = mixing._scan_deviations(proj, np.arange(1, grid + 1) * (t_max / grid))
+    inner = devs[1:-1]
+    brackets = int(((inner <= devs[:-2]) & (inner <= devs[2:])).sum())
+    steps = len(mixing._golden_steps(2.0 * t_max / grid)) - 2
+    sines, sin = [0], np.sin
+
+    def counted(x, *args, **kwargs):
+        sines[0] += np.size(x)
+        return sin(x, *args, **kwargs)
+
+    want = instantaneous_mixing_scan(spec, 0)
+    monkeypatch.setattr(np, "sin", counted)
+    got = instantaneous_mixing_scan(spec, 0)
+    assert got == want and len(got) == 955
+    # the batched scalar search took 50,989 probes of 129 sines each here
+    assert 0 < sines[0] <= (grid + 3 * brackets + 3 * steps) * r, (sines[0], brackets, steps)
 
 
 @pytest.mark.parametrize("g, t_max, eps", [
@@ -191,10 +285,19 @@ def test_batched_refinement_matches_scalar_reference(g, t_max, eps):
     got = instantaneous_mixing_scan(spec, 0, eps=eps, t_max=t_max)
     want = _reference_scan(spec, 0, eps=eps, t_max=t_max)
     assert len(got) == len(want) > 0
-    # these minima sit at kinks of the deviation, where every comparison of
-    # two probes is decided far above rounding noise: same probes, bitwise
-    assert [t for t, _ in got] == [t for t, _ in want]
-    assert max(abs(f - w) for (_, f), (_, w) in zip(got, want)) <= 1e-12
+    # these minima sit at kinks of the deviation, where a comparison of two
+    # probes is decided above rounding noise until the last steps: the phasor
+    # products round differently from the reference, which can move a final
+    # point, but by less than the last bracket (4 of 829 on C_33)
+    assert max(abs(t - w) for (t, _), (w, _) in zip(got, want)) <= mixing.GOLDEN_WIDTH
+    u = 1.0 / spec.n
+    amps = _eigenvector_evolve(spec, 0, np.array([t for t, _ in got]))
+    reference = np.abs((amps * amps.conj()).real - u).sum(axis=1)
+    assert max(abs(f - w) for (_, f), w in zip(got, reference)) <= 1e-12
+    if math.isinf(eps):
+        # every minimum is reported: the last direct evaluation was of exactly these times
+        direct = _direct_deviations(spec, [t for t, _ in got])
+        assert [f for _, f in got] == direct.tolist()
 
 
 @pytest.mark.parametrize("t_max", [None, 4 * math.pi], ids=["default", "4pi"])
