@@ -192,12 +192,13 @@ def _cmd_spectrum(args) -> int:
         lines += [f"{j},{float(x)!r}" for j, x in enumerate(spec.eigenvalues)]
         text = "\n".join(lines)
     else:
-        part = spectra.degeneracy_classes(spec, args.tol)
+        labels = spectra.degeneracy_labels(spec.eigenvalues, args.tol)
+        summary = spectra.degeneracy_summary(spec.eigenvalues, labels)
         lines = [f"graph: {g.family} on {g.n} vertices"]
-        lines.append(f"spectral gap: {spectra.spectral_gap(spec, args.tol):.12g}")
-        lines.append(f"type: {len(part.classes)}")
+        lines.append(f"spectral gap: {summary['spectral_gap']:.12g}")
+        lines.append(f"type: {summary['type']}")
         lines.append("eigenvalue        multiplicity")
-        for cls in part.classes:
+        for cls in summary["degeneracy_classes"]:
             lines.append(f"{spec.eigenvalues[cls[0]]:<17.12g} {len(cls)}")
         text = "\n".join(lines)
     _emit(text, args.output)
@@ -257,15 +258,17 @@ def _cmd_walk(args) -> int:
 def _cmd_average(args) -> int:
     g = _build_graph(args)
     spec = _spectrum_for(g, args)
-    pbar = walk.average_distribution(spec, args.start, args.tol)
+    labels = spectra.degeneracy_labels(spec.eigenvalues, args.tol)
+    pbar = walk.average_distribution(spec, args.start, labels=labels)
+    summary = spectra.degeneracy_summary(spec.eigenvalues, labels)
     meta = {
         "family": g.family,
         "n": g.n,
         "start": args.start,
         "deviation_uniform": mixing.total_variation(pbar, mixing.uniform_target(g.n)),
         "deviation_classical": mixing.total_variation(pbar, mixing.lazy_stationary(g)),
-        "spectral_gap": spectra.spectral_gap(spec, args.tol),
-        "type": spectra.spectrum_type(spec, args.tol),
+        "spectral_gap": summary["spectral_gap"],
+        "type": summary["type"],
     }
     _emit(_distribution_text(pbar, args.format, meta), args.output)
     return 0

@@ -5,7 +5,13 @@ and the degeneracy structure all of them feed into walk averaging.
 Eigenvalues are always sorted descending with ties broken by ascending
 pre-sort index, so output is reproducible from run to run.  The dense routes'
 last bits depend on the platform: numpy may fuse the Jacobi kernel's complex
-multiply, and `eigh` depends on the BLAS build.
+multiply, and `eigh` depends on the BLAS build.  Jacobi on orders up to
+ONE_BLOCK_MAX sweeps one ring over the whole matrix; larger orders sweep in
+blocks, rotating block-pair subproblems as one stack and applying each
+phase's rotation to the rest of the matrix and to the eigenvectors with
+batched matrix products, so there the last bits also depend on the BLAS
+build and thread count, as `eigh`'s do.  Both dense routes refuse a working
+set over DENSE_BUDGET bytes before allocating it.
 Circulant eigenvalues are read from one conjugate-symmetric table of roots
 of unity, summed in a fixed order, which makes the symmetry degeneracy
 lambda_a == lambda_{-a} exact in floating point rather than approximate.
@@ -19,6 +25,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +37,16 @@ RESIDUAL_TOL = 1e-9
 # Closed-form walks build their n-wide tables (class projection phases, scan
 # amplitudes) in blocks of at most this many entries: 1 MiB of float64.
 BLOCK_ENTRIES = 2**17
+# Jacobi on orders up to ONE_BLOCK_MAX sweeps the whole matrix as one ring;
+# larger orders sweep in blocks of order near BLOCK_ORDER (`_block_layout`).
+ONE_BLOCK_MAX = 32
+BLOCK_ORDER = 16
+# The dense routes refuse a float working set above DENSE_BUDGET bytes
+# before allocating any of it: DENSE_ARRAYS float64 n x n arrays per matrix
+# of order n (the measured peak is about 11 for `eigh` at n = 128..400 and
+# 13.4 for Jacobi at n = 128 and 200, sort and checks included).
+DENSE_BUDGET = 2**32
+DENSE_ARRAYS = 16
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -355,6 +372,104 @@ def _ring_slots(m: int) -> tuple[np.ndarray, np.ndarray]:
     return start, slot_of[moved]
 
 
+def _block_layout(n: int) -> tuple[int, int]:
+    """(N, k): a sweep over order n runs on N blocks of k indices each.
+
+    Up to ONE_BLOCK_MAX the whole matrix is one block, k = n + n % 2 with a
+    zero index for odd n.  Above it N is even and k = ceil(n / N) the block
+    order nearest BLOCK_ORDER; the N k - n < N zero indices that fill the
+    last blocks are fewer than one per block.
+    """
+    if n <= ONE_BLOCK_MAX:
+        return 1, n + n % 2
+    N = min(range(2, n // 2 + 1, 2),
+            key=lambda N: (abs(-(-n // N) - BLOCK_ORDER), N * -(-n // N)))
+    return N, -(-n // N)
+
+
+def _slot_order(n: int, N: int, k: int) -> np.ndarray:
+    """The index held by each of the N k slots at a sweep boundary, zero
+    indices numbered from n.  One block holds its indices in
+    `_ring_slots(k)` order; N > 1 blocks hold consecutive runs, and each of
+    the last N k - n blocks ends in a zero index."""
+    if N == 1:
+        return _ring_slots(k)[0]
+    real = np.ones((N, k), dtype=bool)
+    real[N - (N * k - n) :, -1] = False
+    order = np.empty((N, k), dtype=np.intp)
+    order[real] = np.arange(n)
+    order[~real] = np.arange(n, N * k)
+    return order.ravel()
+
+
+class _Phase(NamedTuple):
+    """One phase of a blocked sweep: `rounds` rounds of `_rotate` on the
+    stacked diagonal groups of A, g indices each, as subproblems of order r
+    (g, or g + 1 with a zero index that is in no group) whose slots `perm`
+    moves and brings back to the start after `rounds`.
+
+    `sub` holds the flat positions in the (m, m) matrix that each group's
+    subproblem reads, in slot order; the entries at `zero` are the zero
+    index's, set to 0 instead.  `put` are the positions written back from
+    entries `back` of the stacked subproblems.  `q` is the identity with its
+    columns in slot order, and `unslot` the slot of each group index.
+    `upper` holds the group pairs X < Y.  `gather` reads the next
+    layout from the upper triangle of A, and `v_gather` the next
+    eigenvector columns from the stacked product V Q.
+    """
+
+    g: int
+    perm: np.ndarray
+    rounds: int
+    sub: np.ndarray
+    zero: np.ndarray
+    put: np.ndarray
+    back: np.ndarray | slice
+    q: np.ndarray
+    unslot: np.ndarray
+    upper: tuple[np.ndarray, np.ndarray]
+    gather: np.ndarray
+    v_gather: np.ndarray
+
+
+def _phases(N: int, k: int) -> list[_Phase]:
+    """The N phases of a sweep over N > 1 blocks of k indices.
+
+    First every block runs its own ring (`_ring_slots(k + k % 2)`, an odd
+    block with a zero index).  Then N - 1 block rounds pair the blocks on a
+    ring of their own (`_ring_slots(N)`, whose pairs are kept in adjacent
+    block slots); a pair's k^2 cross pairs take k rounds, one block's
+    indices fixed while the other's move one place per round.  So every
+    pair of indices meets once per sweep.
+    """
+    m = N * k
+
+    def phase(g, inner, perm, rounds, moved):
+        # inner: the group index in each subproblem slot, g for the zero index
+        G, r = m // g, len(inner)
+        real = inner < g
+        base = np.arange(G)[:, None] * g + np.minimum(inner, g - 1)
+        sub = (base[:, :, None] * m + base[:, None, :]).reshape(G, r * r)
+        both = (real[:, None] & real).ravel()
+        keep = np.flatnonzero(both)
+        back = (np.arange(G)[:, None] * r * r + keep).ravel() if r > g else slice(None)
+        to = (moved[:, None] * k + np.arange(k)).ravel()  # what each position takes
+        gather = (np.minimum.outer(to, to) * m + np.maximum.outer(to, to)).ravel()
+        # V Q is stacked (G, m, g): its column c sits at [c // g, :, c % g]
+        v_gather = ((to // g) * m * g + np.arange(m)[:, None] * g + to % g).ravel()
+        return _Phase(g, perm, rounds, sub.ravel(), np.flatnonzero(~both),
+                      sub[:, keep].ravel(), back, np.eye(r)[:, inner], np.argsort(inner)[:g],
+                      np.triu_indices(G, 1), gather, v_gather)
+
+    ring_start, ring = _ring_slots(k + k % 2)
+    pairs = np.arange(2 * k).reshape(2, k).T.ravel()  # slots 2i, 2i + 1: index i of each block
+    cross = np.arange(2 * k)
+    cross[1::2] = np.roll(cross[1::2], -1)
+    _, block_ring = _ring_slots(N)
+    return ([phase(k, ring_start, ring, k + k % 2 - 1, np.arange(N))]
+            + [phase(2 * k, pairs, cross, k, block_ring)] * (N - 1))
+
+
 def _off_norms(a: np.ndarray) -> np.ndarray:
     # computed from the off-diagonal entries directly; the algebraic
     # shortcut ||m||^2 - ||diag||^2 cancels catastrophically near zero
@@ -371,7 +486,8 @@ def jacobi_eigensystem(
 
     `matrix` is (n, n) or (B, n, n); its upper triangle is used.  Each step
     rotates the n/2 disjoint pairs of one round of every unconverged matrix at
-    once; a pair with |a_pq| <= thresh / n is left untouched.  Each matrix
+    once (above ONE_BLOCK_MAX in blocks, `_round_robin_sweeps`); a pair with
+    |a_pq| <= thresh / n is left untouched.  Each matrix
     converges when its off-diagonal Frobenius norm drops below
     thresh = 1e-12 * (1 + ||A||_F) and then leaves the stack;
     JacobiConvergenceError is raised past the sweep cap.
@@ -421,31 +537,29 @@ def _round_robin_sweeps(
     writing each matrix's results into row b of `eigenvalues` and
     `eigenvectors` as it converges.
 
-    The matrices live in slot order (`_ring_slots`), so the pairs of a round
-    are the column pairs (2j, 2j + 1).  Viewed as complex, such a pair is one
-    number, and multiplying it by c_j + i s_j gives (c a_p - s a_q) +
-    i (s a_p + c a_q), the rotated pair: A J is one multiply, and J^T (A J)
-    is a transposed copy and a second one.  One flat gather then moves the
-    result to the next round's slots, reading only its upper triangle, so
-    every round starts from an exactly symmetric matrix.
+    The matrices live in slot order (`_slot_order`).  Up to ONE_BLOCK_MAX a
+    sweep is the m - 1 rounds of one ring over the whole matrix (`_rotate`).
+    Above it, a sweep is N phases over N blocks (`_phases`): each phase
+    rotates only stacked subproblems of order k or 2k, then applies their
+    block-diagonal rotation Q to the rest of A and to V with batched matrix
+    products (`_blocked_phase`).
     """
     n = a.shape[-1]
     thresh = 1e-12 * (1.0 + np.linalg.norm(a, axis=(1, 2)))
     skip = (thresh / sizes)[:, None]  # elements this small cannot lift the off norm above thresh
-    m = n + n % 2
-    if m > n:  # a zero dummy index: its pair always has a_pq = 0, so it sits the round out
-        a = np.pad(a, ((0, 0), (0, 1), (0, 1)))
-    start, perm = _ring_slots(m)
-    unslot = np.argsort(start)[:n]  # the slot of each index at every sweep boundary
-    # a[b, s, t] = A[b, start[s], start[t]] at each sweep boundary, and column
+    N, k = _block_layout(n)
+    order = _slot_order(n, N, k)
+    m = N * k
+    if m > n:  # zero indices: their pairs always have a_pq = 0, so they sit every round out
+        a = np.pad(a, ((0, 0), (0, m - n), (0, m - n)))
+    unslot = np.argsort(order)[:n]  # the slot of each index at every sweep boundary
+    # a[b, s, t] = A[b, order[s], order[t]] at each sweep boundary, and column
     # s of v[b] is the eigenvector of slot s
-    a = a.reshape(len(a), m * m).take((start[:, None] * m + start).ravel(), axis=1)
+    a = a.reshape(len(a), m * m).take((order[:, None] * m + order).ravel(), axis=1)
     a = a.reshape(-1, m, m)
-    v = np.broadcast_to(np.eye(m)[:, start], a.shape).copy()
-    gather = (np.minimum.outer(perm, perm) * m + np.maximum.outer(perm, perm)).ravel()
-    at_pp = np.arange(0, m * m, 2 * (m + 1))  # flat positions of (2j, 2j)
-    at_pq = at_pp + 1
-    fix = np.concatenate([at_pp, at_pp + m + 1, at_pq])  # a_pp, a_qq, a_pq
+    v = np.broadcast_to(np.eye(m)[:, order], a.shape).copy()
+    ring = _ring_slots(m)[1]
+    phases = _phases(N, k) if N > 1 else []
     active = np.arange(len(a))
     for sweep in range(max_sweeps + 1):
         off = _off_norms(a)
@@ -460,34 +574,99 @@ def _round_robin_sweeps(
                 x[keep] for x in (a, v, off, active, thresh, skip))
         if sweep == max_sweeps:
             raise JacobiConvergenceError(float(off.max()), max_sweeps)
-        b = len(a)
-        flat, a_c, v_c = a.reshape(b, m * m), a.view(np.complex128), v.view(np.complex128)
-        work, v_next = np.empty_like(a), np.empty_like(v)
-        work_flat, work_c = work.reshape(b, m * m), work.view(np.complex128)
-        cs = np.empty((b, 1, m // 2), dtype=np.complex128)
-        for _ in range(m - 1):
-            d = a.diagonal(axis1=1, axis2=2)
-            app, aqq = d[:, 0::2], d[:, 1::2]
-            apq = flat[:, at_pq]
-            rot = np.abs(apq) > skip
-            theta = (aqq - app) / np.where(rot, 2.0 * apq, 1.0)
-            t = np.copysign(rot / (np.abs(theta) + np.hypot(theta, 1.0)), theta)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            cs.real[:, 0] = c
-            np.multiply(t, c, out=cs.imag[:, 0])
-            # the pairs themselves: a_pp - t a_pq, a_qq + t a_pq, and a_pq
-            # zeroed only where a rotation took place
-            shift = t * apq
-            pinned = np.concatenate([app - shift, aqq + shift, np.where(rot, 0.0, apq)], axis=1)
-            np.multiply(a_c, cs, out=a_c)
-            np.copyto(work, a.swapaxes(1, 2))
-            np.multiply(work_c, cs, out=work_c)
-            work_flat[:, fix] = pinned
-            work_flat.take(gather, axis=1, out=flat, mode="clip")
-            np.multiply(v_c, cs, out=v_c)
-            v.take(perm, axis=2, out=v_next, mode="clip")
-            v, v_next = v_next, v
-            v_c = v.view(np.complex128)
+        if N == 1:
+            v = _rotate(a, v, skip, ring, m - 1)
+        for phase in phases:
+            a, v = _blocked_phase(a, v, skip, phase)
+
+
+def _rotate(
+    a: np.ndarray, v: np.ndarray, skip: np.ndarray, perm: np.ndarray, rounds: int
+) -> np.ndarray:
+    """`rounds` Jacobi rounds on the (S, g, g) stack `a`, whose pairs sit in
+    slots (2j, 2j + 1); after each round slot s takes what slot perm[s]
+    held.  The columns of `v` (S, r, g) get the same rotations and moves.
+    `a` is updated in place; returns the rotated `v` (in one of two buffers).
+
+    Viewed as complex, a column pair is one number, and multiplying it by
+    c_j + i s_j gives (c a_p - s a_q) + i (s a_p + c a_q), the rotated pair:
+    A J is one multiply, and J^T (A J) is a transposed copy and a second one.
+    One flat gather then moves the result to the next round's slots, reading
+    only its upper triangle, so every round starts from an exactly symmetric
+    matrix.  The pivots a_pp, a_qq, a_pq come in with one `take`, and the
+    rotation is computed from them in reused buffers.
+    """
+    S, g = a.shape[0], a.shape[-1]
+    h = g // 2
+    flat, a_c, v_c = a.reshape(S, g * g), a.view(np.complex128), v.view(np.complex128)
+    work, v_next = np.empty_like(a), np.empty_like(v)
+    work_flat, work_c = work.reshape(S, g * g), work.view(np.complex128)
+    gather = (np.minimum.outer(perm, perm) * g + np.maximum.outer(perm, perm)).ravel()
+    at_pp = np.arange(0, g * g, 2 * (g + 1))  # flat positions of (2j, 2j)
+    fix = np.concatenate([at_pp, at_pp + g + 1, at_pp + 1])
+    pivots = np.empty((S, 3 * h))
+    app, aqq, apq = pivots[:, :h], pivots[:, h : 2 * h], pivots[:, 2 * h :]
+    theta, t, x = np.empty((3, S, h))
+    rot = np.empty((S, h), dtype=bool)
+    cs = np.empty((S, 1, h), dtype=np.complex128)
+    c, s = cs.real[:, 0], cs.imag[:, 0]
+    for _ in range(rounds):
+        flat.take(fix, axis=1, out=pivots, mode="clip")
+        np.greater(np.abs(apq, out=x), skip, out=rot)
+        # theta = (a_qq - a_pp) / (2 a_pq), over 1 where the pair is skipped
+        x.fill(1.0)
+        np.multiply(apq, 2.0, out=x, where=rot)
+        np.divide(np.subtract(aqq, app, out=theta), x, out=theta)
+        # t = sign(theta) / (|theta| + hypot(theta, 1)), a signed 0 where skipped
+        np.add(np.abs(theta, out=x), np.hypot(theta, 1.0, out=t), out=x)
+        np.copysign(np.divide(rot, x, out=x), theta, out=t)
+        np.sqrt(np.add(np.multiply(t, t, out=x), 1.0, out=x), out=x)
+        np.divide(1.0, x, out=c)
+        np.multiply(t, c, out=s)
+        # the pairs themselves: a_pp - t a_pq, a_qq + t a_pq, and a_pq
+        # zeroed only where a rotation took place
+        np.multiply(t, apq, out=x)
+        np.subtract(app, x, out=app)
+        np.add(aqq, x, out=aqq)
+        np.copyto(apq, 0.0, where=rot)
+        np.multiply(a_c, cs, out=a_c)
+        np.copyto(work, a.swapaxes(1, 2))
+        np.multiply(work_c, cs, out=work_c)
+        work_flat[:, fix] = pivots
+        work_flat.take(gather, axis=1, out=flat, mode="clip")
+        np.multiply(v_c, cs, out=v_c)
+        v.take(perm, axis=2, out=v_next, mode="clip")
+        v, v_next = v_next, v
+        v_c = v.view(np.complex128)
+    return v
+
+
+def _blocked_phase(
+    a: np.ndarray, v: np.ndarray, skip: np.ndarray, phase: _Phase
+) -> tuple[np.ndarray, np.ndarray]:
+    """One phase of a blocked sweep on the (B, m, m) stack `a` and its
+    eigenvectors `v`; returns both in the next phase's layout.
+
+    The diagonal groups are rotated as one (B m / g, g, g) stack, whose
+    columns of Q start as the identity in slot order.  Each other group is
+    then Q_X^T A_XY Q_Y (upper groups only: the gather to the next layout
+    reads the upper triangle), and V becomes V Q.
+    """
+    b, m, g, r = len(a), a.shape[-1], phase.g, len(phase.q)
+    G = m // g
+    flat = a.reshape(b, m * m)
+    sub = flat.take(phase.sub, axis=1).reshape(b * G, r, r)
+    sub.reshape(b * G, r * r)[:, phase.zero] = 0.0
+    q = np.broadcast_to(phase.q, sub.shape).copy()
+    q = _rotate(sub, q, np.repeat(skip, G, axis=0), phase.perm, phase.rounds)
+    q = q[:, :g, phase.unslot].reshape(b, G, g, g)  # rows and columns in group order
+    flat[:, phase.put] = sub.reshape(b, G * r * r)[:, phase.back]
+    groups = a.reshape(b, G, g, G, g).swapaxes(2, 3)
+    X, Y = phase.upper
+    groups[:, X, Y] = q[:, X].swapaxes(2, 3) @ groups[:, X, Y] @ q[:, Y]
+    a = flat.take(phase.gather, axis=1).reshape(b, m, m)
+    v = (v.reshape(b, m, G, g).swapaxes(1, 2) @ q).reshape(b, -1)
+    return a, v.take(phase.v_gather, axis=1).reshape(b, m, m)
 
 
 def dense_eigensystems(graphs: list[Graph]) -> list[Spectrum]:
@@ -500,6 +679,7 @@ def dense_eigensystems(graphs: list[Graph]) -> list[Spectrum]:
     for i, g in enumerate(graphs):
         g.validate()
         by_m.setdefault(g.n + g.n % 2, []).append(i)
+    _check_dense_budget([g.n for g in graphs])
     out: list = [None] * len(graphs)
     for m, ids in by_m.items():
         sizes = np.array([graphs[i].n for i in ids])
@@ -530,6 +710,7 @@ def _lapack_eigensystem(g: Graph) -> Spectrum:
     A LAPACK failure is a computational failure (RuntimeError), not bad input.
     """
     g.validate()
+    _check_dense_budget([g.n])
     adjacency = g.adjacency.astype(np.float64)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(adjacency)
@@ -538,6 +719,18 @@ def _lapack_eigensystem(g: Graph) -> Spectrum:
     spec = _sorted_spectrum(eigenvalues, eigenvectors)
     check_spectrum(spec, adjacency)
     return spec
+
+
+def _check_dense_budget(orders: list[int]) -> None:
+    """Refuse (ValueError) dense solves of matrices of these orders whose
+    float working set would pass DENSE_BUDGET; computed from the orders
+    alone, so nothing is allocated to find out."""
+    need = sum(DENSE_ARRAYS * 8 * n * n for n in orders)
+    if need > DENSE_BUDGET:
+        raise ValueError(
+            f"dense eigensystem of n = {max(orders)} refused: its working set is about "
+            f"{need} bytes, over the {DENSE_BUDGET}-byte budget"
+        )
 
 
 def graph_eigensystem(g: Graph, method: str = "auto") -> Spectrum:
@@ -575,28 +768,42 @@ def degeneracy_labels(desc: np.ndarray, tol: float) -> np.ndarray:
     return labels
 
 
+def degeneracy_summary(desc: np.ndarray, labels: np.ndarray) -> dict:
+    """The "multiplicities", "degeneracy_classes", "spectral_gap" and "type"
+    of descending eigenvalues, all from one array of their class labels
+    (`degeneracy_labels`).  The gap is min_{j != k} |lambda_j - lambda_k|,
+    exactly 0 when any class repeats."""
+    n = len(desc)
+    bounds = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), n]
+    indices = list(range(n))
+    classes = [indices[a:b] for a, b in zip(bounds, bounds[1:])]
+    if len(classes) < n:
+        gap = 0.0
+    elif n < 2:
+        gap = math.inf
+    else:
+        gap = float(np.min(desc[:-1] - desc[1:]))
+    return {"multiplicities": [len(c) for c in classes], "degeneracy_classes": classes,
+            "spectral_gap": gap, "type": len(classes)}
+
+
+def _summary(spec: Spectrum, tol: float) -> dict:
+    return degeneracy_summary(spec.eigenvalues, degeneracy_labels(spec.eigenvalues, tol))
+
+
 def degeneracy_classes(spec: Spectrum, tol: float = DEGENERACY_TOL) -> DegeneracyPartition:
     """Cluster the (descending) eigenvalues where adjacent gaps are <= tol."""
-    labels = degeneracy_labels(spec.eigenvalues, tol)
-    bounds = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), spec.n]
-    indices = list(range(spec.n))
-    return DegeneracyPartition([indices[a:b] for a, b in zip(bounds, bounds[1:])])
+    return DegeneracyPartition(_summary(spec, tol)["degeneracy_classes"])
 
 
 def spectral_gap(spec: Spectrum, tol: float = DEGENERACY_TOL) -> float:
     """min_{j != k} |lambda_j - lambda_k|; exactly 0 when any class repeats."""
-    part = degeneracy_classes(spec, tol)
-    if any(len(c) > 1 for c in part.classes):
-        return 0.0
-    lam = spec.eigenvalues
-    if len(lam) < 2:
-        return math.inf
-    return float(np.min(lam[:-1] - lam[1:]))
+    return _summary(spec, tol)["spectral_gap"]
 
 
 def spectrum_type(spec: Spectrum, tol: float = DEGENERACY_TOL) -> int:
     """Number of distinct eigenvalues (degeneracy classes)."""
-    return len(degeneracy_classes(spec, tol).classes)
+    return _summary(spec, tol)["type"]
 
 
 def check_spectrum(spec: Spectrum, adjacency: np.ndarray) -> None:
@@ -627,15 +834,11 @@ def spectrum_to_json(
     include_eigenvectors: bool = False,
     extra: dict | None = None,
 ) -> str:
-    part = degeneracy_classes(spec, tol)
     doc: dict = {
         "schema": SCHEMA,
         "n": spec.n,
         "eigenvalues": [float(x) for x in spec.eigenvalues],
-        "multiplicities": part.multiplicities,
-        "degeneracy_classes": part.classes,
-        "spectral_gap": spectral_gap(spec, tol),
-        "type": len(part.classes),
+        **_summary(spec, tol),
     }
     if include_eigenvectors:
         doc["eigenvectors"] = [

@@ -213,14 +213,19 @@ def instantaneous_distribution(spec: Spectrum, start: int, t) -> np.ndarray:
     return as_distribution(re * re + im * im)
 
 
-def average_distribution(spec: Spectrum, start: int, tol: float = DEGENERACY_TOL) -> np.ndarray:
+def average_distribution(
+    spec: Spectrum, start: int, tol: float = DEGENERACY_TOL, *, labels: np.ndarray | None = None
+) -> np.ndarray:
     """Limiting time-average distribution, exact from the degeneracy partition at `tol`.
 
     Only index pairs within one degeneracy class survive the Cesaro limit;
     class r contributes (E_r e_start)^2, the squared projection of |start>
-    onto its eigenspace.
+    onto its eigenspace.  A caller that has already cut the eigenvalues
+    passes their `degeneracy_labels` as `labels` in place of `tol`.
     """
-    proj = class_projections(spec, start, degeneracy_labels(spec.eigenvalues, tol))
+    if labels is None:
+        labels = degeneracy_labels(spec.eigenvalues, tol)
+    proj = class_projections(spec, start, labels)
     return as_distribution((proj.columns * proj.columns).sum(axis=0)[proj.index])
 
 

@@ -569,6 +569,64 @@ def test_lapack_route_agrees_across_openblas_thread_counts(tmp_path):
         assert one[key] == two[key], key
 
 
+def test_blocked_jacobi_route_agrees_across_openblas_thread_counts():
+    # C_128 runs the blocked oracle, whose matrix products go through BLAS
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = [sys.executable, "-m", "ctqw", "spectrum", "--dense", "--family", "cycle", "--n", "128"]
+    docs = {}
+    for threads in ("1", "2"):
+        runs = [subprocess.run(argv, capture_output=True, timeout=120,
+                               env={**env, "OPENBLAS_NUM_THREADS": threads}) for _ in range(2)]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout, threads  # repeats byte for byte
+        docs[threads] = json.loads(runs[0].stdout)
+    one, two = docs["1"], docs["2"]
+    bound = 1e-12 * (1.0 + math.sqrt(2 * 128))  # ||A||_F of C_128
+    assert np.max(np.abs(np.subtract(one["eigenvalues"], two["eigenvalues"]))) <= bound
+    for key in ("multiplicities", "degeneracy_classes", "spectral_gap", "type"):
+        assert one[key] == two[key], key
+
+
+def test_dense_routes_over_the_budget_exit_1(capsys, monkeypatch):
+    from ctqw import spectra
+
+    monkeypatch.setattr(spectra, "DENSE_BUDGET", spectra.DENSE_ARRAYS * 8 * 12 * 12 - 1)
+    for argv in (["spectrum", "--dense", "--family", "cycle", "--n", "12"],
+                 ["average", "--family", "complete_bipartite", "--n", "6"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: dense eigensystem of n = 12 refused") and "bytes" in err
+    code, _, _ = run_cli(capsys, "spectrum", "--dense", "--family", "cycle", "--n", "11")
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "cycle", "--n", "12"],
+    ["spectrum", "--family", "cycle", "--n", "12", "--format", "table"],
+    ["average", "--family", "cycle", "--n", "12"],
+    ["average", "--family", "hypercube", "--d", "4", "--format", "table"],
+], ids=["spectrum-json", "spectrum-table", "average-json", "average-table"])
+def test_each_command_cuts_the_degeneracy_labels_once(capsys, monkeypatch, argv):
+    from ctqw import graphs, spectra, walk
+
+    cuts = []
+    exact = spectra.degeneracy_labels
+
+    def counted(desc, tol):
+        cuts.append(tol)
+        return exact(desc, tol)
+
+    monkeypatch.setattr(spectra, "degeneracy_labels", counted)
+    monkeypatch.setattr(walk, "degeneracy_labels", counted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and cuts == [1e-9]
+    if "--format" not in argv:
+        doc = json.loads(out)
+        spec = spectra.graph_eigensystem(graphs.build_cycle(12))
+        assert doc["spectral_gap"] == spectra.spectral_gap(spec) == 0.0
+        assert doc["type"] == spectra.spectrum_type(spec) == 7
+
+
 def test_commands_in_one_process_run_as_they_run_alone(capsys):
     # `main` builds its parser once per process and reuses it for every call
     commands = [

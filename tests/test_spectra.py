@@ -336,6 +336,97 @@ def test_ring_slots_meet_every_pair_once_and_return_to_the_start():
         assert np.array_equal(slots, start), m
 
 
+def test_block_layouts_pad_under_one_zero_index_per_block():
+    for n in range(1, 33):
+        assert spectra._block_layout(n) == (1, n + n % 2)
+        assert np.array_equal(spectra._slot_order(n, 1, n + n % 2), spectra._ring_slots(n + n % 2)[0])
+    assert spectra._block_layout(128) == (8, 16)
+    for n in range(33, 301):
+        N, k = spectra._block_layout(n)
+        assert N % 2 == 0 and k == -(-n // N) and 0 <= N * k - n < N, n
+        order = spectra._slot_order(n, N, k).reshape(N, k)
+        assert sorted(order.ravel().tolist()) == list(range(N * k)), n
+        assert np.array_equal(order[order < n], np.arange(n)), n  # runs of consecutive indices
+        assert ((order >= n).sum(axis=1) <= 1).all(), n
+
+
+@pytest.mark.parametrize("N, k", [(2, 3), (2, 4), (4, 5), (4, 16), (6, 7), (8, 16)])
+def test_block_sweeps_meet_every_pair_once_and_return_to_the_start(N, k):
+    m = N * k
+    held, met = np.arange(m), []  # the index at each position of the matrix
+    for phase in spectra._phases(N, k):
+        g = phase.g
+        inner = phase.q.argmax(axis=0)  # the group index in each subproblem slot; g: zero index
+        for X in range(m // g):
+            start = np.append(held[X * g : (X + 1) * g], -1)[inner]
+            # sub reads the matrix at each slot pair (the zero index reads a real entry)
+            rows = phase.sub.reshape(m // g, len(inner), len(inner))[X, :, 0] // m
+            assert np.array_equal(held[rows][inner < g], start[inner < g])
+            slots = start
+            for _ in range(phase.rounds):
+                met += [frozenset(p) for p in slots.reshape(-1, 2).tolist() if -1 not in p]
+                slots = slots[phase.perm]
+            assert np.array_equal(slots, start), (N, k, g)
+        held = held[phase.gather[:: m + 1] // m]  # gather's diagonal: the position each takes
+    assert len(met) == len(set(met)) == m * (m - 1) // 2
+    assert np.array_equal(held, np.arange(m))
+
+
+@pytest.mark.parametrize("n", [64, 65, 96, 128])
+def test_blocked_jacobi_matches_reference_on_random_01_stacks(n):
+    assert spectra._block_layout(n)[0] > 1
+    stack = _random_01_stack(np.random.default_rng(n), 2, n)
+    eigenvalues, eigenvectors = jacobi_eigensystem(stack)
+    _assert_matches_reference(stack, eigenvalues, eigenvectors)
+
+
+def test_blocked_stack_members_are_their_single_solves():
+    stack = _random_01_stack(np.random.default_rng(12), 3, 128)
+    stack[2, 127] = stack[2, :, 127] = 0.0  # order 127, zero-padded to 128
+    eigenvalues, eigenvectors = jacobi_eigensystem(stack, sizes=[128, 128, 127])
+    for a, n, lam, vec in zip(stack, (128, 128, 127), eigenvalues, eigenvectors):
+        alone_lam, alone_vec = jacobi_eigensystem(a[:n, :n])
+        assert np.array_equal(lam[:n], alone_lam) and np.array_equal(vec[:n, :n], alone_vec)
+    assert eigenvalues[2, 127] == 0.0 and np.array_equal(eigenvectors[2, :, 127], np.eye(128)[127])
+
+
+def test_blocked_jacobi_sweep_cap_raises():
+    stack = _random_01_stack(np.random.default_rng(3), 2, 65)
+    with pytest.raises(JacobiConvergenceError) as info:
+        jacobi_eigensystem(stack, max_sweeps=3)
+    assert info.value.sweeps == 3 and info.value.off_norm > 0.0
+
+
+def test_dense_routes_refuse_a_working_set_over_the_budget(monkeypatch):
+    import tracemalloc
+
+    n = 400
+    g = graphs.from_adjacency(graphs.build_cycle(n).adjacency)  # no closed form: the eigh route
+    need = spectra.DENSE_ARRAYS * 8 * n * n
+    monkeypatch.setattr(spectra, "DENSE_BUDGET", need - 1)
+    for route in (graph_eigensystem, dense_eigensystem):
+        tracemalloc.start()
+        with pytest.raises(ValueError, match=f"n = {n} refused: .* {need} bytes"):
+            route(g)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 8 * n * n  # refused before one float64 n x n array
+    monkeypatch.setattr(spectra, "DENSE_BUDGET", need)
+    spectra.check_spectrum(graph_eigensystem(g), g.adjacency)
+
+
+def test_dense_budget_is_computed_from_the_orders_alone():
+    # 10^6 vertices would need 128 TB: refused by arithmetic, never allocated
+    with pytest.raises(ValueError, match="n = 1000000 refused: .* 128000000000000 bytes"):
+        spectra._check_dense_budget([10**6])
+    largest = math.isqrt(spectra.DENSE_BUDGET // (8 * spectra.DENSE_ARRAYS))
+    spectra._check_dense_budget([largest])
+    with pytest.raises(ValueError, match=f"n = {largest + 1} refused"):
+        spectra._check_dense_budget([largest + 1])
+    with pytest.raises(ValueError, match=f"n = {largest} refused"):
+        spectra._check_dense_budget([largest, 100])  # the working sets of one call add up
+
+
 def test_production_dense_routes_use_lapack_and_the_oracle_stays_jacobi(jacobi_calls):
     custom = graphs.from_adjacency(_random_01_stack(np.random.default_rng(11), 1, 12)[0])
     production = [custom, graphs.build_complete_bipartite(4), graphs.build_bunkbed(custom)]
