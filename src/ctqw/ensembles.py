@@ -134,17 +134,34 @@ def _partition_keys(labels: np.ndarray) -> np.ndarray:
     return keys.view(np.dtype((np.void, keys.itemsize * n))).ravel()
 
 
-def _partition_stats(labels: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of class labels: the type and `_uniform_deviation`, computed
-    once per distinct partition of the characters.
+class _PartitionTable:
+    """The type and `_uniform_deviation` of every distinct class partition
+    of the characters seen so far in a run, sorted by `_partition_keys`.
 
     The deviation reads the labels only through labels == roll(labels, d),
     and a row's arithmetic does not depend on the rows sharing its batch, so
-    every row of a partition gets its first row's result bit for bit.
+    every row of a partition gets the result of its first row in the run bit
+    for bit.  The table grows by the partitions a chunk adds, so its size is
+    bounded by the number of distinct partitions in the run.
     """
-    _, first, inverse = np.unique(_partition_keys(labels), return_index=True, return_inverse=True)
-    distinct = labels[first]
-    return (distinct.max(axis=1) + 1)[inverse], _uniform_deviation(distinct, phase)[inverse]
+
+    def __init__(self, n: int):
+        self.keys = _partition_keys(np.empty((0, n), dtype=np.int64))
+        self.types, self.deviations = np.empty(0, dtype=np.int64), np.empty(0)
+
+    def stats(self, labels: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of class labels: the type and the deviation, computed only
+        for the partitions the table does not hold yet."""
+        distinct, first, inverse = np.unique(
+            _partition_keys(labels), return_index=True, return_inverse=True)
+        slot = np.searchsorted(self.keys, distinct)
+        new = slot == np.searchsorted(self.keys, distinct, side="right")
+        rows = labels[first[new]]
+        self.keys = np.insert(self.keys, slot[new], distinct[new])
+        self.types = np.insert(self.types, slot[new], rows.max(axis=1) + 1)
+        self.deviations = np.insert(self.deviations, slot[new], _uniform_deviation(rows, phase))
+        at = np.searchsorted(self.keys, distinct)[inverse.ravel()]
+        return self.types[at], self.deviations[at]
 
 
 # SeedSequence's hash constants and PCG64's 128-bit LCG multiplier as numpy
@@ -356,14 +373,16 @@ def _symbol_stats(packed: np.ndarray, draws: np.ndarray, n: int, tol: float):
 
     Connectivity is a function of the symbol, so every draw of a connected
     row was accepted and none of another.  Types and deviations are computed
-    for connected rows only, once per distinct class partition of a chunk,
-    and are 0 on the others.  Every row's arithmetic is independent of the
-    rows sharing its chunk, so results do not depend on how rows are grouped.
+    for connected rows only, once per distinct class partition of the run
+    (`_PartitionTable`), and are 0 on the others.  Every row's arithmetic is
+    independent of the rows sharing its chunk, so results do not depend on
+    how rows are grouped.
     """
     _, phase = character_phases(AbelianGroupSpec((n,)))
     size = len(packed)
     connected, lam0, other = np.empty(size, dtype=bool), np.empty(size), np.empty(size)
     types, deviations = np.zeros(size, dtype=np.int64), np.zeros(size)
+    partitions = _PartitionTable(n)
     for start in range(0, size, BLOCK_SIZE):
         rows = slice(start, start + BLOCK_SIZE)
         bits = np.unpackbits(packed[rows], axis=1, count=n // 2).astype(bool)
@@ -372,7 +391,7 @@ def _symbol_stats(packed: np.ndarray, draws: np.ndarray, n: int, tol: float):
         connected[rows] = ok = _connected(bits, n)
         labels = _class_labels(lams[ok], tol)
         kept = start + np.flatnonzero(ok)
-        types[kept], deviations[kept] = _partition_stats(labels, phase)
+        types[kept], deviations[kept] = partitions.stats(labels, phase)
     return draws * connected, lam0, other, types, deviations
 
 

@@ -148,52 +148,92 @@ def _scan_deviations(proj: walk.ClassProjections, times: np.ndarray) -> np.ndarr
     return devs
 
 
-def _refined_minima(proj: walk.ClassProjections, a: np.ndarray,
-                    width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section minima of the deviation on the brackets [a, a + width].
+def _uniform_deviations(probs: np.ndarray, proj: walk.ClassProjections) -> np.ndarray:
+    """||P_t - U|| per column of `class_probabilities`, overwriting them."""
+    probs -= 1.0 / proj.counts.sum()
+    return proj.counts @ np.abs(probs, out=probs)
 
-    Each bracket stores the phases e^{-i theta t} of its kept point, and a
-    probe a step u away is that vector times the phasor e^{-i theta u}, which
-    all brackets share: one table of sines for the whole schedule instead of
-    r sines per probe.  A probe to the left of the kept point uses the
-    conjugate phasor; a bracket instead stores the conjugate of its vector
-    while its next probe lies to the left, which gives the conjugate probe
-    (the same deviation) from the same product.  Brackets are searched in
-    chunks, so each stored table holds at most spectra.BLOCK_ENTRIES entries.
+
+def _stacked_rows(proj: walk.ClassProjections) -> int:
+    """The most times evaluated at once: each complex phase table and the
+    amplitudes then hold at most spectra.BLOCK_ENTRIES float64 entries."""
+    return max(1, spectra.BLOCK_ENTRIES // (2 * max(proj.columns.shape)))
+
+
+def _grid_tables(proj: walk.ClassProjections, step: float,
+                 grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two phase tables from which every grid time's phases follow.
+
+    Grid time (i + 1) step is written i = q P + p, with P = ceil(sqrt(grid)),
+    or `_stacked_rows` if that is fewer: `coarse` holds the phases of the
+    Q = ceil(grid / P) times q P step and `fine` those of the P times
+    (p + 1) step, so the grid takes (P + Q) r sines and as many cosines,
+    not grid r.
     """
-    r, k = proj.columns.shape
-    u = 1.0 / proj.counts.sum()
-    sin_u, cos_u = walk.phase_table(proj.theta, np.array(_golden_steps(width)))
-    chunk = max(1, spectra.BLOCK_ENTRIES // (2 * max(r, k)))
-    kept_buf, probe_buf = np.empty(2 * chunk * r), np.empty(2 * chunk * r)
-    # scratch for the phasor product, then the product with the columns
-    amp_buf = np.empty(2 * chunk * max(r, k))
+    width = min(math.isqrt(grid - 1) + 1, _stacked_rows(proj))
+    coarse = walk.phase_table(proj.theta, np.arange(0, grid, width) * step)
+    fine = walk.phase_table(proj.theta, np.arange(1, width + 1) * step)
+    return coarse, fine
+
+
+def _grid_deviations(proj: walk.ClassProjections, step: float, coarse: np.ndarray,
+                     fine: np.ndarray, grid: int) -> np.ndarray:
+    """||P_t - U|| at the grid times (i + 1) step, i < grid, from the tables
+    of `_grid_tables`: the phases of row q, its P times, are coarse[q] times
+    fine, one complex product, and each block of whole rows is one product
+    with the columns (`walk.class_probabilities`).  The last row's times past
+    the grid are evaluated too and dropped."""
+    r, height, width = *coarse.shape, fine.shape[1]
+    rows = _stacked_rows(proj) // width
+    times = np.arange(1, height * width + 1) * step
+    devs = np.empty(height * width)
+    for q in range(0, height, rows):
+        h = min(rows, height - q)
+        lo, m = q * width, h * width
+        table = (coarse[:, q : q + h, None] * fine[:, None]).reshape(r, m)
+        probs = walk.class_probabilities(proj, table, times[lo : lo + m])
+        devs[lo : lo + m] = _uniform_deviations(probs, proj)
+    return devs[:grid]
+
+
+def _refined_minima(proj: walk.ClassProjections, lefts: np.ndarray, step: float,
+                    coarse: np.ndarray, fine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minima of the deviation on the brackets [t, t + 2 step]
+    left of the grid times t = (i + 1) step at the grid indices i in `lefts`.
+
+    Each bracket stores the phases e^{-i theta t} of its kept point, at
+    first its left end, the product of rows q and p of the grid's phase
+    tables (`_grid_tables`, i = q P + p).  A probe a step u away is that
+    vector times the phasor e^{-i theta u}, which all brackets share: one
+    table of sines for the whole schedule instead of r sines per probe.  A
+    probe to the left of the kept point uses the conjugate phasor; a bracket
+    instead stores the conjugate of its vector while its next probe lies to
+    the left, which gives the conjugate probe (the same deviation) from the
+    same product.  Brackets are searched in chunks of `_stacked_rows`, so
+    each stored table holds at most spectra.BLOCK_ENTRIES float64 entries.
+    """
+    width, chunk = 2.0 * step, _stacked_rows(proj)
+    phasors = walk.phase_table(proj.theta, np.array(_golden_steps(width)))
+    a = (lefts + 1) * step
+    q, p = np.divmod(lefts, fine.shape[1])
     t_best, f_best = np.empty(a.size), np.empty(a.size)
     for lo in range(0, a.size, chunk):
         ends = a[lo : lo + chunk]
-        m = ends.size
-        kept = walk.phase_table(proj.theta, ends, out=kept_buf[: 2 * m * r].reshape(2, m, r))
-        table = probe_buf[: 2 * m * r].reshape(2, m, r)
-        scratch = amp_buf[: m * r].reshape(m, r)
-        amp = amp_buf[: 2 * m * k].reshape(2 * m, k)
+        kept = np.take(coarse, q[lo : lo + chunk], axis=1)
+        kept *= np.take(fine, p[lo : lo + chunk], axis=1)
+        table = np.empty_like(kept)
 
         def probe(j, times):
-            # (cos - i sin)(c - i s) = (cos c - sin s) - i (sin c + cos s)
-            np.multiply(kept, cos_u[j], out=table)
-            sin_t, cos_t = table
-            sin_t += np.multiply(kept[1], sin_u[j], out=scratch)
-            cos_t -= np.multiply(kept[0], sin_u[j], out=scratch)
-            probs = walk.class_probabilities(proj, table, times, out=amp)
-            probs -= u
-            return np.abs(probs, out=probs) @ proj.counts
+            np.multiply(kept, phasors[:, j, None], out=table)
+            return _uniform_deviations(walk.class_probabilities(proj, table, times), proj)
 
         def keep(better):
             # a bracket that keeps its probe stores it; one that does not
             # turns to probe the other side and stores its conjugate
-            np.negative(kept[0], out=kept[0])
-            np.copyto(kept, table, where=better[:, None])
+            np.conjugate(kept, out=kept)
+            np.putmask(kept, np.broadcast_to(better, kept.shape), table)
 
-        t_best[lo : lo + m], f_best[lo : lo + m] = _golden_minima(probe, keep, ends, width)
+        t_best[lo : lo + chunk], f_best[lo : lo + chunk] = _golden_minima(probe, keep, ends, width)
     return t_best, f_best
 
 
@@ -209,16 +249,19 @@ def instantaneous_mixing_scan(
     The class projections of `start` are computed once; a direct evaluation
     then costs r cosines, r sines and two real r x k products per time over
     the k distinct columns, and each column's deviation counts once per
-    vertex sharing it.  Evaluates directly on a uniform grid and refines
-    every interior local minimum by golden-section search on the bracket of
-    its two grid neighbours, 2 t_max / grid wide, to a width of GOLDEN_WIDTH
-    (1e-10) in t.  All brackets shrink on one width schedule, so a probe's
-    phases are those of its bracket's kept point times a phasor shared by
-    every bracket (`_refined_minima`): the refinement takes r sines and r
-    cosines per step, not per probe, and checks every probe for unit norm.
-    Adjacent grid minima that refine to one merge, and each reported time
-    is then evaluated directly once more: every deviation returned is the
-    direct one at its time.  Returns the (time, deviation) pairs with
+    vertex sharing it.  Evaluates a uniform grid and refines every interior
+    local minimum by golden-section search on the bracket of its two grid
+    neighbours, 2 t_max / grid wide, to a width of GOLDEN_WIDTH (1e-10) in
+    t.  The grid's phases are products of two tables of about sqrt(grid)
+    times each (`_grid_tables`), and each bracket's first phases are the
+    product of the same two rows.  All brackets shrink on one width
+    schedule, so a probe's phases are those of its bracket's kept point
+    times a phasor shared by every bracket (`_refined_minima`): the scan
+    takes r sines and r cosines per table row and per step, not per time
+    or probe, and checks every time it evaluates for unit norm.  Adjacent
+    grid minima that refine to one merge, and each reported time is then
+    evaluated directly once more: every deviation returned is the direct
+    one at its time.  Returns the (time, deviation) pairs with
     deviation <= eps (all minima when eps is infinite), sorted by time.
     Where the deviation is smooth at a minimum, rounding flattens its
     bottom, so t is fixed only to about sqrt(machine epsilon / curvature)
@@ -239,11 +282,11 @@ def instantaneous_mixing_scan(
         raise ValueError("eps must not be NaN")
     proj = walk.class_projections(spec, start, walk.exact_labels(spec.eigenvalues))
     step = t_max / grid
-    ts = np.arange(1, grid + 1) * step
-    devs = _scan_deviations(proj, ts)
+    coarse, fine = _grid_tables(proj, step, grid)
+    devs = _grid_deviations(proj, step, coarse, fine, grid)
     inner = devs[1:-1]
     lefts = np.flatnonzero((inner <= devs[:-2]) & (inner <= devs[2:]))  # left neighbours
-    t_best, f_best = _refined_minima(proj, ts[lefts], 2.0 * step)
+    t_best, f_best = _refined_minima(proj, lefts, step, coarse, fine)
     minima = sorted(zip(t_best.tolist(), f_best.tolist()))
     # adjacent grid ties refine to the same minimum; merge them
     merged: list[tuple[float, float]] = []

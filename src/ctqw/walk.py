@@ -10,9 +10,10 @@ On a G-circulant the matrix comes from the characters in closed form, with no
 eigenvectors.  Vertices with bitwise-equal columns (an equitable partition:
 the Hamming weights on Q_d, the pairs {s + x, s - x} on a circulant) are
 evaluated once, and full vectors are gathered back only where one is output.
-A scan's refinement builds its probe phases itself and reads the probabilities
-through one product of a stacked sine-over-cosine table with the columns
-(`phase_table`, `class_probabilities`).
+A scan builds the phases of its grid and probes itself, as complex tables
+e^{-i theta t} with one column per time, and reads the probabilities through
+one real product of the columns with such a table (`phase_table`,
+`class_probabilities`).
 Evolution merges only bitwise-equal eigenvalues (`exact_labels`), so no
 tolerance enters psi(t); the average uses the degeneracy partition, never
 quadrature.
@@ -140,15 +141,15 @@ def class_projections(spec: Spectrum, start: int, labels: np.ndarray) -> ClassPr
                             rank[inverse.ravel()], counts[order])
 
 
-def phase_table(theta: np.ndarray, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sin(theta_r t) over cos(theta_r t), shape (2, len(times), len(theta)): the
-    rows of e^{-i theta t} = cos - i sin, one per time, written into `out` if given."""
-    if out is None:
-        out = np.empty((2, len(times), len(theta)))
-    np.multiply.outer(times, theta, out=out[1])
-    np.sin(out[1], out=out[0])
-    np.cos(out[1], out=out[1])
-    return out
+def phase_table(theta: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The phases e^{-i theta_r t}, complex, shape (len(theta), len(times)):
+    one column per time."""
+    phases = np.multiply.outer(theta, times)
+    table = np.empty(phases.shape, dtype=np.complex128)
+    np.cos(phases, out=table.real)
+    np.sin(phases, out=table.imag)
+    np.negative(table.imag, out=table.imag)
+    return table
 
 
 def _check_unit_norm(norm_sq: np.ndarray, times: np.ndarray) -> None:
@@ -179,19 +180,17 @@ def class_amplitudes(proj: ClassProjections, times: np.ndarray) -> tuple[np.ndar
     return re, im
 
 
-def class_probabilities(proj: ClassProjections, table: np.ndarray, times: np.ndarray,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """|amplitude|^2 on the distinct columns, shape (m, k), from a phase table
-    (2, m, r) as `phase_table` lays it out, for the m `times`.  A table of the
-    conjugate phases gives the same values.  One product of the stacked table
-    with the columns, written into `out` (2m x k) if given; every row is
-    checked for unit norm over all n vertices."""
-    m = table.shape[1]
-    amp = np.matmul(table.reshape(2 * m, -1), proj.columns, out=out)
+def class_probabilities(proj: ClassProjections, table: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """|amplitude|^2 on the distinct columns, shape (k, m), one column per
+    time, from a phase table (r, m) as `phase_table` lays it out, for the m
+    `times`.  A table of the conjugate phases gives the same values.  One real
+    product of the transposed columns with the table read as interleaved real
+    and imaginary parts; every time is checked for unit norm over all n
+    vertices."""
+    amp = proj.columns.T @ table.view(np.float64)
     np.square(amp, out=amp)
-    probs = amp[:m]
-    probs += amp[m:]
-    _check_unit_norm(probs @ proj.counts, times)
+    probs = amp[:, 0::2] + amp[:, 1::2]
+    _check_unit_norm(proj.counts @ probs, times)
     return probs
 
 

@@ -587,6 +587,25 @@ def test_blocked_jacobi_route_agrees_across_openblas_thread_counts():
         assert one[key] == two[key], key
 
 
+@pytest.mark.parametrize("family", [["--family", "cycle", "--n", "257"],
+                                    ["--family", "hypercube", "--d", "10"]], ids=["C257", "Q10"])
+def test_scans_repeat_across_openblas_thread_counts(family):
+    # every scan evaluation is a BLAS matrix product, and a printed deviation's
+    # last bits depend on the batch it is evaluated in: the output must still
+    # repeat byte for byte on one and on two OpenBLAS threads
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = [sys.executable, "-m", "ctqw", "scan", *family]
+    outputs = {}
+    for threads in ("1", "2"):
+        runs = [subprocess.run(argv, capture_output=True, timeout=120,
+                               env={**env, "OPENBLAS_NUM_THREADS": threads}) for _ in range(2)]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout, threads  # repeats byte for byte
+        outputs[threads] = runs[0].stdout
+    assert outputs["1"] == outputs["2"]
+    assert len(json.loads(outputs["1"])["minima"]) == {"cycle": 955, "hypercube": 637}[family[1]]
+
+
 def test_dense_routes_over_the_budget_exit_1(capsys, monkeypatch):
     from ctqw import spectra
 

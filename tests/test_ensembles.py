@@ -640,7 +640,7 @@ def test_prime_factors_are_the_distinct_primes_of_n():
 # Types and deviations once per distinct class partition.
 
 
-def _unkeyed_partition_stats(labels, phase):
+def _unkeyed_partition_stats(table, labels, phase):
     return labels.max(axis=1) + 1, ensembles._uniform_deviation(labels, phase)
 
 
@@ -661,17 +661,41 @@ def test_keyed_deviations_are_the_per_row_route_bitwise(monkeypatch, n, trials):
     keyed = ensembles._symbol_stats(packed, draws, n, DEGENERACY_TOL)
     connected = int((keyed[0] > 0).sum())
     assert sum(rows) < connected  # partitions repeat in every one of these runs
-    monkeypatch.setattr(ensembles, "_partition_stats", _unkeyed_partition_stats)
+    monkeypatch.setattr(ensembles._PartitionTable, "stats", _unkeyed_partition_stats)
     unkeyed = ensembles._symbol_stats(packed, draws, n, DEGENERACY_TOL)
     assert _table_stats_bytes(keyed) == _table_stats_bytes(unkeyed)
 
 
 def test_keyed_exhaustive_tables_are_the_per_row_route_bitwise(monkeypatch):
     keyed = [ensembles._exhaustive_table(n, DEGENERACY_TOL)[1:] for n in range(3, 21)]
-    monkeypatch.setattr(ensembles, "_partition_stats", _unkeyed_partition_stats)
+    monkeypatch.setattr(ensembles._PartitionTable, "stats", _unkeyed_partition_stats)
     for n, stats in zip(range(3, 21), keyed):
         assert _table_stats_bytes(stats) == _table_stats_bytes(
             ensembles._exhaustive_table(n, DEGENERACY_TOL)[1:]), n
+
+
+def _run_labels(n, trials, seed):
+    """Class labels of every connected symbol of a run, and the phases."""
+    packed, _ = ensembles._draw_table(n, np.random.SeedSequence(seed).entropy, trials)
+    bits = np.unpackbits(packed, axis=1, count=n // 2).astype(bool)
+    _, phase = character_phases(graphs.AbelianGroupSpec((n,)))
+    lams = circulant_eigenvalues(ensembles._symbol_values(bits, n), phase, n)
+    return ensembles._class_labels(lams[ensembles._connected(bits, n)], DEGENERACY_TOL), phase
+
+
+@pytest.mark.parametrize("n,trials,seed", [(40, 50000, 1), (24, 20000, 5), (101, 2000, 3)])
+def test_deviations_once_per_distinct_partition_of_the_run(monkeypatch, n, trials, seed):
+    labels, phase = _run_labels(n, trials, seed)
+    partitions = np.unique(ensembles._partition_keys(labels)).size
+    rows = []
+    real = ensembles._uniform_deviation
+    monkeypatch.setattr(ensembles, "_uniform_deviation",
+                        lambda labels, phase: rows.append(len(labels)) or real(labels, phase))
+    stats = ensembles.ensemble_stats(n, trials, seed)
+    assert sum(rows) == partitions < len(labels), (rows, partitions)
+    if n == 40:
+        assert len(rows) > 1 and len(labels) > 10 * BLOCK_SIZE  # chunks beyond the first add few
+    assert stats.trials == trials
 
 
 def _chunk_labels(n, trials, seed):
@@ -698,5 +722,5 @@ def test_partition_keys_do_not_depend_on_how_classes_are_numbered():
     permuted = np.take_along_axis(relabel, labels, axis=1)
     assert not np.array_equal(permuted, labels)
     assert ensembles._partition_keys(permuted).tobytes() == ensembles._partition_keys(labels).tobytes()
-    _, deviations = ensembles._partition_stats(labels, phase)
+    _, deviations = ensembles._PartitionTable(24).stats(labels, phase)
     assert deviations.tobytes() == ensembles._uniform_deviation(permuted, phase).tobytes()

@@ -256,22 +256,123 @@ def test_scan_takes_its_sines_per_step_not_per_probe(monkeypatch):
     proj = walk.class_projections(spec, 0, walk.exact_labels(spec.eigenvalues))
     r = proj.theta.size
     grid, t_max = mixing.SCAN_GRID, mixing.default_scan_window(spec)
-    devs = mixing._scan_deviations(proj, np.arange(1, grid + 1) * (t_max / grid))
-    inner = devs[1:-1]
-    brackets = int(((inner <= devs[:-2]) & (inner <= devs[2:])).sum())
-    steps = len(mixing._golden_steps(2.0 * t_max / grid)) - 2
-    sines, sin = [0], np.sin
+    steps = len(mixing._golden_steps(2.0 * t_max / grid))
+    fine = math.isqrt(grid - 1) + 1  # ceil(sqrt(grid)) grid phases per row
+    coarse = -(-grid // fine)  # and one per row
+    assert (fine, coarse) == (64, 64)
+    taken = {"sin": 0, "cos": 0}
 
-    def counted(x, *args, **kwargs):
-        sines[0] += np.size(x)
-        return sin(x, *args, **kwargs)
+    def counting(name):
+        ufunc = getattr(np, name)
+
+        def counted(x, *args, **kwargs):
+            taken[name] += np.size(x)
+            return ufunc(x, *args, **kwargs)
+
+        return counted
 
     want = instantaneous_mixing_scan(spec, 0)
-    monkeypatch.setattr(np, "sin", counted)
+    for name in taken:
+        monkeypatch.setattr(np, name, counting(name))
     got = instantaneous_mixing_scan(spec, 0)
     assert got == want and len(got) == 955
-    # the batched scalar search took 50,989 probes of 129 sines each here
-    assert 0 < sines[0] <= (grid + 3 * brackets + 3 * steps) * r, (sines[0], brackets, steps)
+    # the batched scalar search took 50,989 probes of 129 sines each here, and
+    # the direct grid 4096 times: now the grid's two tables, one phasor per
+    # step and the last direct evaluation of each reported time
+    bound = (fine + coarse + steps + len(got)) * r
+    assert 0 < taken["sin"] <= bound and 0 < taken["cos"] <= bound, (taken, bound)
+
+
+def _brackets(devs):
+    inner = devs[1:-1]
+    return np.flatnonzero((inner <= devs[:-2]) & (inner <= devs[2:]))
+
+
+def _checked_grids(monkeypatch):
+    """Make every scan compare its grid, evaluated from the two phase tables,
+    with the direct kernel at the same times; returns the list it appends
+    one entry per scan to: the largest difference, the argument-rounding
+    bound 4 eps max|theta| t_max (each side's phases round arguments up to
+    |theta t| once or twice) and whether the two give the same brackets."""
+    grid_deviations, seen = mixing._grid_deviations, []
+
+    def checked(proj, step, coarse, fine, grid):
+        devs = grid_deviations(proj, step, coarse, fine, grid)
+        direct = mixing._scan_deviations(proj, np.arange(1, grid + 1) * step)
+        rounding = 4.0 * np.finfo(np.float64).eps * np.max(np.abs(proj.theta)) * grid * step
+        seen.append((float(np.max(np.abs(devs - direct))), float(rounding),
+                     np.array_equal(_brackets(devs), _brackets(direct))))
+        return devs
+
+    monkeypatch.setattr(mixing, "_grid_deviations", checked)
+    return seen
+
+
+@pytest.mark.parametrize("g, t_max", [
+    (graphs.build_cycle(257), None), (graphs.build_cycle(33), None),
+    (graphs.build_path(20), None), (graphs.build_hypercube(10), None),
+    (graphs.build_complete(8), None), (graphs.build_complete(8), 4 * math.pi),
+], ids=["C257", "C33", "P20", "Q10", "K8", "K8-4pi"])
+def test_scan_grid_from_phase_tables_matches_the_direct_kernel(monkeypatch, g, t_max):
+    seen = _checked_grids(monkeypatch)
+    instantaneous_mixing_scan(spectra.graph_eigensystem(g), 0, t_max=t_max)
+    ((worst, _, same),) = seen
+    assert worst <= 1e-12 and same, seen
+
+
+def test_scan_grids_of_verify_match_the_direct_kernel(monkeypatch):
+    seen = _checked_grids(monkeypatch)
+    reports = verify_all(VerifyConfig(checks=("instantaneous_uniform",)))
+    # Q_1..Q_6 at pi and at d pi under A/d, K_3 and K_4 at pi, K_8 at 4 pi
+    assert not mixing.has_failures(reports) and len(seen) == 15
+    assert all(worst <= 1e-12 and same for worst, _, same in seen), seen
+
+
+@pytest.mark.parametrize("grid", [2, 3, 1000, 2048, 4097])
+def test_scan_grid_of_any_length_matches_the_direct_kernel(monkeypatch, grid):
+    # P = ceil(sqrt(grid)) rarely divides the grid: the last row runs past it
+    seen = _checked_grids(monkeypatch)
+    minima = instantaneous_mixing_scan(spectra.graph_eigensystem(graphs.build_cycle(33)), 0,
+                                       grid=grid)
+    ((worst, _, same),) = seen
+    assert worst <= 1e-12 and same, seen
+    assert grid > 2 or minima == []  # two grid points have no interior one
+
+
+def test_scan_grid_rows_shrink_to_fit_one_block(monkeypatch):
+    # with room for 10 times per block, a row holds 10 grid times, not 64;
+    # every stacked array still holds at most BLOCK_ENTRIES entries
+    spec = spectra.graph_eigensystem(graphs.build_cycle(257))
+    want = instantaneous_mixing_scan(spec, 0)
+    monkeypatch.setattr(spectra, "BLOCK_ENTRIES", 2 * 129 * 10)
+    probabilities, widths = walk.class_probabilities, []
+
+    def checked(proj, table, times):
+        widths.append(table.shape[1])
+        assert 2 * table.size <= spectra.BLOCK_ENTRIES
+        return probabilities(proj, table, times)
+
+    monkeypatch.setattr(walk, "class_probabilities", checked)
+    seen = _checked_grids(monkeypatch)
+    got = instantaneous_mixing_scan(spec, 0)
+    ((worst, _, same),) = seen
+    assert worst <= 1e-12 and same, seen
+    assert max(widths) == 10 and len(got) == len(want) == 955
+    assert max(abs(t - w) for (t, _), (w, _) in zip(got, want)) <= mixing.GOLDEN_WIDTH
+
+
+@pytest.mark.parametrize("g", [graphs.build_cycle(5), graphs.build_cycle(33),
+                               graphs.build_hypercube(3), graphs.build_complete(8)],
+                         ids=["C5", "C33", "Q3", "K8"])
+@pytest.mark.parametrize("grid", [64, 4096])
+def test_scan_grid_near_the_window_cap_stays_within_argument_rounding(monkeypatch, g, grid):
+    # at t_max just under 2^19 the arguments theta t reach 10^6 and more, and
+    # the direct phases themselves round them by up to |theta t| eps
+    seen = _checked_grids(monkeypatch)
+    t_max = float(np.nextafter(2.0**19, 0.0))
+    assert instantaneous_mixing_scan(spectra.graph_eigensystem(g), 0, t_max=t_max, grid=grid)
+    ((worst, rounding, _),) = seen
+    assert worst <= rounding, seen
 
 
 @pytest.mark.parametrize("g, t_max, eps", [
