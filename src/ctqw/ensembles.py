@@ -496,12 +496,15 @@ def _run_entropy(n: int, trials: int, seed: int) -> int:
 
 def random_circulants(n: int, count: int, seed: int) -> list[Symbol]:
     """The connected symbols accepted by trials 0..count-1 of C(n, 1/2) at
-    `seed`, in trial order: the draws `ensemble_stats(n, count, seed)` reduces."""
+    `seed`, in trial order: the draws `ensemble_stats(n, count, seed)` reduces.
+
+    They are not checked again: orbit coins make every symbol symmetric and
+    leave out 0, and `_connected` accepted only generating ones."""
     entropy, group = _run_entropy(n, count, seed), AbelianGroupSpec((n,))
     symbols = []
     for start in range(0, count, BLOCK_SIZE):
         bits, ok = _draw_block(n, entropy, range(start, min(start + BLOCK_SIZE, count)))
-        symbols += [Symbol(group, values) for values in _symbol_values(bits[ok], n)]
+        symbols += [Symbol._proven(group, values) for values in _symbol_values(bits[ok], n)]
     return symbols
 
 

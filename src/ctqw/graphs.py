@@ -1,6 +1,6 @@
 """Graph family builders with canonical vertex orderings.
 
-Every builder returns a simple, undirected, connected graph as a dense 0/1
+Every builder returns a simple, undirected, connected graph with a dense 0/1
 adjacency matrix.  Vertex orderings are fixed per family so that
 degeneracy-sensitive downstream results reproduce bit for bit:
 
@@ -9,6 +9,12 @@ degeneracy-sensitive downstream results reproduce bit for bit:
 - abelian circulant: vertices are group elements in mixed-radix order,
   first factor most significant, identity at index 0;
 - bunkbed: layer-major, index(b, l) = b * n + l.
+
+Each graph is checked once.  The builders' graphs are valid by the structure
+that built them (a checked `Symbol`, a path, K_{n,n}, two layers of a checked
+base), so they skip the O(n^2) adjacency pass and form their adjacency, and
+the hypercube its labels, only when something reads it.  Files and
+`from_adjacency` get the full pass.  A checked adjacency is read-only.
 """
 
 from __future__ import annotations
@@ -130,6 +136,15 @@ class Symbol:
         vals[idx] = True
         return cls(group, vals)
 
+    @classmethod
+    def _proven(cls, group: AbelianGroupSpec, values: np.ndarray) -> "Symbol":
+        """A symbol whose maker proved it valid (no identity, S = -S, S
+        generates G) by how it chose `values`, bool of length |G|; skips
+        `validate` and its subgroup closure."""
+        sym = object.__new__(cls)
+        sym.group, sym.values = group, values
+        return sym
+
     @property
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.values)
@@ -169,57 +184,105 @@ class Symbol:
         return len(h) == group.order
 
 
-@dataclass
 class Graph:
-    """Dense symmetric 0/1 adjacency with family metadata.
+    """Symmetric 0/1 adjacency with family metadata.
 
     `symbol` is attached when the graph was constructed as an abelian
     circulant and `base` when it is a bunkbed; both route the spectra module
     to the matching closed form.
+
+    `validate` runs the full adjacency check once and keeps the result;
+    from then on the graph holds its adjacency read-only.  Assigning
+    `adjacency` holds the new array unchecked (the graph shares it with the
+    caller) and re-arms the check.  A builder's graph is checked by the
+    structure that built it and forms its adjacency on first read
+    (`_from_structure`).
     """
 
-    adjacency: np.ndarray
-    family: str = "custom"
-    labels: list[str] | None = None
-    symbol: Symbol | None = None
-    base: "Graph | None" = None
-
-    def __post_init__(self):
-        a = np.asarray(self.adjacency)
+    def __init__(self, adjacency, family: str = "custom", labels: list[str] | None = None,
+                 symbol: Symbol | None = None, base: "Graph | None" = None):
+        a = np.asarray(adjacency)
         if a.dtype != np.uint8 and not _zero_one(a):
             # checked before the cast, which would turn 257 or 1.5 into an edge
             raise GraphValidationError("adjacency entries must be 0 or 1")
+        self.family, self.symbol, self.base, self._labels = family, symbol, base, labels
         self.adjacency = a.astype(np.uint8, copy=False)
+
+    @classmethod
+    def _from_structure(cls, n: int, form, family: str, labels=None,
+                        symbol: Symbol | None = None, base: "Graph | None" = None) -> "Graph":
+        """A graph whose construction proves what `validate` checks; `form()`
+        builds its n x n adjacency, and `labels` may be a builder of the
+        labels, each run on first read."""
+        g = cls.__new__(cls)
+        g.family, g.symbol, g.base, g._labels = family, symbol, base, labels
+        g._n, g._form, g._adjacency, g._checked = n, form, None, True
+        return g
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        if self._adjacency is None:
+            a = self._form()
+            a.flags.writeable = False
+            self._adjacency, self._form = a, None
+        return self._adjacency
+
+    @adjacency.setter
+    def adjacency(self, a) -> None:
+        # a view of the caller's array: freezing it once checked leaves theirs writable
+        self._adjacency, self._form, self._checked = np.asarray(a).view(), None, False
+
+    @property
+    def labels(self) -> list[str] | None:
+        if callable(self._labels):
+            self._labels = self._labels()
+        return self._labels
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return self._n if self._adjacency is None else self._adjacency.shape[0]
 
     @property
     def degrees(self) -> np.ndarray:
+        if self.symbol is not None:  # a circulant's rows each hold the support
+            return np.full(self.n, self.symbol.support.size, dtype=np.int64)
+        if self.base is not None:  # a bunkbed's rows: the base's, plus one rung
+            return np.tile(self.base.degrees + 1, 2)
         return self.adjacency.sum(axis=1).astype(np.int64)
 
     def validate(self) -> "Graph":
-        a = self.adjacency
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise GraphValidationError("adjacency must be a square matrix")
-        if a.shape[0] < 2:
-            # one vertex has no walk to mix over: spectral gap inf, lazy walk 0/0
-            raise GraphValidationError("graph must have at least 2 vertices")
-        if not _zero_one(a):
-            raise GraphValidationError("adjacency entries must be 0 or 1")
-        # every edge (r, c) has its reverse, which for a 0/1 matrix is symmetry;
-        # reading only the edges beats transposing n^2 bytes, and 0/1 bytes
-        # (the builders' uint8) read as bool without a copy
-        edges = a.view(np.bool_) if a.dtype.kind in "iub" and a.dtype.itemsize == 1 else a != 0
-        r, c = np.divmod(np.flatnonzero(edges), a.shape[0])
-        if not a[c, r].all():
-            raise GraphValidationError("adjacency must be symmetric")
-        if np.diagonal(a).any():
-            raise GraphValidationError("adjacency must have a zero diagonal")
-        if not _connected(a):
-            raise GraphValidationError("graph is not connected")
+        """The full adjacency check (`_check_adjacency`), run unless this
+        adjacency already passed it."""
+        if not self._checked:
+            a = self._adjacency
+            _check_adjacency(a)
+            a = a.astype(np.uint8, copy=False)
+            a.flags.writeable = False
+            self._adjacency, self._checked = a, True
         return self
+
+
+def _check_adjacency(a: np.ndarray) -> None:
+    """Raise GraphValidationError unless `a` is a square 0/1, symmetric,
+    loopless adjacency of a connected graph on at least 2 vertices."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise GraphValidationError("adjacency must be a square matrix")
+    if a.shape[0] < 2:
+        # one vertex has no walk to mix over: spectral gap inf, lazy walk 0/0
+        raise GraphValidationError("graph must have at least 2 vertices")
+    if not _zero_one(a):
+        raise GraphValidationError("adjacency entries must be 0 or 1")
+    # every edge (r, c) has its reverse, which for a 0/1 matrix is symmetry;
+    # reading only the edges beats transposing n^2 bytes, and 0/1 bytes
+    # (the builders' uint8) read as bool without a copy
+    edges = a.view(np.bool_) if a.dtype.kind in "iub" and a.dtype.itemsize == 1 else a != 0
+    r, c = np.divmod(np.flatnonzero(edges), a.shape[0])
+    if not a[c, r].all():
+        raise GraphValidationError("adjacency must be symmetric")
+    if np.diagonal(a).any():
+        raise GraphValidationError("adjacency must have a zero diagonal")
+    if not _connected(a):
+        raise GraphValidationError("graph is not connected")
 
 
 def _zero_one(a: np.ndarray) -> bool:
@@ -257,60 +320,76 @@ def _connected(adjacency: np.ndarray) -> bool:
     return bool(seen.all())
 
 
+def _builder_symbol(factors: tuple[int, ...], support) -> Symbol:
+    """The symbol of a builder's own circulant, valid by its choice of
+    `support`: C_n's {1, n-1}, K_n's 1..n-1 and Q_d's unit vectors are
+    symmetric, miss the identity and generate the group."""
+    group = AbelianGroupSpec(factors)
+    values = np.zeros(group.order, dtype=bool)
+    values[list(support)] = True
+    return Symbol._proven(group, values)
+
+
 def build_cycle(n: int) -> Graph:
     """Cycle C_n, vertex j adjacent to j +- 1 mod n."""
     if n < 3:
         raise GraphValidationError("degenerate cycle: n must be >= 3")
-    sym = Symbol.from_support(AbelianGroupSpec((n,)), {1, n - 1})
-    return build_abelian_circulant(sym, family="cycle")
+    return build_abelian_circulant(_builder_symbol((n,), (1, n - 1)), family="cycle")
 
 
 def build_complete(n: int) -> Graph:
     """Complete graph K_n."""
     if n < 2:
         raise GraphValidationError("complete graph requires n >= 2")
-    sym = Symbol.from_support(AbelianGroupSpec((n,)), range(1, n))
-    return build_abelian_circulant(sym, family="complete")
+    return build_abelian_circulant(_builder_symbol((n,), range(1, n)), family="complete")
 
 
 def build_path(n: int) -> Graph:
     """Path P_n, vertex j adjacent to j +- 1, no wraparound."""
     if n < 2:
         raise GraphValidationError("path requires n >= 2")
-    a = np.zeros((n, n), dtype=np.uint8)
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = 1
-    a[idx + 1, idx] = 1
-    return Graph(a, family="path").validate()
+
+    def form() -> np.ndarray:
+        a = np.zeros((n, n), dtype=np.uint8)
+        idx = np.arange(n - 1)
+        a[idx, idx + 1] = 1
+        a[idx + 1, idx] = 1
+        return a
+
+    return Graph._from_structure(n, form, "path")
 
 
 def build_hypercube(d: int) -> Graph:
     """d-cube on 2^d vertices indexed by binary value; edges at Hamming distance 1."""
     if d < 1:
         raise GraphValidationError("hypercube requires d >= 1")
-    group = AbelianGroupSpec((2,) * d)
-    units = [1 << j for j in range(d)]
-    sym = Symbol.from_support(group, units)
-    labels = [format(v, f"0{d}b") for v in range(2**d)]
-    return build_abelian_circulant(sym, family="hypercube", labels=labels)
+    sym = _builder_symbol((2,) * d, [1 << j for j in range(d)])
+    return build_abelian_circulant(
+        sym, family="hypercube", labels=lambda: [format(v, f"0{d}b") for v in range(2**d)])
 
 
 def build_complete_bipartite(n: int) -> Graph:
     """K_{n,n} with parts {0..n-1} and {n..2n-1}."""
     if n < 1:
         raise GraphValidationError("complete bipartite requires n >= 1")
-    a = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-    a[:n, n:] = 1
-    a[n:, :n] = 1
-    return Graph(a, family="complete_bipartite").validate()
+
+    def form() -> np.ndarray:
+        a = np.zeros((2 * n, 2 * n), dtype=np.uint8)
+        a[:n, n:] = 1
+        a[n:, :n] = 1
+        return a
+
+    return Graph._from_structure(2 * n, form, "complete_bipartite")
 
 
-def build_abelian_circulant(
-    sym: Symbol, family: str = "abelian_circulant", labels: list[str] | None = None
-) -> Graph:
-    """Adjacency A[s, t] = f(s - t) under the group's mixed-radix encoding."""
-    a = _circulant_adjacency(sym)
-    return Graph(a, family=family, labels=labels, symbol=sym).validate()
+def build_abelian_circulant(sym: Symbol, family: str = "abelian_circulant", labels=None) -> Graph:
+    """Adjacency A[s, t] = f(s - t) under the group's mixed-radix encoding.
+
+    `sym` passed its check (`Symbol.validate`, or its builder's proof), so the
+    graph is valid as built; `labels` may be a builder of the label list.
+    """
+    return Graph._from_structure(sym.group.order, lambda: _circulant_adjacency(sym), family,
+                                 labels, symbol=sym)
 
 
 def _circulant_adjacency(sym: Symbol) -> np.ndarray:
@@ -325,11 +404,15 @@ def _circulant_adjacency(sym: Symbol) -> np.ndarray:
 
 
 def build_bunkbed(base: Graph) -> Graph:
-    """Two copies of `base` joined by a perfect matching, layer-major order."""
+    """Two copies of `base` joined by a perfect matching, layer-major order.
+
+    Valid once `base` is: each layer is connected, and a rung joins them.
+    """
     base.validate()
-    labels = [f"({b},{v})" for b in (0, 1) for v in range(base.n)]
-    return Graph(_bunkbed_adjacency(base.adjacency), family="bunkbed", labels=labels,
-                 base=base).validate()
+    n = base.n
+    return Graph._from_structure(
+        2 * n, lambda: _bunkbed_adjacency(base.adjacency), "bunkbed",
+        lambda: [f"({b},{v})" for b in (0, 1) for v in range(n)], base=base)
 
 
 def _bunkbed_adjacency(base: np.ndarray) -> np.ndarray:
@@ -339,8 +422,8 @@ def _bunkbed_adjacency(base: np.ndarray) -> np.ndarray:
 
 
 def from_adjacency(matrix, family: str = "custom", labels: list[str] | None = None) -> Graph:
-    """Wrap and validate a user-supplied adjacency matrix."""
-    return Graph(np.asarray(matrix), family=family, labels=labels).validate()
+    """Wrap and validate a private copy of a user-supplied adjacency matrix."""
+    return Graph(np.array(matrix), family=family, labels=labels).validate()
 
 
 def graph_to_json(g: Graph) -> str:

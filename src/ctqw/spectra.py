@@ -802,7 +802,11 @@ def spectral_gap(spec: Spectrum, tol: float = DEGENERACY_TOL) -> float:
 
 
 def spectrum_type(spec: Spectrum, tol: float = DEGENERACY_TOL) -> int:
-    """Number of distinct eigenvalues (degeneracy classes)."""
+    """Number of distinct eigenvalues (degeneracy classes).
+
+    Public API kept on purpose for library callers: nothing in `ctqw`
+    calls it, because the CLI reads the type with the gap and classes from
+    one `degeneracy_summary`; `from ctqw import spectrum_type` works."""
     return _summary(spec, tol)["type"]
 
 

@@ -21,7 +21,6 @@ quadrature.
 
 from __future__ import annotations
 
-import logging
 from typing import NamedTuple
 
 import numpy as np
@@ -32,8 +31,6 @@ from .spectra import (
     degeneracy_classes,  # unused here: ctqwbench/test_bench.py reads ctqw.walk.degeneracy_classes
     degeneracy_labels,
 )
-
-log = logging.getLogger(__name__)
 
 UNIT_NORM_TOL = 1e-10
 DISTRIBUTION_SUM_TOL = 1e-10
@@ -57,7 +54,10 @@ def as_distribution(raw: np.ndarray) -> np.ndarray:
             raise RuntimeError(
                 f"negative probability mass {negative.max():.3e} exceeds the clamp budget"
             )
-        log.debug("clamped %.3e of negative probability residue", negative.sum())
+        import logging  # imported here, where it is used, to keep it out of start-up
+
+        logging.getLogger(__name__).debug(
+            "clamped %.3e of negative probability residue", negative.sum())
         probs = np.where(below, 0.0, probs)
     total = probs.sum(axis=-1)
     bad = ~(np.abs(total - 1.0) <= DISTRIBUTION_SUM_TOL)

@@ -1,9 +1,17 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ctqw import graphs, spectra, walk
+
+# CI runs draw the same examples every time, and a failure prints the blob
+# that replays it locally (`@reproduce_failure`).
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def random_connected_graph(rng, n_min=4, n_max=13):

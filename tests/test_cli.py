@@ -689,3 +689,14 @@ def test_no_command_imports_numpy_ma(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, False]] * len(commands)
+
+
+def test_importing_the_cli_does_not_load_logging():
+    # `walk` imports logging only where it clamps, so no command pays for it
+    # at start-up
+    script = "import sys\nimport ctqw.cli\nprint('logging' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

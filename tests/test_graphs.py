@@ -21,7 +21,9 @@ from ctqw.graphs import (
     graph_from_json,
     graph_to_json,
 )
-from ctqw.graphs import SCHEMA, _connected
+from ctqw import graphs
+from ctqw.ensembles import random_circulants
+from ctqw.graphs import SCHEMA, _check_adjacency, _connected
 from ctqw.spectra import _roots_of_unity
 from tests.conftest import add_index, element_of, index_of, negate_index
 
@@ -559,3 +561,141 @@ def test_one_gather_adjacency_matches_difference_table_layout(case):
     g = build_abelian_circulant(Symbol(group, vals))
     table = _reference_difference_table(group)
     assert np.array_equal(g.adjacency, vals[table].astype(np.uint8))
+
+
+# Graphs built from checked structure skip the adjacency pass and form their
+# adjacency on first read; these tie each such route to the full check.
+
+
+def _random_valid_symbols(factors, count, seed):
+    """`count` random symbols on the group that pass the full `Symbol` check."""
+    group = AbelianGroupSpec(factors)
+    rng = np.random.default_rng(seed)
+    symbols = []
+    while len(symbols) < count:
+        vals = rng.random(group.order) < rng.uniform(0.1, 0.7)
+        vals[0] = False
+        try:
+            symbols.append(Symbol(group, vals | vals[group.negation]))
+        except GraphValidationError:
+            continue
+    return symbols
+
+
+def _structured_cases():
+    """(graph, its adjacency from an independent reference construction)."""
+    cases = []
+    for n in (3, 4, 9, 16):
+        idx = np.arange(n)
+        cases.append((build_cycle(n), np.isin((idx[:, None] - idx) % n, (1, n - 1)).astype(np.uint8)))
+    for n in (2, 5, 12):
+        cases.append((build_complete(n), 1 - np.eye(n, dtype=np.uint8)))
+    for n in (2, 3, 10):
+        idx = np.arange(n)
+        cases.append((build_path(n), (np.abs(idx[:, None] - idx) == 1).astype(np.uint8)))
+    for d in (1, 3, 5):
+        v = np.arange(2**d)
+        hamming_one = np.vectorize(lambda x: bin(x).count("1") == 1)(v[:, None] ^ v)
+        cases.append((build_hypercube(d), hamming_one.astype(np.uint8)))
+    for n in (1, 2, 5):
+        parts = np.arange(2 * n) < n
+        cases.append((build_complete_bipartite(n), (parts[:, None] != parts).astype(np.uint8)))
+    for factors, seed in (((7,), 1), ((12,), 2), ((2, 2, 2), 3), ((2,) * 4, 4), ((3, 4, 5), 5)):
+        for sym in _random_valid_symbols(factors, 3, seed):
+            cases.append((build_abelian_circulant(sym), _symbol_reference(sym)))
+    x2 = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    beds = [(build_bunkbed(g), np.kron(np.eye(2, dtype=np.uint8), a) + np.kron(x2, np.eye(len(a))))
+            for g, a in cases]
+    return cases + beds
+
+
+def _symbol_reference(sym):
+    return sym.values[_reference_difference_table(sym.group)].astype(np.uint8)
+
+
+@pytest.mark.parametrize("case", _structured_cases(),
+                         ids=lambda c: f"{c[0].family}-{c[0].n}")
+def test_structured_graphs_form_the_eager_adjacency_and_pass_the_full_check(case):
+    g, expected = case
+    assert g.n == len(expected)
+    assert np.array_equal(g.degrees, expected.sum(axis=1))
+    assert np.array_equal(g.adjacency, expected) and g.adjacency.dtype == np.uint8
+    _check_adjacency(g.adjacency)  # the pass the construction skipped
+    if g.symbol is not None:
+        g.symbol.validate()  # and the closure a builder's symbol skipped
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12, 30, 97])
+def test_every_sampled_symbol_passes_the_full_symbol_check(n):
+    for sym in random_circulants(n, 200, n):
+        Symbol(sym.group, sym.values.copy())  # the check `random_circulants` skips
+        assert np.array_equal(sym.values, sym.values[sym.group.negation])
+
+
+def test_builder_labels_are_formed_on_first_read():
+    assert build_hypercube(3).labels == ["000", "001", "010", "011", "100", "101", "110", "111"]
+    assert build_bunkbed(build_path(2)).labels == ["(0,0)", "(0,1)", "(1,0)", "(1,1)"]
+    assert build_cycle(4).labels is None
+
+
+@pytest.mark.parametrize("g", [build_cycle(6), build_path(5), build_bunkbed(build_hypercube(2)),
+                               from_adjacency([[0, 1], [1, 0]])], ids=lambda g: g.family)
+def test_a_checked_adjacency_is_read_only(g):
+    with pytest.raises(ValueError, match="read-only"):
+        g.adjacency[0, 1] = 0
+    g.validate()  # no pass runs, and nothing moved
+    assert g.adjacency[0, 1] == 1
+
+
+def test_from_adjacency_takes_a_private_copy():
+    a = build_path(4).adjacency.copy()
+    g = from_adjacency(a)
+    a[0, 1] = a[1, 0] = 0  # the caller's array stays writable, and the graph unchanged
+    assert g.adjacency[0, 1] == 1
+
+
+def test_reassigning_the_adjacency_rearms_the_check():
+    g = build_cycle(5)
+    cut = g.adjacency.copy()
+    cut[0, 1] = cut[1, 0] = cut[2, 3] = cut[3, 2] = 0
+    g.adjacency = cut
+    with pytest.raises(GraphValidationError, match="connected"):
+        g.validate()
+    cut[2, 3] = cut[3, 2] = 1  # the graph holds the assigned array: one cut mends it
+    g.validate()
+    with pytest.raises(ValueError, match="read-only"):
+        g.adjacency[0, 1] = 1
+    cut[0, 4] = 1  # freezing the graph's view leaves the caller's array writable
+
+
+def test_closed_form_routes_neither_check_nor_form_built_graphs(monkeypatch, tmp_path):
+    calls = {"pass": 0, "closure": 0, "circulant": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(graphs, "_check_adjacency", counted("pass", graphs._check_adjacency))
+    monkeypatch.setattr(Symbol, "_generates_group", counted("closure", Symbol._generates_group))
+    monkeypatch.setattr(graphs, "_circulant_adjacency",
+                        counted("circulant", graphs._circulant_adjacency))
+    from ctqw.cli import main
+
+    for argv in (["spectrum", "--family", "hypercube", "--d", "9", "--format", "table"],
+                 ["average", "--family", "hypercube", "--d", "8", "--normalize"],
+                 ["scan", "--family", "cycle", "--n", "33"],
+                 ["walk", "--family", "complete", "--n", "12", "--t", "1.5"],
+                 ["average", "--family", "bunkbed", "--base-family", "cycle", "--base-n", "6"],
+                 ["spectrum", "--family", "path", "--n", "40"],
+                 ["verify", "--checks", "complete_average,cycle_average,hypercube_average"]):
+        assert main([*argv, "-o", str(tmp_path / "out")]) == 0
+    assert calls == {"pass": 0, "closure": 0, "circulant": 0}
+    assert main(["build", "--family", "cycle", "--n", "5", "-o", str(tmp_path / "g.json")]) == 0
+    assert calls["circulant"] == 1  # a route that reads it forms it
+    g = graph_from_json((tmp_path / "g.json").read_text())
+    assert calls == {"pass": 1, "closure": 1, "circulant": 2}  # a file gets every check
+    g.validate()
+    assert calls["pass"] == 1
+

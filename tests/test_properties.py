@@ -113,3 +113,78 @@ def test_graph_file_spectra_agree_with_the_jacobi_oracle(seed):
     assert production["multiplicities"] == dense["multiplicities"]
     oracle = walk.average_distribution(spectra.graph_eigensystem(g, method="dense"), 0)
     assert np.max(np.abs(np.subtract(average["probabilities"], oracle))) <= 1e-9
+
+
+def _file_docs():
+    """`ctqw/1` documents of built graphs, each with the metadata that routes
+    it to a closed form: a symbol (cycle, hypercube, a circulant on
+    Z_3 x Z_4), the path family, or a bunkbed base."""
+    z34 = graphs.AbelianGroupSpec((3, 4))
+    circulant = graphs.build_abelian_circulant(graphs.Symbol.from_support(z34, [1, 3, 4, 8]))
+    built = [graphs.build_cycle(7), graphs.build_hypercube(3), graphs.build_path(6),
+             graphs.build_bunkbed(graphs.build_cycle(4)), circulant]
+    return [json.loads(graphs.graph_to_json(g)) for g in built]
+
+
+FILE_DOCS = _file_docs()
+PERTURBATIONS = ("flip_pair", "flip_one_side", "set_diagonal", "disconnect",
+                 "symbol_support", "base")
+
+
+def _flip(rows: list[str], r: int, c: int) -> None:
+    row = list(rows[r])
+    row[c] = "1" if row[c] == "0" else "0"
+    rows[r] = "".join(row)
+
+
+@st.composite
+def perturbed_graph_files(draw):
+    """A built graph's document with one perturbation of its adjacency or of
+    the metadata that selects its closed form."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(FILE_DOCS))))
+    rows, n = doc["adjacency_rows"], doc["n"]
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    kind = draw(st.sampled_from(PERTURBATIONS))
+    if kind == "flip_pair":  # an edge added or removed, both directions
+        r, c = draw(vertex), draw(vertex)
+        _flip(rows, r, c)
+        if r != c:
+            _flip(rows, c, r)
+    elif kind == "flip_one_side":
+        r, c = draw(vertex), draw(vertex)
+        _flip(rows, r, c)
+    elif kind == "set_diagonal":
+        v = draw(vertex)
+        rows[v] = rows[v][:v] + "1" + rows[v][v + 1:]
+    elif kind == "disconnect":  # every edge of one vertex removed
+        v = draw(vertex)
+        doc["adjacency_rows"] = [("0" * n if r == v else row[:v] + "0" + row[v + 1:])
+                                 for r, row in enumerate(rows)]
+    elif kind == "symbol_support" and "symbol_support" in doc:
+        # x and -x toggled together, so the edited symbol is often valid
+        group = graphs.AbelianGroupSpec(tuple(doc["group_factors"]))
+        x = draw(st.integers(0, group.order - 1))
+        doc["symbol_support"] = sorted(set(doc["symbol_support"])
+                                       ^ {x, int(group.negation[x])})
+    elif kind == "base" and "base" in doc:
+        base = doc["base"]
+        r, c = draw(st.integers(0, base["n"] - 1)), draw(st.integers(0, base["n"] - 1))
+        _flip(base["adjacency_rows"], r, c)
+        if r != c:
+            _flip(base["adjacency_rows"], c, r)
+    return json.dumps(doc)
+
+
+@given(perturbed_graph_files())
+@settings(max_examples=150, deadline=None)
+def test_perturbed_graph_files_are_refused_or_agree_with_the_oracle(text):
+    # graph files keep the full check: whatever a file claims, its spectrum
+    # either comes from a route that agrees with the Jacobi oracle on the
+    # adjacency it holds, or the file is refused
+    try:
+        g = graphs.graph_from_json(text)
+    except graphs.GraphValidationError:
+        return
+    closed = spectra.graph_eigensystem(g).eigenvalues
+    oracle = spectra.dense_eigensystem(g).eigenvalues
+    assert np.max(np.abs(closed - oracle)) <= 1e-9

@@ -594,6 +594,16 @@ def test_spectrum_type_values():
         assert spectrum_type(path_eigensystem(n)) == n
 
 
+def test_spectrum_type_is_public_api():
+    # no caller in the package: kept for library users, from the package root too
+    import ctqw
+
+    assert ctqw.spectrum_type is spectrum_type
+    spec = graph_eigensystem(graphs.build_hypercube(4))
+    labels = spectra.degeneracy_labels(spec.eigenvalues, 1e-9)
+    assert spectrum_type(spec) == spectra.degeneracy_summary(spec.eigenvalues, labels)["type"] == 5
+
+
 def test_hadamard_circulants_have_zero_gap():
     rng = np.random.default_rng(11)
     for d in (2, 3, 4):

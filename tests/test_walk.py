@@ -174,6 +174,14 @@ def test_distribution_clamp_and_errors():
         as_distribution(np.array([0.5, float("nan")]))
 
 
+def test_clamping_logs_the_clamped_mass(caplog):
+    # `walk` imports logging only on this path; the record is still emitted
+    with caplog.at_level("DEBUG", logger="ctqw.walk"):
+        as_distribution(np.array([1.0, -5e-13, 5e-13]))
+    assert [r.getMessage() for r in caplog.records] == [
+        "clamped 5.000e-13 of negative probability residue"]
+
+
 def test_shift_invariance_of_average():
     spec = spec_of(graphs.build_cycle(6))
     shifted = spectra.Spectrum(spec.eigenvalues + 3.7, spec.eigenvectors)
