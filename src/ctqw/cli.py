@@ -68,7 +68,7 @@ def _add_common_args(p: argparse.ArgumentParser, formats=("json", "csv", "table"
 
 
 def _add_tol_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=spectra.DEGENERACY_TOL,
+    p.add_argument("--tol", type=_positive_float, default=spectra.DEGENERACY_TOL,
                    help="degeneracy tolerance (default 1e-9)")
 
 
@@ -81,6 +81,13 @@ def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return value
 
 
@@ -167,8 +174,6 @@ def _distribution_text(probs: np.ndarray, fmt: str, meta: dict) -> str:
 
 
 def _cmd_build(args) -> int:
-    if args.format != "json":
-        raise UsageError("build emits JSON only")
     g = _build_graph(args)
     _emit(graphs.graph_to_json(g), args.output)
     return 0
@@ -187,7 +192,6 @@ def _cmd_spectrum(args) -> int:
             extra={"family": g.family, "normalized": bool(args.normalize)},
         )
     elif args.format == "csv":
-        spectra.degeneracy_labels(spec.eigenvalues, args.tol)  # rejects a bad --tol
         lines = ["index,eigenvalue"]
         lines += [f"{j},{float(x)!r}" for j, x in enumerate(spec.eigenvalues)]
         text = "\n".join(lines)
@@ -214,7 +218,6 @@ def _cmd_spectrum_char_table(args) -> int:
         raise UsageError(f"cannot read character table: {exc}") from None
     f_by_class = _parse_int_list(args.class_function, "--class-function")
     pairs = spectra.class_circulant_eigenvalues(table, f_by_class)
-    spectra.degeneracy_labels(np.array([lam for lam, _ in pairs]), args.tol)  # rejects a bad --tol
     if args.format == "json":
         doc = {
             "schema": SCHEMA,
@@ -391,7 +394,7 @@ def _reports_table(reports) -> str:
 
 def _cmd_verify(args) -> int:
     checks = mixing.ALL_CHECKS
-    if args.checks:
+    if args.checks is not None:  # an empty list is refused, not read as all checks
         checks = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
     cfg = mixing.VerifyConfig(checks=checks, max_n=args.max_n, seed=args.seed,
                               ensemble_trials=args.trials)

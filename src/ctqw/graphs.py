@@ -294,23 +294,9 @@ def _zero_one(a: np.ndarray) -> bool:
     return bool(((a == 0) | (a == 1)).all())
 
 
-# Up to this many vertices connectivity squares the reachability matrix:
-# ceil(log2 n) small products beat up to n - 1 BFS levels (a path or cycle).
-# Above it each O(n^3) product costs more than a whole BFS on the graphs
-# built here (Q_11 takes 11 levels, C_257 128 levels of two rows each).
-SQUARING_MAX_N = 64
-
-
 def _connected(adjacency: np.ndarray) -> bool:
-    n = adjacency.shape[0]
-    if n <= SQUARING_MAX_N:
-        # after k squarings reach[i, j] = 1 iff j lies within 2^k steps of i;
-        # entries are clipped to 0/1, so the float products are exact
-        reach = adjacency + np.eye(n)
-        for _ in range((n - 1).bit_length()):
-            reach = np.minimum(reach @ reach, 1.0)
-        return bool(reach[0].all())
     # BFS from vertex 0, one numpy step per level
+    n = adjacency.shape[0]
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=np.int64)

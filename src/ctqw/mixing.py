@@ -31,18 +31,10 @@ MIN_MAX_N = 6
 # p_max <= 1/2 on every n >= 3: below 2e-9 at T = 30.  Above the floor a
 # standard error of 0 therefore means a faulty sampler, and its flags fail.
 MIN_ENSEMBLE_TRIALS = 30
-
-ALL_CHECKS = (
-    "complete_average",
-    "abelian_spectral_gap",
-    "cycle_average",
-    "instantaneous_uniform",
-    "hypercube_average",
-    "bunkbed_layers",
-    "path_classical",
-    "oracle_agreement",
-    "ensemble_expectations",
-)
+# Random symbols per group in the spectral-gap check.
+GAP_SYMBOLS = 20
+# The vertex count of the C(n, 1/2) ensemble that `verify` samples.
+ENSEMBLE_N = 7
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -370,76 +362,12 @@ def _flag(status: str, measured=None, expected=None, note: str | None = None) ->
     return out
 
 
-@dataclass
-class VerifyConfig:
-    """Selection, seeds and sizes for verify_all.
-
-    Every size limit derives from one vertex-count cap `max_n`.  Without a
-    cap the limits are the acceptance ranges, except the dense-oracle cap,
-    which stays small for speed.  A cap under MIN_MAX_N is refused, since
-    some check would then report over no input, and so are fewer than
-    MIN_ENSEMBLE_TRIALS ensemble trials, fewer than one random symbol per
-    group and an ensemble over fewer than 3 vertices.
-    """
-
-    checks: tuple[str, ...] = ALL_CHECKS
-    max_n: int | None = None
-    gap_symbols: int = 20
-    ensemble_n: int = 7
-    ensemble_trials: int = 10000
-    seed: int = 7
-    tol: float = spectra.DEGENERACY_TOL
-    complete_max: int = field(init=False)
-    cycle_max: int = field(init=False)
-    path_max: int = field(init=False)
-    hypercube_max_d: int = field(init=False)
-    bunkbed_complete_max: int = field(init=False)
-    bunkbed_cycle_max: int = field(init=False)
-    bunkbed_path_max: int = field(init=False)
-    bunkbed_hypercube_max_d: int = field(init=False)
-    gap_zn_max: int = field(init=False)
-    gap_cube_max_d: int = field(init=False)
-    oracle_max: int = field(init=False)
-
-    def __post_init__(self):
-        for name, floor in (("gap_symbols", 1), ("ensemble_n", 3)):
-            value = getattr(self, name)
-            if type(value) is not int or value < floor:
-                raise ValueError(f"{name} must be an int >= {floor}, got {value!r}")
-        if type(self.ensemble_trials) is not int or type(self.max_n) not in (int, type(None)):
-            raise ValueError("max_n and ensemble_trials must be ints, got"
-                             f" {self.max_n!r} and {self.ensemble_trials!r}")
-        if self.ensemble_trials < MIN_ENSEMBLE_TRIALS:
-            raise ValueError(
-                f"ensemble trials must be at least {MIN_ENSEMBLE_TRIALS}, where a correct"
-                f" sampler gives a nonzero standard error; got {self.ensemble_trials}")
-        if self.max_n is None:
-            cap = d_cap = math.inf
-        elif self.max_n < MIN_MAX_N:
-            raise ValueError(
-                f"size cap must be at least {MIN_MAX_N}, where every check has a case;"
-                f" got {self.max_n}")
-        else:
-            cap, d_cap = self.max_n, int(math.log2(self.max_n))
-        self.complete_max = min(64, cap)
-        self.cycle_max = min(33, cap)
-        self.path_max = min(32, cap)
-        self.hypercube_max_d = min(6, d_cap)
-        self.bunkbed_complete_max = min(8, cap // 2)
-        self.bunkbed_cycle_max = min(16, cap // 2)
-        self.bunkbed_path_max = min(16, cap // 2)
-        self.bunkbed_hypercube_max_d = min(3, d_cap)
-        self.gap_zn_max = min(12, cap)
-        self.gap_cube_max_d = min(4, d_cap)
-        self.oracle_max = min(20, cap)
-
-
 def _check_complete_average(cfg: VerifyConfig) -> list[MixingReport]:
     worst_pbar = worst_dev = 0.0
     for n in range(2, cfg.complete_max + 1):
         g = graphs.build_complete(n)
         spec = spectra.graph_eigensystem(g)
-        pbar = walk.average_distribution(spec, 0, tol=cfg.tol)
+        pbar = walk.average_distribution(spec, 0)
         worst_pbar = max(worst_pbar, float(np.max(np.abs(pbar - complete_graph_average(n)))))
         dev = total_variation(pbar, uniform_target(n))
         expected = 2.0 * (1.0 - 1.0 / n) * (1.0 - 2.0 / n)
@@ -458,21 +386,42 @@ def _check_complete_average(cfg: VerifyConfig) -> list[MixingReport]:
 
 def _gap_symbols(cfg: VerifyConfig) -> list[graphs.Symbol]:
     """The random symbols of the spectral-gap check: on each Z_n the
-    cfg.gap_symbols symbols of the C(n, 1/2) ensemble at cfg.seed, then
-    cfg.gap_symbols on each (Z_2)^d."""
+    GAP_SYMBOLS symbols of the C(n, 1/2) ensemble at cfg.seed, then
+    GAP_SYMBOLS on each (Z_2)^d."""
     symbols = [sym for n in range(3, cfg.gap_zn_max + 1)
-               for sym in ensembles.random_circulants(n, cfg.gap_symbols, cfg.seed)]
+               for sym in ensembles.random_circulants(n, GAP_SYMBOLS, cfg.seed)]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 2))))
     for d in range(2, cfg.gap_cube_max_d + 1):
-        group = graphs.AbelianGroupSpec((2,) * d)
-        symbols += [_random_cube_symbol(group, rng) for _ in range(cfg.gap_symbols)]
+        symbols += _cube_symbols(d, GAP_SYMBOLS, rng)
     return symbols
+
+
+def _cube_symbols(d: int, count: int, rng: np.random.Generator) -> list[graphs.Symbol]:
+    """`count` random connected symbols on (Z_2)^d: a fair coin for each
+    element but 0, the draw repeated until the support generates the group.
+
+    Each round draws the rows still needed at once and keeps, in draw
+    order, those on which lambda_0 = |S| is a simple eigenvalue, that is
+    whose circulant is connected.  On (Z_2)^d every element is its own
+    inverse, so each row is symmetric, and the eigenvalues are sums of +-1,
+    exact.  The rows drawn are the stream's rows up to the count-th
+    connected one: the symbols of one draw per attempt.
+    """
+    group = graphs.AbelianGroupSpec((2,) * d)
+    L, phase = spectra.character_phases(group)
+    kept: list[np.ndarray] = []
+    while len(kept) < count:
+        values = np.zeros((count - len(kept), group.order), dtype=bool)
+        values[:, 1:] = rng.integers(0, 2, size=(len(values), group.order - 1))
+        lams = spectra.circulant_eigenvalues(values, phase, L)
+        kept += list(values[(lams[:, 1:] < lams[:, :1]).all(axis=1)])
+    return [graphs.Symbol._proven(group, row) for row in kept]
 
 
 def _check_abelian_spectral_gap(cfg: VerifyConfig) -> list[MixingReport]:
     symbols = _gap_symbols(cfg)
     failures = sum(
-        spectra.spectral_gap(spectra.abelian_circulant_eigensystem(sym), cfg.tol) != 0.0
+        spectra.spectral_gap(spectra.abelian_circulant_eigensystem(sym)) != 0.0
         for sym in symbols
     )
     dense = spectra.dense_eigensystems([graphs.build_abelian_circulant(s) for s in symbols])
@@ -492,24 +441,13 @@ def _check_abelian_spectral_gap(cfg: VerifyConfig) -> list[MixingReport]:
     return [report]
 
 
-def _random_cube_symbol(group: graphs.AbelianGroupSpec, rng) -> graphs.Symbol:
-    n = group.order
-    while True:
-        vals = np.zeros(n, dtype=bool)
-        vals[1:] = rng.integers(0, 2, size=n - 1).astype(bool)
-        try:
-            return graphs.Symbol(group, vals)
-        except graphs.GraphValidationError:
-            continue
-
-
 def _check_cycle_average(cfg: VerifyConfig) -> list[MixingReport]:
     report = MixingReport(descriptor=f"cycles C_3..C_{cfg.cycle_max}")
     worst_odd = worst_bound = 0.0
     for n in range(3, cfg.cycle_max + 1, 2):
         g = graphs.build_cycle(n)
         spec = spectra.graph_eigensystem(g)
-        pbar = walk.average_distribution(spec, 0, tol=cfg.tol)
+        pbar = walk.average_distribution(spec, 0)
         dev = total_variation(pbar, uniform_target(n))
         worst_odd = max(worst_odd, abs(dev - 2.0 * (n - 1) / n**2))
         worst_bound = max(worst_bound, abs(cycle_fourier_bound(n, pbar) - (n - 1) / (4.0 * n**2)))
@@ -526,7 +464,7 @@ def _check_cycle_average(cfg: VerifyConfig) -> list[MixingReport]:
     for n, desk in ((4, 0.5), (6, 4.0 / 9.0)):
         if n > cfg.cycle_max:
             continue
-        dev = average_uniform_deviation(graphs.build_cycle(n), cfg.tol)
+        dev = average_uniform_deviation(graphs.build_cycle(n))
         ok = abs(dev - desk) <= 1e-12
         report.flags[f"even_cycle_C{n}"] = _flag(
             "discrepancy" if ok else "fail",
@@ -587,7 +525,7 @@ def _check_hypercube_average(cfg: VerifyConfig) -> list[MixingReport]:
     reports = []
     for d in range(2, cfg.hypercube_max_d + 1):
         g = graphs.build_hypercube(d)
-        dev = average_uniform_deviation(g, cfg.tol)
+        dev = average_uniform_deviation(g)
         rep = MixingReport(descriptor=f"hypercube Q_{d}", deviation_uniform=dev)
         rep.flags["no_average_uniform_mixing"] = _flag(
             "pass" if dev >= 0.1 else "fail", measured=dev, expected=">= 0.1"
@@ -616,9 +554,9 @@ def _check_bunkbed_layers(cfg: VerifyConfig) -> list[MixingReport]:
         base_spec = spectra.graph_eigensystem(base)
         bed_spec = spectra.graph_eigensystem(graphs.build_bunkbed(base))
         n = base.n
-        pbars = [walk.average_distribution(bed_spec, start, cfg.tol) for start in (0, n)]
+        pbars = [walk.average_distribution(bed_spec, start) for start in (0, n)]
         diff = float(np.max(np.abs(pbars[0][:n] - pbars[0][n:])))
-        predicted = bunkbed_resonance_difference(base_spec, cfg.tol)
+        predicted = bunkbed_resonance_difference(base_spec)
         resonant = bool(np.max(np.abs(predicted)) > 1e-12)
         rep = MixingReport(descriptor=f"bunkbed over {name}")
         if diff <= 1e-12:
@@ -666,7 +604,7 @@ def _check_path_classical(cfg: VerifyConfig) -> list[MixingReport]:
     direction_ok = True
     for n in range(3, cfg.path_max + 1):
         spec = spectra.path_eigensystem(n)
-        pbar0 = float(walk.average_distribution(spec, 0, tol=cfg.tol)[0])
+        pbar0 = float(walk.average_distribution(spec, 0)[0])
         worst = max(worst, abs(pbar0 - 3.0 / (2.0 * (n + 1))))
         pi0 = 1.0 / (2.0 * (n - 1))
         min_sep = min(min_sep, abs(pbar0 - pi0))
@@ -721,7 +659,7 @@ _ZERO_SE_NOTE = "standard error 0: every draw gave the same value, so only an ex
 
 
 def _check_ensemble_expectations(cfg: VerifyConfig) -> list[MixingReport]:
-    n = cfg.ensemble_n
+    n = ENSEMBLE_N
     stats = ensembles.ensemble_stats(n, cfg.ensemble_trials, cfg.seed)
     exact = ensembles.exhaustive_expectations(n)
     rep = MixingReport(descriptor=f"random circulant ensemble C({n}, 1/2)")
@@ -747,7 +685,8 @@ def _check_ensemble_expectations(cfg: VerifyConfig) -> list[MixingReport]:
     return [rep]
 
 
-_CHECK_FUNCS = {
+# Every named check of `verify`, in the order it runs them.
+_CHECKS = {
     "complete_average": _check_complete_average,
     "abelian_spectral_gap": _check_abelian_spectral_gap,
     "cycle_average": _check_cycle_average,
@@ -758,24 +697,78 @@ _CHECK_FUNCS = {
     "oracle_agreement": _check_oracle_agreement,
     "ensemble_expectations": _check_ensemble_expectations,
 }
+ALL_CHECKS = tuple(_CHECKS)
+
+
+@dataclass
+class VerifyConfig:
+    """Selection, seed and sizes for verify_all: the knobs `ctqw verify` sets.
+
+    Every size limit derives from one vertex-count cap `max_n`.  Without a
+    cap the limits are the acceptance ranges, except the dense-oracle cap,
+    which stays small for speed.  An empty or unknown selection is refused,
+    as are a cap under MIN_MAX_N, since some check would then report over no
+    input, and fewer than MIN_ENSEMBLE_TRIALS ensemble trials.
+    """
+
+    checks: tuple[str, ...] = ALL_CHECKS
+    max_n: int | None = None
+    ensemble_trials: int = 10000
+    seed: int = 7
+    complete_max: int = field(init=False)
+    cycle_max: int = field(init=False)
+    path_max: int = field(init=False)
+    hypercube_max_d: int = field(init=False)
+    bunkbed_complete_max: int = field(init=False)
+    bunkbed_cycle_max: int = field(init=False)
+    bunkbed_path_max: int = field(init=False)
+    bunkbed_hypercube_max_d: int = field(init=False)
+    gap_zn_max: int = field(init=False)
+    gap_cube_max_d: int = field(init=False)
+    oracle_max: int = field(init=False)
+
+    def __post_init__(self):
+        if not self.checks:
+            raise ValueError("no checks selected")
+        unknown = [c for c in self.checks if c not in _CHECKS]
+        if unknown:
+            raise ValueError(f"unknown checks: {', '.join(unknown)}")
+        if type(self.ensemble_trials) is not int or type(self.max_n) not in (int, type(None)):
+            raise ValueError("max_n and ensemble_trials must be ints, got"
+                             f" {self.max_n!r} and {self.ensemble_trials!r}")
+        if self.ensemble_trials < MIN_ENSEMBLE_TRIALS:
+            raise ValueError(
+                f"ensemble trials must be at least {MIN_ENSEMBLE_TRIALS}, where a correct"
+                f" sampler gives a nonzero standard error; got {self.ensemble_trials}")
+        if self.max_n is None:
+            cap = d_cap = math.inf
+        elif self.max_n < MIN_MAX_N:
+            raise ValueError(
+                f"size cap must be at least {MIN_MAX_N}, where every check has a case;"
+                f" got {self.max_n}")
+        else:
+            cap, d_cap = self.max_n, int(math.log2(self.max_n))
+        self.complete_max = min(64, cap)
+        self.cycle_max = min(33, cap)
+        self.path_max = min(32, cap)
+        self.hypercube_max_d = min(6, d_cap)
+        self.bunkbed_complete_max = min(8, cap // 2)
+        self.bunkbed_cycle_max = min(16, cap // 2)
+        self.bunkbed_path_max = min(16, cap // 2)
+        self.bunkbed_hypercube_max_d = min(3, d_cap)
+        self.gap_zn_max = min(12, cap)
+        self.gap_cube_max_d = min(4, d_cap)
+        self.oracle_max = min(20, cap)
 
 
 def verify_all(config: VerifyConfig | None = None) -> list[MixingReport]:
     """Run the selected named checks; returns one report per graph or family.
 
-    Raises on an empty selection; computational failures propagate, while
-    recorded discrepancies only show up in the flags.
+    Computational failures propagate, while recorded discrepancies only
+    show up in the flags.
     """
     cfg = config or VerifyConfig()
-    if not cfg.checks:
-        raise ValueError("no checks selected")
-    unknown = [c for c in cfg.checks if c not in _CHECK_FUNCS]
-    if unknown:
-        raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    reports: list[MixingReport] = []
-    for name in cfg.checks:
-        reports.extend(_CHECK_FUNCS[name](cfg))
-    return reports
+    return [report for name in cfg.checks for report in _CHECKS[name](cfg)]
 
 
 def collect_discrepancies(reports: list[MixingReport]) -> list[str]:

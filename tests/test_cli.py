@@ -334,6 +334,19 @@ def test_verify_subcommand_reports_discrepancies(capsys):
     assert any("even_cycle_C4" in d for d in doc["discrepancies"])
     code, _, err = run_cli(capsys, "verify", "--checks", "bogus")
     assert code == 1
+    # an empty list ran every check, while " , " was refused
+    for empty in ("", " , "):
+        code, out, err = run_cli(capsys, "verify", "--checks", empty)
+        assert code == 1 and out == "" and "no checks selected" in err
+
+
+def test_verify_help_lists_every_check_in_order(capsys):
+    from ctqw.mixing import ALL_CHECKS
+
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0
+    # argparse wraps the help text; the list reads the same with its spacing undone
+    assert f"comma list from: {', '.join(ALL_CHECKS)}" in " ".join(out.split())
 
 
 def _refuse_constant(name):

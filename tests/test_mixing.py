@@ -560,9 +560,10 @@ def test_verify_layer_equality_matches_the_assembled_bed():
         assert rep.flags["layer_equality"]["measured"] == bunkbed_layer_equality(base)
 
 
-def test_verify_ensemble_expectation_holds_for_even_n():
+def test_verify_ensemble_expectation_holds_for_even_n(monkeypatch):
     # E[lambda_0] = (n-1)/2 for every n, not floor(n/2)
-    cfg = VerifyConfig(checks=("ensemble_expectations",), ensemble_n=8, ensemble_trials=4000)
+    monkeypatch.setattr(mixing, "ENSEMBLE_N", 8)
+    cfg = VerifyConfig(checks=("ensemble_expectations",), ensemble_trials=4000)
     (report,) = verify_all(cfg)
     assert report.flags["expected_lambda0"]["status"] == "pass"
     assert report.flags["expected_lambda0"]["expected"].startswith("3.5 ")
@@ -570,8 +571,7 @@ def test_verify_ensemble_expectation_holds_for_even_n():
 
 
 def test_capped_caps_sizes_and_keeps_other_fields():
-    fields = dict(checks=("cycle_average",), gap_symbols=3, ensemble_n=9,
-                  ensemble_trials=30, seed=5, tol=1e-8)
+    fields = dict(checks=("cycle_average",), ensemble_trials=30, seed=5)
     capped = VerifyConfig(max_n=8, **fields)
     assert (capped.complete_max, capped.cycle_max, capped.path_max) == (8, 8, 8)
     assert (capped.hypercube_max_d, capped.gap_cube_max_d, capped.bunkbed_hypercube_max_d) == (3, 3, 3)
@@ -619,17 +619,43 @@ def test_size_limits_are_not_settable_one_by_one():
             VerifyConfig(**{name: 4})
 
 
-@pytest.mark.parametrize("value", [0, -1, 2.0, True], ids=["0", "-1", "2.0", "True"])
-@pytest.mark.parametrize("name", ["gap_symbols", "ensemble_n"])
-def test_ensemble_sizes_are_checked_by_name(name, value):
-    # gap_symbols=0 raised "trials must be >= 1" from the sampler, naming the
-    # wrong field, and ensemble_n was not checked at all
-    with pytest.raises(ValueError, match=f"{name} must be an int"):
-        VerifyConfig(checks=("complete_average",), **{name: value})
-    floor = {"gap_symbols": 1, "ensemble_n": 3}[name]
-    assert getattr(VerifyConfig(**{name: floor}), name) == floor
-    with pytest.raises(ValueError, match=f"{name} must be an int >= {floor}"):
-        VerifyConfig(**{name: floor - 1})
+def test_check_table_holds_exactly_the_check_functions():
+    # one table names each check once: its key is the name `verify` reports
+    # and selects, and every `_check_*` function of the module is in it
+    funcs = {name.removeprefix("_check_"): f for name, f in vars(mixing).items()
+             if name.startswith("_check_") and callable(f)}
+    assert mixing._CHECKS == funcs
+    assert mixing.ALL_CHECKS == tuple(mixing._CHECKS)
+    assert VerifyConfig().checks == mixing.ALL_CHECKS
+
+
+def _reference_cube_symbol(group, rng):
+    """One Z_2^d gap symbol drawn one attempt at a time, each attempt
+    checked by the full Symbol constructor (reference)."""
+    while True:
+        vals = np.zeros(group.order, dtype=bool)
+        vals[1:] = rng.integers(0, 2, size=group.order - 1).astype(bool)
+        try:
+            return graphs.Symbol(group, vals)
+        except graphs.GraphValidationError:
+            continue
+
+
+@pytest.mark.parametrize("seed", [7, 0, 1641411168, 938443845])
+def test_cube_symbols_are_the_draws_of_one_attempt_at_a_time(seed):
+    def stream():
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 2))))
+
+    got_rng, want_rng = stream(), stream()
+    for d in (2, 3, 4):
+        group = graphs.AbelianGroupSpec((2,) * d)
+        got = mixing._cube_symbols(d, mixing.GAP_SYMBOLS, got_rng)
+        want = [_reference_cube_symbol(group, want_rng) for _ in range(mixing.GAP_SYMBOLS)]
+        assert [s.values.tolist() for s in got] == [s.values.tolist() for s in want]
+        for sym in got:
+            graphs.Symbol(sym.group, sym.values.copy())  # the check the draw skips
+    # both consumed the same stream, so the next group's draws line up too
+    assert got_rng.integers(0, 2**63) == want_rng.integers(0, 2**63)
 
 
 def _all_columns(proj):
