@@ -197,6 +197,13 @@ def test_random_circulants_are_the_draws_the_ensemble_reduces():
     assert (stats.mean_lambda0, stats.var_lambda0) == _ref_moments(degrees)
 
 
+def test_sampler_produces_valid_connected_symbols():
+    for n in (3, 5, 8, 12):
+        for sym in random_circulants(n, 5, 1):
+            graphs.Symbol(sym.group, sym.values.copy())  # the check the sampler skips
+            graphs._check_adjacency(graphs.build_abelian_circulant(sym).adjacency)
+
+
 def test_sampler_n3_has_single_outcome():
     # only one nontrivial orbit; the empty draw is rejected and resampled
     for seed in range(6):

@@ -27,6 +27,17 @@ from ctqw.spectra import _roots_of_unity
 from tests.conftest import add_index, element_of, index_of, negate_index
 
 
+def all_builders_small():
+    return [
+        build_cycle(5),
+        build_complete(4),
+        build_path(6),
+        build_hypercube(3),
+        build_complete_bipartite(3),
+        build_bunkbed(build_cycle(4)),
+    ]
+
+
 def test_cycle_rows():
     g = build_cycle(4)
     assert g.adjacency[0].tolist() == [0, 1, 0, 1]
@@ -199,6 +210,17 @@ def test_bunkbed_of_hypercube_is_next_hypercube(d):
     # layer-major indexing coincides with the binary indexing when the new
     # coordinate is most significant, so the relabeling is the identity
     assert np.array_equal(bed.adjacency, cube.adjacency)
+
+
+@pytest.mark.parametrize("g", all_builders_small(), ids=lambda g: g.family)
+def test_builder_outputs_validate(g):
+    a = g.adjacency
+    assert np.array_equal(a, a.T)
+    assert np.all(np.diag(a) == 0)
+    # validate() returns at once on a graph checked by structure; run the
+    # full pass it stands for
+    _check_adjacency(a)
+    assert g.validate() is g
 
 
 def test_custom_adjacency_validation():

@@ -84,6 +84,14 @@ def test_circulant_average_is_symmetric_under_negation(n, seed):
         assert abs(pbar[ell] - pbar[(-ell) % n]) <= 1e-10
 
 
+@given(st.integers(min_value=2, max_value=8))
+def test_builders_always_validate(n):
+    for g in (graphs.build_complete(n), graphs.build_path(n),
+              graphs.build_cycle(max(n, 3)), graphs.build_complete_bipartite(n)):
+        graphs._check_adjacency(g.adjacency)  # the pass validate() skips for them
+        g.validate()
+
+
 @given(st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=30, deadline=None)
 def test_graph_file_spectra_agree_with_the_jacobi_oracle(seed):
