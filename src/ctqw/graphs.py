@@ -122,11 +122,14 @@ class Symbol:
 
     @classmethod
     def from_support(cls, group: AbelianGroupSpec, support) -> "Symbol":
-        """Symbol with f(x) = 1 exactly on `support`, integer indices in 0..order-1."""
-        idx = np.asarray(support if isinstance(support, np.ndarray) else list(support))
+        """Symbol with f(x) = 1 exactly on `support`, integer indices in 0..order-1;
+        booleans are refused before the cast, which would read true as 1."""
+        items = list(support) if np.iterable(support) else support
+        idx = np.asarray(items)
         if idx.size == 0:
             idx = idx.astype(np.int64)
-        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        if (idx.ndim != 1 or idx.dtype.kind not in "iu"
+                or any(isinstance(x, (bool, np.bool_)) for x in items)):
             raise GraphValidationError("symbol support must be a list of integer indices")
         bad = idx[(idx < 0) | (idx >= group.order)]
         if bad.size:
@@ -439,6 +442,8 @@ def graph_from_json(text: str) -> Graph:
 
 
 def _graph_from_doc(doc: dict) -> Graph:
+    if not isinstance(doc, dict):
+        raise GraphValidationError("a graph JSON document and its 'base' must be objects")
     rows = doc.get("adjacency_rows")
     n = doc.get("n")
     if rows is None or n is None:
@@ -454,17 +459,20 @@ def _graph_from_doc(doc: dict) -> Graph:
         raise GraphValidationError("adjacency_rows characters must be '0' or '1'")
     a = a.reshape(n, n)
     family = doc.get("family", "custom")
+    if not isinstance(family, str):
+        raise GraphValidationError("graph JSON 'family' must be a string")
     labels = doc.get("labels")
+    if labels is not None and (not isinstance(labels, list) or len(labels) != n
+                               or not all(isinstance(x, str) for x in labels)):
+        raise GraphValidationError("graph JSON 'labels' must be n strings")
     symbol = None
     if "group_factors" in doc and "symbol_support" in doc:
-        group = AbelianGroupSpec(tuple(doc["group_factors"]))
-        symbol = Symbol.from_support(group, doc["symbol_support"])
+        symbol = Symbol.from_support(AbelianGroupSpec(doc["group_factors"]), doc["symbol_support"])
     base = _graph_from_doc(doc["base"]) if "base" in doc else None
     g = Graph(a, family=family, labels=labels, symbol=symbol, base=base).validate()
     # every label that selects a closed-form spectrum must match the adjacency
-    if symbol is not None:
-        if not np.array_equal(_circulant_adjacency(symbol), a):
-            raise GraphValidationError("symbol metadata does not match adjacency")
+    if symbol is not None and not np.array_equal(_circulant_adjacency(symbol), a):
+        raise GraphValidationError("symbol metadata does not match adjacency")
     if family == "path" and not np.array_equal(build_path(n).adjacency, a):
         raise GraphValidationError("family 'path' does not match adjacency (not P_n in path order)")
     if base is not None and not np.array_equal(_bunkbed_adjacency(base.adjacency), a):

@@ -258,8 +258,8 @@ def instantaneous_mixing_scan(
     Where the deviation is smooth at a minimum, rounding flattens its
     bottom, so t is fixed only to about sqrt(machine epsilon / curvature)
     (about 3e-9 on K_8).  A t_max where floats lie further apart than
-    GOLDEN_WIDTH (from 2^19) is refused, as are a NaN eps and a grid that
-    is not an integer of at least 2.
+    GOLDEN_WIDTH (from 2^19) is refused, as are a NaN or negative eps and a
+    grid that is not an integer of at least 2.
     """
     if t_max is None:
         t_max = default_scan_window(spec)
@@ -272,6 +272,8 @@ def instantaneous_mixing_scan(
         raise ValueError(f"grid must be an integer of at least 2, got {grid!r}")
     if math.isnan(eps):
         raise ValueError("eps must not be NaN")
+    if eps < 0:  # a deviation is never negative: no minimum would be reported
+        raise ValueError(f"eps must be >= 0, got {eps!r}")
     proj = walk.class_projections(spec, start, walk.exact_labels(spec.eigenvalues))
     step = t_max / grid
     coarse, fine = _grid_tables(proj, step, grid)
@@ -364,7 +366,8 @@ def _flag(status: str, measured=None, expected=None, note: str | None = None) ->
 
 def _check_complete_average(cfg: VerifyConfig) -> list[MixingReport]:
     worst_pbar = worst_dev = 0.0
-    for n in range(2, cfg.complete_max + 1):
+    top = cfg.cap(64)
+    for n in range(2, top + 1):
         g = graphs.build_complete(n)
         spec = spectra.graph_eigensystem(g)
         pbar = walk.average_distribution(spec, 0)
@@ -372,7 +375,7 @@ def _check_complete_average(cfg: VerifyConfig) -> list[MixingReport]:
         dev = total_variation(pbar, uniform_target(n))
         expected = 2.0 * (1.0 - 1.0 / n) * (1.0 - 2.0 / n)
         worst_dev = max(worst_dev, abs(dev - expected))
-    report = MixingReport(descriptor=f"complete K_2..K_{cfg.complete_max}")
+    report = MixingReport(descriptor=f"complete K_2..K_{top}")
     report.flags["average_closed_form"] = _flag(
         "pass" if worst_pbar <= 1e-12 else "fail", measured=worst_pbar, expected="<=1e-12"
     )
@@ -384,50 +387,63 @@ def _check_complete_average(cfg: VerifyConfig) -> list[MixingReport]:
     return [report]
 
 
-def _gap_symbols(cfg: VerifyConfig) -> list[graphs.Symbol]:
-    """The random symbols of the spectral-gap check: on each Z_n the
-    GAP_SYMBOLS symbols of the C(n, 1/2) ensemble at cfg.seed, then
-    GAP_SYMBOLS on each (Z_2)^d."""
-    symbols = [sym for n in range(3, cfg.gap_zn_max + 1)
-               for sym in ensembles.random_circulants(n, GAP_SYMBOLS, cfg.seed)]
+# One group's symbols in the spectral-gap check: (group, value rows, eigenvalue rows).
+_GapBatch = tuple[graphs.AbelianGroupSpec, np.ndarray, np.ndarray]
+
+
+def _gap_rows(cfg: VerifyConfig) -> list[_GapBatch]:
+    """The random symbols of the spectral-gap check, one batch per group: on
+    each Z_n the GAP_SYMBOLS symbols of the C(n, 1/2) ensemble at cfg.seed,
+    then GAP_SYMBOLS on each (Z_2)^d."""
+    batches = []
+    for n in range(3, cfg.cap(12) + 1):
+        group = graphs.AbelianGroupSpec((n,))
+        rows = np.array([s.values for s in ensembles.random_circulants(n, GAP_SYMBOLS, cfg.seed)])
+        L, phase = spectra.character_phases(group)
+        batches.append((group, rows, spectra.circulant_eigenvalues(rows, phase, L)))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 2))))
-    for d in range(2, cfg.gap_cube_max_d + 1):
-        symbols += _cube_symbols(d, GAP_SYMBOLS, rng)
-    return symbols
+    return batches + [_cube_rows(d, GAP_SYMBOLS, rng) for d in range(2, cfg.dim_cap(4) + 1)]
 
 
-def _cube_symbols(d: int, count: int, rng: np.random.Generator) -> list[graphs.Symbol]:
-    """`count` random connected symbols on (Z_2)^d: a fair coin for each
-    element but 0, the draw repeated until the support generates the group.
-
-    Each round draws the rows still needed at once and keeps, in draw
-    order, those on which lambda_0 = |S| is a simple eigenvalue, that is
-    whose circulant is connected.  On (Z_2)^d every element is its own
-    inverse, so each row is symmetric, and the eigenvalues are sums of +-1,
-    exact.  The rows drawn are the stream's rows up to the count-th
-    connected one: the symbols of one draw per attempt.
-    """
+def _cube_rows(d: int, count: int, rng: np.random.Generator) -> _GapBatch:
+    """A `_gap_rows` batch of `count` connected symbols on (Z_2)^d: a fair
+    coin for each element but 0, the draw repeated until the support
+    generates the group.  Each round draws the rows still needed at once and
+    keeps, in draw order, those whose circulant is connected: lambda_0 = |S|
+    is simple.  Every element is its own inverse, so each row is symmetric,
+    and its eigenvalues, the batch's, are sums of +-1, exact.  The rows drawn
+    are the stream's rows up to the count-th connected one: the symbols of
+    one draw per attempt."""
     group = graphs.AbelianGroupSpec((2,) * d)
     L, phase = spectra.character_phases(group)
-    kept: list[np.ndarray] = []
-    while len(kept) < count:
-        values = np.zeros((count - len(kept), group.order), dtype=bool)
+    rows, lams = [], []
+    while len(rows) < count:
+        values = np.zeros((count - len(rows), group.order), dtype=bool)
         values[:, 1:] = rng.integers(0, 2, size=(len(values), group.order - 1))
-        lams = spectra.circulant_eigenvalues(values, phase, L)
-        kept += list(values[(lams[:, 1:] < lams[:, :1]).all(axis=1)])
-    return [graphs.Symbol._proven(group, row) for row in kept]
+        lam = spectra.circulant_eigenvalues(values, phase, L)
+        connected = (lam[:, 1:] < lam[:, :1]).all(axis=1)
+        rows += list(values[connected])
+        lams += list(lam[connected])
+    return group, np.array(rows), np.array(lams)
+
+
+def _nonzero_gaps(lams: np.ndarray) -> np.ndarray:
+    """Which eigenvalue rows have a nonzero gap, from one degeneracy cut of the
+    row-sorted matrix: a zero gap means some class has two members, so the
+    row's last label is below n - 1."""
+    labels = spectra.degeneracy_labels(np.sort(lams, axis=1)[:, ::-1], spectra.DEGENERACY_TOL)
+    return labels[:, -1] == lams.shape[1] - 1
 
 
 def _check_abelian_spectral_gap(cfg: VerifyConfig) -> list[MixingReport]:
-    symbols = _gap_symbols(cfg)
-    failures = sum(
-        spectra.spectral_gap(spectra.abelian_circulant_eigensystem(sym)) != 0.0
-        for sym in symbols
-    )
-    dense = spectra.dense_eigensystems([graphs.build_abelian_circulant(s) for s in symbols])
-    worst_dense = max(
-        (float(np.min(np.abs(np.diff(d.eigenvalues)))) for d in dense), default=0.0)
-    report = MixingReport(descriptor=f"abelian circulants ({len(symbols)} random symbols)")
+    batches = _gap_rows(cfg)
+    failures = sum(int(_nonzero_gaps(lams).sum()) for _, _, lams in batches)
+    dense = spectra.dense_eigensystems([
+        graphs.build_abelian_circulant(graphs.Symbol._proven(group, row))
+        for group, rows, _ in batches for row in rows])
+    # every cap has rows (Z_3..Z_6 at MIN_MAX_N), so the max has an argument
+    worst_dense = max(float(np.min(np.abs(np.diff(d.eigenvalues)))) for d in dense)
+    report = MixingReport(descriptor=f"abelian circulants ({len(dense)} random symbols)")
     report.flags["zero_spectral_gap"] = _flag(
         "pass" if failures == 0 else "fail",
         measured=f"{failures} nonzero gaps",
@@ -442,9 +458,10 @@ def _check_abelian_spectral_gap(cfg: VerifyConfig) -> list[MixingReport]:
 
 
 def _check_cycle_average(cfg: VerifyConfig) -> list[MixingReport]:
-    report = MixingReport(descriptor=f"cycles C_3..C_{cfg.cycle_max}")
+    top = cfg.cap(33)
+    report = MixingReport(descriptor=f"cycles C_3..C_{top}")
     worst_odd = worst_bound = 0.0
-    for n in range(3, cfg.cycle_max + 1, 2):
+    for n in range(3, top + 1, 2):
         g = graphs.build_cycle(n)
         spec = spectra.graph_eigensystem(g)
         pbar = walk.average_distribution(spec, 0)
@@ -462,7 +479,7 @@ def _check_cycle_average(cfg: VerifyConfig) -> list[MixingReport]:
         expected="(n-1)/4n^2 to 1e-12",
     )
     for n, desk in ((4, 0.5), (6, 4.0 / 9.0)):
-        if n > cfg.cycle_max:
+        if n > top:
             continue
         dev = average_uniform_deviation(graphs.build_cycle(n))
         ok = abs(dev - desk) <= 1e-12
@@ -477,15 +494,12 @@ def _check_cycle_average(cfg: VerifyConfig) -> list[MixingReport]:
 
 def _check_instantaneous_uniform(cfg: VerifyConfig) -> list[MixingReport]:
     reports = []
-    for d in range(1, cfg.hypercube_max_d + 1):
-        g = graphs.build_hypercube(d)
-        spec = spectra.graph_eigensystem(g)
+    for d in range(1, cfg.dim_cap(6) + 1):
+        spec = spectra.graph_eigensystem(graphs.build_hypercube(d))
         minima = instantaneous_mixing_scan(spec, 0, eps=1e-9, t_max=math.pi, grid=SCAN_GRID)
         hit = [m for m in minima if abs(m[0] - math.pi / 4) <= 1e-6]
-        norm_spec = spec.scaled(1.0 / d)
-        norm_minima = instantaneous_mixing_scan(
-            norm_spec, 0, eps=1e-9, t_max=d * math.pi, grid=SCAN_GRID
-        )
+        norm_minima = instantaneous_mixing_scan(spec.scaled(1.0 / d), 0, eps=1e-9,
+                                                t_max=d * math.pi, grid=SCAN_GRID)
         norm_hit = [m for m in norm_minima if abs(m[0] - d * math.pi / 4) <= 1e-6]
         rep = MixingReport(descriptor=f"hypercube Q_{d}", instantaneous_times=minima)
         rep.flags["uniform_at_pi_over_4"] = _flag(
@@ -523,28 +537,21 @@ def _check_instantaneous_uniform(cfg: VerifyConfig) -> list[MixingReport]:
 
 def _check_hypercube_average(cfg: VerifyConfig) -> list[MixingReport]:
     reports = []
-    for d in range(2, cfg.hypercube_max_d + 1):
-        g = graphs.build_hypercube(d)
-        dev = average_uniform_deviation(g)
+    for d in range(2, cfg.dim_cap(6) + 1):
+        dev = average_uniform_deviation(graphs.build_hypercube(d))
         rep = MixingReport(descriptor=f"hypercube Q_{d}", deviation_uniform=dev)
         rep.flags["no_average_uniform_mixing"] = _flag(
-            "pass" if dev >= 0.1 else "fail", measured=dev, expected=">= 0.1"
-        )
+            "pass" if dev >= 0.1 else "fail", measured=dev, expected=">= 0.1")
         reports.append(rep)
     return reports
 
 
 def _bunkbed_bases(cfg: VerifyConfig) -> list[tuple[str, Graph]]:
-    bases: list[tuple[str, Graph]] = []
-    for n in range(2, cfg.bunkbed_complete_max + 1):
-        bases.append((f"K_{n}", graphs.build_complete(n)))
-    for n in range(3, cfg.bunkbed_cycle_max + 1):
-        bases.append((f"C_{n}", graphs.build_cycle(n)))
-    for n in range(2, cfg.bunkbed_path_max + 1):
-        bases.append((f"P_{n}", graphs.build_path(n)))
-    for d in range(1, cfg.bunkbed_hypercube_max_d + 1):
-        bases.append((f"Q_{d}", graphs.build_hypercube(d)))
-    return bases
+    # a bed has two vertices per base vertex
+    return ([(f"K_{n}", graphs.build_complete(n)) for n in range(2, cfg.cap(8, per=2) + 1)]
+            + [(f"C_{n}", graphs.build_cycle(n)) for n in range(3, cfg.cap(16, per=2) + 1)]
+            + [(f"P_{n}", graphs.build_path(n)) for n in range(2, cfg.cap(16, per=2) + 1)]
+            + [(f"Q_{d}", graphs.build_hypercube(d)) for d in range(1, cfg.dim_cap(3) + 1)])
 
 
 def _check_bunkbed_layers(cfg: VerifyConfig) -> list[MixingReport]:
@@ -594,7 +601,8 @@ def _check_bunkbed_layers(cfg: VerifyConfig) -> list[MixingReport]:
 
 
 def _check_path_classical(cfg: VerifyConfig) -> list[MixingReport]:
-    report = MixingReport(descriptor=f"paths P_2..P_{cfg.path_max}")
+    top = cfg.cap(32)
+    report = MixingReport(descriptor=f"paths P_2..P_{top}")
     p2 = path_start_average(2)
     report.flags["P2_matches_stationary"] = _flag(
         "pass" if abs(p2 - 0.5) <= 1e-12 else "fail", measured=p2, expected=0.5
@@ -602,7 +610,7 @@ def _check_path_classical(cfg: VerifyConfig) -> list[MixingReport]:
     worst = 0.0
     min_sep = math.inf
     direction_ok = True
-    for n in range(3, cfg.path_max + 1):
+    for n in range(3, top + 1):
         spec = spectra.path_eigensystem(n)
         pbar0 = float(walk.average_distribution(spec, 0)[0])
         worst = max(worst, abs(pbar0 - 3.0 / (2.0 * (n + 1))))
@@ -628,14 +636,12 @@ def _check_path_classical(cfg: VerifyConfig) -> list[MixingReport]:
 
 
 def _oracle_cases(cfg: VerifyConfig) -> list[Graph]:
-    """The closed-form families the oracle check compares, up to cfg.oracle_max."""
-    cap = cfg.oracle_max
+    """The closed-form families the oracle check compares, up to 20 vertices."""
+    cap = cfg.cap(20)
     cases = [graphs.build_cycle(n) for n in range(3, cap + 1)]
     cases += [graphs.build_complete(n) for n in range(2, cap + 1)]
     cases += [graphs.build_path(n) for n in range(2, cap + 1)]
-    cases += [
-        graphs.build_hypercube(d) for d in range(1, cfg.hypercube_max_d + 1) if 2**d <= cap
-    ]
+    cases += [graphs.build_hypercube(d) for d in range(1, cap.bit_length())]  # 2^d <= cap
     cases += [graphs.build_bunkbed(graphs.build_cycle(n)) for n in range(3, cap // 2 + 1)]
     return cases
 
@@ -704,28 +710,18 @@ ALL_CHECKS = tuple(_CHECKS)
 class VerifyConfig:
     """Selection, seed and sizes for verify_all: the knobs `ctqw verify` sets.
 
-    Every size limit derives from one vertex-count cap `max_n`.  Without a
-    cap the limits are the acceptance ranges, except the dense-oracle cap,
-    which stays small for speed.  An empty or unknown selection is refused,
-    as are a cap under MIN_MAX_N, since some check would then report over no
-    input, and fewer than MIN_ENSEMBLE_TRIALS ensemble trials.
+    Each check loops over its acceptance range cut by one vertex-count cap
+    `max_n` (`cap`, `dim_cap`); without a cap the ranges are the acceptance
+    ranges, except the dense oracle's, which stays small for speed.  An
+    empty or unknown selection is refused, as are a cap under MIN_MAX_N,
+    since some check would then report over no input, and fewer than
+    MIN_ENSEMBLE_TRIALS ensemble trials.
     """
 
     checks: tuple[str, ...] = ALL_CHECKS
     max_n: int | None = None
     ensemble_trials: int = 10000
     seed: int = 7
-    complete_max: int = field(init=False)
-    cycle_max: int = field(init=False)
-    path_max: int = field(init=False)
-    hypercube_max_d: int = field(init=False)
-    bunkbed_complete_max: int = field(init=False)
-    bunkbed_cycle_max: int = field(init=False)
-    bunkbed_path_max: int = field(init=False)
-    bunkbed_hypercube_max_d: int = field(init=False)
-    gap_zn_max: int = field(init=False)
-    gap_cube_max_d: int = field(init=False)
-    oracle_max: int = field(init=False)
 
     def __post_init__(self):
         if not self.checks:
@@ -740,25 +736,19 @@ class VerifyConfig:
             raise ValueError(
                 f"ensemble trials must be at least {MIN_ENSEMBLE_TRIALS}, where a correct"
                 f" sampler gives a nonzero standard error; got {self.ensemble_trials}")
-        if self.max_n is None:
-            cap = d_cap = math.inf
-        elif self.max_n < MIN_MAX_N:
+        if self.max_n is not None and self.max_n < MIN_MAX_N:
             raise ValueError(
                 f"size cap must be at least {MIN_MAX_N}, where every check has a case;"
                 f" got {self.max_n}")
-        else:
-            cap, d_cap = self.max_n, int(math.log2(self.max_n))
-        self.complete_max = min(64, cap)
-        self.cycle_max = min(33, cap)
-        self.path_max = min(32, cap)
-        self.hypercube_max_d = min(6, d_cap)
-        self.bunkbed_complete_max = min(8, cap // 2)
-        self.bunkbed_cycle_max = min(16, cap // 2)
-        self.bunkbed_path_max = min(16, cap // 2)
-        self.bunkbed_hypercube_max_d = min(3, d_cap)
-        self.gap_zn_max = min(12, cap)
-        self.gap_cube_max_d = min(4, d_cap)
-        self.oracle_max = min(20, cap)
+
+    def cap(self, limit: int, per: int = 1) -> int:
+        """The top of a size range whose acceptance range ends at `limit`,
+        cut to max_n // per for graphs of `per` vertices per unit of size."""
+        return limit if self.max_n is None else min(limit, self.max_n // per)
+
+    def dim_cap(self, limit: int) -> int:
+        """The top hypercube dimension: at most `limit`, and 2^d <= max_n."""
+        return self.cap(2**limit).bit_length() - 1
 
 
 def verify_all(config: VerifyConfig | None = None) -> list[MixingReport]:

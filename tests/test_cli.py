@@ -619,6 +619,47 @@ def test_scans_repeat_across_openblas_thread_counts(family):
     assert len(json.loads(outputs["1"])["minima"]) == {"cycle": 955, "hypercube": 637}[family[1]]
 
 
+def test_verify_repeats_across_openblas_thread_counts():
+    # the dense oracle's Jacobi stacks and the scans run BLAS products: the
+    # report must be the same bytes on one and on two OpenBLAS threads
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = [sys.executable, "-m", "ctqw", "verify", "--format", "json", "--seed", "7"]
+    runs = {threads: subprocess.run(argv, capture_output=True, timeout=300,
+                                    env={**env, "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")}
+    assert [r.returncode for r in runs.values()] == [0, 0], runs["1"].stderr
+    assert runs["1"].stdout == runs["2"].stdout
+    assert json.loads(runs["1"].stdout)["reports"]
+
+
+@pytest.mark.parametrize("change", [
+    "[1, 2]", '"x"', {"base": 5}, {"base": None}, {"symbol_support": 5}, {"group_factors": 3},
+    {"symbol_support": [True, 2]}, {"labels": 5}, {"labels": ["a"]}, {"labels": [1, 2, 3]},
+    {"family": 7},
+], ids=["list", "string", "base-5", "base-null", "support-5", "factors-3", "support-bool",
+        "labels-5", "labels-short", "labels-ints", "family-7"])
+@pytest.mark.parametrize("command", ["build", "spectrum"])
+def test_graph_file_of_the_wrong_shape_exits_1(tmp_path, capsys, command, change):
+    # a traceback, or a cast or echoed value with exit 0, before the checks;
+    # a string is the whole file, a dict changes the keys of C_3's file
+    text = change if isinstance(change, str) else json.dumps(
+        {**_built_doc(capsys, "--family", "cycle", "--n", "3"), **change})
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, "--graph-file", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_scan_refuses_a_negative_eps(capsys):
+    # -inf printed "eps": null, the encoding of no threshold, and no minimum
+    for eps in ("-inf", "-1e-9"):
+        code, out, err = run_cli(capsys, "scan", "--family", "cycle", "--n", "5", f"--eps={eps}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: eps must be >= 0")
+    assert run_cli(capsys, "scan", "--family", "cycle", "--n", "5", "--eps=0")[0] == 0
+
+
 def test_dense_routes_over_the_budget_exit_1(capsys, monkeypatch):
     from ctqw import spectra
 

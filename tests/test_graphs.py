@@ -364,6 +364,34 @@ def test_json_rejects_malformed():
         graph_from_json(json.dumps({"n": 2, "adjacency_rows": ["0x", "10"]}))
 
 
+def _c3_doc(**changes):
+    """The graph-file document of C_3, with the keys in `changes` set."""
+    doc = json.loads(graph_to_json(build_cycle(3)))
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc, match", [
+    ([1, 2], "must be objects"),
+    ("x", "must be objects"),
+    (_c3_doc(base=5), "must be objects"),
+    (_c3_doc(base=None), "must be objects"),
+    (_c3_doc(symbol_support=5), "symbol support"),
+    (_c3_doc(group_factors=3), "group factors"),
+    (_c3_doc(symbol_support=[True, 2]), "symbol support"),  # read as [1, 2]: K_3
+    (_c3_doc(labels=5), "labels"),
+    (_c3_doc(labels=["a"]), "labels"),
+    (_c3_doc(labels=[1, 2, 3]), "labels"),
+    (_c3_doc(family=7), "family"),
+], ids=["list", "string", "base-5", "base-null", "support-5", "factors-3", "support-bool",
+        "labels-5", "labels-short", "labels-ints", "family-7"])
+def test_json_of_the_wrong_shape_is_refused(doc, match):
+    # these ended in AttributeError or TypeError, or were cast or echoed unchecked
+    with pytest.raises(GraphValidationError, match=match):
+        graph_from_json(json.dumps(doc))
+    assert graph_from_json(json.dumps(_c3_doc(labels=["a", "b", "c"]))).labels == ["a", "b", "c"]
+
+
 @pytest.mark.parametrize("rows", [
     ["0\u0661\u0661", "\u066101", "\u0661\u06610"],  # Arabic-Indic digit one
     [[0, 1, 1], [1, 0, 1], [1, 1, 0]],

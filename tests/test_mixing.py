@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -90,6 +91,9 @@ def test_scan_default_window_and_errors():
 
 @pytest.mark.parametrize("kwargs, reason", [
     ({"eps": math.nan}, "eps"),
+    # a deviation is never negative: -inf printed "eps": null yet kept no minimum
+    ({"eps": -math.inf}, "eps"),
+    ({"eps": -1e-9}, "eps"),
     ({"grid": 7.5, "t_max": 10.0}, "grid"),
     ({"grid": 64.0}, "grid"),
     ({"t_max": math.nan}, "t_max"),
@@ -97,7 +101,7 @@ def test_scan_default_window_and_errors():
     # from 2^19 floats lie 1.16e-10 apart, more than GOLDEN_WIDTH
     ({"t_max": 2.0**19}, "t_max"),
     ({"t_max": 6e5}, "t_max"),
-], ids=["eps-nan", "grid-7.5", "grid-float", "t_max-nan", "t_max-inf", "t_max-2^19",
+], ids=["eps-nan", "eps--inf", "eps-negative", "grid-7.5", "grid-float", "t_max-nan", "t_max-inf", "t_max-2^19",
         "t_max-6e5"])
 def test_scan_refuses_bad_inputs_before_any_evaluation(monkeypatch, kwargs, reason):
     spec = spectra.graph_eigensystem(graphs.build_cycle(5))
@@ -570,20 +574,30 @@ def test_verify_ensemble_expectation_holds_for_even_n(monkeypatch):
     assert not mixing.has_failures([report])
 
 
-def test_capped_caps_sizes_and_keeps_other_fields():
+def test_cap_cuts_each_acceptance_range_and_keeps_other_fields():
     fields = dict(checks=("cycle_average",), ensemble_trials=30, seed=5)
     capped = VerifyConfig(max_n=8, **fields)
-    assert (capped.complete_max, capped.cycle_max, capped.path_max) == (8, 8, 8)
-    assert (capped.hypercube_max_d, capped.gap_cube_max_d, capped.bunkbed_hypercube_max_d) == (3, 3, 3)
-    assert (capped.bunkbed_complete_max, capped.bunkbed_cycle_max, capped.bunkbed_path_max) == (4, 4, 4)
-    assert (capped.gap_zn_max, capped.oracle_max) == (8, 8)
+    assert [capped.cap(limit) for limit in (64, 33, 32, 12, 20)] == [8] * 5
+    assert [capped.cap(limit, per=2) for limit in (8, 16)] == [4, 4]
+    assert [capped.dim_cap(limit) for limit in (6, 4, 3)] == [3, 3, 3]
     for name, value in fields.items():
         assert getattr(capped, name) == value
     uncapped = VerifyConfig()
-    assert (uncapped.complete_max, uncapped.cycle_max, uncapped.path_max) == (64, 33, 32)
-    assert (uncapped.hypercube_max_d, uncapped.gap_cube_max_d, uncapped.bunkbed_hypercube_max_d) == (6, 4, 3)
-    assert (uncapped.bunkbed_complete_max, uncapped.bunkbed_cycle_max, uncapped.bunkbed_path_max) == (8, 16, 16)
-    assert (uncapped.gap_zn_max, uncapped.oracle_max) == (12, 20)
+    assert [uncapped.cap(limit) for limit in (64, 33, 32, 12, 20)] == [64, 33, 32, 12, 20]
+    assert [uncapped.cap(limit, per=2) for limit in (8, 16)] == [8, 16]
+    assert [uncapped.dim_cap(limit) for limit in (6, 4, 3)] == [6, 4, 3]
+    # the hypercube cap is the largest d with 2^d <= max_n
+    for max_n, d in ((6, 2), (7, 2), (8, 3), (15, 3), (16, 4), (63, 5), (64, 6), (10**6, 6)):
+        assert VerifyConfig(max_n=max_n).dim_cap(6) == d
+
+
+def test_verify_config_fields_are_the_four_verify_sets():
+    assert [f.name for f in dataclasses.fields(VerifyConfig)] == [
+        "checks", "max_n", "ensemble_trials", "seed"]
+    for name in ("complete_max", "cycle_max", "path_max", "hypercube_max_d",
+                 "bunkbed_complete_max", "bunkbed_cycle_max", "bunkbed_path_max",
+                 "bunkbed_hypercube_max_d", "gap_zn_max", "gap_cube_max_d", "oracle_max"):
+        assert not hasattr(VerifyConfig(), name)
 
 
 def test_capped_refuses_a_cap_under_which_a_check_has_no_case():
@@ -613,7 +627,7 @@ def test_ensemble_trials_under_the_floor_are_refused():
 
 def test_size_limits_are_not_settable_one_by_one():
     # a limit set alone ran checks over empty ranges (path_max=4, path_max=2,
-    # hypercube_max_d=1); every limit now derives from max_n
+    # hypercube_max_d=1); every range is now cut by max_n where a check loops
     for name in ("path_max", "hypercube_max_d", "complete_max"):
         with pytest.raises(TypeError):
             VerifyConfig(**{name: 4})
@@ -642,20 +656,60 @@ def _reference_cube_symbol(group, rng):
 
 
 @pytest.mark.parametrize("seed", [7, 0, 1641411168, 938443845])
-def test_cube_symbols_are_the_draws_of_one_attempt_at_a_time(seed):
+def test_cube_rows_are_the_draws_of_one_attempt_at_a_time(seed):
     def stream():
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 2))))
 
     got_rng, want_rng = stream(), stream()
     for d in (2, 3, 4):
         group = graphs.AbelianGroupSpec((2,) * d)
-        got = mixing._cube_symbols(d, mixing.GAP_SYMBOLS, got_rng)
+        got_group, rows, lams = mixing._cube_rows(d, mixing.GAP_SYMBOLS, got_rng)
         want = [_reference_cube_symbol(group, want_rng) for _ in range(mixing.GAP_SYMBOLS)]
-        assert [s.values.tolist() for s in got] == [s.values.tolist() for s in want]
-        for sym in got:
-            graphs.Symbol(sym.group, sym.values.copy())  # the check the draw skips
+        assert got_group == group
+        assert rows.tolist() == [s.values.tolist() for s in want]
+        for row, lam in zip(rows, lams):
+            sym = graphs.Symbol(group, row.copy())  # the check the draw skips
+            # the kept eigenvalue rows are the symbol's, in character order,
+            # and exact sums of +-1
+            spec = spectra.abelian_circulant_eigensystem(sym)
+            assert np.array_equal(lam[spec.characters[1]], spec.eigenvalues)
+            assert np.array_equal(lam, np.round(lam))
     # both consumed the same stream, so the next group's draws line up too
     assert got_rng.integers(0, 2**63) == want_rng.integers(0, 2**63)
+
+
+@pytest.mark.parametrize("seed", [7, 1641411168, 938443845])
+def test_batched_zero_gap_decisions_match_the_per_symbol_gap(seed):
+    batches = mixing._gap_rows(VerifyConfig(seed=seed))
+    assert [group.factors for group, _, _ in batches] == (
+        [(n,) for n in range(3, 13)] + [(2,) * d for d in (2, 3, 4)])
+    for group, rows, lams in batches:
+        assert rows.shape == lams.shape == (mixing.GAP_SYMBOLS, group.order)
+        # reference: each row's full symbol check, closed-form spectrum and gap
+        specs = [spectra.abelian_circulant_eigensystem(graphs.Symbol(group, row.copy()))
+                 for row in rows]
+        assert mixing._nonzero_gaps(lams).tolist() == [
+            spectra.spectral_gap(spec) != 0.0 for spec in specs]
+        for lam, spec in zip(lams, specs):  # the same eigenvalues, bit for bit
+            assert np.array_equal(lam[spec.characters[1]], spec.eigenvalues)
+    # rows in character order, not sorted: a row with every eigenvalue simple
+    # has a nonzero gap, and a repeat or a pair within tol makes it zero
+    rows = np.array([[0.5, 2.0, -1.0], [-1.0, 2.0, -1.0], [1.0, -1.0, 1.0 + 1e-12]])
+    assert mixing._nonzero_gaps(rows).tolist() == [True, False, False]
+
+
+def test_gap_check_decides_each_group_in_one_batch(monkeypatch):
+    calls = {"spectral_gap": 0, "abelian_circulant_eigensystem": 0, "degeneracy_labels": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(spectra, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(spectra, name, counted)
+    (report,) = verify_all(VerifyConfig(checks=("abelian_spectral_gap",)))
+    assert report.descriptor == "abelian circulants (260 random symbols)"
+    assert report.flags["zero_spectral_gap"]["measured"] == "0 nonzero gaps"
+    # no per-symbol spectrum or gap: one degeneracy cut per group (Z_3..Z_12, (Z_2)^2..4)
+    assert calls == {"spectral_gap": 0, "abelian_circulant_eigensystem": 0, "degeneracy_labels": 13}
 
 
 def _all_columns(proj):

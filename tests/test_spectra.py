@@ -204,9 +204,15 @@ def test_jacobi_rejects_asymmetric():
         jacobi_eigensystem(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+def _gap_graphs(cfg):
+    """The circulants of the spectral-gap check, in the order it builds them."""
+    return [graphs.build_abelian_circulant(graphs.Symbol._proven(group, row))
+            for group, rows, _ in mixing._gap_rows(cfg) for row in rows]
+
+
 def test_stacked_jacobi_matches_reference_on_verify_matrices():
     cfg = mixing.VerifyConfig()
-    gs = [graphs.build_abelian_circulant(s) for s in mixing._gap_symbols(cfg)]
+    gs = _gap_graphs(cfg)
     gs += mixing._oracle_cases(cfg)
     assert len(gs) == 328
     for n in sorted({g.n for g in gs}):
@@ -482,7 +488,7 @@ def test_dense_eigensystems_solve_one_stack_per_even_size(jacobi_calls):
     # an odd n joins the n + 1 stack with a zero dummy index: the same index
     # the solver pads it with alone, and its pairs still skip below thresh / n
     cfg = mixing.VerifyConfig()
-    gs = [graphs.build_abelian_circulant(s) for s in mixing._gap_symbols(cfg)]
+    gs = _gap_graphs(cfg)
     gs += mixing._oracle_cases(cfg)
     assert len(gs) == 328
     specs = spectra.dense_eigensystems(gs)
