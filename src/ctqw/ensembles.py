@@ -45,6 +45,7 @@ from .graphs import SCHEMA, AbelianGroupSpec, Symbol
 from .spectra import (
     DEGENERACY_TOL,
     _roots_of_unity,
+    _row_classes,
     character_phases,
     circulant_eigenvalues,
     degeneracy_labels,
@@ -85,21 +86,6 @@ def _connected(bits: np.ndarray, n: int) -> np.ndarray:
     """
     coprime = np.arange(1, n // 2 + 1)[:, None] % np.array(_prime_factors(n)) != 0
     return (bits @ coprime).all(axis=1)
-
-
-def _class_labels(lams: np.ndarray, tol: float) -> np.ndarray:
-    """Degeneracy class of each eigenvalue, numbered in descending order.
-
-    Each row is sorted stably and cut by `degeneracy_labels`.  A row with
-    no degenerate pair contradicts the zero spectral gap and raises.
-    """
-    order = np.argsort(-lams, axis=1, kind="stable")
-    sorted_labels = degeneracy_labels(np.take_along_axis(lams, order, axis=1), tol)
-    if np.any(sorted_labels[:, -1] == lams.shape[1] - 1):
-        raise RuntimeError("sampled circulant with nonzero spectral gap")
-    labels = np.empty_like(sorted_labels)
-    np.put_along_axis(labels, order, sorted_labels, axis=1)
-    return labels
 
 
 def _uniform_deviation(labels: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -389,7 +375,9 @@ def _symbol_stats(packed: np.ndarray, draws: np.ndarray, n: int, tol: float):
         lams = circulant_eigenvalues(_symbol_values(bits, n), phase, n)
         lam0[rows], other[rows] = lams[:, 0], lams[:, 1:].mean(axis=1)
         connected[rows] = ok = _connected(bits, n)
-        labels = _class_labels(lams[ok], tol)
+        labels, nonzero_gap = _row_classes(lams[ok], tol)
+        if nonzero_gap.any():
+            raise RuntimeError("sampled circulant with nonzero spectral gap")
         kept = start + np.flatnonzero(ok)
         types[kept], deviations[kept] = partitions.stats(labels, phase)
     return draws * connected, lam0, other, types, deviations

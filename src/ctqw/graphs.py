@@ -13,8 +13,9 @@ degeneracy-sensitive downstream results reproduce bit for bit:
 Each graph is checked once.  The builders' graphs are valid by the structure
 that built them (a checked `Symbol`, a path, K_{n,n}, two layers of a checked
 base), so they skip the O(n^2) adjacency pass and form their adjacency, and
-the hypercube its labels, only when something reads it.  Files and
-`from_adjacency` get the full pass.  A checked adjacency is read-only.
+the hypercube its labels, only when something reads it.  Every other graph
+gets the full pass, and its family, labels, symbol and base are checked
+against its adjacency.  A checked adjacency is read-only.
 """
 
 from __future__ import annotations
@@ -194,7 +195,8 @@ class Graph:
     circulant and `base` when it is a bunkbed; both route the spectra module
     to the matching closed form.
 
-    `validate` runs the full adjacency check once and keeps the result;
+    `validate` runs the full check (adjacency, then metadata) once and keeps
+    the result;
     from then on the graph holds its adjacency read-only.  Assigning
     `adjacency` holds the new array unchecked (the graph shares it with the
     caller) and re-arms the check.  A builder's graph is checked by the
@@ -247,19 +249,22 @@ class Graph:
 
     @property
     def degrees(self) -> np.ndarray:
-        if self.symbol is not None:  # a circulant's rows each hold the support
+        """Row sums; read off the symbol or base only once they were checked."""
+        if self._checked and self.symbol is not None:  # each row holds the support
             return np.full(self.n, self.symbol.support.size, dtype=np.int64)
-        if self.base is not None:  # a bunkbed's rows: the base's, plus one rung
+        if self._checked and self.base is not None:  # the base's rows, plus one rung
             return np.tile(self.base.degrees + 1, 2)
         return self.adjacency.sum(axis=1).astype(np.int64)
 
     def validate(self) -> "Graph":
-        """The full adjacency check (`_check_adjacency`), run unless this
-        adjacency already passed it."""
+        """The full check, run unless this adjacency already passed it: the
+        adjacency (`_check_adjacency`), then the metadata against it
+        (`_check_metadata`)."""
         if not self._checked:
             a = self._adjacency
             _check_adjacency(a)
             a = a.astype(np.uint8, copy=False)
+            _check_metadata(self, a)
             a.flags.writeable = False
             self._adjacency, self._checked = a, True
         return self
@@ -286,6 +291,28 @@ def _check_adjacency(a: np.ndarray) -> None:
         raise GraphValidationError("adjacency must have a zero diagonal")
     if not _connected(a):
         raise GraphValidationError("graph is not connected")
+
+
+def _check_metadata(g: Graph, a: np.ndarray) -> None:
+    """Raise GraphValidationError unless the family is a string, the labels
+    are n strings, and every label that selects a closed-form spectrum (a
+    symbol, the path family, a bunkbed base) matches the checked adjacency
+    `a`, so that a graph serializes to a file that loads and no route trusts
+    a structure nothing checked."""
+    n = a.shape[0]
+    if not isinstance(g.family, str):
+        raise GraphValidationError("graph 'family' must be a string")
+    labels = g.labels
+    if labels is not None and (not isinstance(labels, list) or len(labels) != n
+                               or not all(isinstance(x, str) for x in labels)):
+        raise GraphValidationError("graph 'labels' must be n strings")
+    if g.symbol is not None and not np.array_equal(_circulant_adjacency(g.symbol), a):
+        raise GraphValidationError("symbol metadata does not match adjacency")
+    if g.family == "path" and not np.array_equal(build_path(n).adjacency, a):
+        raise GraphValidationError("family 'path' does not match adjacency (not P_n in path order)")
+    if g.base is not None and not np.array_equal(_bunkbed_adjacency(g.base.validate().adjacency), a):
+        raise GraphValidationError(
+            "bunkbed 'base' does not match adjacency (blocks must be base, I, I, base)")
 
 
 def _zero_one(a: np.ndarray) -> bool:
@@ -457,25 +484,9 @@ def _graph_from_doc(doc: dict) -> Graph:
     a = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8) - np.uint8(ord("0"))
     if (a > 1).any():
         raise GraphValidationError("adjacency_rows characters must be '0' or '1'")
-    a = a.reshape(n, n)
-    family = doc.get("family", "custom")
-    if not isinstance(family, str):
-        raise GraphValidationError("graph JSON 'family' must be a string")
-    labels = doc.get("labels")
-    if labels is not None and (not isinstance(labels, list) or len(labels) != n
-                               or not all(isinstance(x, str) for x in labels)):
-        raise GraphValidationError("graph JSON 'labels' must be n strings")
     symbol = None
     if "group_factors" in doc and "symbol_support" in doc:
         symbol = Symbol.from_support(AbelianGroupSpec(doc["group_factors"]), doc["symbol_support"])
     base = _graph_from_doc(doc["base"]) if "base" in doc else None
-    g = Graph(a, family=family, labels=labels, symbol=symbol, base=base).validate()
-    # every label that selects a closed-form spectrum must match the adjacency
-    if symbol is not None and not np.array_equal(_circulant_adjacency(symbol), a):
-        raise GraphValidationError("symbol metadata does not match adjacency")
-    if family == "path" and not np.array_equal(build_path(n).adjacency, a):
-        raise GraphValidationError("family 'path' does not match adjacency (not P_n in path order)")
-    if base is not None and not np.array_equal(_bunkbed_adjacency(base.adjacency), a):
-        raise GraphValidationError(
-            "bunkbed 'base' does not match adjacency (blocks must be base, I, I, base)")
-    return g
+    return Graph(a.reshape(n, n), family=doc.get("family", "custom"), labels=doc.get("labels"),
+                 symbol=symbol, base=base).validate()

@@ -125,18 +125,13 @@ def _golden_minima(probe, keep, a: np.ndarray, width: float) -> tuple[np.ndarray
 
 
 def _scan_deviations(proj: walk.ClassProjections, times: np.ndarray) -> np.ndarray:
-    """||P_t - U|| at each time, evaluated directly in blocks of times: each
-    probe array holds at most spectra.BLOCK_ENTRIES entries."""
-    u = 1.0 / proj.counts.sum()
-    block = max(1, spectra.BLOCK_ENTRIES // max(proj.columns.shape))
+    """||P_t - U|| at each time, evaluated directly (`walk.class_amplitudes`)
+    in blocks of `_stacked_rows` times."""
+    block = _stacked_rows(proj)
     devs = np.empty(len(times))
     for lo in range(0, len(times), block):
-        re, im = walk.class_amplitudes(proj, times[lo : lo + block])
-        # |re^2 + im^2 - u| in place: these arrays are the large ones of a probe
-        np.square(re, out=re)
-        re += np.square(im, out=im)
-        re -= u
-        devs[lo : lo + block] = np.abs(re, out=re) @ proj.counts
+        _, probs = walk.class_amplitudes(proj, times[lo : lo + block])
+        devs[lo : lo + block] = _uniform_deviations(probs.T, proj)
     return devs
 
 
@@ -239,22 +234,22 @@ def instantaneous_mixing_scan(
     """Locate local minima of t -> ||P_t - U|| over (0, t_max].
 
     The class projections of `start` are computed once; a direct evaluation
-    then costs r cosines, r sines and two real r x k products per time over
-    the k distinct columns, and each column's deviation counts once per
-    vertex sharing it.  Evaluates a uniform grid and refines every interior
-    local minimum by golden-section search on the bracket of its two grid
-    neighbours, 2 t_max / grid wide, to a width of GOLDEN_WIDTH (1e-10) in
-    t.  The grid's phases are products of two tables of about sqrt(grid)
-    times each (`_grid_tables`), and each bracket's first phases are the
-    product of the same two rows.  All brackets shrink on one width
-    schedule, so a probe's phases are those of its bracket's kept point
-    times a phasor shared by every bracket (`_refined_minima`): the scan
-    takes r sines and r cosines per table row and per step, not per time
-    or probe, and checks every time it evaluates for unit norm.  Adjacent
-    grid minima that refine to one merge, and each reported time is then
-    evaluated directly once more: every deviation returned is the direct
-    one at its time.  Returns the (time, deviation) pairs with
-    deviation <= eps (all minima when eps is infinite), sorted by time.
+    (`walk.class_amplitudes`) then costs r cosines, r sines and one real
+    product per time over the k distinct columns, and each column's deviation
+    counts once per vertex sharing it.  Evaluates a uniform grid and refines
+    every interior local minimum by golden-section search on the bracket of
+    its two grid neighbours, 2 t_max / grid wide, to a width of GOLDEN_WIDTH
+    (1e-10) in t.  The grid's phases are products of two tables of about
+    sqrt(grid) times each (`_grid_tables`), and each bracket's first phases
+    are the product of the same two rows.  All brackets shrink on one width
+    schedule, so a probe's phases are those of its bracket's kept point times
+    a phasor shared by every bracket (`_refined_minima`): the scan takes r
+    sines and r cosines per table row and per step, not per time or probe, and
+    checks every time it evaluates for unit norm.  Adjacent grid minima that
+    refine to one merge, and each reported time is then evaluated directly
+    once more: every deviation returned is the direct one at its time.
+    Returns the (time, deviation) pairs with deviation <= eps (all minima when
+    eps is infinite), sorted by time.
     Where the deviation is smooth at a minimum, rounding flattens its
     bottom, so t is fixed only to about sqrt(machine epsilon / curvature)
     (about 3e-9 on K_8).  A t_max where floats lie further apart than
@@ -427,17 +422,10 @@ def _cube_rows(d: int, count: int, rng: np.random.Generator) -> _GapBatch:
     return group, np.array(rows), np.array(lams)
 
 
-def _nonzero_gaps(lams: np.ndarray) -> np.ndarray:
-    """Which eigenvalue rows have a nonzero gap, from one degeneracy cut of the
-    row-sorted matrix: a zero gap means some class has two members, so the
-    row's last label is below n - 1."""
-    labels = spectra.degeneracy_labels(np.sort(lams, axis=1)[:, ::-1], spectra.DEGENERACY_TOL)
-    return labels[:, -1] == lams.shape[1] - 1
-
-
 def _check_abelian_spectral_gap(cfg: VerifyConfig) -> list[MixingReport]:
     batches = _gap_rows(cfg)
-    failures = sum(int(_nonzero_gaps(lams).sum()) for _, _, lams in batches)
+    failures = sum(int(spectra._row_classes(lams, spectra.DEGENERACY_TOL)[1].sum())
+                   for _, _, lams in batches)
     dense = spectra.dense_eigensystems([
         graphs.build_abelian_circulant(graphs.Symbol._proven(group, row))
         for group, rows, _ in batches for row in rows])

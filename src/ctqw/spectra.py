@@ -709,7 +709,6 @@ def _lapack_eigensystem(g: Graph) -> Spectrum:
 
     A LAPACK failure is a computational failure (RuntimeError), not bad input.
     """
-    g.validate()
     _check_dense_budget([g.n])
     adjacency = g.adjacency.astype(np.float64)
     try:
@@ -742,6 +741,7 @@ def graph_eigensystem(g: Graph, method: str = "auto") -> Spectrum:
     """
     if method not in ("auto", "closed", "dense"):
         raise ValueError(f"unknown method {method!r}")
+    g.validate()  # the structure a route reads must match the adjacency
     if method == "dense":
         return dense_eigensystem(g)
     if g.symbol is not None:
@@ -766,6 +766,19 @@ def degeneracy_labels(desc: np.ndarray, tol: float) -> np.ndarray:
     labels = np.zeros(desc.shape, dtype=np.int64)
     np.cumsum(desc[..., :-1] - desc[..., 1:] > tol, axis=-1, out=labels[..., 1:])
     return labels
+
+
+def _row_classes(lams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The degeneracy cut of rows of eigenvalues in character order (batches
+    of circulant symbols): each row's class labels, numbered in descending
+    order and put back in the row's order, and whether the row's gap is
+    nonzero, every class a single eigenvalue.  Each row is sorted stably and
+    cut by `degeneracy_labels`."""
+    order = np.argsort(-lams, axis=1, kind="stable")
+    cut = degeneracy_labels(np.take_along_axis(lams, order, axis=1), tol)
+    labels = np.empty_like(cut)
+    np.put_along_axis(labels, order, cut, axis=1)
+    return labels, cut[:, -1] == lams.shape[1] - 1
 
 
 def degeneracy_summary(desc: np.ndarray, labels: np.ndarray) -> dict:

@@ -10,10 +10,11 @@ On a G-circulant the matrix comes from the characters in closed form, with no
 eigenvectors.  Vertices with bitwise-equal columns (an equitable partition:
 the Hamming weights on Q_d, the pairs {s + x, s - x} on a circulant) are
 evaluated once, and full vectors are gathered back only where one is output.
-A scan builds the phases of its grid and probes itself, as complex tables
-e^{-i theta t} with one column per time, and reads the probabilities through
-one real product of the columns with such a table (`phase_table`,
-`class_probabilities`).
+Every phase comes from one complex table e^{-i theta t} with one column per
+time (`phase_table`), read in one real product with the columns: as a row of
+real and a row of imaginary parts per time for walks and a scan's last direct
+values (`class_amplitudes`), and with the columns transposed for a scan's
+grid and probes (`class_probabilities`).
 Evolution merges only bitwise-equal eigenvalues (`exact_labels`), so no
 tolerance enters psi(t); the average uses the degeneracy partition, never
 quadrature.
@@ -34,31 +35,17 @@ from .spectra import (
 
 UNIT_NORM_TOL = 1e-10
 DISTRIBUTION_SUM_TOL = 1e-10
-CLAMP_FLOOR = -1e-12
-CLAMP_BUDGET = 1e-9
 IMAG_RESIDUE_TOL = 1e-10
 
 
 def as_distribution(raw: np.ndarray) -> np.ndarray:
-    """Clamp tiny negative residue to 0 and enforce distribution invariants,
-    on every row of a stack of distributions (the last axis).
-
-    Residue beyond the floating-cancellation budget signals a real bug and
-    raises instead of being hidden.
-    """
+    """Enforce distribution invariants on every row of a stack of
+    distributions (the last axis): no negative entry, and a sum of 1 to
+    DISTRIBUTION_SUM_TOL (NaN fails).  Every route here passes sums of
+    squares, so a negative entry signals a bug and raises."""
     probs = np.asarray(raw, dtype=np.float64)
-    below = probs < 0
-    if below.any():
-        negative = -np.where(below, probs, 0.0).sum(axis=-1)
-        if np.any(probs < CLAMP_FLOOR) or np.any(negative > CLAMP_BUDGET):
-            raise RuntimeError(
-                f"negative probability mass {negative.max():.3e} exceeds the clamp budget"
-            )
-        import logging  # imported here, where it is used, to keep it out of start-up
-
-        logging.getLogger(__name__).debug(
-            "clamped %.3e of negative probability residue", negative.sum())
-        probs = np.where(below, 0.0, probs)
+    if (probs < 0).any():
+        raise RuntimeError(f"negative probability {probs.min()!r}")
     total = probs.sum(axis=-1)
     bad = ~(np.abs(total - 1.0) <= DISTRIBUTION_SUM_TOL)
     if bad.any():
@@ -167,17 +154,18 @@ def _check_unit_norm(norm_sq: np.ndarray, times: np.ndarray) -> None:
 
 
 def class_amplitudes(proj: ClassProjections, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the amplitudes sum_r e^{-i theta_r t} E_r e_start
-    at each time on the distinct columns, shape (len(times), k) each; every
-    row is checked for unit norm over all n vertices."""
+    """The amplitudes sum_r e^{-i theta_r t} E_r e_start on the distinct
+    columns, complex, and their probabilities, shape (len(times), k) each.
+    One real product of the phase table (`phase_table`), read as a row of
+    real and a row of imaginary parts per time, with the columns; every time
+    is checked for unit norm over all n vertices."""
     times = np.asarray(times, dtype=np.float64)
-    phases = np.outer(times, proj.theta)
-    im = np.sin(phases) @ proj.columns
-    np.negative(im, out=im)
-    re = np.cos(phases, out=phases) @ proj.columns
-    _check_unit_norm(np.einsum("ij,ij,j->i", re, re, proj.counts)
-                     + np.einsum("ij,ij,j->i", im, im, proj.counts), times)
-    return re, im
+    parts = phase_table(proj.theta, times).view(np.float64).T @ proj.columns
+    re, im = parts[0::2], parts[1::2]
+    probs = np.square(re)
+    probs += np.square(im)
+    _check_unit_norm(probs @ proj.counts, times)
+    return re + 1j * im, probs
 
 
 def class_probabilities(proj: ClassProjections, table: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -194,22 +182,26 @@ def class_probabilities(proj: ClassProjections, table: np.ndarray, times: np.nda
     return probs
 
 
+def _walk(spec: Spectrum, start: int, t) -> tuple[np.ndarray, np.ndarray]:
+    """`class_amplitudes` of a walk started at `start`, gathered to all n
+    vertices and shaped t.shape + (n,) for a scalar or an array of times."""
+    times = np.asarray(t, dtype=np.float64)
+    proj = class_projections(spec, start, exact_labels(spec.eigenvalues))
+    amp, probs = class_amplitudes(proj, times.reshape(-1))
+    shape = times.shape + (spec.n,)
+    return amp[:, proj.index].reshape(shape), probs[:, proj.index].reshape(shape)
+
+
 def evolve(spec: Spectrum, start: int, t) -> np.ndarray:
     """Amplitudes psi(t) = sum_r e^{-i theta_r t} E_r e_start of a walk started
     at `start`, shaped t.shape + (n,) for a scalar or an array of times; every
     amplitude vector is checked for unit norm."""
-    times = np.asarray(t, dtype=np.float64)
-    proj = class_projections(spec, start, exact_labels(spec.eigenvalues))
-    re, im = class_amplitudes(proj, times.reshape(-1))
-    amp = re[:, proj.index] + 1j * im[:, proj.index]
-    return amp.reshape(times.shape + (spec.n,))
+    return _walk(spec, start, t)[0]
 
 
 def instantaneous_distribution(spec: Spectrum, start: int, t) -> np.ndarray:
     """Born-rule distribution |<l|psi(t)>|^2; one row per time when t is an array."""
-    amp = evolve(spec, start, t)
-    re, im = amp.real, amp.imag
-    return as_distribution(re * re + im * im)
+    return as_distribution(_walk(spec, start, t)[1])
 
 
 def average_distribution(

@@ -746,8 +746,7 @@ def test_no_command_imports_numpy_ma(tmp_path):
 
 
 def test_importing_the_cli_does_not_load_logging():
-    # `walk` imports logging only where it clamps, so no command pays for it
-    # at start-up
+    # no module imports logging, so no command pays for it at start-up
     script = "import sys\nimport ctqw.cli\nprint('logging' in sys.modules)\n"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

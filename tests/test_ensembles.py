@@ -24,6 +24,7 @@ from ctqw.ensembles import (
 from ctqw.spectra import (
     DEGENERACY_TOL,
     _roots_of_unity,
+    _row_classes,
     abelian_circulant_eigensystem,
     character_phases,
     circulant_eigenvalues,
@@ -238,7 +239,7 @@ def test_uniform_deviation_equals_the_average_distribution_route():
         symbols = random_circulants(n, 40, n)
         _, phase = character_phases(graphs.AbelianGroupSpec((n,)))
         lams = circulant_eigenvalues(np.array([sym.values for sym in symbols]), phase, n)
-        got = ensembles._uniform_deviation(ensembles._class_labels(lams, DEGENERACY_TOL), phase)
+        got = ensembles._uniform_deviation(_row_classes(lams, DEGENERACY_TOL)[0], phase)
         ref = [total_variation(average_distribution(abelian_circulant_eigensystem(sym), 0),
                                uniform_target(n)) for sym in symbols]
         assert np.max(np.abs(got - ref)) <= 1e-12, n
@@ -414,7 +415,7 @@ def _ref_block_ensemble_stats(n, trials, seed, tol=DEGENERACY_TOL):
         trial_range = range(start, min(start + BLOCK_SIZE, trials))
         bits, accepted = ensembles._draw_block(n, entropy, trial_range)
         lams = circulant_eigenvalues(ensembles._symbol_values(bits, n), phase, n)
-        labels = ensembles._class_labels(lams[accepted], tol)
+        labels = _row_classes(lams[accepted], tol)[0]
         blocks.append((lams[:, 0], lams[:, 1:].mean(axis=1), accepted,
                        labels.max(axis=1) + 1, ensembles._uniform_deviation(labels, phase)))
     unc_lam0, unc_other, accepted, types, deviations = (np.concatenate(col) for col in zip(*blocks))
@@ -681,7 +682,7 @@ def _run_labels(n, trials, seed):
     bits = np.unpackbits(packed, axis=1, count=n // 2).astype(bool)
     _, phase = character_phases(graphs.AbelianGroupSpec((n,)))
     lams = circulant_eigenvalues(ensembles._symbol_values(bits, n), phase, n)
-    return ensembles._class_labels(lams[ensembles._connected(bits, n)], DEGENERACY_TOL), phase
+    return _row_classes(lams[ensembles._connected(bits, n)], DEGENERACY_TOL)[0], phase
 
 
 @pytest.mark.parametrize("n,trials,seed", [(40, 50000, 1), (24, 20000, 5), (101, 2000, 3)])
@@ -705,7 +706,7 @@ def _chunk_labels(n, trials, seed):
     bits = np.unpackbits(packed[:BLOCK_SIZE], axis=1, count=n // 2).astype(bool)
     _, phase = character_phases(graphs.AbelianGroupSpec((n,)))
     lams = circulant_eigenvalues(ensembles._symbol_values(bits, n), phase, n)
-    return ensembles._class_labels(lams[ensembles._connected(bits, n)], DEGENERACY_TOL), phase
+    return _row_classes(lams[ensembles._connected(bits, n)], DEGENERACY_TOL)[0], phase
 
 
 @pytest.mark.parametrize("n,trials", [(7, 500), (24, 500), (40, 500), (365, 60)])

@@ -1,0 +1,110 @@
+"""The pinned outputs of `tests/golden.py`, compared leaf by leaf.
+
+Every non-float leaf must be equal: statuses, flag names and their order,
+the discrepancy list, descriptors, notes, counts and the number of minima.
+Floats must agree within a bound stated per kind of value, so that the test
+passes on every numpy version and runner CPU that CI uses; `golden.py
+--check` is the exact byte comparison on one platform.
+
+- A scan minimum (time, deviation) is fixed only as far as its golden-section
+  refinement fixes it: where the deviation is smooth at its minimum, rounding
+  flattens the bottom, so the time moves by about 1e-8 where one rounding unit
+  of a probe takes the search the other way.  Times get TIME_BOUND relative
+  (to 1 below |t| = 1) and their deviations MINIMUM_BOUND absolute.
+- Every other float gets FLOAT_BOUND relative, to 1 below magnitude 1.
+"""
+
+import json
+import math
+import re
+
+import pytest
+
+from tests.golden import CASES, GOLDEN, render
+
+TIME_BOUND = 1e-7
+MINIMUM_BOUND = 1e-9
+FLOAT_BOUND = 1e-12
+BOUNDS = {"time": (TIME_BOUND, True), "minimum": (MINIMUM_BOUND, False),
+          "float": (FLOAT_BOUND, True)}
+# a float as json and repr print it; integers stay in the surrounding text
+FLOAT = re.compile(r"(-?(?:\d+\.\d+(?:e[-+]?\d+)?|\d+e[-+]?\d+|inf)|nan)")
+
+
+def _close(got: float, want: float, kind: str) -> bool:
+    bound, relative = BOUNDS[kind]
+    if not math.isfinite(want):
+        return got == want or (math.isnan(got) and math.isnan(want))
+    return abs(got - want) <= bound * (max(1.0, abs(want)) if relative else 1.0)
+
+
+def assert_leaves_match(got, want, kind: str = "float", where: str = "$") -> None:
+    """Equal structure and non-float leaves; floats within the bound of `kind`.
+    A list of [time, deviation] pairs and a scan's {"t", "deviation"} entries
+    are scan minima."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key, value in want.items():
+            sub = {"t": "time", "deviation": "minimum"}.get(key, kind)
+            assert_leaves_match(got[key], value, sub, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        minima = bool(want) and all(isinstance(x, list) and len(x) == 2 for x in want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            if minima:
+                assert isinstance(g, list) and len(g) == 2, f"{where}[{i}]"
+                assert_leaves_match(g[0], w[0], "time", f"{where}[{i}][0]")
+                assert_leaves_match(g[1], w[1], "minimum", f"{where}[{i}][1]")
+            else:
+                assert_leaves_match(g, w, kind, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and _close(got, want, kind), (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+def assert_text_matches(got: str, want: str) -> None:
+    """The table format line by line: equal text between the floats, and the
+    floats within their bounds; a line listing minima, [(t, d), ...],
+    alternates time and deviation."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines)
+    for number, (g, w) in enumerate(zip(got_lines, want_lines)):
+        g_parts, w_parts = FLOAT.split(g), FLOAT.split(w)
+        assert g_parts[0::2] == w_parts[0::2], (number, g, w)  # the text between floats
+        kinds = ("time", "minimum") if "[(" in w else ("float",)
+        floats = zip(g_parts[1::2], w_parts[1::2])
+        for i, (a, b) in enumerate(floats):
+            assert _close(float(a), float(b), kinds[i % len(kinds)]), (number, a, b)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_outputs_match_the_pinned_files(name):
+    got = render(CASES[name]).decode("utf-8")
+    want = (GOLDEN / name).read_text(encoding="utf-8")
+    if name.endswith(".json"):
+        assert_leaves_match(json.loads(got), json.loads(want))
+    else:
+        assert_text_matches(got, want)
+
+
+def test_the_comparison_refuses_a_moved_leaf():
+    doc = {"flags": {"a": {"status": "pass", "measured": 0.25}},
+           "minima": [{"t": 1.5, "deviation": 1e-12}], "times": [[2.0, 0.5]]}
+    assert_leaves_match(json.loads(json.dumps(doc)), doc)
+    moved = [{"flags": {"a": {"status": "fail", "measured": 0.25}}},
+             {"flags": {"a": {"status": "pass", "measured": 0.25 + 1e-11}}},
+             {"minima": [{"t": 1.5 + 1e-6, "deviation": 1e-12}]},
+             {"times": [[2.0, 0.5 + 1e-8]]},
+             {"times": [[2.0, 0.5], [3.0, 0.5]]}]
+    for change in moved:
+        with pytest.raises(AssertionError):
+            assert_leaves_match({**doc, **change}, doc)
+    # within the bounds
+    assert_leaves_match({**doc, "minima": [{"t": 1.5 + 1e-8, "deviation": 2e-12}]}, doc)
+    line = "PASS  complete K_4  uniform_instant  [(0.7853981715735275, 4.9e-16)]\n"
+    assert_text_matches(line.replace("0.7853981715735275", "0.78539817"), line)
+    for bad in (line.replace("PASS", "FAIL"), line.replace("4.9e-16", "4.9e-8"),
+                line.replace("K_4", "K_5")):
+        with pytest.raises(AssertionError):
+            assert_text_matches(bad, line)

@@ -255,8 +255,9 @@ def test_a_single_asymmetric_entry_is_refused(n):
 @pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.int64, np.float64, object])
 def test_asymmetry_is_refused_in_any_adjacency_dtype(dtype):
     # the builders' uint8 is read as bool in place; another dtype, set after
-    # construction, takes the comparison route
-    g = build_path(6)
+    # construction, takes the comparison route.  A custom graph: a path-family
+    # graph with the mended edge would be C_6 and fail the path-label check
+    g = from_adjacency(build_path(6).adjacency)
     a = g.adjacency.astype(dtype)
     a[0, 5] = 1
     g.adjacency = a
@@ -686,7 +687,8 @@ def test_from_adjacency_takes_a_private_copy():
 
 
 def test_reassigning_the_adjacency_rearms_the_check():
-    g = build_cycle(5)
+    # a custom graph: C_5's symbol would refuse the mended P_5 adjacency
+    g = from_adjacency(build_cycle(5).adjacency)
     cut = g.adjacency.copy()
     cut[0, 1] = cut[1, 0] = cut[2, 3] = cut[3, 2] = 0
     g.adjacency = cut
@@ -730,3 +732,32 @@ def test_closed_form_routes_neither_check_nor_form_built_graphs(monkeypatch, tmp
     g.validate()
     assert calls["pass"] == 1
 
+
+
+def test_structure_labels_that_do_not_match_the_adjacency_are_refused():
+    # each label selects a closed form: C_4's symbol on P_4 gave [2, 0, 0, -2],
+    # family "path" on K_3 gave P_3's spectrum, and a bunkbed base of K_2 on
+    # K_4 gave the 4-cycle's; graph_eigensystem now checks before any route
+    from ctqw import spectra
+
+    k3 = build_complete(3).adjacency
+    unchecked = [graphs.Graph(build_path(4).adjacency, symbol=build_cycle(4).symbol),
+                 graphs.Graph(k3, family="path"),
+                 graphs.Graph(build_complete(4).adjacency, family="bunkbed", base=build_complete(2)),
+                 graphs.Graph(k3, family=7), graphs.Graph(k3, labels=[1, 2, 3]),
+                 graphs.Graph(k3, labels=["a", "b"]), graphs.Graph(k3, labels="abc")]
+    # degrees are the row sums until the labels are checked: P_4's, not C_4's
+    assert unchecked[0].degrees.tolist() == [1, 2, 2, 1]
+    assert unchecked[2].degrees.tolist() == [3, 3, 3, 3]
+    for g in unchecked:
+        for method in ("auto", "dense"):
+            with pytest.raises(GraphValidationError):
+                spectra.graph_eigensystem(g, method=method)
+    for kwargs in ({"family": "path"}, {"family": 7, "labels": [1]}, {"labels": [1, 2, 3]}):
+        with pytest.raises(GraphValidationError):
+            from_adjacency(k3, **kwargs)
+    # matching labels pass, and a builder's graph is not checked again
+    g = graphs.Graph(build_path(4).adjacency, family="path", labels=["a", "b", "c", "d"])
+    assert np.allclose(spectra.graph_eigensystem(g).eigenvalues,
+                       2 * np.cos(np.arange(1, 5) * np.pi / 5))
+    assert graphs.Graph(build_cycle(4).adjacency, symbol=build_cycle(4).symbol).validate()

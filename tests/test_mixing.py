@@ -688,14 +688,14 @@ def test_batched_zero_gap_decisions_match_the_per_symbol_gap(seed):
         # reference: each row's full symbol check, closed-form spectrum and gap
         specs = [spectra.abelian_circulant_eigensystem(graphs.Symbol(group, row.copy()))
                  for row in rows]
-        assert mixing._nonzero_gaps(lams).tolist() == [
+        assert spectra._row_classes(lams, spectra.DEGENERACY_TOL)[1].tolist() == [
             spectra.spectral_gap(spec) != 0.0 for spec in specs]
         for lam, spec in zip(lams, specs):  # the same eigenvalues, bit for bit
             assert np.array_equal(lam[spec.characters[1]], spec.eigenvalues)
     # rows in character order, not sorted: a row with every eigenvalue simple
     # has a nonzero gap, and a repeat or a pair within tol makes it zero
     rows = np.array([[0.5, 2.0, -1.0], [-1.0, 2.0, -1.0], [1.0, -1.0, 1.0 + 1e-12]])
-    assert mixing._nonzero_gaps(rows).tolist() == [True, False, False]
+    assert spectra._row_classes(rows, spectra.DEGENERACY_TOL)[1].tolist() == [True, False, False]
 
 
 def test_gap_check_decides_each_group_in_one_batch(monkeypatch):

@@ -189,3 +189,45 @@ def test_perturbed_graph_files_are_refused_or_agree_with_the_oracle(text):
     closed = spectra.graph_eigensystem(g).eigenvalues
     oracle = spectra.dense_eigensystem(g).eigenvalues
     assert np.max(np.abs(closed - oracle)) <= 1e-9
+
+
+_BUILT = [graphs.build_cycle(6), graphs.build_complete(4), graphs.build_path(5),
+          graphs.build_hypercube(2), graphs.build_bunkbed(graphs.build_path(3)),
+          graphs.build_complete_bipartite(3)]
+
+
+@st.composite
+def api_graph_arguments(draw):
+    """`Graph` arguments as a library caller may pass them: a built graph's
+    adjacency or a random connected one of the same size, any family and
+    labels, and a symbol and a base taken from the built graphs or none."""
+    built = draw(st.sampled_from(_BUILT))
+    n = built.n
+    adjacency = built.adjacency
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        adjacency = random_connected_graph(rng, n_min=n, n_max=n + 1).adjacency
+    family = draw(st.one_of(st.sampled_from([built.family, "path", "bunkbed", "custom"]),
+                            st.text(max_size=4), st.integers()))
+    labels = draw(st.one_of(st.none(), st.lists(st.text(max_size=3), min_size=n, max_size=n),
+                            st.lists(st.integers(), min_size=n, max_size=n),
+                            st.lists(st.text(max_size=3), max_size=n + 1)))
+    symbol = draw(st.sampled_from([None, *(g.symbol for g in _BUILT if g.symbol is not None)]))
+    base = draw(st.sampled_from([None, *(g.base for g in _BUILT if g.base is not None),
+                                 graphs.build_complete(2)]))
+    return adjacency, family, labels, symbol, base
+
+
+@given(api_graph_arguments())
+@settings(max_examples=200, deadline=None)
+def test_every_graph_the_api_accepts_round_trips_through_json(args):
+    adjacency, family, labels, symbol, base = args
+    try:
+        g = graphs.Graph(adjacency.copy(), family=family, labels=labels, symbol=symbol,
+                         base=base).validate()
+    except graphs.GraphValidationError:
+        return
+    text = graphs.graph_to_json(g)
+    h = graphs.graph_from_json(text)
+    assert graphs.graph_to_json(h) == text
+    assert np.array_equal(h.adjacency, g.adjacency) and (h.family, h.labels) == (family, labels)

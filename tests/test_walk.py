@@ -164,22 +164,15 @@ def test_bunkbed_instantaneous_values():
 
 
 def test_distribution_clamp_and_errors():
-    probs = as_distribution(np.array([1.0, -5e-13, 5e-13]))
-    assert probs[1] == 0.0
-    with pytest.raises(RuntimeError, match="clamp budget"):
-        as_distribution(np.array([1.0, -1e-8, 1e-8]))
+    probs = np.array([1.0, 0.0, 0.0])
+    assert np.array_equal(as_distribution(probs), probs)
+    for negative in (-5e-13, -1e-8):  # every route passes sums of squares: no clamp
+        with pytest.raises(RuntimeError, match="negative probability"):
+            as_distribution(np.array([1.0, negative, -negative]))
     with pytest.raises(RuntimeError, match="sums to"):
         as_distribution(np.array([0.5, 0.4]))
     with pytest.raises(RuntimeError, match="sums to"):
         as_distribution(np.array([0.5, float("nan")]))
-
-
-def test_clamping_logs_the_clamped_mass(caplog):
-    # `walk` imports logging only on this path; the record is still emitted
-    with caplog.at_level("DEBUG", logger="ctqw.walk"):
-        as_distribution(np.array([1.0, -5e-13, 5e-13]))
-    assert [r.getMessage() for r in caplog.records] == [
-        "clamped 5.000e-13 of negative probability residue"]
 
 
 def test_shift_invariance_of_average():
@@ -274,12 +267,12 @@ def test_batched_times_match_single_time_calls():
 
 
 def test_distribution_checks_every_row():
-    good = np.array([[0.5, 0.5], [1.0, -5e-13]])
-    assert as_distribution(good)[1, 1] == 0.0
+    good = np.array([[0.5, 0.5], [1.0, 0.0]])
+    assert np.array_equal(as_distribution(good), good)
     with pytest.raises(RuntimeError, match="sums to"):
         as_distribution(np.array([[0.5, 0.5], [0.5, 0.4]]))
-    with pytest.raises(RuntimeError, match="clamp budget"):
-        as_distribution(np.array([[0.5, 0.5], [1.0, -1e-8]]))
+    with pytest.raises(RuntimeError, match="negative probability"):
+        as_distribution(np.array([[0.5, 0.5], [1.0 + 5e-13, -5e-13]]))
 
 
 def _reference_projections(spec, start, labels):
