@@ -3,21 +3,44 @@
     PYTHONPATH=src python tests/golden.py --write   # regenerate tests/data/golden/
     PYTHONPATH=src python tests/golden.py --check   # exit 1 unless every output is the same bytes
 
-`--check` is the exact comparison for one platform and BLAS build.  The
-Tier-1 test (`tests/test_golden.py`) compares the same outputs within stated
-float bounds, so that it passes on other numpy versions and runner CPUs.
+`--check` is the exact comparison for one platform and BLAS build.  For each
+file that differs it prints every moved leaf (`leaves`): its JSON path, the
+pinned value, the new value and the relative move; for the table format,
+every moved line.  The Tier-1 test (`tests/test_golden.py`) compares the same
+outputs within stated float bounds, so that it passes on other numpy versions
+and runner CPUs.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 import tempfile
 from pathlib import Path
 
 from ctqw.cli import main as ctqw
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden"
+
+# one graph of each family, as `ctqw` graph arguments
+FAMILIES = {
+    "C9": ["--family", "cycle", "--n", "9"],
+    "K6": ["--family", "complete", "--n", "6"],
+    "P7": ["--family", "path", "--n", "7"],
+    "Q4": ["--family", "hypercube", "--d", "4"],
+    "K44": ["--family", "complete_bipartite", "--n", "4"],
+    "Z4xZ6": ["--family", "circulant", "--group", "4,6", "--symbol", "1,5,6,7,18,23"],
+    "bunkbed_C5": ["--family", "bunkbed", "--base-family", "cycle", "--base-n", "5"],
+}
+# user symbols, checked by `Symbol.validate`, on a cyclic and two non-cyclic groups
+SYMBOLS = {
+    "Z12": ["--family", "circulant", "--group", "12", "--symbol", "3,4,8,9"],
+    "Z2xZ2xZ2": ["--family", "circulant", "--group", "2,2,2", "--symbol", "1,2,4"],
+    "Z4xZ6": FAMILIES["Z4xZ6"],
+}
 
 # file name -> the `ctqw` arguments whose output it pins
 CASES = {
@@ -28,6 +51,17 @@ CASES = {
     "verify_max_n6.json": ["verify", "--format", "json", "--max-n", "6"],
     "scan_C257.json": ["scan", "--family", "cycle", "--n", "257"],
     "scan_Q10.json": ["scan", "--family", "hypercube", "--d", "10"],
+    **{f"{cmd}_{name}.json": [cmd, *graph] for name, graph in SYMBOLS.items()
+       for cmd in ("build", "spectrum")},
+    # a graph file's `symbol_support` is a user symbol too
+    "spectrum_file_Z4xZ6.json": ["spectrum", "--graph-file", str(DATA / "circulant_4x6.json")],
+    "spectrum_dense_C128.json": ["spectrum", "--family", "cycle", "--n", "128", "--dense"],
+    **{f"average_{name}.json": ["average", *graph] for name, graph in FAMILIES.items()},
+    **{f"walk_{name}.json": ["walk", *graph, "--t", "1.3"] for name, graph in FAMILIES.items()},
+    "walk_K12_t100_amplitudes.json": ["walk", "--family", "complete", "--n", "12", "--t", "100",
+                                      "--amplitudes"],
+    **{f"ensemble_exhaustive_n{n}.json": ["ensemble", "--n", str(n), "--exhaustive"]
+       for n in range(3, 21)},
 }
 
 
@@ -39,6 +73,42 @@ def render(argv: list[str]) -> bytes:
         if code != 0:
             raise RuntimeError(f"ctqw {' '.join(argv)} exited {code}")
         return out.read_bytes()
+
+
+def leaves(got, want, kind: str = "float", where: str = "$"):
+    """(path, kind, got, want) for each leaf of two JSON documents, walked
+    along `want`; a dict or list whose keys or length differ is one leaf.
+    A list of [time, deviation] pairs and a scan's {"t", "deviation"} entries
+    are scan minima, of kinds "time" and "minimum"; every other leaf keeps
+    the `kind` of its parent."""
+    if isinstance(want, dict) and isinstance(got, dict) and list(got) == list(want):
+        for key, value in want.items():
+            sub = {"t": "time", "deviation": "minimum"}.get(key, kind)
+            yield from leaves(got[key], value, sub, f"{where}.{key}")
+    elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        minima = bool(want) and all(isinstance(x, list) and len(x) == 2 for x in want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            if minima and isinstance(g, list) and len(g) == 2:
+                yield from leaves(g[0], w[0], "time", f"{where}[{i}][0]")
+                yield from leaves(g[1], w[1], "minimum", f"{where}[{i}][1]")
+            else:
+                yield from leaves(g, w, kind, f"{where}[{i}]")
+    else:
+        yield where, kind, got, want
+
+
+def moved(name: str, got: bytes, want: bytes) -> list[str]:
+    """One line per leaf (JSON) or line (table) of the pinned `want` that `got` moves."""
+    if not name.endswith(".json"):
+        pairs = zip(got.decode().splitlines(), want.decode().splitlines())
+        return [f"  line {i + 1}: {w!r} -> {g!r}" for i, (g, w) in enumerate(pairs) if g != w]
+    lines = []
+    for where, _, g, w in leaves(json.loads(got), json.loads(want)):
+        if repr(g) != repr(w):  # repr tells 1 from 1.0 and prints every bit of a float
+            move = (f"  ({abs(g - w) / abs(w):.1e} relative)"
+                    if type(g) is type(w) is float and math.isfinite(w) and w else "")
+            lines.append(f"  {where}: {w!r} -> {g!r}{move}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -62,6 +132,8 @@ def main(argv=None) -> int:
             path.write_bytes(data)
         elif not path.exists() or path.read_bytes() != data:
             print(f"differs: {name}  (ctqw {' '.join(cmd)})")
+            for line in moved(name, data, path.read_bytes()) if path.exists() else ():
+                print(line)
             bad.append(name)
     print(f"{len(CASES) - len(bad)} of {len(CASES)} outputs "
           + ("written" if args.write else "identical"))

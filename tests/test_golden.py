@@ -20,7 +20,7 @@ import re
 
 import pytest
 
-from tests.golden import CASES, GOLDEN, render
+from tests.golden import CASES, GOLDEN, leaves, render
 
 TIME_BOUND = 1e-7
 MINIMUM_BOUND = 1e-9
@@ -38,29 +38,14 @@ def _close(got: float, want: float, kind: str) -> bool:
     return abs(got - want) <= bound * (max(1.0, abs(want)) if relative else 1.0)
 
 
-def assert_leaves_match(got, want, kind: str = "float", where: str = "$") -> None:
-    """Equal structure and non-float leaves; floats within the bound of `kind`.
-    A list of [time, deviation] pairs and a scan's {"t", "deviation"} entries
-    are scan minima."""
-    if isinstance(want, dict):
-        assert isinstance(got, dict) and list(got) == list(want), where
-        for key, value in want.items():
-            sub = {"t": "time", "deviation": "minimum"}.get(key, kind)
-            assert_leaves_match(got[key], value, sub, f"{where}.{key}")
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), where
-        minima = bool(want) and all(isinstance(x, list) and len(x) == 2 for x in want)
-        for i, (g, w) in enumerate(zip(got, want)):
-            if minima:
-                assert isinstance(g, list) and len(g) == 2, f"{where}[{i}]"
-                assert_leaves_match(g[0], w[0], "time", f"{where}[{i}][0]")
-                assert_leaves_match(g[1], w[1], "minimum", f"{where}[{i}][1]")
-            else:
-                assert_leaves_match(g, w, kind, f"{where}[{i}]")
-    elif isinstance(want, float):
-        assert isinstance(got, float) and _close(got, want, kind), (where, got, want)
-    else:
-        assert type(got) is type(want) and got == want, (where, got, want)
+def assert_leaves_match(got, want) -> None:
+    """Equal structure and non-float leaves; floats within the bound of their
+    kind (`golden.leaves`)."""
+    for where, kind, g, w in leaves(got, want):
+        if isinstance(w, float):
+            assert isinstance(g, float) and _close(g, w, kind), (where, g, w)
+        else:
+            assert type(g) is type(w) and g == w, (where, g, w)
 
 
 def assert_text_matches(got: str, want: str) -> None:
