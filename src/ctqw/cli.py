@@ -240,12 +240,12 @@ def _cmd_spectrum_char_table(args) -> int:
 def _cmd_walk(args) -> int:
     g = _build_graph(args)
     spec = _spectrum_for(g, args)
-    amp = walk.evolve(spec, args.start, args.t)
-    probs = walk.as_distribution((amp * amp.conj()).real)
+    if args.amplitudes and args.format != "json":
+        raise UsageError("--amplitudes requires --format json")
+    probs = walk.instantaneous_distribution(spec, args.start, args.t)
     meta = {"family": g.family, "n": g.n, "start": args.start, "t": args.t}
     if args.amplitudes:
-        if args.format != "json":
-            raise UsageError("--amplitudes requires --format json")
+        amp = walk.evolve(spec, args.start, args.t)
         doc = {
             "schema": SCHEMA,
             **meta,

@@ -182,26 +182,26 @@ def class_probabilities(proj: ClassProjections, table: np.ndarray, times: np.nda
     return probs
 
 
-def _walk(spec: Spectrum, start: int, t) -> tuple[np.ndarray, np.ndarray]:
-    """`class_amplitudes` of a walk started at `start`, gathered to all n
-    vertices and shaped t.shape + (n,) for a scalar or an array of times."""
+def _walk(spec: Spectrum, start: int, t, part: int) -> np.ndarray:
+    """Output `part` of `class_amplitudes` (0 the amplitudes, 1 the
+    probabilities) of a walk started at `start`, gathered to all n vertices
+    and shaped t.shape + (n,) for a scalar or an array of times."""
     times = np.asarray(t, dtype=np.float64)
     proj = class_projections(spec, start, exact_labels(spec.eigenvalues))
-    amp, probs = class_amplitudes(proj, times.reshape(-1))
-    shape = times.shape + (spec.n,)
-    return amp[:, proj.index].reshape(shape), probs[:, proj.index].reshape(shape)
+    out = class_amplitudes(proj, times.reshape(-1))[part]
+    return out[:, proj.index].reshape(times.shape + (spec.n,))
 
 
 def evolve(spec: Spectrum, start: int, t) -> np.ndarray:
     """Amplitudes psi(t) = sum_r e^{-i theta_r t} E_r e_start of a walk started
     at `start`, shaped t.shape + (n,) for a scalar or an array of times; every
     amplitude vector is checked for unit norm."""
-    return _walk(spec, start, t)[0]
+    return _walk(spec, start, t, 0)
 
 
 def instantaneous_distribution(spec: Spectrum, start: int, t) -> np.ndarray:
     """Born-rule distribution |<l|psi(t)>|^2; one row per time when t is an array."""
-    return as_distribution(_walk(spec, start, t)[1])
+    return as_distribution(_walk(spec, start, t, 1))
 
 
 def average_distribution(
