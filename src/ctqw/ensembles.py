@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graphs import SCHEMA, AbelianGroupSpec, Symbol
+from .graphs import SCHEMA, AbelianGroupSpec, Symbol, generates
 from .spectra import (
     DEGENERACY_TOL,
     _roots_of_unity,
@@ -63,29 +63,6 @@ def _symbol_values(bits: np.ndarray, n: int) -> np.ndarray:
     vals[:, 1 : m + 1] = bits
     vals[:, n - m :][:, ::-1] |= bits
     return vals
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n, by trial division."""
-    primes, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return primes + [n] if n > 1 else primes
-
-
-def _connected(bits: np.ndarray, n: int) -> np.ndarray:
-    """Per row: the support generates Z_n.
-
-    The orbit {j, n-j} generates gcd(j, n) Z_n, so the support generates Z_n
-    exactly when no prime p | n divides every chosen j: a boolean product of
-    the rows with [p does not divide j], exact and with no summation.
-    """
-    coprime = np.arange(1, n // 2 + 1)[:, None] % np.array(_prime_factors(n)) != 0
-    return (bits @ coprime).all(axis=1)
 
 
 def _uniform_deviation(labels: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -298,12 +275,14 @@ def _draw_block(n: int, entropy, trials: range) -> tuple[np.ndarray, np.ndarray]
     and trial i leaves them once it is accepted.  The first trial's rows are
     checked against numpy's Generator.
     """
+    # orbit {j, n-j} generates what j does: `generates` reads a row through j = 1..n//2
+    group, reps = AbelianGroupSpec((n,)), np.arange(1, n // 2 + 1)
     owner = np.arange(trials.start, trials.stop)
     streams = _Substreams(int(entropy), owner.astype(np.uint32))
     owners, rows, accepted = [], [], []
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
         bits = streams.coins(n // 2)
-        ok = _connected(bits, n)
+        ok = generates(group, bits, reps)
         owners.append(owner)
         rows.append(bits)
         accepted.append(ok)
@@ -364,7 +343,8 @@ def _symbol_stats(packed: np.ndarray, draws: np.ndarray, n: int, tol: float):
     independent of the rows sharing its chunk, so results do not depend on
     how rows are grouped.
     """
-    _, phase = character_phases(AbelianGroupSpec((n,)))
+    group, reps = AbelianGroupSpec((n,)), np.arange(1, n // 2 + 1)  # as in `_draw_block`
+    _, phase = character_phases(group)
     size = len(packed)
     connected, lam0, other = np.empty(size, dtype=bool), np.empty(size), np.empty(size)
     types, deviations = np.zeros(size, dtype=np.int64), np.zeros(size)
@@ -374,7 +354,7 @@ def _symbol_stats(packed: np.ndarray, draws: np.ndarray, n: int, tol: float):
         bits = np.unpackbits(packed[rows], axis=1, count=n // 2).astype(bool)
         lams = circulant_eigenvalues(_symbol_values(bits, n), phase, n)
         lam0[rows], other[rows] = lams[:, 0], lams[:, 1:].mean(axis=1)
-        connected[rows] = ok = _connected(bits, n)
+        connected[rows] = ok = generates(group, bits, reps)
         labels, nonzero_gap = _row_classes(lams[ok], tol)
         if nonzero_gap.any():
             raise RuntimeError("sampled circulant with nonzero spectral gap")
@@ -487,7 +467,7 @@ def random_circulants(n: int, count: int, seed: int) -> list[Symbol]:
     `seed`, in trial order: the draws `ensemble_stats(n, count, seed)` reduces.
 
     They are not checked again: orbit coins make every symbol symmetric and
-    leave out 0, and `_connected` accepted only generating ones."""
+    leave out 0, and `generates` accepted only generating ones."""
     entropy, group = _run_entropy(n, count, seed), AbelianGroupSpec((n,))
     symbols = []
     for start in range(0, count, BLOCK_SIZE):

@@ -144,7 +144,7 @@ class Symbol:
     def _proven(cls, group: AbelianGroupSpec, values: np.ndarray) -> "Symbol":
         """A symbol whose maker proved it valid (no identity, S = -S, S
         generates G) by how it chose `values`, bool of length |G|; skips
-        `validate` and its subgroup closure."""
+        `validate` and its `generates` test."""
         sym = object.__new__(cls)
         sym.group, sym.values = group, values
         return sym
@@ -162,30 +162,54 @@ class Symbol:
             raise GraphValidationError(f"symbol is not symmetric: f({x}) = 1 but f(-{x}) = 0")
         if not self.values.any():
             raise GraphValidationError("symbol is empty (graph has no edges)")
-        if not self._generates_group():
+        if not generates(self.group, self.values[None, self.support], self.support)[0]:
             raise GraphValidationError("symbol support does not generate the group")
 
-    def _generates_group(self) -> bool:
-        # Subgroup closure H <- H + <x> over the support.  When x is outside
-        # H, the index m = [H + <x> : H] is the least k >= 1 with kx in H, and
-        # H + <x> is the union of the cosets H + kx for k < m: each enlarging
-        # step at least doubles |H| and touches at most |G| elements.
-        group = self.group
-        coords = group.coordinates()
-        factors = np.array(group.factors)
-        exponent = math.lcm(*group.factors)
-        members = np.zeros(group.order, dtype=bool)
-        members[0] = True
-        h = coords[:1]  # coordinates of the elements of H
-        for x in self.support:
-            if members[x]:
-                continue
-            multiples = np.arange(1, exponent + 1)[:, None] * coords[x] % factors
-            m = 1 + int(np.argmax(members[group.indices_of(multiples)]))
-            cosets = np.concatenate([coords[:1], multiples[: m - 1]])
-            h = ((cosets[:, None, :] + h[None, :, :]) % factors).reshape(-1, len(factors))
-            members[group.indices_of(h)] = True
-        return len(h) == group.order
+
+@functools.lru_cache(maxsize=64)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, by trial division, once per n."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return tuple(primes + [n] if n > 1 else primes)
+
+
+def generates(group: AbelianGroupSpec, rows, elements=None) -> np.ndarray:
+    """Per 0/1 row: the elements it chooses generate `group`; column c of
+    `rows` stands for `elements[c]`, or for element c when `elements` is None.
+
+    A proper subgroup lies in a maximal one, the kernel of a map onto some
+    Z_p; so the chosen elements generate G exactly when, for every prime p
+    dividing |G|, their coordinates mod p on the r_p factors that p divides
+    span F_p^{r_p}.  Each rank is a fraction-free elimination mod p, batched
+    over the rows, whose entries stay below p^2: the gcd rule on Z_n, the
+    GF(2) rank on (Z_2)^d."""
+    rows = np.asarray(rows, dtype=bool)
+    if not rows.shape[1]:  # no element to choose: the trivial subgroup
+        return np.zeros(len(rows), dtype=bool)
+    coords = group.coordinates() if elements is None else group.coordinates()[elements]
+    ok = np.ones(len(rows), dtype=bool)
+    for p in _prime_factors(group.order):
+        cols = [j for j, f in enumerate(group.factors) if f % p == 0]
+        residues = coords[:, cols] % p
+        if len(cols) == 1:  # F_p is spanned by any nonzero residue: one boolean product
+            ok &= rows @ (residues[:, 0] != 0)
+            continue
+        # (rows, r_p, elements), elements contiguous, in the least type that holds +-p^2
+        m = np.where(rows[:, None, :], residues.T.astype(np.min_scalar_type(-p * p)), 0)
+        while m.shape[1]:
+            first = m[:, 0]
+            # the pivot v: each row's first chosen element with a nonzero first entry
+            pivot = np.take_along_axis(m, np.argmax(first != 0, axis=1)[:, None, None], axis=2)[..., 0]
+            ok &= pivot[:, 0] != 0
+            # w <- v_0 w - w_0 v clears the first entry of every w, and v itself
+            m = (pivot[:, :1, None] * m[:, 1:] - pivot[:, 1:, None] * first[:, None]) % p
+    return ok
 
 
 class Graph:

@@ -402,24 +402,18 @@ def _gap_rows(cfg: VerifyConfig) -> list[_GapBatch]:
 
 def _cube_rows(d: int, count: int, rng: np.random.Generator) -> _GapBatch:
     """A `_gap_rows` batch of `count` connected symbols on (Z_2)^d: a fair
-    coin for each element but 0, the draw repeated until the support
-    generates the group.  Each round draws the rows still needed at once and
-    keeps, in draw order, those whose circulant is connected: lambda_0 = |S|
-    is simple.  Every element is its own inverse, so each row is symmetric,
-    and its eigenvalues, the batch's, are sums of +-1, exact.  The rows drawn
-    are the stream's rows up to the count-th connected one: the symbols of
-    one draw per attempt."""
+    coin for each element but 0.  Each round draws the rows still needed at
+    once and keeps, in draw order, those `graphs.generates` accepts: the
+    symbols of one draw per attempt.  Every element is its own inverse, so
+    each row is symmetric, and its eigenvalues are sums of +-1, exact."""
     group = graphs.AbelianGroupSpec((2,) * d)
-    L, phase = spectra.character_phases(group)
-    rows, lams = [], []
+    rows = np.zeros((0, group.order), dtype=bool)
     while len(rows) < count:
         values = np.zeros((count - len(rows), group.order), dtype=bool)
         values[:, 1:] = rng.integers(0, 2, size=(len(values), group.order - 1))
-        lam = spectra.circulant_eigenvalues(values, phase, L)
-        connected = (lam[:, 1:] < lam[:, :1]).all(axis=1)
-        rows += list(values[connected])
-        lams += list(lam[connected])
-    return group, np.array(rows), np.array(lams)
+        rows = np.concatenate([rows, values[graphs.generates(group, values)]])
+    L, phase = spectra.character_phases(group)
+    return group, rows, spectra.circulant_eigenvalues(rows, phase, L)
 
 
 def _check_abelian_spectral_gap(cfg: VerifyConfig) -> list[MixingReport]:

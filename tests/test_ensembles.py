@@ -66,6 +66,11 @@ def _ref_connected(n, vals):
     return support.size > 0 and g == 1
 
 
+def _orbit_generates(bits, n):
+    """`graphs.generates` on rows of orbit coins, as the sampler calls it."""
+    return graphs.generates(graphs.AbelianGroupSpec((n,)), bits, np.arange(1, n // 2 + 1))
+
+
 def _ref_eigenvalues(vals, cos_table):
     n = len(vals)
     support = np.flatnonzero(vals)
@@ -335,7 +340,7 @@ def _ref_draw_block(n, entropy, trials):
             bits = rng.integers(0, 2, size=(1, n // 2)).astype(bool)
             owners.append(i)
             rows.append(bits[0])
-            if ensembles._connected(bits, n)[0]:
+            if _orbit_generates(bits, n)[0]:
                 break
     return np.array(rows), np.array(owners)
 
@@ -593,7 +598,7 @@ def test_draw_table_counts_every_draw_with_log_linear_sorting(monkeypatch):
     assert sum(sorted_rows) <= 4 * trials, sum(sorted_rows)
 
 
-# Connectivity from the prime factors of n, against the gcd rule.
+# Connectivity of orbit rows (`graphs.generates`), against the gcd rule.
 
 
 def _gcd_rule(bits, n):
@@ -605,7 +610,7 @@ def test_connected_is_the_gcd_rule_on_every_row_of_small_n():
     for n in range(3, 25):
         m = n // 2
         bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1 == 1
-        got = ensembles._connected(bits, n)
+        got = _orbit_generates(bits, n)
         assert got.dtype == bool and got.shape == (2**m,)
         assert np.array_equal(got, _gcd_rule(bits, n)), n
         assert got.sum() == sum(_ref_connected(n, v) for v in ensembles._symbol_values(bits, n))
@@ -618,25 +623,12 @@ def test_connected_is_the_gcd_rule_on_random_rows(n):
     dense = rng.integers(0, 2, size=(rows // 3, m)) == 1
     sparse = rng.random((rows // 3, m)) < 2 / m
     # coins on the multiples of one prime factor only: never connected
-    p = rng.choice(ensembles._prime_factors(n), size=rows - 2 * (rows // 3))
+    p = rng.choice(graphs._prime_factors(n), size=rows - 2 * (rows // 3))
     on_multiples = (rng.integers(0, 2, size=(len(p), m)) == 1) & (np.arange(1, m + 1) % p[:, None] == 0)
     bits = np.concatenate([dense, sparse, on_multiples, np.zeros((1, m), dtype=bool)])
-    got = ensembles._connected(bits, n)
+    got = _orbit_generates(bits, n)
     assert np.array_equal(got, _gcd_rule(bits, n))
     assert not got[-1] and not got[2 * (rows // 3):].any() and got.any()
-
-
-def test_prime_factors_are_the_distinct_primes_of_n():
-    for n in range(1, 2000):
-        primes = ensembles._prime_factors(n)
-        assert primes == sorted(set(primes))
-        assert all(all(p % q for q in range(2, p)) for p in primes)
-        rest = n
-        for p in primes:
-            assert rest % p == 0
-            while rest % p == 0:
-                rest //= p
-        assert rest == 1, n
 
 
 # Types and deviations once per distinct class partition.
@@ -682,7 +674,7 @@ def _run_labels(n, trials, seed):
     bits = np.unpackbits(packed, axis=1, count=n // 2).astype(bool)
     _, phase = character_phases(graphs.AbelianGroupSpec((n,)))
     lams = circulant_eigenvalues(ensembles._symbol_values(bits, n), phase, n)
-    return _row_classes(lams[ensembles._connected(bits, n)], DEGENERACY_TOL)[0], phase
+    return _row_classes(lams[_orbit_generates(bits, n)], DEGENERACY_TOL)[0], phase
 
 
 @pytest.mark.parametrize("n,trials,seed", [(40, 50000, 1), (24, 20000, 5), (101, 2000, 3)])
@@ -706,7 +698,7 @@ def _chunk_labels(n, trials, seed):
     bits = np.unpackbits(packed[:BLOCK_SIZE], axis=1, count=n // 2).astype(bool)
     _, phase = character_phases(graphs.AbelianGroupSpec((n,)))
     lams = circulant_eigenvalues(ensembles._symbol_values(bits, n), phase, n)
-    return _row_classes(lams[ensembles._connected(bits, n)], DEGENERACY_TOL)[0], phase
+    return _row_classes(lams[_orbit_generates(bits, n)], DEGENERACY_TOL)[0], phase
 
 
 @pytest.mark.parametrize("n,trials", [(7, 500), (24, 500), (40, 500), (365, 60)])

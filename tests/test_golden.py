@@ -20,7 +20,7 @@ import re
 
 import pytest
 
-from tests.golden import CASES, GOLDEN, leaves, render
+from tests.golden import CASES, GOLDEN, leaves, moved, render
 
 TIME_BOUND = 1e-7
 MINIMUM_BOUND = 1e-9
@@ -93,3 +93,13 @@ def test_the_comparison_refuses_a_moved_leaf():
                 line.replace("K_4", "K_5")):
         with pytest.raises(AssertionError):
             assert_text_matches(bad, line)
+
+
+def test_check_lists_each_moved_leaf():
+    want = {"n": 3, "p": [0.25, 1.0], "minima": [[1.5, 0.5]]}
+    got = {"n": 4, "p": [0.25, 1.0000000000000002], "minima": [[1.5, 0.5]]}
+    assert moved("x.json", json.dumps(got).encode(), json.dumps(want).encode()) == [
+        "  $.n: 3 -> 4", "  $.p[1]: 1.0 -> 1.0000000000000002  (2.2e-16 relative)"]
+    assert moved("x.json", b'{"a": [1]}', b'{"a": [1, 2]}') == ["  $.a: [1, 2] -> [1]"]
+    assert moved("x.txt", b"PASS\nK_4 0.5\n", b"PASS\nK_4 0.25\n") == [
+        "  line 2: 'K_4 0.25' -> 'K_4 0.5'"]

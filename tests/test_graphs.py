@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -544,7 +545,7 @@ def test_non_generating_supports_are_rejected(factors, support):
     ((3, 5, 7), [1, 7, 14, 34, 71, 104]),
     ((4, 6), [6, 18, 4, 20]),
 ])
-def test_subgroup_closure_matches_per_element_bfs(factors, support):
+def test_chosen_supports_match_per_element_bfs(factors, support):
     group = AbelianGroupSpec(factors)
     vals = np.zeros(group.order, dtype=bool)
     vals[support] = True
@@ -577,6 +578,76 @@ def test_generation_check_matches_per_element_bfs(case):
     else:
         with pytest.raises(GraphValidationError, match="does not generate"):
             Symbol(group, vals)
+
+
+# `graphs.generates`, the one generation rule, against the per-element BFS.
+
+EXHAUSTIVE_GROUPS = [(n,) for n in range(2, 13)] + [(2, 2), (2, 4), (2, 6), (3, 3), (2, 2, 2),
+                                                     (2, 2, 3)]
+
+
+def _assert_rule_matches_reference(group, rows):
+    """The rule on a batch of 0/1 rows over every element equals the BFS per
+    row, and one call per row equals the batch."""
+    got = graphs.generates(group, rows)
+    assert got.dtype == bool and got.shape == (len(rows),)
+    want = [_reference_generates_group(group, np.flatnonzero(row)) for row in rows]
+    assert got.tolist() == want, group.factors
+    assert [graphs.generates(group, row[None])[0] for row in rows] == want
+    return got
+
+
+@pytest.mark.parametrize("factors", EXHAUSTIVE_GROUPS, ids=lambda f: "x".join(map(str, f)))
+def test_generation_rule_matches_per_element_bfs_on_every_support(factors):
+    group = AbelianGroupSpec(factors)
+    n = group.order
+    rows = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
+    got = _assert_rule_matches_reference(group, rows)
+    assert got.any() and not got.all()
+
+
+@pytest.mark.parametrize("factors", [(4, 4), (2, 2, 2, 2), (3, 6)], ids=lambda f: "x".join(map(str, f)))
+def test_generation_rule_matches_per_element_bfs_on_seeded_supports(factors):
+    group = AbelianGroupSpec(factors)
+    rng = np.random.default_rng(sum(factors))
+    # densities from one or two elements to most of the group
+    density = rng.uniform(0.5, 8, size=(400, 1)) / group.order
+    rows = rng.random((400, group.order)) < density
+    got = _assert_rule_matches_reference(group, rows)
+    assert got.any() and not got.all()
+
+
+def test_generation_rule_reads_columns_through_the_given_elements():
+    group = AbelianGroupSpec((4, 6))
+    elements = np.array([6, 1, 18, 9, 12, 2])  # (1,0) (0,1) (3,0) (1,3) (2,0) (0,2)
+    rows = np.array([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 1, 1, 1],
+                     [0, 1, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0]], dtype=bool)
+    want = [_reference_generates_group(group, elements[row]) for row in rows]
+    assert want == [True, False, False, False, False]
+    assert graphs.generates(group, rows, elements).tolist() == want
+    assert graphs.generates(group, rows[:, :0], elements[:0]).tolist() == [False] * 5
+
+
+def _timed_symbol(group, support):
+    start = time.perf_counter()
+    try:
+        return Symbol.from_support(group, support)
+    finally:
+        assert time.perf_counter() - start < 1.0
+
+
+def test_generation_rule_on_large_groups():
+    cube = AbelianGroupSpec((2,) * 16)
+    _timed_symbol(cube, [1 << j for j in range(16)])
+    vals = np.random.default_rng(16).random(cube.order) < 0.3
+    vals[0] = False
+    assert 19000 < vals.sum() < 20000
+    _timed_symbol(cube, np.flatnonzero(vals))
+    # the nonzero elements of even weight: a hyperplane of (Z_2)^16
+    even = [x for x in range(1, cube.order) if bin(x).count("1") % 2 == 0]
+    with pytest.raises(GraphValidationError, match="^symbol support does not generate the group$"):
+        _timed_symbol(cube, even)
+    _timed_symbol(AbelianGroupSpec((1000003,)), [1, 1000002])
 
 
 @settings(max_examples=60, deadline=None)
@@ -702,7 +773,7 @@ def test_reassigning_the_adjacency_rearms_the_check():
 
 
 def test_closed_form_routes_neither_check_nor_form_built_graphs(monkeypatch, tmp_path):
-    calls = {"pass": 0, "closure": 0, "circulant": 0}
+    calls = {"pass": 0, "generates": 0, "circulant": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -711,7 +782,7 @@ def test_closed_form_routes_neither_check_nor_form_built_graphs(monkeypatch, tmp
         return wrapper
 
     monkeypatch.setattr(graphs, "_check_adjacency", counted("pass", graphs._check_adjacency))
-    monkeypatch.setattr(Symbol, "_generates_group", counted("closure", Symbol._generates_group))
+    monkeypatch.setattr(graphs, "generates", counted("generates", graphs.generates))
     monkeypatch.setattr(graphs, "_circulant_adjacency",
                         counted("circulant", graphs._circulant_adjacency))
     from ctqw.cli import main
@@ -724,11 +795,11 @@ def test_closed_form_routes_neither_check_nor_form_built_graphs(monkeypatch, tmp
                  ["spectrum", "--family", "path", "--n", "40"],
                  ["verify", "--checks", "complete_average,cycle_average,hypercube_average"]):
         assert main([*argv, "-o", str(tmp_path / "out")]) == 0
-    assert calls == {"pass": 0, "closure": 0, "circulant": 0}
+    assert calls == {"pass": 0, "generates": 0, "circulant": 0}
     assert main(["build", "--family", "cycle", "--n", "5", "-o", str(tmp_path / "g.json")]) == 0
     assert calls["circulant"] == 1  # a route that reads it forms it
     g = graph_from_json((tmp_path / "g.json").read_text())
-    assert calls == {"pass": 1, "closure": 1, "circulant": 2}  # a file gets every check
+    assert calls == {"pass": 1, "generates": 1, "circulant": 2}  # a file gets every check
     g.validate()
     assert calls["pass"] == 1
 
@@ -761,3 +832,16 @@ def test_structure_labels_that_do_not_match_the_adjacency_are_refused():
     assert np.allclose(spectra.graph_eigensystem(g).eigenvalues,
                        2 * np.cos(np.arange(1, 5) * np.pi / 5))
     assert graphs.Graph(build_cycle(4).adjacency, symbol=build_cycle(4).symbol).validate()
+
+
+def test_prime_factors_are_the_distinct_primes_of_n():
+    for n in range(1, 2000):
+        primes = graphs._prime_factors(n)
+        assert list(primes) == sorted(set(primes))
+        assert all(all(p % q for q in range(2, p)) for p in primes)
+        rest = n
+        for p in primes:
+            assert rest % p == 0
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1, n
