@@ -8,7 +8,7 @@ file that differs it prints every moved leaf (`leaves`): its JSON path, the
 pinned value, the new value and the relative move; for the table format,
 every moved line.  The Tier-1 test (`tests/test_golden.py`) compares the same
 outputs within stated float bounds, so that it passes on other numpy versions
-and runner CPUs.
+and runner CPUs, except the ensemble outputs, which it compares byte for byte.
 """
 
 from __future__ import annotations
@@ -62,6 +62,13 @@ CASES = {
                                       "--amplitudes"],
     **{f"ensemble_exhaustive_n{n}.json": ["ensemble", "--n", str(n), "--exhaustive"]
        for n in range(3, 21)},
+    # sampled runs: n//2 odd at n = 7 and 11 (streams with and without a
+    # buffered coin), runs past one block of trials, and at n = 101 a new
+    # symbol on nearly every draw
+    **{f"ensemble_n{n}_trials{trials}_seed{seed}.json":
+       ["ensemble", "--n", str(n), "--trials", str(trials), "--seed", str(seed)]
+       for n, trials, seed in ((7, 100000, 1), (24, 20000, 1), (11, 9000, 2), (101, 2000, 3),
+                               (3, 1, 0))},
 }
 
 
