@@ -242,10 +242,11 @@ def _cmd_walk(args) -> int:
     spec = _spectrum_for(g, args)
     if args.amplitudes and args.format != "json":
         raise UsageError("--amplitudes requires --format json")
-    probs = walk.instantaneous_distribution(spec, args.start, args.t)
+    # the amplitudes of walk.evolve and the probabilities of
+    # walk.instantaneous_distribution, from one product
+    amp, probs = walk._walk(spec, args.start, args.t, amplitudes=args.amplitudes, distribution=True)
     meta = {"family": g.family, "n": g.n, "start": args.start, "t": args.t}
     if args.amplitudes:
-        amp = walk.evolve(spec, args.start, args.t)
         doc = {
             "schema": SCHEMA,
             **meta,

@@ -2,19 +2,24 @@
 
 Reproducibility contract: trial i draws its coins from the substream
 SeedSequence(entropy=seed, spawn_key=(i,)) + PCG64 + Generator.integers(0, 2),
-so results are identical bit for bit across platforms.  The substreams of a
-block of BLOCK_SIZE trials are computed together: the seed hash, the 128-bit
-LCG and the coin extraction run as uint64 numpy steps over the whole block,
-bit-identical to numpy's per-trial objects, and every block redraws its
-first trial through numpy's own Generator to check that.  The one-word spawn
-key bounds a run at 2**32 trials.
+so results are identical bit for bit across platforms.  A run draws in one
+stream of rounds.  Substreams are seeded _SEED_BATCH trials at a time: the
+seed hash, the 128-bit LCG and the coin extraction run as uint64 numpy steps
+over every pending trial, bit-identical to numpy's per-trial objects.  A
+rejected trial keeps its generator state (and a coin it holds buffered) and
+draws again in the next round, beside the next batch, so no round runs on a
+few stragglers alone; after the last batch a few drain rounds finish the
+trials still pending.  Trials 0, BLOCK_SIZE, 2 BLOCK_SIZE, ... are redrawn
+through numpy's own Generator once accepted, to check the stream.  The
+one-word spawn key bounds a run at 2**32 trials.
 
 Every statistic is a function of the run table: the distinct rows of orbit
-coins drawn and how often each was drawn.  Blocks are merged into it as
-they are drawn, so a run holds the table and at most as many draws again
-plus one block.  The table has at most min(draws, 2**floor(n/2)) rows: it
-stops growing with the trial count once the draws repeat symbols, and when
-2**floor(n/2) is far above the draw count nearly every draw is a new row.
+coins drawn and how often each was drawn.  Rounds are merged into it as
+they are drawn, so a run holds the table, at most as many draws again, one
+batch's round and the pending streams.  The table has at most
+min(draws, 2**floor(n/2)) rows: it stops growing with the trial count once
+the draws repeat symbols, and when 2**floor(n/2) is far above the draw count
+nearly every draw is a new row.
 Spectra and degeneracy classes run once per distinct symbol, and types and
 averages once per distinct partition of the characters into classes, with
 loops in a fixed order (no BLAS).  The partitions repeat far more often than
@@ -54,6 +59,7 @@ from .spectra import (
 MAX_RESAMPLE_ATTEMPTS = 1000
 BLOCK_SIZE = 4096
 MAX_TRIALS = 2**32
+_SEED_BATCH = 2 * BLOCK_SIZE
 
 
 def _symbol_values(bits: np.ndarray, n: int) -> np.ndarray:
@@ -137,16 +143,25 @@ _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 
 
+# The uint32 and uint64 steps below update their own temporaries in place: on
+# arrays of a few thousand entries, allocating a new array per step costs about
+# as much as the arithmetic.
+
+
 def _hashmix(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
     """SeedSequence's hashmix on a uint32 array; the hash constant is a Python int."""
     next_const = hash_const * mult & _MASK32
-    value = (value ^ np.uint32(hash_const)) * np.uint32(next_const)
-    return value ^ value >> 16, next_const
+    value = value ^ np.uint32(hash_const)
+    value *= np.uint32(next_const)
+    value ^= value >> 16
+    return value, next_const
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return result ^ result >> 16
+    result = y * np.uint32(_MIX_MULT_R)
+    np.subtract(x * np.uint32(_MIX_MULT_L), result, out=result)
+    result ^= result >> 16
+    return result
 
 
 @functools.lru_cache(maxsize=16)
@@ -197,7 +212,10 @@ def _seed_words(entropy: int, keys: np.ndarray) -> list[np.ndarray]:
     for j in range(2 * _POOL_SIZE):
         word, hash_const = _hashmix(pool[j % _POOL_SIZE], hash_const, _MULT_B)
         state.append(word.astype(np.uint64))
-    return [state[j] | state[j + 1] << 32 for j in range(0, len(state), 2)]
+    for j in range(0, len(state), 2):
+        state[j + 1] <<= 32
+        state[j + 1] |= state[j]
+    return state[1::2]
 
 
 def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
@@ -205,58 +223,101 @@ def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
     a0, a1 = a & _MASK32, a >> 32
     b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
     p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    a0 *= b0  # a0 b0, then the sum of the middle column
+    a0 >>= 32
+    a0 += p01 & _MASK32
+    a0 += p10 & _MASK32
+    a1 *= b1  # a1 b1, then every carry into the high word
+    for carry in (p01, p10, a0):
+        carry >>= 32
+        a1 += carry
+    return a1
 
 
 def _add128(hi, lo, add_hi, add_lo):
-    lo = lo + add_lo
-    return hi + add_hi + (lo < add_lo).astype(np.uint64), lo
+    """(hi, lo) + (add_hi, add_lo) mod 2**128, in place on hi and lo."""
+    lo += add_lo
+    hi += add_hi
+    hi += lo < add_lo
+    return hi, lo
 
 
 def _lcg_step(hi, lo, inc_hi, inc_lo):
     """state * multiplier + inc mod 2**128, on (hi, lo) uint64 arrays."""
-    mult_hi, mult_lo = np.uint64(_PCG_MULT_HI), np.uint64(_PCG_MULT_LO)
-    new_hi = _mulhi64(lo, _PCG_MULT_LO) + hi * mult_lo + lo * mult_hi
-    return _add128(new_hi, lo * mult_lo, inc_hi, inc_lo)
+    new_hi = _mulhi64(lo, _PCG_MULT_LO)
+    new_hi += hi * np.uint64(_PCG_MULT_LO)
+    new_hi += lo * np.uint64(_PCG_MULT_HI)
+    return _add128(new_hi, lo * np.uint64(_PCG_MULT_LO), inc_hi, inc_lo)
 
 
 class _Substreams:
-    """PCG64(SeedSequence(entropy, spawn_key=(k,))) for a vector of uint32
-    keys k, advanced together as (hi, lo) uint64 arrays.
+    """PCG64(SeedSequence(entropy, spawn_key=(k,))) for a vector of trial
+    keys k < 2**32, advanced together as (hi, lo) uint64 arrays.  Streams
+    join with `add` and leave with `keep`; each carries its key, the rows it
+    has drawn and a coin it may hold buffered.
 
     Seeding follows numpy (O'Neill, HMC-CS-2014-0905): state = 0,
     inc = 2 seq + 1, step, state += seed, step.
     """
 
-    def __init__(self, entropy: int, keys: np.ndarray):
-        seed_hi, seed_lo, seq_hi, seq_lo = _seed_words(entropy, keys)
-        self.inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
-        self.state = _lcg_step(*_add128(*self.inc, seed_hi, seed_lo), *self.inc)
-        self.spare = None  # coin of the 32-bit word the last call left buffered
+    def __init__(self, entropy: int):
+        self.entropy = entropy
+        self.keys, self.draws = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        # held: the last call left a coin of a 32-bit word buffered, its value in spare
+        self.held, self.spare = np.empty(0, dtype=bool), np.empty(0, dtype=bool)
+        self.state = self.inc = (np.empty(0, dtype=np.uint64),) * 2
+
+    def add(self, keys: np.ndarray) -> None:
+        """Seed the streams of the trial `keys` and append them."""
+        seed_hi, seed_lo, seq_hi, seq_lo = _seed_words(self.entropy, keys.astype(np.uint32))
+        inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+        state = _lcg_step(*_add128(seed_hi, seed_lo, *inc), *inc)
+        self.keys = np.concatenate([self.keys, keys])
+        self.draws = np.concatenate([self.draws, np.zeros(len(keys), dtype=np.int64)])
+        self.held, self.spare = (np.concatenate([a, np.zeros(len(keys), dtype=bool)])
+                                 for a in (self.held, self.spare))
+        self.state = tuple(map(np.concatenate, zip(self.state, state)))
+        self.inc = tuple(map(np.concatenate, zip(self.inc, inc)))
 
     def coins(self, count: int) -> np.ndarray:
-        """(keys, count) bool: the next Generator.integers(0, 2, size=count) of each stream.
+        """(streams, count) bool: the next Generator.integers(0, 2, size=count) of each stream.
 
         Each 64-bit XSL-RR output rotr(hi ^ lo, hi >> 58) is two 32-bit words,
         low half first, and a coin is bit 31 of its word: Lemire's bounded
         method (TOMACS 2019) never rejects at range 2.  A word left over is
-        buffered for the next call, as numpy buffers it.
+        buffered for the next call, as numpy buffers it: a stream holding one
+        reads it first and, when count is odd, takes one output fewer.
         """
-        coins = [] if self.spare is None else [self.spare]
-        while len(coins) < count:
-            self.state = hi, lo = _lcg_step(*self.state, *self.inc)
-            x, rot = hi ^ lo, hi >> 58
-            out = x >> rot | x << (64 - rot & 63)
-            coins += [out >> 31 & 1 == 1, out >> 63 == 1]
-        self.spare = coins[count] if len(coins) > count else None
-        return np.stack(coins[:count], axis=1)
+        outputs = -(-count // 2)
+        # the coin a stream holds, then the two words of each output
+        words = np.empty((len(self.keys), 1 + 2 * outputs), dtype=bool)
+        words[:, 0] = self.spare
+        for step in range(outputs):
+            hi, lo = state = _lcg_step(*self.state, *self.inc)
+            rot = hi >> 58
+            out = hi ^ lo
+            left = out << (64 - rot & 63)
+            out >>= rot
+            out |= left
+            words[:, 1 + 2 * step] = out & (1 << 31)
+            words[:, 2 + 2 * step] = out >> 63
+            if count % 2 and step == outputs - 1:  # a held stream stops one output short
+                state = tuple(np.where(self.held, *pair) for pair in zip(self.state, state))
+            self.state = state
+        rows = words[:, 1 : count + 1]
+        if self.held.any():
+            rows = np.where(self.held[:, None], words[:, :count], rows)
+        self.spare = words[:, count + count % 2]
+        self.held = self.held ^ (count % 2 == 1)
+        self.draws += 1
+        return rows
 
     def keep(self, mask: np.ndarray) -> None:
-        self.state = tuple(s[mask] for s in self.state)
-        self.inc = tuple(s[mask] for s in self.inc)
-        if self.spare is not None:
-            self.spare = self.spare[mask]
+        at = np.flatnonzero(mask)
+        self.keys, self.draws, self.held, self.spare = (
+            a[at] for a in (self.keys, self.draws, self.held, self.spare))
+        self.state = tuple(s[at] for s in self.state)
+        self.inc = tuple(s[at] for s in self.inc)
 
 
 def _check_stream(n: int, entropy: int, trial: int, bits: np.ndarray) -> None:
@@ -267,33 +328,41 @@ def _check_stream(n: int, entropy: int, trial: int, bits: np.ndarray) -> None:
         raise RuntimeError(f"vectorized PCG64 stream of trial {trial} differs from numpy's")
 
 
-def _draw_block(n: int, entropy, trials: range) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit coins of every draw of the given trials, and which draws were accepted.
+def _draw_rounds(n: int, entropy, trials: range):
+    """Every draw of the given trials, one round at a time: per round the
+    trial of each row, its orbit coins, and which rows were accepted.
 
-    Rows come in trial-then-draw order.  Trial i redraws from its own
-    substream until connected; all substreams of the block advance together
-    and trial i leaves them once it is accepted.  The first trial's rows are
-    checked against numpy's Generator.
+    Trial i redraws from its own substream until connected.  Substreams are
+    seeded _SEED_BATCH trials at a time, and each batch's round also draws
+    for every trial rejected so far, which keeps its generator state; drain
+    rounds then finish the trials still pending.  Rows come in no trial
+    order, each trial's in draw order.  Trials start, start + BLOCK_SIZE, ...
+    are checked against numpy's Generator once accepted.
     """
     # orbit {j, n-j} generates what j does: `generates` reads a row through j = 1..n//2
     group, reps = AbelianGroupSpec((n,)), np.arange(1, n // 2 + 1)
-    owner = np.arange(trials.start, trials.stop)
-    streams = _Substreams(int(entropy), owner.astype(np.uint32))
-    owners, rows, accepted = [], [], []
-    for _ in range(MAX_RESAMPLE_ATTEMPTS):
+    streams = _Substreams(int(entropy))
+    spot = {}  # the rows so far of each checked trial
+
+    def draw():
         bits = streams.coins(n // 2)
         ok = generates(group, bits, reps)
-        owners.append(owner)
-        rows.append(bits)
-        accepted.append(ok)
-        owner = owner[~ok]
+        owner = streams.keys
+        for i in np.flatnonzero((owner - trials.start) % BLOCK_SIZE == 0).tolist():
+            trial = int(owner[i])
+            spot.setdefault(trial, []).append(bits[i])
+            if ok[i]:
+                _check_stream(n, entropy, trial, np.array(spot.pop(trial)))
         streams.keep(~ok)
-        if not owner.size:
-            order = np.argsort(np.concatenate(owners), kind="stable")
-            bits, ok = np.concatenate(rows)[order], np.concatenate(accepted)[order]
-            _check_stream(n, entropy, trials.start, bits[: np.argmax(ok) + 1])
-            return bits, ok
-    raise RuntimeError(f"no connected symbol after {MAX_RESAMPLE_ATTEMPTS} draws (n={n})")
+        if streams.draws.max(initial=0) >= MAX_RESAMPLE_ATTEMPTS:
+            raise RuntimeError(f"no connected symbol after {MAX_RESAMPLE_ATTEMPTS} draws (n={n})")
+        return owner, bits, ok
+
+    for start in range(trials.start, trials.stop, _SEED_BATCH):
+        streams.add(np.arange(start, min(start + _SEED_BATCH, trials.stop)))
+        yield draw()
+    while streams.keys.size:
+        yield draw()
 
 
 @dataclass
@@ -343,7 +412,7 @@ def _symbol_stats(packed: np.ndarray, draws: np.ndarray, n: int, tol: float):
     independent of the rows sharing its chunk, so results do not depend on
     how rows are grouped.
     """
-    group, reps = AbelianGroupSpec((n,)), np.arange(1, n // 2 + 1)  # as in `_draw_block`
+    group, reps = AbelianGroupSpec((n,)), np.arange(1, n // 2 + 1)  # as in `_draw_rounds`
     _, phase = character_phases(group)
     size = len(packed)
     connected, lam0, other = np.empty(size, dtype=bool), np.empty(size), np.empty(size)
@@ -375,7 +444,7 @@ def _draw_table(n: int, entropy: int, trials: int) -> tuple[np.ndarray, np.ndarr
     """The distinct rows of orbit coins drawn by `trials` trials, bit-packed,
     and how often each was drawn.
 
-    Blocks are merged into the table once they outnumber it.  The table at
+    Rounds are merged into the table once they outnumber it.  The table at
     least doubles between merges when most draws are new symbols, so the
     sorting grows as trials * log(trials) whatever the number of distinct
     rows.  A packed row is one fixed-width key, an integer when it fits in
@@ -384,17 +453,16 @@ def _draw_table(n: int, entropy: int, trials: int) -> tuple[np.ndarray, np.ndarr
     width = -(-(n // 2) // 8)
     size = 8 if width <= 8 else width
     key = np.dtype(np.uint64) if size == 8 else np.dtype(("S", size))
-    parts = [(np.empty(0, dtype=key), np.empty(0, dtype=np.int64))]  # the table, then blocks
+    parts = [(np.empty(0, dtype=key), np.empty(0, dtype=np.int64))]  # the table, then rounds
     pending = 0
-    for start in range(0, trials, BLOCK_SIZE):
-        bits, _ = _draw_block(n, entropy, range(start, min(start + BLOCK_SIZE, trials)))
+    for _, bits, _ in _draw_rounds(n, entropy, range(trials)):
         # np.packbits along rows this short is slow: pad them to whole bytes, pack flat
         padded = np.zeros((len(bits), 8 * width), dtype=bool)
         padded[:, : n // 2] = bits
-        block = np.zeros((len(bits), size), dtype=np.uint8)
-        block[:, :width] = np.packbits(padded).reshape(-1, width)
-        parts.append((block.view(key)[:, 0], np.ones(len(block), dtype=np.int64)))
-        pending += len(block)
+        rows = np.zeros((len(bits), size), dtype=np.uint8)
+        rows[:, :width] = np.packbits(padded).reshape(-1, width)
+        parts.append((rows.view(key)[:, 0], np.ones(len(rows), dtype=np.int64)))
+        pending += len(rows)
         if pending >= len(parts[0][0]):
             parts, pending = [_merge_counts(*map(np.concatenate, zip(*parts)))], 0
     keys, draws = _merge_counts(*map(np.concatenate, zip(*parts)))
@@ -469,17 +537,16 @@ def random_circulants(n: int, count: int, seed: int) -> list[Symbol]:
     They are not checked again: orbit coins make every symbol symmetric and
     leave out 0, and `generates` accepted only generating ones."""
     entropy, group = _run_entropy(n, count, seed), AbelianGroupSpec((n,))
-    symbols = []
-    for start in range(0, count, BLOCK_SIZE):
-        bits, ok = _draw_block(n, entropy, range(start, min(start + BLOCK_SIZE, count)))
-        symbols += [Symbol._proven(group, values) for values in _symbol_values(bits[ok], n)]
-    return symbols
+    accepted = np.empty((count, n // 2), dtype=bool)
+    for owner, bits, ok in _draw_rounds(n, entropy, range(count)):
+        accepted[owner[ok]] = bits[ok]  # rows in trial order
+    return [Symbol._proven(group, values) for values in _symbol_values(accepted, n)]
 
 
 def ensemble_stats(n: int, trials: int, seed: int, tol: float = DEGENERACY_TOL) -> EnsembleStats:
     """Seeded Monte Carlo over C(n, 1/2) with closed-form spectra.
 
-    Draws run block by block into the run table of distinct symbols and
+    Draws run round by round into the run table of distinct symbols and
     their draw counts; every statistic is a reduction of that table.
     """
     entropy = _run_entropy(n, trials, seed)

@@ -67,16 +67,16 @@ class AbelianGroupSpec:
 
     def coordinates(self) -> np.ndarray:
         """(order, k) array of element coordinates in index order (read-only)."""
-        return _group_tables(self.factors)[1]
+        return _group_tables(self.factors)[0]
 
     @property
     def negation(self) -> np.ndarray:
         """Index of -x for each index x (read-only)."""
-        return _group_tables(self.factors)[2]
+        return _group_tables(self.factors)[1]
 
     def indices_of(self, coords: np.ndarray) -> np.ndarray:
         """Index of each coordinate row (last axis), reduced mod the factors."""
-        return (coords % np.array(self.factors)) @ _group_tables(self.factors)[0]
+        return (coords % np.array(self.factors)) @ _place_values(self.factors)
 
     def difference_table(self) -> np.ndarray:
         """Table D[s, t] = index(s - t), used to lay out circulant adjacency."""
@@ -90,16 +90,33 @@ class AbelianGroupSpec:
 
 
 @functools.lru_cache(maxsize=64)
-def _group_tables(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(place values, coordinates, negation) of Z_n1 x ... x Z_nk, built once
-    per factor tuple and read-only, so every caller can share them."""
-    # mixed-radix place value of each coordinate: index = coords @ place values
+def _place_values(factors: tuple[int, ...]) -> np.ndarray:
+    """The mixed-radix place value of each coordinate: index = coords @ place
+    values; read-only."""
     place = np.cumprod((factors[1:] + (1,))[::-1], dtype=np.int64)[::-1]
-    coords = (np.arange(math.prod(factors), dtype=np.int64)[:, None] // place) % factors
-    negation = ((-coords) % factors) @ place
-    for table in (place, coords, negation):
+    place.flags.writeable = False
+    return place
+
+
+def _coordinates(factors: tuple[int, ...], indices: np.ndarray) -> np.ndarray:
+    """(len(indices), k) coordinates of the elements with the given indices."""
+    return (np.asarray(indices, dtype=np.int64)[:, None] // _place_values(factors)) % factors
+
+
+def _negations(factors: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
+    """The index of -x for each coordinate row x."""
+    return ((-coords) % factors) @ _place_values(factors)
+
+
+@functools.lru_cache(maxsize=64)
+def _group_tables(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(coordinates, negation) of every element of Z_n1 x ... x Z_nk, built
+    once per factor tuple and read-only, so every caller can share them."""
+    coords = _coordinates(factors, np.arange(math.prod(factors)))
+    negation = _negations(factors, coords)
+    for table in (coords, negation):
         table.flags.writeable = False
-    return place, coords, negation
+    return coords, negation
 
 
 @dataclass
@@ -154,15 +171,19 @@ class Symbol:
         return np.flatnonzero(self.values)
 
     def validate(self) -> None:
+        """Checks that read only the support's coordinates, never a table of
+        the whole group."""
         if self.values[0]:
             raise GraphValidationError("symbol has f(identity) = 1 (self-loop)")
-        asymmetric = np.flatnonzero(self.values & ~self.values[self.group.negation])
+        support = self.support
+        coords = _coordinates(self.group.factors, support)
+        asymmetric = support[~self.values[_negations(self.group.factors, coords)]]
         if asymmetric.size:
             x = asymmetric[0]
             raise GraphValidationError(f"symbol is not symmetric: f({x}) = 1 but f(-{x}) = 0")
-        if not self.values.any():
+        if not support.size:
             raise GraphValidationError("symbol is empty (graph has no edges)")
-        if not generates(self.group, self.values[None, self.support], self.support)[0]:
+        if not generates(self.group, np.ones((1, support.size), dtype=bool), support)[0]:
             raise GraphValidationError("symbol support does not generate the group")
 
 
@@ -192,7 +213,7 @@ def generates(group: AbelianGroupSpec, rows, elements=None) -> np.ndarray:
     rows = np.asarray(rows, dtype=bool)
     if not rows.shape[1]:  # no element to choose: the trivial subgroup
         return np.zeros(len(rows), dtype=bool)
-    coords = group.coordinates() if elements is None else group.coordinates()[elements]
+    coords = group.coordinates() if elements is None else _coordinates(group.factors, elements)
     ok = np.ones(len(rows), dtype=bool)
     for p in _prime_factors(group.order):
         cols = [j for j, f in enumerate(group.factors) if f % p == 0]

@@ -130,7 +130,7 @@ def _scan_deviations(proj: walk.ClassProjections, times: np.ndarray) -> np.ndarr
     block = _stacked_rows(proj)
     devs = np.empty(len(times))
     for lo in range(0, len(times), block):
-        _, probs = walk.class_amplitudes(proj, times[lo : lo + block])
+        *_, probs = walk.class_amplitudes(proj, times[lo : lo + block])
         devs[lo : lo + block] = _uniform_deviations(probs.T, proj)
     return devs
 

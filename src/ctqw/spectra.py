@@ -267,12 +267,14 @@ def circulant_eigenvalues(values: np.ndarray, phase: np.ndarray, L: int) -> np.n
 
     Rows are 0/1 symbol values, one column per row of `phase` (the group, or
     only the support); x runs in increasing order, so a symmetric symbol
-    gives lambda_a == lambda_{-a} bitwise.
+    gives lambda_a == lambda_{-a} bitwise.  Each column is added in place to
+    the rows that hold x only: adding the +-0.0 of a row without x would
+    change no bit, as a sum that starts at +0.0 is never -0.0.
     """
     cos = _roots_of_unity(L).real
     lams = np.zeros((len(values), phase.shape[1]))
     for x in np.flatnonzero(values.any(axis=0)):
-        lams += values[:, x, None] * cos[phase[x]]
+        np.add(lams, cos[phase[x]], out=lams, where=values[:, x, None])
     return lams
 
 

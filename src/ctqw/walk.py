@@ -153,19 +153,20 @@ def _check_unit_norm(norm_sq: np.ndarray, times: np.ndarray) -> None:
     )
 
 
-def class_amplitudes(proj: ClassProjections, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The amplitudes sum_r e^{-i theta_r t} E_r e_start on the distinct
-    columns, complex, and their probabilities, shape (len(times), k) each.
-    One real product of the phase table (`phase_table`), read as a row of
-    real and a row of imaginary parts per time, with the columns; every time
-    is checked for unit norm over all n vertices."""
+def class_amplitudes(proj: ClassProjections, times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The real and imaginary parts of the amplitudes sum_r e^{-i theta_r t}
+    E_r e_start on the distinct columns, and their probabilities, shape
+    (len(times), k) each.  One real product of the phase table
+    (`phase_table`), read as a row of real and a row of imaginary parts per
+    time, with the columns; every time is checked for unit norm over all n
+    vertices."""
     times = np.asarray(times, dtype=np.float64)
     parts = phase_table(proj.theta, times).view(np.float64).T @ proj.columns
     re, im = parts[0::2], parts[1::2]
     probs = np.square(re)
     probs += np.square(im)
     _check_unit_norm(probs @ proj.counts, times)
-    return re + 1j * im, probs
+    return re, im, probs
 
 
 def class_probabilities(proj: ClassProjections, table: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -182,26 +183,32 @@ def class_probabilities(proj: ClassProjections, table: np.ndarray, times: np.nda
     return probs
 
 
-def _walk(spec: Spectrum, start: int, t, part: int) -> np.ndarray:
-    """Output `part` of `class_amplitudes` (0 the amplitudes, 1 the
-    probabilities) of a walk started at `start`, gathered to all n vertices
-    and shaped t.shape + (n,) for a scalar or an array of times."""
+def _walk(spec: Spectrum, start: int, t, amplitudes: bool, distribution: bool) -> tuple:
+    """The amplitudes (`evolve`) and the distribution (`instantaneous_distribution`)
+    of a walk started at `start`, each only when asked for (else None), from
+    one `class_amplitudes` product; gathered to all n vertices and shaped
+    t.shape + (n,) for a scalar or an array of times."""
     times = np.asarray(t, dtype=np.float64)
     proj = class_projections(spec, start, exact_labels(spec.eigenvalues))
-    out = class_amplitudes(proj, times.reshape(-1))[part]
-    return out[:, proj.index].reshape(times.shape + (spec.n,))
+    re, im, probs = class_amplitudes(proj, times.reshape(-1))
+
+    def gather(part: np.ndarray) -> np.ndarray:
+        return part[:, proj.index].reshape(times.shape + (spec.n,))
+
+    return (gather(re) + 1j * gather(im) if amplitudes else None,
+            as_distribution(gather(probs)) if distribution else None)
 
 
 def evolve(spec: Spectrum, start: int, t) -> np.ndarray:
     """Amplitudes psi(t) = sum_r e^{-i theta_r t} E_r e_start of a walk started
     at `start`, shaped t.shape + (n,) for a scalar or an array of times; every
     amplitude vector is checked for unit norm."""
-    return _walk(spec, start, t, 0)
+    return _walk(spec, start, t, amplitudes=True, distribution=False)[0]
 
 
 def instantaneous_distribution(spec: Spectrum, start: int, t) -> np.ndarray:
     """Born-rule distribution |<l|psi(t)>|^2; one row per time when t is an array."""
-    return as_distribution(_walk(spec, start, t, 1))
+    return _walk(spec, start, t, amplitudes=False, distribution=True)[1]
 
 
 def average_distribution(

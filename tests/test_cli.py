@@ -180,6 +180,23 @@ def test_walk_csv_and_amplitudes(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("extra", [[], ["--amplitudes"]], ids=["probabilities", "amplitudes"])
+def test_walk_runs_one_amplitude_product(capsys, monkeypatch, extra):
+    from ctqw import graphs, spectra, walk
+
+    calls = []
+    for name in ("class_projections", "class_amplitudes"):
+        real = getattr(walk, name)
+        monkeypatch.setattr(walk, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    code, out, _ = run_cli(capsys, "walk", "--family", "cycle", "--n", "9", "--t", "1.3", *extra)
+    assert code == 0 and calls == ["class_projections", "class_amplitudes"]
+    spec = spectra.graph_eigensystem(graphs.build_cycle(9))
+    doc = json.loads(out)
+    assert doc["probabilities"] == walk.instantaneous_distribution(spec, 0, 1.3).tolist()
+    if extra:
+        assert doc["amplitudes"] == [[z.real, z.imag] for z in walk.evolve(spec, 0, 1.3).tolist()]
+
+
 def test_circulant_and_bunkbed_flags(capsys):
     code, out, _ = run_cli(capsys, "build", "--family", "circulant",
                            "--group", "2,2,2", "--symbol", "1,2,4")
@@ -419,9 +436,10 @@ def test_verify_fails_a_sampler_that_returns_one_symbol(capsys, monkeypatch):
     from ctqw import ensembles
 
     def one_symbol(n, entropy, trials):
-        return np.ones((len(trials), n // 2), dtype=bool), np.ones(len(trials), dtype=bool)
+        yield (np.arange(trials.start, trials.stop), np.ones((len(trials), n // 2), dtype=bool),
+               np.ones(len(trials), dtype=bool))
 
-    monkeypatch.setattr(ensembles, "_draw_block", one_symbol)
+    monkeypatch.setattr(ensembles, "_draw_rounds", one_symbol)
     code, out, err = run_cli(capsys, "verify", "--checks", "ensemble_expectations",
                              "--trials", "30", "--format", "json")
     assert code == 2 and err == ""

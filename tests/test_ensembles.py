@@ -220,7 +220,7 @@ def _refuses_before_drawing(monkeypatch, n, count, seed):
     def no_draws(*args):
         raise AssertionError("drew before refusing")
 
-    monkeypatch.setattr(ensembles, "_draw_block", no_draws)
+    monkeypatch.setattr(ensembles, "_draw_rounds", no_draws)
     with pytest.raises(ValueError):
         random_circulants(n, count, seed)
     with pytest.raises(ValueError):
@@ -285,7 +285,7 @@ def test_bad_tol_is_rejected(monkeypatch, tol):
     def no_draws(*args):
         raise AssertionError("drew before refusing")
 
-    monkeypatch.setattr(ensembles, "_draw_block", no_draws)
+    monkeypatch.setattr(ensembles, "_draw_rounds", no_draws)
     with pytest.raises(ValueError, match="tol"):
         ensemble_stats(7, 10, seed=1, tol=tol)
     with pytest.raises(ValueError):
@@ -328,7 +328,7 @@ def test_stats_json():
     assert "type_histogram" in doc and "deviation_quantiles" in doc
 
 
-# Reference for the block stream: numpy's own objects, one Generator per
+# Reference for the streaming draw: numpy's own objects, one Generator per
 # trial, rows in trial-then-draw order.
 
 
@@ -343,6 +343,14 @@ def _ref_draw_block(n, entropy, trials):
             if _orbit_generates(bits, n)[0]:
                 break
     return np.array(rows), np.array(owners)
+
+
+def _draws_in_trial_order(n, entropy, trials):
+    """Every row `ensembles._draw_rounds` draws for `trials`, in trial-then-draw
+    order, and which rows were accepted."""
+    owner, bits, ok = (np.concatenate(a) for a in zip(*ensembles._draw_rounds(n, entropy, trials)))
+    order = np.argsort(owner, kind="stable")  # rounds come in draw order
+    return bits[order], ok[order]
 
 
 ENTROPIES = {
@@ -361,7 +369,7 @@ def test_block_stream_is_bit_identical_to_numpy(n, entropy):
     assert 1 <= -(-entropy.bit_length() // 32) <= 7
     for start in (0, BLOCK_SIZE, MAX_TRIALS - 40):
         trials = range(start, start + 40)
-        bits, accepted = ensembles._draw_block(n, entropy, trials)
+        bits, accepted = _draws_in_trial_order(n, entropy, trials)
         ref_bits, owners = _ref_draw_block(n, entropy, trials)
         assert np.array_equal(bits, ref_bits), (entropy, n, start)
         assert np.array_equal(accepted, np.append(owners[1:] != owners[:-1], True))
@@ -371,7 +379,7 @@ def test_block_stream_is_bit_identical_to_numpy(n, entropy):
 def test_block_stream_matches_numpy_across_redraws(n):
     # odd and even n//2, half or more of the draws disconnected
     trials = range(3 * BLOCK_SIZE, 3 * BLOCK_SIZE + 200)
-    bits, accepted = ensembles._draw_block(n, 12345, trials)
+    bits, accepted = _draws_in_trial_order(n, 12345, trials)
     ref_bits, owners = _ref_draw_block(n, 12345, trials)
     assert np.bincount(owners - trials.start).max() >= 4
     assert np.array_equal(bits, ref_bits)
@@ -393,11 +401,68 @@ def test_spot_check_catches_a_corrupted_coin(monkeypatch, capsys):
     assert "differs from numpy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n,trials", [(11, 9000), (7, 2 * ensembles._SEED_BATCH + 5)])
+def test_spot_check_runs_on_the_first_trial_of_every_block(monkeypatch, n, trials):
+    # trials 0, BLOCK_SIZE, 2 BLOCK_SIZE, ..., each once with all its rows,
+    # whichever seeding batch and round they fall in
+    checked = []
+    real = ensembles._check_stream
+
+    def spy(n, entropy, trial, bits):
+        checked.append(trial)
+        real(n, entropy, trial, bits)
+
+    monkeypatch.setattr(ensembles, "_check_stream", spy)
+    ensemble_stats(n, trials, seed=2)
+    assert sorted(checked) == list(range(0, trials, BLOCK_SIZE))
+    checked.clear()
+    random_circulants(n, trials, 2)
+    assert sorted(checked) == list(range(0, trials, BLOCK_SIZE))
+    checked.clear()
+    list(ensembles._draw_rounds(n, 12345, range(MAX_TRIALS - 40, MAX_TRIALS)))
+    assert checked == [MAX_TRIALS - 40]
+
+
+@pytest.mark.parametrize("n", [7, 8, 11])
+def test_carried_streams_match_numpy_across_batches(monkeypatch, n):
+    # small seeding batches, so that most rounds draw for trials rejected in
+    # earlier batches beside new ones; when n//2 is odd, streams holding a
+    # buffered coin and streams holding none meet in one round
+    monkeypatch.setattr(ensembles, "_SEED_BATCH", 64)
+    mixed = []
+    coins = ensembles._Substreams.coins
+
+    def spy(self, count):
+        mixed.append(0 < self.held.sum() < len(self.held))
+        return coins(self, count)
+
+    monkeypatch.setattr(ensembles._Substreams, "coins", spy)
+    trials = range(BLOCK_SIZE - 100, BLOCK_SIZE + 1500)
+    bits, accepted = _draws_in_trial_order(n, 12345, trials)
+    ref_bits, owners = _ref_draw_block(n, 12345, trials)
+    assert np.array_equal(bits, ref_bits)
+    assert np.array_equal(accepted, np.append(owners[1:] != owners[:-1], True))
+    assert len(mixed) > len(trials) // 64
+    assert any(mixed) == (n // 2 % 2 == 1)
+
+
+def test_a_sampler_that_never_connects_raises_after_the_redraw_cap(monkeypatch):
+    monkeypatch.setattr(ensembles, "_SEED_BATCH", 4)  # trial 0 meets two more batches
+    monkeypatch.setattr(ensembles, "generates", lambda group, bits, reps: np.zeros(len(bits), bool))
+    rounds = []
+    coins = ensembles._Substreams.coins
+    monkeypatch.setattr(ensembles._Substreams, "coins",
+                        lambda self, count: rounds.append(len(self.keys)) or coins(self, count))
+    with pytest.raises(RuntimeError, match=f"no connected symbol after {MAX_RESAMPLE_ATTEMPTS} draws"):
+        ensemble_stats(7, 10, seed=1)
+    assert len(rounds) == MAX_RESAMPLE_ATTEMPTS and rounds[:3] == [4, 8, 10]
+
+
 def test_trials_beyond_one_word_spawn_key_are_refused(monkeypatch, capsys):
     def no_draws(*args):
         raise AssertionError("drew before refusing")
 
-    monkeypatch.setattr(ensembles, "_draw_block", no_draws)
+    monkeypatch.setattr(ensembles, "_draw_rounds", no_draws)
     with pytest.raises(ValueError, match="2\\*\\*32"):
         ensemble_stats(7, MAX_TRIALS + 1, seed=1)
     assert main(["ensemble", "--n", "7", "--trials", str(MAX_TRIALS + 1), "--seed", "1"]) == 1
@@ -418,7 +483,7 @@ def _ref_block_ensemble_stats(n, trials, seed, tol=DEGENERACY_TOL):
     blocks = []
     for start in range(0, trials, BLOCK_SIZE):
         trial_range = range(start, min(start + BLOCK_SIZE, trials))
-        bits, accepted = ensembles._draw_block(n, entropy, trial_range)
+        bits, accepted = _draws_in_trial_order(n, entropy, trial_range)
         lams = circulant_eigenvalues(ensembles._symbol_values(bits, n), phase, n)
         labels = _row_classes(lams[accepted], tol)[0]
         blocks.append((lams[:, 0], lams[:, 1:].mean(axis=1), accepted,
@@ -574,17 +639,21 @@ def test_peak_memory_does_not_grow_with_the_trial_count():
 
 
 def test_draw_table_counts_every_draw_with_log_linear_sorting(monkeypatch):
-    # 4096 draws of 3001 distinct symbols in 64 blocks, so nearly every draw
-    # is new.  Merging once the blocks outnumber the table sorts about 2.7
-    # rows per draw; rebuilding the table per block would sort about 30.
-    monkeypatch.setattr(ensembles, "BLOCK_SIZE", 64)
-    m, trials = 12, 4096
+    # 4096 draws of 3001 distinct symbols in 64 rounds, so nearly every draw
+    # is new.  Merging once the rounds outnumber the table sorts about 2.7
+    # rows per draw; rebuilding the table per round would sort about 30.
+    m, trials, size = 12, 4096, 64
 
     def rows(trials_range):
         symbol = np.arange(trials_range.start, trials_range.stop) * 2654435761 % 3001
         return (symbol[:, None] >> np.arange(m)) & 1 == 1
 
-    monkeypatch.setattr(ensembles, "_draw_block", lambda n, entropy, r: (rows(r), None))
+    def rounds(n, entropy, trials_range):
+        for start in range(trials_range.start, trials_range.stop, size):
+            part = range(start, min(start + size, trials_range.stop))
+            yield np.arange(part.start, part.stop), rows(part), None
+
+    monkeypatch.setattr(ensembles, "_draw_rounds", rounds)
     sorted_rows = []
     merge = ensembles._merge_counts
     monkeypatch.setattr(ensembles, "_merge_counts",

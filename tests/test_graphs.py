@@ -650,6 +650,27 @@ def test_generation_rule_on_large_groups():
     _timed_symbol(AbelianGroupSpec((1000003,)), [1, 1000002])
 
 
+def test_validating_a_symbol_builds_no_table_of_the_group(monkeypatch):
+    # the checks read the support's coordinates from the place values alone:
+    # no |G| x k coordinate table and no negation table, on (Z_2)^16 and Z_1000003
+    def no_tables(factors):
+        raise AssertionError(f"built the tables of {factors}")
+
+    monkeypatch.setattr(graphs, "_group_tables", no_tables)
+    cube = AbelianGroupSpec((2,) * 16)
+    Symbol.from_support(cube, [1 << j for j in range(16)])
+    Symbol.from_support(AbelianGroupSpec((1000003,)), [1, 1000002])
+    Symbol.from_support(AbelianGroupSpec((4, 6)), [1, 5, 6, 7, 18, 23])
+    # every refusal keeps its message
+    for group, support, message in (
+            (cube, [0, 1], r"^symbol has f\(identity\) = 1 \(self-loop\)$"),
+            (AbelianGroupSpec((8,)), [1, 3, 7], r"^symbol is not symmetric: f\(3\) = 1 but f\(-3\) = 0$"),
+            (cube, [], r"^symbol is empty \(graph has no edges\)$"),
+            (cube, [1 << j for j in range(15)], r"^symbol support does not generate the group$")):
+        with pytest.raises(GraphValidationError, match=message):
+            Symbol.from_support(group, support)
+
+
 @settings(max_examples=60, deadline=None)
 @given(groups_and_symmetric_supports())
 def test_one_gather_adjacency_matches_difference_table_layout(case):
