@@ -63,12 +63,13 @@ CASES = {
     **{f"ensemble_exhaustive_n{n}.json": ["ensemble", "--n", str(n), "--exhaustive"]
        for n in range(3, 21)},
     # sampled runs: n//2 odd at n = 7 and 11 (streams with and without a
-    # buffered coin), runs past one block of trials, and at n = 101 a new
-    # symbol on nearly every draw
+    # buffered coin), runs past one block of trials, and at n = 40, 101 and
+    # 365 a new symbol on nearly every draw (at n = 40 in several blocks of
+    # statistics rows)
     **{f"ensemble_n{n}_trials{trials}_seed{seed}.json":
        ["ensemble", "--n", str(n), "--trials", str(trials), "--seed", str(seed)]
        for n, trials, seed in ((7, 100000, 1), (24, 20000, 1), (11, 9000, 2), (101, 2000, 3),
-                               (3, 1, 0))},
+                               (3, 1, 0), (40, 20000, 4), (365, 300, 9))},
 }
 
 
