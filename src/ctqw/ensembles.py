@@ -16,19 +16,22 @@ one-word spawn key bounds a run at 2**32 trials.
 Every statistic is a function of the run table: the distinct rows of orbit
 coins drawn and how often each was drawn.  Rounds are merged into it as
 they are drawn, so a run holds the table, at most as many draws again, one
-batch's round and the pending streams.  The table has at most
-min(draws, 2**floor(n/2)) rows: it stops growing with the trial count once
-the draws repeat symbols, and when 2**floor(n/2) is far above the draw count
-nearly every draw is a new row.
-Spectra and degeneracy classes run once per distinct symbol, and types and
-averages once per distinct partition of the characters into classes, with
-loops in a fixed order (no BLAS).  The partitions repeat far more often than
-the symbols: the 4000 connected symbols of a 20000-trial run at n = 24 fall
-into about 200 partitions, and a 20000-trial run at n = 101 into one per
-chunk of BLOCK_SIZE rows.  Means and variances are exact sums
-rounded once and quantiles follow numpy's linear rule on the cumulative
-counts, so no result depends on a summation order.  The exhaustive routes
-reduce the same table over every symbol, each counted once.
+batch's round and the pending streams; the statistics then run over blocks
+of table rows, each table of a block at most BLOCK_ENTRIES entries.  The
+table has at most min(draws, 2**floor(n/2)) rows: it stops growing with the
+trial count once the draws repeat symbols, and when 2**floor(n/2) is far
+above the draw count nearly every draw is a new row.
+Spectra run once per distinct symbol, and every connected one must give
+lambda_a and lambda_{n-a} the same bits; degeneracy classes are cut on the
+characters 0..n//2 alone.  Types and averages run once per distinct
+partition of the characters into classes, with loops in a fixed order (no
+BLAS).  The partitions repeat far more often than the symbols: the 4000
+connected symbols of a 20000-trial run at n = 24 fall into about 200
+partitions, and a 20000-trial run at n = 101 into one.  Means and
+variances are exact sums rounded once and quantiles follow numpy's linear
+rule on the cumulative counts, so no result depends on a summation order.
+The exhaustive routes reduce the same table over every symbol, each
+counted once.
 
 The model draws the connection coins unconditionally, but downstream walk
 machinery needs connected graphs, so disconnected draws are rejected and
@@ -48,6 +51,7 @@ import numpy as np
 
 from .graphs import SCHEMA, AbelianGroupSpec, Symbol, generates
 from .spectra import (
+    BLOCK_ENTRIES,
     DEGENERACY_TOL,
     _roots_of_unity,
     _row_classes,
@@ -110,7 +114,7 @@ class _PartitionTable:
     The deviation reads the labels only through labels == roll(labels, d),
     and a row's arithmetic does not depend on the rows sharing its batch, so
     every row of a partition gets the result of its first row in the run bit
-    for bit.  The table grows by the partitions a chunk adds, so its size is
+    for bit.  The table grows by the partitions a block adds, so its size is
     bounded by the number of distinct partitions in the run.
     """
 
@@ -402,31 +406,38 @@ class EnsembleStats:
 def _symbol_stats(packed: np.ndarray, draws: np.ndarray, n: int, tol: float):
     """The run table of distinct rows of orbit coins, bit-packed in `packed`
     and drawn `draws` times each: per row the accepted count, lambda_0, the
-    mean of the other eigenvalues, the type and the deviation, in chunks of
-    BLOCK_SIZE rows, each unpacked only for its chunk.
+    mean of the other eigenvalues, the type and the deviation, in blocks of
+    max(1, BLOCK_ENTRIES // n) rows, each unpacked only for its block, so no
+    table of the block holds more than BLOCK_ENTRIES float64 entries.
 
     Connectivity is a function of the symbol, so every draw of a connected
     row was accepted and none of another.  Types and deviations are computed
     for connected rows only, once per distinct class partition of the run
-    (`_PartitionTable`), and are 0 on the others.  Every row's arithmetic is
-    independent of the rows sharing its chunk, so results do not depend on
-    how rows are grouped.
+    (`_PartitionTable`), and are 0 on the others.  A symmetric symbol's
+    lambda_a and lambda_{n-a} are the same bits (`circulant_eigenvalues`),
+    which every connected row must show; its degeneracy cut then runs on the
+    representatives a = 0..n//2 and each character takes its
+    representative's label.  Every row's arithmetic is independent of the
+    rows sharing its block, so results do not depend on how rows are grouped.
     """
     group, reps = AbelianGroupSpec((n,)), np.arange(1, n // 2 + 1)  # as in `_draw_rounds`
     _, phase = character_phases(group)
+    half = n // 2 + 1
+    mirror = np.minimum(np.arange(n), n - np.arange(n))  # the representative of +-a
     size = len(packed)
     connected, lam0, other = np.empty(size, dtype=bool), np.empty(size), np.empty(size)
     types, deviations = np.zeros(size, dtype=np.int64), np.zeros(size)
     partitions = _PartitionTable(n)
-    for start in range(0, size, BLOCK_SIZE):
-        rows = slice(start, start + BLOCK_SIZE)
+    step = max(1, BLOCK_ENTRIES // n)
+    for start in range(0, size, step):
+        rows = slice(start, start + step)
         bits = np.unpackbits(packed[rows], axis=1, count=n // 2).astype(bool)
         lams = circulant_eigenvalues(_symbol_values(bits, n), phase, n)
         lam0[rows], other[rows] = lams[:, 0], lams[:, 1:].mean(axis=1)
         connected[rows] = ok = generates(group, bits, reps)
-        labels, nonzero_gap = _row_classes(lams[ok], tol)
-        if nonzero_gap.any():
+        if (ok & (lams[:, half:] != lams[:, n - half : 0 : -1]).any(axis=1)).any():
             raise RuntimeError("sampled circulant with nonzero spectral gap")
+        labels = np.take(_row_classes(lams[ok, :half], tol)[0], mirror, axis=1)
         kept = start + np.flatnonzero(ok)
         types[kept], deviations[kept] = partitions.stats(labels, phase)
     return draws * connected, lam0, other, types, deviations
@@ -583,7 +594,7 @@ def ensemble_stats(n: int, trials: int, seed: int, tol: float = DEGENERACY_TOL) 
 
 def _exhaustive_table(n: int, tol: float):
     """The run table of all 2^floor(n/2) symmetric symbols on Z_n, each drawn
-    once: draw counts, then `_symbol_stats`.  At most 1024 rows, one chunk."""
+    once: draw counts, then `_symbol_stats`.  At most 1024 rows, one block."""
     if not 3 <= n <= 20:
         raise ValueError("exhaustive enumeration is supported for 3 <= n <= 20")
     m = n // 2

@@ -505,6 +505,8 @@ def _check_instantaneous_uniform(cfg: VerifyConfig) -> list[MixingReport]:
             expected=f"deviation <= 1e-9 at t = {t_star:.6f}",
         )
         reports.append(rep)
+    if cfg.cap(8) < 8:
+        return reports
     spec8 = spectra.graph_eigensystem(graphs.build_complete(8))
     minima8 = instantaneous_mixing_scan(spec8, 0, eps=0.1, t_max=4.0 * math.pi, grid=SCAN_GRID)
     rep8 = MixingReport(descriptor="complete K_8", instantaneous_times=minima8)
@@ -533,7 +535,7 @@ def _bunkbed_bases(cfg: VerifyConfig) -> list[tuple[str, Graph]]:
     return ([(f"K_{n}", graphs.build_complete(n)) for n in range(2, cfg.cap(8, per=2) + 1)]
             + [(f"C_{n}", graphs.build_cycle(n)) for n in range(3, cfg.cap(16, per=2) + 1)]
             + [(f"P_{n}", graphs.build_path(n)) for n in range(2, cfg.cap(16, per=2) + 1)]
-            + [(f"Q_{d}", graphs.build_hypercube(d)) for d in range(1, cfg.dim_cap(3) + 1)])
+            + [(f"Q_{d}", graphs.build_hypercube(d)) for d in range(1, cfg.dim_cap(3, per=2) + 1)])
 
 
 def _check_bunkbed_layers(cfg: VerifyConfig) -> list[MixingReport]:
@@ -728,9 +730,10 @@ class VerifyConfig:
         cut to max_n // per for graphs of `per` vertices per unit of size."""
         return limit if self.max_n is None else min(limit, self.max_n // per)
 
-    def dim_cap(self, limit: int) -> int:
-        """The top hypercube dimension: at most `limit`, and 2^d <= max_n."""
-        return self.cap(2**limit).bit_length() - 1
+    def dim_cap(self, limit: int, per: int = 1) -> int:
+        """The top hypercube dimension: at most `limit`, and per 2^d <= max_n
+        for graphs of `per` vertices per hypercube vertex."""
+        return self.cap(2**limit, per).bit_length() - 1
 
 
 def verify_all(config: VerifyConfig | None = None) -> list[MixingReport]:

@@ -576,6 +576,40 @@ def test_nonzero_gap_on_an_accepted_symbol_raises(monkeypatch, coins, raises):
         assert ensemble_stats(7, 200, seed=1).rejections > 0
 
 
+def test_an_accepted_symbol_asymmetric_below_tol_raises(monkeypatch):
+    # lambda_6 one ulp above lambda_1 on C_7: the cut still merges them into
+    # one class, but the symbol's eigenvalues are no longer those of +-a
+    real = ensembles.circulant_eigenvalues
+    target = ensembles._symbol_values(np.array([[True, False, False]]), 7)
+
+    def nudge(values, phase, L):
+        lams = real(values, phase, L)
+        rows = (values == target).all(axis=1)
+        lams[rows, -1] = np.nextafter(lams[rows, -1], np.inf)
+        return lams
+
+    monkeypatch.setattr(ensembles, "circulant_eigenvalues", nudge)
+    with pytest.raises(RuntimeError, match="nonzero spectral gap"):
+        ensemble_stats(7, 200, seed=1)
+
+
+def test_statistics_tables_stay_within_the_block_bound():
+    # blocks of BLOCK_ENTRIES // n rows: the peak grows far slower than
+    # n * trials (it was 72 MiB at n = 365 with blocks of BLOCK_SIZE rows)
+    ensemble_stats(101, 100, seed=1)  # imports and caches outside the measurement
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            ensemble_stats(n, 4097, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(101), peak(365)
+    assert large <= 12 * 2**20 and large <= 2 * small, (small, large)
+
+
 @pytest.mark.parametrize("n,trials,seed", [(7, 20000, 3), (24, 5000, 5)])
 def test_ensemble_json_is_pinned(n, trials, seed):
     # the n=7 file was regenerated when moments became exact sums rounded once

@@ -580,6 +580,7 @@ def test_cap_cuts_each_acceptance_range_and_keeps_other_fields():
     assert [capped.cap(limit) for limit in (64, 33, 32, 12, 20)] == [8] * 5
     assert [capped.cap(limit, per=2) for limit in (8, 16)] == [4, 4]
     assert [capped.dim_cap(limit) for limit in (6, 4, 3)] == [3, 3, 3]
+    assert [capped.dim_cap(limit, per=2) for limit in (6, 3, 1)] == [2, 2, 1]
     for name, value in fields.items():
         assert getattr(capped, name) == value
     uncapped = VerifyConfig()
@@ -589,6 +590,22 @@ def test_cap_cuts_each_acceptance_range_and_keeps_other_fields():
     # the hypercube cap is the largest d with 2^d <= max_n
     for max_n, d in ((6, 2), (7, 2), (8, 3), (15, 3), (16, 4), (63, 5), (64, 6), (10**6, 6)):
         assert VerifyConfig(max_n=max_n).dim_cap(6) == d
+
+
+@pytest.mark.parametrize("max_n", [6, 7, 8])
+def test_no_complete_or_bunkbed_report_exceeds_the_cap(max_n):
+    # at 6, K_8 (instantaneous_uniform's fixed scan) and the 8-vertex bed
+    # over Q_2 (Q_d capped by the base's 2^d vertices) were reported
+    checks = ("instantaneous_uniform", "bunkbed_layers")
+    sizes = {}
+    for rep in verify_all(VerifyConfig(checks=checks, max_n=max_n)):
+        kind, _, graph = rep.descriptor.rpartition(" ")
+        family, size = graph.split("_")
+        vertices = 2 ** int(size) if family == "Q" else int(size)
+        if kind in ("complete", "bunkbed over"):
+            sizes[rep.descriptor] = vertices * (2 if kind == "bunkbed over" else 1)
+    assert max(sizes.values()) == max_n - max_n % 2, sizes
+    assert ("complete K_8" in sizes) == ("bunkbed over Q_2" in sizes) == (max_n == 8)
 
 
 def test_verify_config_fields_are_the_four_verify_sets():
