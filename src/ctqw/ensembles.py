@@ -435,7 +435,9 @@ def _symbol_stats(packed: np.ndarray, draws: np.ndarray, n: int, tol: float):
         lams = circulant_eigenvalues(_symbol_values(bits, n), phase, n)
         lam0[rows], other[rows] = lams[:, 0], lams[:, 1:].mean(axis=1)
         connected[rows] = ok = generates(group, bits, reps)
-        if (ok & (lams[:, half:] != lams[:, n - half : 0 : -1]).any(axis=1)).any():
+        # lambda_a for a = n//2+1..n-1 against lambda_{n-a}
+        asymmetric = (lams[:, half:] != lams[:, n - half : 0 : -1]).any(axis=1)
+        if (ok & asymmetric).any():
             raise RuntimeError("sampled circulant with nonzero spectral gap")
         labels = np.take(_row_classes(lams[ok, :half], tol)[0], mirror, axis=1)
         kept = start + np.flatnonzero(ok)

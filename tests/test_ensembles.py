@@ -593,23 +593,6 @@ def test_an_accepted_symbol_asymmetric_below_tol_raises(monkeypatch):
         ensemble_stats(7, 200, seed=1)
 
 
-def test_statistics_tables_stay_within_the_block_bound():
-    # blocks of BLOCK_ENTRIES // n rows: the peak grows far slower than
-    # n * trials (it was 72 MiB at n = 365 with blocks of BLOCK_SIZE rows)
-    ensemble_stats(101, 100, seed=1)  # imports and caches outside the measurement
-
-    def peak(n):
-        tracemalloc.start()
-        try:
-            ensemble_stats(n, 4097, seed=1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    small, large = peak(101), peak(365)
-    assert large <= 12 * 2**20 and large <= 2 * small, (small, large)
-
-
 @pytest.mark.parametrize("n,trials,seed", [(7, 20000, 3), (24, 5000, 5)])
 def test_ensemble_json_is_pinned(n, trials, seed):
     # the n=7 file was regenerated when moments became exact sums rounded once
@@ -656,20 +639,29 @@ def test_variance_of_identical_values_is_exactly_zero():
     assert stats.var_lambda0 == stats.var_lambda_other == 0.0
 
 
+def _traced_peak(n, trials):
+    """The peak of memory traced by `tracemalloc` during one ensemble_stats run."""
+    tracemalloc.start()
+    try:
+        ensemble_stats(n, trials, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_peak_memory_does_not_grow_with_the_trial_count():
     ensemble_stats(7, 100, seed=1)  # imports and caches outside the measurement
-
-    def peak(trials):
-        tracemalloc.start()
-        try:
-            ensemble_stats(7, trials, seed=1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    small, large = peak(10**5), peak(4 * 10**5)
+    small, large = _traced_peak(7, 10**5), _traced_peak(7, 4 * 10**5)
     # a per-draw array would quadruple the peak
     assert large <= 1.25 * small, (small, large)
+
+
+def test_statistics_tables_stay_within_the_block_bound():
+    # blocks of BLOCK_ENTRIES // n rows: the peak grows far slower than
+    # n * trials (it was 72 MiB at n = 365 with blocks of BLOCK_SIZE rows)
+    ensemble_stats(101, 100, seed=1)  # imports and caches outside the measurement
+    small, large = _traced_peak(101, 4097), _traced_peak(365, 4097)
+    assert large <= 12 * 2**20 and large <= 2 * small, (small, large)
 
 
 def test_draw_table_counts_every_draw_with_log_linear_sorting(monkeypatch):
