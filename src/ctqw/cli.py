@@ -507,3 +507,6 @@ def main(argv=None) -> int:
     except (JacobiConvergenceError, RuntimeError, FloatingPointError) as exc:
         print(f"computational failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # an input too large to hold: numpy names the array
+        print(f"computational failure: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2

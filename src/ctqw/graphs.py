@@ -218,8 +218,8 @@ def generates(group: AbelianGroupSpec, rows, elements=None) -> np.ndarray:
     for p in _prime_factors(group.order):
         cols = [j for j, f in enumerate(group.factors) if f % p == 0]
         residues = coords[:, cols] % p
-        if len(cols) == 1:  # F_p is spanned by any nonzero residue: one boolean product
-            ok &= rows @ (residues[:, 0] != 0)
+        if len(cols) == 1:  # F_p is spanned by any nonzero residue
+            ok &= rows[:, residues[:, 0] != 0].any(axis=1)
             continue
         # (rows, r_p, elements), elements contiguous, in the least type that holds +-p^2
         m = np.where(rows[:, None, :], residues.T.astype(np.min_scalar_type(-p * p)), 0)

@@ -125,20 +125,22 @@ def _golden_minima(probe, keep, a: np.ndarray, width: float) -> tuple[np.ndarray
 
 
 def _scan_deviations(proj: walk.ClassProjections, times: np.ndarray) -> np.ndarray:
-    """||P_t - U|| at each time, evaluated directly (`walk.class_amplitudes`)
-    in blocks of `_stacked_rows` times."""
+    """||P_t - U|| at each time, evaluated directly in blocks of
+    `_stacked_rows` times."""
     block = _stacked_rows(proj)
     devs = np.empty(len(times))
     for lo in range(0, len(times), block):
-        *_, probs = walk.class_amplitudes(proj, times[lo : lo + block])
-        devs[lo : lo + block] = _uniform_deviations(probs.T, proj)
+        part = times[lo : lo + block]
+        devs[lo : lo + block] = _deviations(proj, walk.phase_table(proj.theta, part), part)
     return devs
 
 
-def _uniform_deviations(probs: np.ndarray, proj: walk.ClassProjections) -> np.ndarray:
-    """||P_t - U|| per column of `class_probabilities`, overwriting them."""
+def _deviations(proj: walk.ClassProjections, table: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """||P_t - U|| at the `times` whose phases are the columns of `table`,
+    from the probabilities of `walk.class_amplitudes`, overwritten here."""
+    probs = walk.class_probabilities(walk.class_amplitudes(proj, table), proj, times)
     probs -= 1.0 / proj.counts.sum()
-    return proj.counts @ np.abs(probs, out=probs)
+    return np.abs(probs, out=probs) @ proj.counts
 
 
 def _stacked_rows(proj: walk.ClassProjections) -> int:
@@ -168,8 +170,8 @@ def _grid_deviations(proj: walk.ClassProjections, step: float, coarse: np.ndarra
     """||P_t - U|| at the grid times (i + 1) step, i < grid, from the tables
     of `_grid_tables`: the phases of row q, its P times, are coarse[q] times
     fine, one complex product, and each block of whole rows is one product
-    with the columns (`walk.class_probabilities`).  The last row's times past
-    the grid are evaluated too and dropped."""
+    with the columns (`_deviations`).  The last row's times past the grid are
+    evaluated too and dropped."""
     r, height, width = *coarse.shape, fine.shape[1]
     rows = _stacked_rows(proj) // width
     times = np.arange(1, height * width + 1) * step
@@ -178,8 +180,7 @@ def _grid_deviations(proj: walk.ClassProjections, step: float, coarse: np.ndarra
         h = min(rows, height - q)
         lo, m = q * width, h * width
         table = (coarse[:, q : q + h, None] * fine[:, None]).reshape(r, m)
-        probs = walk.class_probabilities(proj, table, times[lo : lo + m])
-        devs[lo : lo + m] = _uniform_deviations(probs, proj)
+        devs[lo : lo + m] = _deviations(proj, table, times[lo : lo + m])
     return devs[:grid]
 
 
@@ -212,7 +213,7 @@ def _refined_minima(proj: walk.ClassProjections, lefts: np.ndarray, step: float,
 
         def probe(j, times):
             np.multiply(kept, phasors[:, j, None], out=table)
-            return _uniform_deviations(walk.class_probabilities(proj, table, times), proj)
+            return _deviations(proj, table, times)
 
         def keep(better):
             # a bracket that keeps its probe stores it; one that does not
@@ -234,8 +235,8 @@ def instantaneous_mixing_scan(
     """Locate local minima of t -> ||P_t - U|| over (0, t_max].
 
     The class projections of `start` are computed once; a direct evaluation
-    (`walk.class_amplitudes`) then costs r cosines, r sines and one real
-    product per time over the k distinct columns, and each column's deviation
+    (`_scan_deviations`) then costs r cosines, r sines and one real product
+    per time over the k distinct columns, and each column's deviation
     counts once per vertex sharing it.  Evaluates a uniform grid and refines
     every interior local minimum by golden-section search on the bracket of
     its two grid neighbours, 2 t_max / grid wide, to a width of GOLDEN_WIDTH

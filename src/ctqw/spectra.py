@@ -107,23 +107,28 @@ class Spectrum:
         conjugate-symmetric root table, so columns whose offsets l - s are
         negatives of each other come out bitwise equal.  The phase table is
         built in blocks of vertex rows, at most BLOCK_ENTRIES entries each,
-        and each block is reduced into its rows of the result; the phases
-        are exact integers, so the blocking changes no bit.
+        reduced mod L in place and read from the L roots, and each block is
+        reduced into its rows of the result; the phases are exact integers,
+        so the blocking changes no bit.
         """
         group, chars = self.characters
         coords = group.coordinates()
         offsets = (coords - coords[start]) % np.array(group.factors)  # coordinates of l - start
         L, x, a = _phase_factors(group, offsets, coords[chars])
-        # a cosine table as long as the largest possible phase reduces the
-        # phases mod L in the gather
-        bound = sum((f - 1) ** 2 * (L // f) for f in group.factors)
-        cos = _roots_of_unity(L).real[np.arange(bound + 1) % L]
+        cos = _roots_of_unity(L).real
         proj = np.empty((self.n, len(starts)))
         rows = max(1, BLOCK_ENTRIES // self.n)
         for lo in range(0, self.n, rows):
             raw = x[lo : lo + rows] @ a
-            table = cos.take(raw.astype(np.intp), out=raw, mode="clip")  # in range: unbuffered
-            np.add.reduceat(table, starts, axis=1, out=proj[lo : lo + rows])
+            index = raw.astype(np.intp)
+            # index mod L, in place and exactly: raw / L rounds below the next
+            # integer while raw + L < 2^53
+            raw /= L
+            np.floor(raw, out=raw)
+            raw *= L
+            np.subtract(index, raw, out=index, casting="unsafe")
+            cos.take(index, out=raw, mode="clip")  # in range: unbuffered
+            np.add.reduceat(raw, starts, axis=1, out=proj[lo : lo + rows])
         proj /= self.n
         return proj.T
 

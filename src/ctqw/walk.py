@@ -11,10 +11,9 @@ eigenvectors.  Vertices with bitwise-equal columns (an equitable partition:
 the Hamming weights on Q_d, the pairs {s + x, s - x} on a circulant) are
 evaluated once, and full vectors are gathered back only where one is output.
 Every phase comes from one complex table e^{-i theta t} with one column per
-time (`phase_table`), read in one real product with the columns: as a row of
-real and a row of imaginary parts per time for walks and a scan's last direct
-values (`class_amplitudes`), and with the columns transposed for a scan's
-grid and probes (`class_probabilities`).
+time (`phase_table`).  Walks and scans form amplitudes in one place, one real
+product of that table with the columns (`class_amplitudes`), and square them
+and check their norm in one place (`class_probabilities`).
 Evolution merges only bitwise-equal eigenvalues (`exact_labels`), so no
 tolerance enters psi(t); the average uses the degeneracy partition, never
 quadrature.
@@ -139,47 +138,32 @@ def phase_table(theta: np.ndarray, times: np.ndarray) -> np.ndarray:
     return table
 
 
-def _check_unit_norm(norm_sq: np.ndarray, times: np.ndarray) -> None:
-    """Raise unless the amplitude vector at every time, of squared norm
-    `norm_sq`, has unit norm to UNIT_NORM_TOL."""
-    norms = np.sqrt(norm_sq)
-    off = np.abs(norms - 1.0)
-    if off.max(initial=0.0) <= UNIT_NORM_TOL:  # NaN fails
-        return
-    k = np.flatnonzero(~(off <= UNIT_NORM_TOL))[0]
-    raise RuntimeError(
-        f"evolved amplitude at t = {float(times[k])!r} has norm {float(norms[k])!r};"
-        " spectrum is inconsistent"
-    )
+def class_amplitudes(proj: ClassProjections, table: np.ndarray) -> np.ndarray:
+    """The amplitudes sum_r e^{-i theta_r t} E_r e_start on the distinct
+    columns, from a phase table (r, m) as `phase_table` lays it out: shape
+    (2 m, k), a row of real and a row of imaginary parts per time.  A table
+    of the conjugate phases gives the conjugate amplitudes.  One real product
+    of the table, read as interleaved real and imaginary parts, with the
+    columns.  The transposed product, columns.T @ table, is the same sum but
+    not always the same bits: on C_257 at 447 times it moved by a rounding
+    unit between one and two OpenBLAS 0.3.31 threads, where this one did
+    not."""
+    return table.view(np.float64).T @ proj.columns
 
 
-def class_amplitudes(proj: ClassProjections, times: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The real and imaginary parts of the amplitudes sum_r e^{-i theta_r t}
-    E_r e_start on the distinct columns, and their probabilities, shape
-    (len(times), k) each.  One real product of the phase table
-    (`phase_table`), read as a row of real and a row of imaginary parts per
-    time, with the columns; every time is checked for unit norm over all n
-    vertices."""
-    times = np.asarray(times, dtype=np.float64)
-    parts = phase_table(proj.theta, times).view(np.float64).T @ proj.columns
-    re, im = parts[0::2], parts[1::2]
-    probs = np.square(re)
-    probs += np.square(im)
-    _check_unit_norm(probs @ proj.counts, times)
-    return re, im, probs
-
-
-def class_probabilities(proj: ClassProjections, table: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """|amplitude|^2 on the distinct columns, shape (k, m), one column per
-    time, from a phase table (r, m) as `phase_table` lays it out, for the m
-    `times`.  A table of the conjugate phases gives the same values.  One real
-    product of the transposed columns with the table read as interleaved real
-    and imaginary parts; every time is checked for unit norm over all n
-    vertices."""
-    amp = proj.columns.T @ table.view(np.float64)
+def class_probabilities(amp: np.ndarray, proj: ClassProjections, times: np.ndarray) -> np.ndarray:
+    """|amplitude|^2 on the distinct columns, shape (m, k), one row per time,
+    from `class_amplitudes` at the m `times`, which it squares in place;
+    raises unless the amplitudes at every time have unit norm over all n
+    vertices to UNIT_NORM_TOL."""
     np.square(amp, out=amp)
-    probs = amp[:, 0::2] + amp[:, 1::2]
-    _check_unit_norm(proj.counts @ probs, times)
+    probs = amp[0::2] + amp[1::2]
+    norms = np.sqrt(probs @ proj.counts)
+    off = np.abs(norms - 1.0)
+    if not off.max(initial=0.0) <= UNIT_NORM_TOL:  # NaN fails
+        k = np.flatnonzero(~(off <= UNIT_NORM_TOL))[0]
+        raise RuntimeError(f"evolved amplitude at t = {float(times[k])!r} has norm"
+                           f" {float(norms[k])!r}; spectrum is inconsistent")
     return probs
 
 
@@ -188,15 +172,16 @@ def _walk(spec: Spectrum, start: int, t, amplitudes: bool, distribution: bool) -
     of a walk started at `start`, each only when asked for (else None), from
     one `class_amplitudes` product; gathered to all n vertices and shaped
     t.shape + (n,) for a scalar or an array of times."""
-    times = np.asarray(t, dtype=np.float64)
+    times = np.asarray(t, dtype=np.float64).reshape(-1)
     proj = class_projections(spec, start, exact_labels(spec.eigenvalues))
-    re, im, probs = class_amplitudes(proj, times.reshape(-1))
+    amp = class_amplitudes(proj, phase_table(proj.theta, times))
 
     def gather(part: np.ndarray) -> np.ndarray:
-        return part[:, proj.index].reshape(times.shape + (spec.n,))
+        return part[:, proj.index].reshape(np.shape(t) + (spec.n,))
 
-    return (gather(re) + 1j * gather(im) if amplitudes else None,
-            as_distribution(gather(probs)) if distribution else None)
+    psi = gather(amp[0::2]) + 1j * gather(amp[1::2]) if amplitudes else None  # before the squaring
+    probs = class_probabilities(amp, proj, times)
+    return psi, as_distribution(gather(probs)) if distribution else None
 
 
 def evolve(spec: Spectrum, start: int, t) -> np.ndarray:

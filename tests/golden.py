@@ -48,10 +48,11 @@ CASES = {
     "verify_seed1641411168.json": ["verify", "--format", "json", "--seed", "1641411168"],
     "verify_seed938443845.json": ["verify", "--format", "json", "--seed", "938443845"],
     "verify_seed7_table.txt": ["verify", "--format", "table", "--seed", "7"],
-    "verify_max_n6.json": ["verify", "--format", "json", "--max-n", "6"],
+    **{f"verify_max_n{n}.json": ["verify", "--format", "json", "--max-n", str(n)]
+       for n in (6, 8, 13)},
     "scan_C257.json": ["scan", "--family", "cycle", "--n", "257"],
     "scan_Q10.json": ["scan", "--family", "hypercube", "--d", "10"],
-    **{f"{cmd}_{name}.json": [cmd, *graph] for name, graph in SYMBOLS.items()
+    **{f"{cmd}_{name}.json": [cmd, *graph] for name, graph in {**FAMILIES, **SYMBOLS}.items()
        for cmd in ("build", "spectrum")},
     # a graph file's `symbol_support` is a user symbol too
     "spectrum_file_Z4xZ6.json": ["spectrum", "--graph-file", str(DATA / "circulant_4x6.json")],

@@ -185,11 +185,12 @@ def test_walk_runs_one_amplitude_product(capsys, monkeypatch, extra):
     from ctqw import graphs, spectra, walk
 
     calls = []
-    for name in ("class_projections", "class_amplitudes"):
+    names = ("class_projections", "class_amplitudes", "class_probabilities")
+    for name in names:
         real = getattr(walk, name)
         monkeypatch.setattr(walk, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
     code, out, _ = run_cli(capsys, "walk", "--family", "cycle", "--n", "9", "--t", "1.3", *extra)
-    assert code == 0 and calls == ["class_projections", "class_amplitudes"]
+    assert code == 0 and calls == list(names)
     spec = spectra.graph_eigensystem(graphs.build_cycle(9))
     doc = json.loads(out)
     assert doc["probabilities"] == walk.instantaneous_distribution(spec, 0, 1.3).tolist()
@@ -568,6 +569,31 @@ def test_bad_lapack_results_exit_2(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "spectrum", "--graph-file", str(path))
     assert code == 2 and out == ""
     assert "computational failure: LAPACK eigh failed" in err
+
+
+def test_an_input_too_large_to_hold_is_a_computational_failure(capsys, monkeypatch):
+    # numpy raises MemoryError (_ArrayMemoryError) for an array it cannot
+    # allocate, as `spectrum --family hypercube --d 40` does; faked here, so
+    # no test allocates a huge array
+    from ctqw import cli
+
+    message = "Unable to allocate 1.00 TiB for an array with shape (1099511627776,)"
+
+    def too_large(d):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli._SIZED_FAMILIES, "hypercube", ("d", too_large, True))
+    for command in ("build", "spectrum", "average"):
+        code, out, err = run_cli(capsys, command, "--family", "hypercube", "--d", "40")
+        assert code == 2 and out == ""
+        assert err == f"computational failure: {message}\n"
+
+    def bare(n):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._SIZED_FAMILIES, "cycle", ("n", bare, True))
+    code, out, err = run_cli(capsys, "build", "--family", "cycle", "--n", "10000000000")
+    assert (code, out, err) == (2, "", "computational failure: out of memory\n")
 
 
 def test_lapack_route_agrees_across_openblas_thread_counts(tmp_path):

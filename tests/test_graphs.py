@@ -617,6 +617,19 @@ def test_generation_rule_matches_per_element_bfs_on_seeded_supports(factors):
     assert got.any() and not got.all()
 
 
+@pytest.mark.parametrize("n, p", [(5, 5), (7, 7), (9, 3), (25, 5), (27, 3), (16, 2), (12, 2), (12, 3)],
+                         ids=lambda v: str(v))
+def test_generation_rule_on_one_prime_refuses_rows_of_multiples_of_it(n, p):
+    # on a factor with one prime p, a row generates the Z_p quotient only if
+    # it chooses a non-multiple of p; rows of multiples alone never do
+    group = AbelianGroupSpec((n,))
+    rng = np.random.default_rng(n * p)
+    rows = rng.random((200, n)) < rng.uniform(0.5, 6, size=(200, 1)) / n
+    rows[:100, np.arange(n) % p != 0] = False  # only multiples of p, or nothing
+    got = _assert_rule_matches_reference(group, rows)
+    assert not got[:100].any() and got[100:].any()
+
+
 def test_generation_rule_reads_columns_through_the_given_elements():
     group = AbelianGroupSpec((4, 6))
     elements = np.array([6, 1, 18, 9, 12, 2])  # (1,0) (0,1) (3,0) (1,3) (2,0) (0,2)

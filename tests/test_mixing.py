@@ -349,14 +349,15 @@ def test_scan_grid_rows_shrink_to_fit_one_block(monkeypatch):
     spec = spectra.graph_eigensystem(graphs.build_cycle(257))
     want = instantaneous_mixing_scan(spec, 0)
     monkeypatch.setattr(spectra, "BLOCK_ENTRIES", 2 * 129 * 10)
-    probabilities, widths = walk.class_probabilities, []
+    amplitudes, widths = walk.class_amplitudes, []
 
-    def checked(proj, table, times):
+    def checked(proj, table):
         widths.append(table.shape[1])
-        assert 2 * table.size <= spectra.BLOCK_ENTRIES
-        return probabilities(proj, table, times)
+        amp = amplitudes(proj, table)
+        assert 2 * table.size <= spectra.BLOCK_ENTRIES and amp.size <= spectra.BLOCK_ENTRIES
+        return amp
 
-    monkeypatch.setattr(walk, "class_probabilities", checked)
+    monkeypatch.setattr(walk, "class_amplitudes", checked)
     seen = _checked_grids(monkeypatch)
     got = instantaneous_mixing_scan(spec, 0)
     ((worst, _, same),) = seen

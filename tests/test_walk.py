@@ -9,10 +9,13 @@ from ctqw.walk import (
     as_distribution,
     average_distribution,
     bunkbed_instantaneous,
+    class_amplitudes,
+    class_probabilities,
     class_projections,
     evolve,
     exact_labels,
     instantaneous_distribution,
+    phase_table,
 )
 from tests.conftest import _eigenvector_evolve, finite_time_average
 
@@ -366,6 +369,68 @@ def test_average_on_a_circulant_holds_no_n_by_n_table():
     assert got.tobytes() == want.tobytes()
     # the 1024 x 1024 phase table alone is 8 MiB; its row blocks are 1 MiB
     assert peak < 4 * 2**20, peak
+
+
+def _table_projections(spec, start, starts):
+    """`Spectrum.character_projections` read from a cosine table as long as
+    the largest unreduced phase, sum_k (n_k - 1)^2 L / n_k + 1 entries."""
+    group, chars = spec.characters
+    coords = group.coordinates()
+    offsets = (coords - coords[start]) % np.array(group.factors)
+    L, x, a = spectra._phase_factors(group, offsets, coords[chars])
+    bound = sum((f - 1) ** 2 * (L // f) for f in group.factors)
+    cos = spectra._roots_of_unity(L).real[np.arange(bound + 1) % L]
+    return (np.add.reduceat(cos[(x @ a).astype(np.intp)], starts, axis=1) / spec.n).T
+
+
+@pytest.mark.parametrize("g", [graphs.build_cycle(1024), graphs.build_cycle(257),
+                               _z2_z4_z3_circulant(), graphs.build_hypercube(6)],
+                         ids=["C1024", "C257", "Z2xZ4xZ3", "Q6"])
+def test_character_projections_reduce_the_phases_bit_for_bit(g):
+    spec = spec_of(g)
+    starts = np.flatnonzero(np.diff(exact_labels(spec.eigenvalues), prepend=-1))
+    for start in (0, 5):
+        want = np.ascontiguousarray(_table_projections(spec, start, starts))
+        assert spec.character_projections(start, starts).tobytes() == want.tobytes()
+
+
+def test_character_projections_hold_no_table_quadratic_in_n():
+    n = 1024
+    spec = spec_of(graphs.build_cycle(n))
+    starts = np.flatnonzero(np.diff(exact_labels(spec.eigenvalues), prepend=-1))
+    spec.character_projections(0, starts)  # group tables are cached outside the measurement
+    tracemalloc.start()
+    try:
+        spec.character_projections(0, starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a cosine table of the unreduced phases alone, (n - 1)^2 + 1 float64
+    assert peak < 8 * ((n - 1) ** 2 + 1), peak
+
+
+@pytest.mark.parametrize("g", [graphs.build_cycle(257), graphs.build_complete(12),
+                               graphs.build_hypercube(4), graphs.build_path(7),
+                               graphs.build_bunkbed(graphs.build_cycle(5))],
+                         ids=["C257", "K12", "Q4", "P7", "bunkbed_C5"])
+def test_the_amplitude_product_is_the_walks_product_bit_for_bit(g):
+    # the walk's product before the scans shared it: the phase table read as
+    # a row of real and a row of imaginary parts per time, times the columns
+    spec = spec_of(g)
+    proj = class_projections(spec, 0, exact_labels(spec.eigenvalues))
+    for times in (np.linspace(0.5, 900, 700), np.linspace(0.25, 40, 447), np.array([1.3])):
+        table = phase_table(proj.theta, times)
+        want = table.view(np.float64).T @ proj.columns
+        re, im = want[0::2], want[1::2]
+        probs = np.square(re)
+        probs += np.square(im)
+        amp = class_amplitudes(proj, table)
+        assert amp.tobytes() == want.tobytes()
+        assert class_probabilities(amp, proj, times).tobytes() == probs.tobytes()
+        psi = evolve(spec, 0, times)
+        assert psi.real.tobytes() == re[:, proj.index].tobytes()
+        assert psi.imag.tobytes() == im[:, proj.index].tobytes()
+        assert instantaneous_distribution(spec, 0, times).tobytes() == probs[:, proj.index].tobytes()
 
 
 def test_closed_route_refuses_labels_that_split_a_from_minus_a():
