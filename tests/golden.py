@@ -42,6 +42,9 @@ SYMBOLS = {
     "Z4xZ6": FAMILIES["Z4xZ6"],
 }
 
+# --format -> the suffix of its pinned file
+FORMATS = {"json": ".json", "csv": ".csv", "table": "_table.txt"}
+
 # file name -> the `ctqw` arguments whose output it pins
 CASES = {
     "verify_seed7.json": ["verify", "--format", "json", "--seed", "7"],
@@ -71,6 +74,25 @@ CASES = {
        ["ensemble", "--n", str(n), "--trials", str(trials), "--seed", str(seed)]
        for n, trials, seed in ((7, 100000, 1), (24, 20000, 1), (11, 9000, 2), (101, 2000, 3),
                                (3, 1, 0), (40, 20000, 4), (365, 300, 9))},
+    # the class-function circulant route, in every format
+    **{f"spectrum_char_table_S3{suffix}":
+       ["spectrum", "--char-table", str(DATA / "s3_char_table.json"), "--class-function", "0,1,0",
+        "--format", fmt]
+       for fmt, suffix in FORMATS.items()},
+    # the CSV and table formats: one graph per command, a scan with no minima
+    # below eps, and a sampled and an exhaustive ensemble
+    **{f"{name}{suffix}": [*argv, "--format", fmt]
+       for name, argv in {
+           "spectrum_Q4": ["spectrum", *FAMILIES["Q4"]],
+           "walk_C9": ["walk", *FAMILIES["C9"], "--t", "1.3"],
+           "average_P7": ["average", *FAMILIES["P7"]],
+           "scan_C9": ["scan", *FAMILIES["C9"]],
+           "scan_C9_eps1e-9": ["scan", *FAMILIES["C9"], "--t-max", "12", "--eps", "1e-9"],
+           "ensemble_n7_trials5000_seed1": ["ensemble", "--n", "7", "--trials", "5000",
+                                            "--seed", "1"],
+           "ensemble_exhaustive_n10": ["ensemble", "--n", "10", "--exhaustive"],
+       }.items()
+       for fmt, suffix in FORMATS.items() if fmt != "json"},
 }
 
 

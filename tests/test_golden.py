@@ -52,16 +52,21 @@ def assert_leaves_match(got, want) -> None:
             assert type(g) is type(w) and g == w, (where, g, w)
 
 
-def assert_text_matches(got: str, want: str) -> None:
-    """The table format line by line: equal text between the floats, and the
-    floats within their bounds; a line listing minima, [(t, d), ...],
-    alternates time and deviation."""
+def assert_text_matches(got: str, want: str, scan: bool = False) -> None:
+    """The CSV and table formats line by line: equal text between the floats,
+    and the floats within their bounds.  A line listing minima, [(t, d), ...],
+    and every line of a `scan` (its `t,deviation` rows and `t  deviation`
+    columns) alternates time and deviation; a scan's spacing may differ, since
+    a time's printed width moves its right-aligned column."""
     got_lines, want_lines = got.splitlines(), want.splitlines()
     assert len(got_lines) == len(want_lines)
     for number, (g, w) in enumerate(zip(got_lines, want_lines)):
         g_parts, w_parts = FLOAT.split(g), FLOAT.split(w)
-        assert g_parts[0::2] == w_parts[0::2], (number, g, w)  # the text between floats
-        kinds = ("time", "minimum") if "[(" in w else ("float",)
+        g_text, w_text = g_parts[0::2], w_parts[0::2]  # the text between floats
+        if scan:
+            g_text, w_text = [t.split() for t in g_text], [t.split() for t in w_text]
+        assert g_text == w_text, (number, g, w)
+        kinds = ("time", "minimum") if scan or "[(" in w else ("float",)
         floats = zip(g_parts[1::2], w_parts[1::2])
         for i, (a, b) in enumerate(floats):
             assert _close(float(a), float(b), kinds[i % len(kinds)]), (number, a, b)
@@ -76,7 +81,7 @@ def test_outputs_match_the_pinned_files(name):
     elif name.endswith(".json"):
         assert_leaves_match(json.loads(got), json.loads(want))
     else:
-        assert_text_matches(got, want)
+        assert_text_matches(got, want, scan=name.startswith("scan_"))
 
 
 def test_the_comparison_refuses_a_moved_leaf():
@@ -99,6 +104,15 @@ def test_the_comparison_refuses_a_moved_leaf():
                 line.replace("K_4", "K_5")):
         with pytest.raises(AssertionError):
             assert_text_matches(bad, line)
+    # a scan's CSV row and table line: times to TIME_BOUND, deviations to MINIMUM_BOUND
+    for row, near, far in (("0.9573055322147699,4.9e-16", "0.95730554,2e-15", "0.957306,4.9e-16"),
+                           ("    0.957305532215  4.9e-16", "     0.95730554  2e-15",
+                            "    0.957305532215  4.9e-08")):
+        assert_text_matches(near, row, scan=True)
+        with pytest.raises(AssertionError):  # FLOAT_BOUND refuses the moved time
+            assert_text_matches(near, row)
+        with pytest.raises(AssertionError):
+            assert_text_matches(far, row, scan=True)
 
 
 def test_check_lists_each_moved_leaf():
