@@ -14,11 +14,12 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__, ensembles, graphs, mixing, spectra, walk
-from .graphs import SCHEMA, Graph, GraphValidationError
+from .graphs import Graph, GraphValidationError
 from .spectra import JacobiConvergenceError
 
 
@@ -141,42 +142,54 @@ def _spectrum_for(g: Graph, args) -> spectra.Spectrum:
     return spec
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
+def _write(args, doc: dict, lines=None) -> None:
+    """The one writer: a command's document as `ctqw/1` JSON, or as the CSV
+    or table lines that `lines(doc, format)` reads from it, printed or written
+    atomically to --output.  An output that cannot be written is a usage
+    error, and leaves no temporary file behind."""
+    text = graphs.to_json(doc) if args.format == "json" else "\n".join(lines(doc, args.format))
+    if args.output is None:
         print(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(args.output)), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+            fh.write(text + "\n")
+        os.replace(tmp, args.output)
+    except OSError as exc:
+        raise UsageError(f"cannot write output {args.output}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):  # the write failed before its rename
             os.unlink(tmp)
-        raise
 
 
-def _distribution_text(probs: np.ndarray, fmt: str, meta: dict) -> str:
-    if fmt == "json":
-        doc = {"schema": SCHEMA, **meta, "probabilities": [float(p) for p in probs]}
-        return json.dumps(doc, indent=2)
+def _multiplicity_lines(pairs) -> list[str]:
+    return ["eigenvalue        multiplicity", *(f"{lam:<17.12g} {m}" for lam, m in pairs)]
+
+
+def _distribution_lines(doc: dict, fmt: str) -> list[str]:
+    probs = doc["probabilities"]
     if fmt == "csv":
-        lines = ["vertex,probability"]
-        lines += [f"{v},{float(p)!r}" for v, p in enumerate(probs)]
-        return "\n".join(lines)
+        return ["vertex,probability", *(f"{v},{p!r}" for v, p in enumerate(probs))]
     width = max(len(str(len(probs) - 1)), 6)
-    lines = [f"{'vertex':>{width}}  probability"]
-    lines += [f"{v:>{width}}  {float(p):.12g}" for v, p in enumerate(probs)]
-    return "\n".join(lines)
+    return [f"{'vertex':>{width}}  probability",
+            *(f"{v:>{width}}  {p:.12g}" for v, p in enumerate(probs))]
 
 
 def _cmd_build(args) -> int:
-    g = _build_graph(args)
-    _emit(graphs.graph_to_json(g), args.output)
+    _write(args, graphs.graph_document(_build_graph(args)))
     return 0
+
+
+def _spectrum_lines(doc: dict, fmt: str) -> list[str]:
+    values = doc["eigenvalues"]
+    if fmt == "csv":
+        return ["index,eigenvalue", *(f"{j},{x!r}" for j, x in enumerate(values))]
+    return [f"graph: {doc['family']} on {doc['n']} vertices",
+            f"spectral gap: {doc['spectral_gap']:.12g}",
+            f"type: {doc['type']}",
+            *_multiplicity_lines((values[c[0]], len(c)) for c in doc["degeneracy_classes"])]
 
 
 def _cmd_spectrum(args) -> int:
@@ -184,29 +197,22 @@ def _cmd_spectrum(args) -> int:
         return _cmd_spectrum_char_table(args)
     g = _build_graph(args)
     spec = _spectrum_for(g, args)
-    if args.format == "json":
-        text = spectra.spectrum_to_json(
-            spec,
-            tol=args.tol,
-            include_eigenvectors=args.eigenvectors,
-            extra={"family": g.family, "normalized": bool(args.normalize)},
-        )
-    elif args.format == "csv":
-        lines = ["index,eigenvalue"]
-        lines += [f"{j},{float(x)!r}" for j, x in enumerate(spec.eigenvalues)]
-        text = "\n".join(lines)
-    else:
-        labels = spectra.degeneracy_labels(spec.eigenvalues, args.tol)
-        summary = spectra.degeneracy_summary(spec.eigenvalues, labels)
-        lines = [f"graph: {g.family} on {g.n} vertices"]
-        lines.append(f"spectral gap: {summary['spectral_gap']:.12g}")
-        lines.append(f"type: {summary['type']}")
-        lines.append("eigenvalue        multiplicity")
-        for cls in summary["degeneracy_classes"]:
-            lines.append(f"{spec.eigenvalues[cls[0]]:<17.12g} {len(cls)}")
-        text = "\n".join(lines)
-    _emit(text, args.output)
+    labels = spectra.degeneracy_labels(spec.eigenvalues, args.tol)
+    doc = {"n": spec.n, "eigenvalues": [float(x) for x in spec.eigenvalues],
+           **spectra.degeneracy_summary(spec.eigenvalues, labels)}
+    if args.eigenvectors and args.format == "json":  # no other format prints them
+        doc["eigenvectors"] = [[[float(z.real), float(z.imag)] for z in spec.eigenvectors[:, j]]
+                               for j in range(spec.n)]
+    doc |= {"family": g.family, "normalized": bool(args.normalize)}
+    _write(args, doc, _spectrum_lines)
     return 0
+
+
+def _char_table_lines(doc: dict, fmt: str) -> list[str]:
+    pairs = [(e["value"], e["multiplicity"]) for e in doc["eigenvalues"]]
+    if fmt == "csv":
+        return ["eigenvalue,multiplicity", *(f"{lam!r},{m}" for lam, m in pairs)]
+    return _multiplicity_lines(pairs)
 
 
 def _cmd_spectrum_char_table(args) -> int:
@@ -218,22 +224,9 @@ def _cmd_spectrum_char_table(args) -> int:
         raise UsageError(f"cannot read character table: {exc}") from None
     f_by_class = _parse_int_list(args.class_function, "--class-function")
     pairs = spectra.class_circulant_eigenvalues(table, f_by_class)
-    if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "order": table.order,
-            "eigenvalues": [{"value": lam, "multiplicity": m} for lam, m in pairs],
-        }
-        text = json.dumps(doc, indent=2)
-    elif args.format == "csv":
-        lines = ["eigenvalue,multiplicity"]
-        lines += [f"{lam!r},{m}" for lam, m in pairs]
-        text = "\n".join(lines)
-    else:
-        lines = ["eigenvalue        multiplicity"]
-        lines += [f"{lam:<17.12g} {m}" for lam, m in pairs]
-        text = "\n".join(lines)
-    _emit(text, args.output)
+    doc = {"order": table.order,
+           "eigenvalues": [{"value": lam, "multiplicity": m} for lam, m in pairs]}
+    _write(args, doc, _char_table_lines)
     return 0
 
 
@@ -245,17 +238,11 @@ def _cmd_walk(args) -> int:
     # the amplitudes of walk.evolve and the probabilities of
     # walk.instantaneous_distribution, from one product
     amp, probs = walk._walk(spec, args.start, args.t, amplitudes=args.amplitudes, distribution=True)
-    meta = {"family": g.family, "n": g.n, "start": args.start, "t": args.t}
+    doc = {"family": g.family, "n": g.n, "start": args.start, "t": args.t,
+           "probabilities": [float(p) for p in probs]}
     if args.amplitudes:
-        doc = {
-            "schema": SCHEMA,
-            **meta,
-            "probabilities": [float(p) for p in probs],
-            "amplitudes": [[float(z.real), float(z.imag)] for z in amp],
-        }
-        _emit(json.dumps(doc, indent=2), args.output)
-        return 0
-    _emit(_distribution_text(probs, args.format, meta), args.output)
+        doc["amplitudes"] = [[float(z.real), float(z.imag)] for z in amp]
+    _write(args, doc, _distribution_lines)
     return 0
 
 
@@ -265,17 +252,22 @@ def _cmd_average(args) -> int:
     labels = spectra.degeneracy_labels(spec.eigenvalues, args.tol)
     pbar = walk.average_distribution(spec, args.start, labels=labels)
     summary = spectra.degeneracy_summary(spec.eigenvalues, labels)
-    meta = {
-        "family": g.family,
-        "n": g.n,
-        "start": args.start,
-        "deviation_uniform": mixing.total_variation(pbar, mixing.uniform_target(g.n)),
-        "deviation_classical": mixing.total_variation(pbar, mixing.lazy_stationary(g)),
-        "spectral_gap": summary["spectral_gap"],
-        "type": summary["type"],
-    }
-    _emit(_distribution_text(pbar, args.format, meta), args.output)
+    doc = {"family": g.family, "n": g.n, "start": args.start,
+           "deviation_uniform": mixing.total_variation(pbar, mixing.uniform_target(g.n)),
+           "deviation_classical": mixing.total_variation(pbar, mixing.lazy_stationary(g)),
+           "spectral_gap": summary["spectral_gap"], "type": summary["type"],
+           "probabilities": [float(p) for p in pbar]}
+    _write(args, doc, _distribution_lines)
     return 0
+
+
+def _scan_lines(doc: dict, fmt: str) -> list[str]:
+    minima = [(m["t"], m["deviation"]) for m in doc["minima"]]
+    if fmt == "csv":
+        return ["t,deviation", *(f"{t!r},{dev!r}" for t, dev in minima)]
+    if not minima:
+        return ["no minima below eps"]
+    return [f"{'t':>18}  deviation", *(f"{t:>18.12g}  {dev:.6g}" for t, dev in minima)]
 
 
 def _cmd_scan(args) -> int:
@@ -284,113 +276,59 @@ def _cmd_scan(args) -> int:
         raise UsageError("--eps must not be NaN")
     g = _build_graph(args)
     spec = _spectrum_for(g, args)
-    minima = mixing.instantaneous_mixing_scan(
-        spec, args.start, eps=eps, t_max=args.t_max, grid=args.grid
-    )
-    if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "family": g.family,
-            "n": g.n,
-            "eps": None if math.isinf(eps) else eps,
-            "minima": [{"t": t, "deviation": dev} for t, dev in minima],
-        }
-        text = json.dumps(doc, indent=2)
-    elif args.format == "csv":
-        lines = ["t,deviation"]
-        lines += [f"{t!r},{dev!r}" for t, dev in minima]
-        text = "\n".join(lines)
-    else:
-        lines = [f"{'t':>18}  deviation"]
-        lines += [f"{t:>18.12g}  {dev:.6g}" for t, dev in minima]
-        text = "\n".join(lines) if minima else "no minima below eps"
-    _emit(text, args.output)
+    minima = mixing.instantaneous_mixing_scan(spec, args.start, eps=eps, t_max=args.t_max,
+                                              grid=args.grid)
+    doc = {"family": g.family, "n": g.n, "eps": None if math.isinf(eps) else eps,
+           "minima": [{"t": t, "deviation": dev} for t, dev in minima]}
+    _write(args, doc, _scan_lines)
     return 0
+
+
+def _histogram_lines(doc: dict, fmt: str) -> list[str]:
+    hist = doc["type_histogram"].items()
+    if fmt == "csv":
+        return ["type,count", *(f"{k},{v}" for k, v in hist)]
+    return ["type  count", *(f"{k:>4}  {v}" for k, v in hist)]
+
+
+def _ensemble_lines(doc: dict, fmt: str) -> list[str]:
+    if fmt == "csv":
+        lines = ["key,value"]
+        for k, v in doc.items():
+            if isinstance(v, dict):
+                lines += [f"{k}.{kk},{vv}" for kk, vv in v.items()]
+            else:
+                lines.append(f"{k},{v}")
+        return lines
+    return [
+        f"C({doc['n']}, 1/2) with {doc['trials']} trials, seed {doc['seed']}",
+        f"rejection rate        {doc['rejection_rate']:.4f}",
+        f"mean lambda_0         {doc['mean_lambda0']:.6f} (accepted)"
+        f"  {doc['mean_lambda0_unconditional']:.6f} (all draws)",
+        f"mean lambda_(j!=0)    {doc['mean_lambda_other']:.6f} (accepted)"
+        f"  {doc['mean_lambda_other_unconditional']:.6f} (all draws)",
+        f"type histogram        {doc['type_histogram']}",
+        f"deviation quantiles   {doc['deviation_quantiles']}",
+    ]
 
 
 def _cmd_ensemble(args) -> int:
     if args.exhaustive:
         hist = ensembles.type_spectrum_exhaustive(args.n, tol=args.tol)
-        if args.format == "json":
-            text = json.dumps(
-                {"schema": SCHEMA, "n": args.n, "type_histogram": {str(k): v for k, v in hist.items()}},
-                indent=2,
-            )
-        elif args.format == "csv":
-            lines = ["type,count"] + [f"{k},{v}" for k, v in hist.items()]
-            text = "\n".join(lines)
-        else:
-            lines = ["type  count"] + [f"{k:>4}  {v}" for k, v in hist.items()]
-            text = "\n".join(lines)
-        _emit(text, args.output)
-        return 0
-    stats = ensembles.ensemble_stats(args.n, args.trials, args.seed, tol=args.tol)
-    if args.format == "json":
-        text = ensembles.stats_to_json(stats)
-    elif args.format == "csv":
-        lines = ["key,value"]
-        doc = json.loads(ensembles.stats_to_json(stats))
-        for k, v in doc.items():
-            if isinstance(v, dict):
-                lines += [f"{k}.{kk},{vv}" for kk, vv in v.items()]
-            elif k != "schema":
-                lines.append(f"{k},{v}")
-        text = "\n".join(lines)
+        doc = {"n": args.n, "type_histogram": {str(k): v for k, v in hist.items()}}
+        _write(args, doc, _histogram_lines)
     else:
-        text = "\n".join(
-            [
-                f"C({stats.n}, 1/2) with {stats.trials} trials, seed {stats.seed}",
-                f"rejection rate        {stats.rejection_rate:.4f}",
-                f"mean lambda_0         {stats.mean_lambda0:.6f} (accepted)"
-                f"  {stats.mean_lambda0_unconditional:.6f} (all draws)",
-                f"mean lambda_(j!=0)    {stats.mean_lambda_other:.6f} (accepted)"
-                f"  {stats.mean_lambda_other_unconditional:.6f} (all draws)",
-                f"type histogram        {stats.type_histogram}",
-                f"deviation quantiles   {stats.deviation_quantiles}",
-            ]
-        )
-    _emit(text, args.output)
+        _write(args, asdict(ensembles.ensemble_stats(args.n, args.trials, args.seed, tol=args.tol)),
+               _ensemble_lines)
     return 0
 
 
-def _reports_json(reports) -> str:
-    doc = {
-        "schema": SCHEMA,
-        "reports": [
-            {
-                "descriptor": r.descriptor,
-                **(
-                    {"deviation_uniform": r.deviation_uniform}
-                    if r.deviation_uniform is not None
-                    else {}
-                ),
-                **(
-                    {"instantaneous_times": [[t, d] for t, d in r.instantaneous_times]}
-                    if r.instantaneous_times
-                    else {}
-                ),
-                "flags": r.flags,
-            }
-            for r in reports
-        ],
-        "discrepancies": mixing.collect_discrepancies(reports),
-    }
-    return json.dumps(doc, indent=2, default=str)
-
-
-def _reports_table(reports) -> str:
-    lines = []
-    for r in reports:
-        for name, flag in r.flags.items():
-            status = flag["status"].upper()
-            measured = flag.get("measured", "")
-            lines.append(f"{status:<12} {r.descriptor:<36} {name:<34} {measured}")
-    discrepancies = mixing.collect_discrepancies(reports)
-    lines.append("")
-    lines.append(f"{len(discrepancies)} recorded discrepancies")
-    for d in discrepancies:
-        lines.append(f"  - {d}")
-    return "\n".join(lines)
+def _verify_lines(doc: dict, fmt: str) -> list[str]:
+    discrepancies = doc["discrepancies"]
+    return [*(f"{flag['status'].upper():<12} {r['descriptor']:<36} {name:<34} "
+              f"{flag.get('measured', '')}"
+              for r in doc["reports"] for name, flag in r["flags"].items()),
+            "", f"{len(discrepancies)} recorded discrepancies", *(f"  - {d}" for d in discrepancies)]
 
 
 def _cmd_verify(args) -> int:
@@ -400,8 +338,21 @@ def _cmd_verify(args) -> int:
     cfg = mixing.VerifyConfig(checks=checks, max_n=args.max_n, seed=args.seed,
                               ensemble_trials=args.trials)
     reports = mixing.verify_all(cfg)
-    text = _reports_json(reports) if args.format == "json" else _reports_table(reports)
-    _emit(text, args.output)
+    doc = {
+        "reports": [
+            {
+                "descriptor": r.descriptor,
+                **({"deviation_uniform": r.deviation_uniform}
+                   if r.deviation_uniform is not None else {}),
+                **({"instantaneous_times": [[t, d] for t, d in r.instantaneous_times]}
+                   if r.instantaneous_times else {}),
+                "flags": r.flags,
+            }
+            for r in reports
+        ],
+        "discrepancies": mixing.collect_discrepancies(reports),
+    }
+    _write(args, doc, _verify_lines)
     return 2 if mixing.has_failures(reports) else 0
 
 

@@ -43,13 +43,12 @@ over accepted samples (conditioned on connectivity) and over all draws
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import SCHEMA, AbelianGroupSpec, Symbol, generates
+from .graphs import AbelianGroupSpec, Symbol, generates
 from .spectra import (
     BLOCK_ENTRIES,
     DEGENERACY_TOL,
@@ -621,7 +620,3 @@ def exhaustive_expectations(n: int) -> dict[str, float]:
         "mean_lambda0_connected": _exact_moments(lam0, accepted)[0],
         "mean_lambda_other_connected": _exact_moments(other, accepted)[0],
     }
-
-
-def stats_to_json(stats: EnsembleStats) -> str:
-    return json.dumps({"schema": SCHEMA, **asdict(stats)}, indent=2)

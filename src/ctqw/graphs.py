@@ -487,25 +487,37 @@ def from_adjacency(matrix, family: str = "custom", labels: list[str] | None = No
     return Graph(np.array(matrix), family=family, labels=labels).validate()
 
 
+def to_json(doc: dict) -> str:
+    """The one `ctqw/1` serializer: "schema", then the entries of `doc`,
+    indented by two.  JSON has no NaN or infinity: one anywhere in `doc`
+    raises FloatingPointError."""
+    try:
+        return json.dumps({"schema": SCHEMA, **doc}, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"a NaN or infinity reached the output ({exc})") from None
+
+
 def graph_to_json(g: Graph) -> str:
     """Serialize with bitstring rows; symbol/base metadata is kept so that a
     re-ingested graph routes to the same closed-form spectrum."""
+    return to_json(graph_document(g))
+
+
+def graph_document(g: Graph) -> dict:
+    """The document `graph_to_json` serializes; a bunkbed's base is a graph
+    document of its own, schema included."""
     n = g.n
     text = (g.adjacency + ord("0")).tobytes().decode("ascii")  # the reverse of the parser
-    doc: dict = {
-        "schema": SCHEMA,
-        "n": n,
-        "family": g.family,
-        "adjacency_rows": [text[i : i + n] for i in range(0, n * n, n)],
-    }
+    doc: dict = {"n": n, "family": g.family,
+                 "adjacency_rows": [text[i : i + n] for i in range(0, n * n, n)]}
     if g.labels is not None:
         doc["labels"] = g.labels
     if g.symbol is not None:
         doc["group_factors"] = list(g.symbol.group.factors)
         doc["symbol_support"] = [int(x) for x in g.symbol.support]
     if g.base is not None:
-        doc["base"] = json.loads(graph_to_json(g.base))
-    return json.dumps(doc, indent=2)
+        doc["base"] = {"schema": SCHEMA, **graph_document(g.base)}
+    return doc
 
 
 def graph_from_json(text: str) -> Graph:

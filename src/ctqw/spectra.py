@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import SCHEMA, AbelianGroupSpec, Graph, GraphValidationError, Symbol, exact_integers
+from .graphs import AbelianGroupSpec, Graph, GraphValidationError, Symbol, exact_integers
 
 DEGENERACY_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
@@ -850,25 +850,3 @@ def _check_eigensystems(
         resid = adjacency.astype(np.float64) @ z - z * eigenvalues[:, None, :]
         if not np.max(np.abs(resid)) <= RESIDUAL_TOL:
             raise RuntimeError("eigen-residual exceeds 1e-9")
-
-
-def spectrum_to_json(
-    spec: Spectrum,
-    tol: float = DEGENERACY_TOL,
-    include_eigenvectors: bool = False,
-    extra: dict | None = None,
-) -> str:
-    doc: dict = {
-        "schema": SCHEMA,
-        "n": spec.n,
-        "eigenvalues": [float(x) for x in spec.eigenvalues],
-        **_summary(spec, tol),
-    }
-    if include_eigenvectors:
-        doc["eigenvectors"] = [
-            [[float(z.real), float(z.imag)] for z in spec.eigenvectors[:, j]]
-            for j in range(spec.n)
-        ]
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc, indent=2)

@@ -164,6 +164,29 @@ def test_output_is_atomic_no_tmp_left(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys, target):
+    # used to end in a FileNotFoundError or IsADirectoryError traceback
+    path = tmp_path / "no_such_dir" / "x.json" if target == "missing" else tmp_path
+    code, out, err = run_cli(capsys, "build", "--family", "cycle", "--n", "5", "-o", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"usage error: cannot write output {path}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # no .tmp file left behind
+
+
+def test_a_non_finite_value_is_a_computational_failure(tmp_path, capsys, monkeypatch):
+    # used to print "deviation_uniform": NaN, which is not JSON, and exit 0
+    from ctqw import mixing
+
+    monkeypatch.setattr(mixing, "total_variation", lambda p, q: math.nan)
+    out_file = tmp_path / "out.json"
+    for output in ([], ["-o", str(out_file)]):
+        code, out, err = run_cli(capsys, "average", "--family", "cycle", "--n", "5", *output)
+        assert code == 2 and out == ""
+        assert err.startswith("computational failure: a NaN or infinity reached the output")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_walk_csv_and_amplitudes(capsys):
     code, out, _ = run_cli(capsys, "walk", "--family", "complete", "--n", "2",
                            "--t", "0.5", "--format", "csv")
@@ -506,8 +529,10 @@ def test_spectrum_never_builds_eigenvectors_it_does_not_print(capsys, monkeypatc
     monkeypatch.setattr(spectra, "character_phases", refuse)
     with pytest.raises(RuntimeError, match="eigenvector table built"):
         spectra.graph_eigensystem(graphs.build_hypercube(8)).eigenvectors
+    # --eigenvectors adds them to the JSON document only
+    eigenvectors = [] if fmt == "json" else ["--eigenvectors"]
     code, out, err = run_cli(capsys, "spectrum", "--family", "hypercube", "--d", "8",
-                             "--format", fmt)
+                             "--format", fmt, *eigenvectors)
     assert code == 0 and err == ""
     if fmt == "table":
         assert "type: 9" in out
@@ -720,9 +745,10 @@ def test_dense_routes_over_the_budget_exit_1(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--family", "cycle", "--n", "12"],
     ["spectrum", "--family", "cycle", "--n", "12", "--format", "table"],
+    ["spectrum", "--family", "cycle", "--n", "12", "--format", "csv"],
     ["average", "--family", "cycle", "--n", "12"],
     ["average", "--family", "hypercube", "--d", "4", "--format", "table"],
-], ids=["spectrum-json", "spectrum-table", "average-json", "average-table"])
+], ids=["spectrum-json", "spectrum-table", "spectrum-csv", "average-json", "average-table"])
 def test_each_command_cuts_the_degeneracy_labels_once(capsys, monkeypatch, argv):
     from ctqw import graphs, spectra, walk
 

@@ -18,7 +18,6 @@ from ctqw.ensembles import (
     ensemble_stats,
     exhaustive_expectations,
     random_circulants,
-    stats_to_json,
     type_spectrum_exhaustive,
 )
 from ctqw.spectra import (
@@ -30,6 +29,7 @@ from ctqw.spectra import (
     circulant_eigenvalues,
 )
 from ctqw.walk import average_distribution
+from tests.golden import render
 
 DATA = Path(__file__).parent / "data"
 
@@ -321,8 +321,7 @@ def test_mc_frequencies_match_exhaustive_small_n():
 def test_stats_json():
     import json
 
-    stats = ensemble_stats(5, 50, seed=2)
-    doc = json.loads(stats_to_json(stats))
+    doc = json.loads(render(["ensemble", "--n", "5", "--trials", "50", "--seed", "2"]))
     assert doc["schema"] == "ctqw/1"
     assert doc["n"] == 5 and doc["trials"] == 50
     assert "type_histogram" in doc and "deviation_quantiles" in doc
@@ -597,8 +596,10 @@ def test_an_accepted_symbol_asymmetric_below_tol_raises(monkeypatch):
 def test_ensemble_json_is_pinned(n, trials, seed):
     # the n=7 file was regenerated when moments became exact sums rounded once
     # (var_lambda_other moved in its last bit); holds on every numpy the CI runs
-    pinned = (DATA / f"ensemble_n{n}_trials{trials}_seed{seed}.json").read_text()
-    assert stats_to_json(ensemble_stats(n, trials, seed)) == pinned
+    # the CLI writes the pinned document and one newline
+    pinned = (DATA / f"ensemble_n{n}_trials{trials}_seed{seed}.json").read_bytes()
+    argv = ["ensemble", "--n", str(n), "--trials", str(trials), "--seed", str(seed)]
+    assert render(argv) == pinned + b"\n"
 
 
 # The run table's reductions against numpy on the repeated values.

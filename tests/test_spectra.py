@@ -24,6 +24,7 @@ from ctqw.spectra import (
     spectrum_type,
 )
 from tests.conftest import full_table_character_projections, negate_index
+from tests.golden import render
 
 SQRT2 = math.sqrt(2.0)
 # Stacked kernel vs the scalar reference: sorted eigenvalues agree to
@@ -716,14 +717,14 @@ def test_sorting_is_descending_with_stable_ties():
 def test_spectrum_json():
     import json
 
-    spec = graph_eigensystem(graphs.build_cycle(4))
-    doc = json.loads(spectra.spectrum_to_json(spec))
+    argv = ["spectrum", "--family", "cycle", "--n", "4"]
+    doc = json.loads(render(argv))
     assert doc["schema"] == "ctqw/1"
     assert doc["eigenvalues"][0] == 2.0
     assert doc["spectral_gap"] == 0.0
     assert doc["type"] == 3
     assert "eigenvectors" not in doc
-    doc2 = json.loads(spectra.spectrum_to_json(spec, include_eigenvectors=True))
+    doc2 = json.loads(render([*argv, "--eigenvectors"]))
     assert len(doc2["eigenvectors"]) == 4
 
 
