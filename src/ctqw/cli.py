@@ -2,7 +2,8 @@
 mixing times, run ensembles, and verify the mixing statements.
 
 Exit codes: 0 success (recorded discrepancies included), 1 usage error,
-2 computational failure.  Output files are written atomically.
+2 computational failure.  Output files are written atomically, with the
+mode a shell redirect would give them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict
 
 import numpy as np
@@ -144,23 +144,26 @@ def _spectrum_for(g: Graph, args) -> spectra.Spectrum:
 
 def _write(args, doc: dict, lines=None) -> None:
     """The one writer: a command's document as `ctqw/1` JSON, or as the CSV
-    or table lines that `lines(doc, format)` reads from it, printed or written
-    atomically to --output.  An output that cannot be written is a usage
-    error, and leaves no temporary file behind."""
-    text = graphs.to_json(doc) if args.format == "json" else "\n".join(lines(doc, args.format))
+    or table lines that `lines(doc, format)` reads from it, refused in every
+    format if it holds a NaN or infinity, printed or written atomically to
+    --output as a new file under the umask.  An output that cannot be written
+    is a usage error, and leaves no temporary file behind."""
+    # JSON refuses NaN and infinity; CSV and tables take an unindented pass, on the C encoder
+    text = graphs.to_json(doc, indent=2 if args.format == "json" else None)
+    if args.format != "json":
+        text = "\n".join(lines(doc, args.format))
     if args.output is None:
         print(text)
         return
-    tmp = None
+    tmp = f"{os.path.abspath(args.output)}.{os.urandom(8).hex()}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(args.output)), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with open(tmp, "x", encoding="utf-8") as fh:  # a new file, its mode set by the umask
             fh.write(text + "\n")
         os.replace(tmp, args.output)
     except OSError as exc:
         raise UsageError(f"cannot write output {args.output}: {exc.strerror or exc}") from None
     finally:
-        if tmp is not None and os.path.exists(tmp):  # the write failed before its rename
+        if os.path.exists(tmp):  # the write failed before its rename
             os.unlink(tmp)
 
 

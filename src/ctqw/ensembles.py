@@ -21,9 +21,9 @@ of table rows, each table of a block at most BLOCK_ENTRIES entries.  The
 table has at most min(draws, 2**floor(n/2)) rows: it stops growing with the
 trial count once the draws repeat symbols, and when 2**floor(n/2) is far
 above the draw count nearly every draw is a new row.
-Spectra run once per distinct symbol, and every connected one must give
-lambda_a and lambda_{n-a} the same bits; degeneracy classes are cut on the
-characters 0..n//2 alone.  Types and averages run once per distinct
+Spectra run once per distinct symbol, and every connected one is cut into
+degeneracy classes by `spectra._row_classes`, which checks its lambda_a and
+lambda_{n-a} for the same bits.  Types and averages run once per distinct
 partition of the characters into classes, with loops in a fixed order (no
 BLAS).  The partitions repeat far more often than the symbols: the 4000
 connected symbols of a 20000-trial run at n = 24 fall into about 200
@@ -412,17 +412,13 @@ def _symbol_stats(packed: np.ndarray, draws: np.ndarray, n: int, tol: float):
     Connectivity is a function of the symbol, so every draw of a connected
     row was accepted and none of another.  Types and deviations are computed
     for connected rows only, once per distinct class partition of the run
-    (`_PartitionTable`), and are 0 on the others.  A symmetric symbol's
-    lambda_a and lambda_{n-a} are the same bits (`circulant_eigenvalues`),
-    which every connected row must show; its degeneracy cut then runs on the
-    representatives a = 0..n//2 and each character takes its
-    representative's label.  Every row's arithmetic is independent of the
+    (`_PartitionTable`), and are 0 on the others; the cut
+    (`spectra._row_classes`) refuses a connected row whose lambda_a and
+    lambda_{n-a} differ.  Every row's arithmetic is independent of the
     rows sharing its block, so results do not depend on how rows are grouped.
     """
     group, reps = AbelianGroupSpec((n,)), np.arange(1, n // 2 + 1)  # as in `_draw_rounds`
     _, phase = character_phases(group)
-    half = n // 2 + 1
-    mirror = np.minimum(np.arange(n), n - np.arange(n))  # the representative of +-a
     size = len(packed)
     connected, lam0, other = np.empty(size, dtype=bool), np.empty(size), np.empty(size)
     types, deviations = np.zeros(size, dtype=np.int64), np.zeros(size)
@@ -431,14 +427,11 @@ def _symbol_stats(packed: np.ndarray, draws: np.ndarray, n: int, tol: float):
     for start in range(0, size, step):
         rows = slice(start, start + step)
         bits = np.unpackbits(packed[rows], axis=1, count=n // 2).astype(bool)
-        lams = circulant_eigenvalues(_symbol_values(bits, n), phase, n)
+        lams = circulant_eigenvalues(group, _symbol_values(bits, n))
         lam0[rows], other[rows] = lams[:, 0], lams[:, 1:].mean(axis=1)
         connected[rows] = ok = generates(group, bits, reps)
-        # lambda_a for a = n//2+1..n-1 against lambda_{n-a}
-        asymmetric = (lams[:, half:] != lams[:, n - half : 0 : -1]).any(axis=1)
-        if (ok & asymmetric).any():
-            raise RuntimeError("sampled circulant with nonzero spectral gap")
-        labels = np.take(_row_classes(lams[ok, :half], tol)[0], mirror, axis=1)
+        lams = lams[ok]  # the cut reads connected rows; the block's others are freed first
+        labels = _row_classes(group, lams, tol)[0]
         kept = start + np.flatnonzero(ok)
         types[kept], deviations[kept] = partitions.stats(labels, phase)
     return draws * connected, lam0, other, types, deviations

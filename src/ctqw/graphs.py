@@ -487,14 +487,14 @@ def from_adjacency(matrix, family: str = "custom", labels: list[str] | None = No
     return Graph(np.array(matrix), family=family, labels=labels).validate()
 
 
-def to_json(doc: dict) -> str:
+def to_json(doc: dict, indent: int | None = 2) -> str:
     """The one `ctqw/1` serializer: "schema", then the entries of `doc`,
-    indented by two.  JSON has no NaN or infinity: one anywhere in `doc`
-    raises FloatingPointError."""
+    indented by `indent` (None: on one line, by json's C encoder).  JSON has
+    no NaN or infinity: one anywhere in `doc` raises FloatingPointError."""
     try:
-        return json.dumps({"schema": SCHEMA, **doc}, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise FloatingPointError(f"a NaN or infinity reached the output ({exc})") from None
+        return json.dumps({"schema": SCHEMA, **doc}, indent=indent, allow_nan=False)
+    except ValueError:
+        raise FloatingPointError("a NaN or infinity reached the output") from None
 
 
 def graph_to_json(g: Graph) -> str:

@@ -395,8 +395,7 @@ def _gap_rows(cfg: VerifyConfig) -> list[_GapBatch]:
     for n in range(3, cfg.cap(12) + 1):
         group = graphs.AbelianGroupSpec((n,))
         rows = np.array([s.values for s in ensembles.random_circulants(n, GAP_SYMBOLS, cfg.seed)])
-        L, phase = spectra.character_phases(group)
-        batches.append((group, rows, spectra.circulant_eigenvalues(rows, phase, L)))
+        batches.append((group, rows, spectra.circulant_eigenvalues(group, rows)))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 2))))
     return batches + [_cube_rows(d, GAP_SYMBOLS, rng) for d in range(2, cfg.dim_cap(4) + 1)]
 
@@ -413,14 +412,13 @@ def _cube_rows(d: int, count: int, rng: np.random.Generator) -> _GapBatch:
         values = np.zeros((count - len(rows), group.order), dtype=bool)
         values[:, 1:] = rng.integers(0, 2, size=(len(values), group.order - 1))
         rows = np.concatenate([rows, values[graphs.generates(group, values)]])
-    L, phase = spectra.character_phases(group)
-    return group, rows, spectra.circulant_eigenvalues(rows, phase, L)
+    return group, rows, spectra.circulant_eigenvalues(group, rows)
 
 
 def _check_abelian_spectral_gap(cfg: VerifyConfig) -> list[MixingReport]:
     batches = _gap_rows(cfg)
-    failures = sum(int(spectra._row_classes(lams, spectra.DEGENERACY_TOL)[1].sum())
-                   for _, _, lams in batches)
+    failures = sum(int(spectra._row_classes(group, lams, spectra.DEGENERACY_TOL)[1].sum())
+                   for group, _, lams in batches)
     dense = spectra.dense_eigensystems([
         graphs.build_abelian_circulant(graphs.Symbol._proven(group, row))
         for group, rows, _ in batches for row in rows])

@@ -34,6 +34,7 @@ from .graphs import AbelianGroupSpec, Graph, GraphValidationError, Symbol, exact
 DEGENERACY_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
+IMAG_RESIDUE_TOL = 1e-10
 # Closed-form walks build their n-wide tables (class projection phases, scan
 # amplitudes) in blocks of at most this many entries: 1 MiB of float64.
 BLOCK_ENTRIES = 2**17
@@ -69,7 +70,7 @@ class Spectrum:
     result is kept, so callers that need only eigenvalues never build them.
     On a G-circulant `characters` is (group, a): eigenvalue j belongs to the
     character chi_{a[j]}, so class projections need no eigenvectors
-    (`character_projections`); it is None on every other route.
+    (`class_projections`); it is None on every other route.
     """
 
     def __init__(self, eigenvalues, eigenvectors, characters=None):
@@ -96,22 +97,40 @@ class Spectrum:
         vectors = self._eigenvectors if self._build is None else (lambda: self.eigenvectors)
         return Spectrum(self.eigenvalues * factor, vectors, self.characters)
 
-    def character_projections(self, start: int, starts: np.ndarray) -> np.ndarray:
-        """Rows E_r e_start, shape (r, n), of the classes of consecutive
-        eigenvalues that begin at `starts`, from the characters alone:
+    def class_projections(self, start: int, labels: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Rows E_r e_start, shape (r, n), of the eigenvalue classes `labels`,
+        which begin at `starts`; real, as a class not closed under conjugation
+        raises.  By default they are the eigenvector product, refused over an
+        imaginary residue of IMAG_RESIDUE_TOL.  On a G-circulant every class
+        must hold -a with a, checked exactly on the labels, and the rows come
+        from the characters alone:
 
             E_r(l, s) = n^-1 sum_{a in class r} Re root_L[phase(l - s, a)]
 
-        Every class must be closed under a -> -a (the caller checks), which
-        makes E_r real.  The sum runs in eigenvalue order over the
-        conjugate-symmetric root table, so columns whose offsets l - s are
-        negatives of each other come out bitwise equal.  The phase table is
-        built in blocks of vertex rows, at most BLOCK_ENTRIES entries each,
-        reduced mod L in place and read from the L roots, and each block is
-        reduced into its rows of the result; the phases are exact integers,
-        so the blocking changes no bit.
-        """
+        The sum runs in eigenvalue order over the conjugate-symmetric root
+        table, so columns whose offsets l - s are negatives of each other
+        come out bitwise equal.  The phase table is built in blocks of
+        vertex rows, at most BLOCK_ENTRIES entries each, reduced mod L and
+        read from the L roots, and each block is reduced into its rows of
+        the result; the phases are exact integers, so the blocking changes
+        no bit."""
+        if self.characters is None:
+            z = self.eigenvectors
+            full = np.add.reduceat(z * z[start].conj(), starts, axis=1).T
+            residue = np.max(np.abs(full.imag))
+            if not (residue <= IMAG_RESIDUE_TOL):
+                raise RuntimeError(
+                    f"class projections have imaginary residue {residue:.3e} > {IMAG_RESIDUE_TOL:g};"
+                    " an eigenvalue class is not closed under conjugation")
+            return full.real
         group, chars = self.characters
+        by_char = np.empty_like(labels)
+        by_char[chars] = labels  # the class of each character
+        split = np.flatnonzero(by_char != by_char[group.negation])
+        if split.size:
+            c = split[0]
+            raise RuntimeError(f"character {c} and its conjugate {group.negation[c]} lie in different"
+                               " classes; an eigenvalue class is not closed under conjugation")
         coords = group.coordinates()
         offsets = (coords - coords[start]) % np.array(group.factors)  # coordinates of l - start
         L, x, a = _phase_factors(group, offsets, coords[chars])
@@ -120,14 +139,7 @@ class Spectrum:
         rows = max(1, BLOCK_ENTRIES // self.n)
         for lo in range(0, self.n, rows):
             raw = x[lo : lo + rows] @ a
-            index = raw.astype(np.intp)
-            # index mod L, in place and exactly: raw / L rounds below the next
-            # integer while raw + L < 2^53
-            raw /= L
-            np.floor(raw, out=raw)
-            raw *= L
-            np.subtract(index, raw, out=index, casting="unsafe")
-            cos.take(index, out=raw, mode="clip")  # in range: unbuffered
+            cos.take(_mod(raw, L), out=raw, mode="clip")  # in range: unbuffered
             np.add.reduceat(raw, starts, axis=1, out=proj[lo : lo + rows])
         proj /= self.n
         return proj.T
@@ -241,15 +253,21 @@ def character_phases(group: AbelianGroupSpec) -> tuple[int, np.ndarray]:
 
     Together with `_roots_of_unity(L)` this is the character table of the group.
     """
-    return _phase_rows(group, slice(None))
-
-
-def _phase_rows(group: AbelianGroupSpec, rows) -> tuple[int, np.ndarray]:
-    """(L, phase[rows]): the rows of the `character_phases` table at elements `rows`."""
     coords = group.coordinates()
-    L, x, a = _phase_factors(group, coords[rows], coords)
-    raw = x @ a
-    return L, np.fmod(raw, L, out=raw).astype(np.int64)  # raw >= 0: fmod is the remainder
+    L, x, a = _phase_factors(group, coords, coords)
+    return L, _mod(x @ a, L)
+
+
+def _mod(raw: np.ndarray, L: int) -> np.ndarray:
+    """raw mod L as integers, for phases `raw` from the product of
+    `_phase_factors`, which it overwrites: exact, as raw / L rounds below the
+    next integer while raw + L < 2^53 (np.fmod takes about ten times as long)."""
+    index = raw.astype(np.intp)
+    raw /= L
+    np.floor(raw, out=raw)
+    raw *= L
+    np.subtract(index, raw, out=index, casting="unsafe")
+    return index
 
 
 def _phase_factors(
@@ -267,40 +285,39 @@ def _phase_factors(
     return L, (x * weights).astype(np.float64), a.T.astype(np.float64)
 
 
-def circulant_eigenvalues(values: np.ndarray, phase: np.ndarray, L: int) -> np.ndarray:
-    """lambda_a = sum_{x in S} Re root_L[phase[x, a]] for each row of symbol values.
+def circulant_eigenvalues(group: AbelianGroupSpec, values: np.ndarray) -> np.ndarray:
+    """lambda_a = sum_{x in S} Re chi_a(x) for each row of 0/1 symbol values
+    on `group`, in character order.
 
-    Rows are 0/1 symbol values, one column per row of `phase` (the group, or
-    only the support); x runs in increasing order, so a symmetric symbol
-    gives lambda_a == lambda_{-a} bitwise.  Each column is added in place to
-    the rows that hold x only: adding the +-0.0 of a row without x would
-    change no bit, as a sum that starts at +0.0 is never -0.0.
+    Only the phase rows of the elements some row holds are formed.  x runs
+    in increasing order, so a symmetric symbol gives lambda_a == lambda_{-a}
+    bitwise.  Each phase row is added in place to the rows that hold x only:
+    adding the +-0.0 of a row without x would change no bit, as a sum that
+    starts at +0.0 is never -0.0.
     """
+    held = np.flatnonzero(values.any(axis=0))
+    coords = group.coordinates()
+    L, xw, aw = _phase_factors(group, coords[held], coords)
     cos = _roots_of_unity(L).real
-    lams = np.zeros((len(values), phase.shape[1]))
-    for x in np.flatnonzero(values.any(axis=0)):
-        np.add(lams, cos[phase[x]], out=lams, where=values[:, x, None])
+    lams = np.zeros((len(values), group.order))
+    for x, row in zip(held, _mod(xw @ aw, L)):
+        np.add(lams, cos[row], out=lams, where=values[:, x, None])
     return lams
 
 
 def abelian_circulant_eigensystem(sym: Symbol) -> Spectrum:
-    """Closed-form eigensystem of the circulant defined by `sym`.
-
-    Eigenvalue for character a: sum over the symbol support of Re chi_a(x),
-    read from the |S| support rows of the phase table.  Eigenvector entries
-    chi_a(x) / sqrt(|G|) need the whole n x n table and are built on first read.
-    """
-    group = sym.group
-    support = np.flatnonzero(sym.values)
-    L, support_phase = _phase_rows(group, support)
-    eigenvalues = circulant_eigenvalues(sym.values[None, support], support_phase, L)[0]
+    """Closed-form eigensystem of the circulant defined by `sym`: eigenvalues
+    from the |S| support rows of the phase table (`circulant_eigenvalues`);
+    eigenvector entries chi_a(x) / sqrt(|G|) need the whole n x n table and
+    are built on first read."""
+    eigenvalues = circulant_eigenvalues(sym.group, sym.values[None])[0]
     order = _descending(eigenvalues)
 
     def eigenvectors() -> np.ndarray:
-        phase = character_phases(group)[1][:, order]  # column j holds chi_{order[j]}
-        return (_roots_of_unity(L) / math.sqrt(group.order))[phase]
+        L, phase = character_phases(sym.group)  # column j below holds chi_{order[j]}
+        return (_roots_of_unity(L) / math.sqrt(sym.group.order))[phase[:, order]]
 
-    return Spectrum(eigenvalues[order], eigenvectors, (group, order))
+    return Spectrum(eigenvalues[order], eigenvectors, (sym.group, order))
 
 
 def class_circulant_eigenvalues(
@@ -775,17 +792,28 @@ def degeneracy_labels(desc: np.ndarray, tol: float) -> np.ndarray:
     return labels
 
 
-def _row_classes(lams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The degeneracy cut of rows of eigenvalues in character order (batches
-    of circulant symbols): each row's class labels, numbered in descending
-    order and put back in the row's order, and whether the row's gap is
-    nonzero, every class a single eigenvalue.  Each row is sorted stably and
-    cut by `degeneracy_labels`."""
-    order = np.argsort(-lams, axis=1, kind="stable")
-    cut = degeneracy_labels(np.take_along_axis(lams, order, axis=1), tol)
+def _row_classes(group: AbelianGroupSpec, lams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The degeneracy cut of rows of circulant eigenvalues on `group` in
+    character order (`circulant_eigenvalues`): each row's class labels,
+    numbered in descending order, and whether its gap is nonzero (every
+    class a single eigenvalue).  A row must show lambda_a == lambda_{-a} bit
+    for bit, as a symmetric symbol's does, or it raises; it is then cut
+    (`degeneracy_labels`, sorted stably) on the smaller of each pair {a, -a}
+    alone, which moves no gap across tol, and -a takes a's label."""
+    a, neg = np.arange(group.order), group.negation
+    reps = a <= neg
+    split = np.flatnonzero((lams[:, ~reps] != lams[:, neg[~reps]]).any(axis=0))
+    if split.size:
+        x = a[~reps][split[0]]
+        raise RuntimeError(f"lambda_{neg[x]} != lambda_{x} on a symmetric symbol of"
+                           f" {group.factors}: a circulant with nonzero spectral gap")
+    # lams[:, reps] is formed twice, so that no copy of it outlives the sort
+    order = _descending(lams[:, reps])
+    cut = degeneracy_labels(np.take_along_axis(lams[:, reps], order, axis=1), tol)
     labels = np.empty_like(cut)
     np.put_along_axis(labels, order, cut, axis=1)
-    return labels, cut[:, -1] == lams.shape[1] - 1
+    column = (np.cumsum(reps) - 1)[np.minimum(a, neg)]  # the column of each character's pair
+    return np.take(labels, column, axis=1), cut[:, -1] == group.order - 1
 
 
 def degeneracy_summary(desc: np.ndarray, labels: np.ndarray) -> dict:

@@ -6,10 +6,10 @@ continuous quantum walks", JCTA 120, 2013).  Evolution and the limiting
 average from a start vertex s read one real r x n matrix whose columns are
 (E_r e_s)(l) over the classes r (`class_projections`): amplitudes are
 sum_r e^{-i theta_r t} E_r e_s, and the limiting average is sum_r (E_r e_s)^2.
-On a G-circulant the matrix comes from the characters in closed form, with no
-eigenvectors.  Vertices with bitwise-equal columns (an equitable partition:
-the Hamming weights on Q_d, the pairs {s + x, s - x} on a circulant) are
-evaluated once, and full vectors are gathered back only where one is output.
+Each spectral route supplies it (`Spectrum.class_projections`).  Vertices
+with bitwise-equal columns (an equitable partition: the Hamming weights on
+Q_d, the pairs {s + x, s - x} on a circulant) are evaluated once, and full
+vectors are gathered back only where one is output.
 Every phase comes from one complex table e^{-i theta t} with one column per
 time (`phase_table`).  Walks and scans form amplitudes in one place, one real
 product of that table with the columns (`class_amplitudes`), and square them
@@ -34,7 +34,6 @@ from .spectra import (
 
 UNIT_NORM_TOL = 1e-10
 DISTRIBUTION_SUM_TOL = 1e-10
-IMAG_RESIDUE_TOL = 1e-10
 
 
 def as_distribution(raw: np.ndarray) -> np.ndarray:
@@ -83,10 +82,8 @@ def class_projections(spec: Spectrum, start: int, labels: np.ndarray) -> ClassPr
 
     `labels` numbers the classes of the descending eigenvalues from 0 in
     order, as `exact_labels` and `spectra.degeneracy_labels` do.  E_r is real
-    for a real symmetric A.  On a G-circulant it is formed from the
-    characters, and every class must be closed under a -> -a; elsewhere it is
-    the eigenvector product, and an imaginary residue above IMAG_RESIDUE_TOL
-    raises.
+    for a real symmetric A; `Spectrum.class_projections` forms it by the
+    spectrum's route and raises on a class not closed under conjugation.
     """
     if not 0 <= start < spec.n:
         raise ValueError(f"start vertex {start} out of range [0, {spec.n})")
@@ -94,27 +91,7 @@ def class_projections(spec: Spectrum, start: int, labels: np.ndarray) -> ClassPr
     if np.shape(labels) != (spec.n,) or not ((steps == 0) | (steps == 1)).all():
         raise ValueError("labels must number the classes of the sorted eigenvalues from 0, in order")
     starts = np.flatnonzero(steps)
-    if spec.characters is not None:
-        group, chars = spec.characters
-        slot = np.empty_like(chars)
-        slot[chars] = np.arange(spec.n)  # the eigenvalue position of each character
-        split = np.flatnonzero(labels[slot[group.negation[chars]]] != labels)
-        if split.size:
-            a = int(chars[split[0]])
-            raise RuntimeError(
-                f"character {a} and its conjugate {int(group.negation[a])} lie in different"
-                " classes; an eigenvalue class is not closed under conjugation")
-        proj = spec.character_projections(start, starts)
-    else:
-        z = spec.eigenvectors
-        full = np.add.reduceat(z * z[start].conj(), starts, axis=1).T
-        residue = np.max(np.abs(full.imag))
-        if not (residue <= IMAG_RESIDUE_TOL):
-            raise RuntimeError(
-                f"class projections have imaginary residue {residue:.3e} > {IMAG_RESIDUE_TOL:g};"
-                " an eigenvalue class is not closed under conjugation"
-            )
-        proj = full.real
+    proj = spec.class_projections(start, labels, starts)
     # one key per vertex: the bytes of its column
     rows = np.ascontiguousarray(proj.T)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()

@@ -86,7 +86,7 @@ def bunkbed_layer_equality(base, tol=spectra.DEGENERACY_TOL):
 
 
 def full_table_character_projections(spec, start, starts):
-    """`Spectrum.character_projections` from the whole n x n character table
+    """`Spectrum.class_projections` on a circulant, from the whole n x n character table
     at once, the reference its row blocks are checked against."""
     group, chars = spec.characters
     L, phase = spectra.character_phases(group)

@@ -187,6 +187,57 @@ def test_a_non_finite_value_is_a_computational_failure(tmp_path, capsys, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_a_non_finite_value_is_refused_in_csv_and_table(tmp_path, capsys, monkeypatch, fmt, value):
+    # used to print "1.0,nan" (CSV) or "1  nan" (table) and exit 0
+    from ctqw import mixing
+
+    monkeypatch.setattr(mixing, "instantaneous_mixing_scan", lambda *a, **k: [(1.0, value)])
+    out_file = tmp_path / "out.txt"
+    for output in ([], ["-o", str(out_file)]):
+        code, out, err = run_cli(capsys, "scan", "--family", "cycle", "--n", "5",
+                                 "--format", fmt, *output)
+        assert code == 2 and out == ""
+        assert err == "computational failure: a NaN or infinity reached the output\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_and_table_are_checked_without_the_indented_encoder(capsys, monkeypatch):
+    # an indented json.dumps runs the pure-Python encoder, several times slower
+    # than the C one on large documents; only JSON output may use it
+    import json.encoder
+
+    if json.encoder.c_make_encoder is None:
+        pytest.skip("this Python has no C JSON encoder")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    for fmt in ("csv", "table"):
+        code, out, _ = run_cli(capsys, "spectrum", "--family", "hypercube", "--d", "5",
+                               "--format", fmt)
+        assert code == 0 and out
+    with pytest.raises(AssertionError, match="pure-Python"):
+        main(["spectrum", "--family", "hypercube", "--d", "5"])
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_files_follow_the_umask(tmp_path, capsys, umask, mode):
+    # every -o file used to be 0600, the mode of a tempfile.mkstemp file
+    out_file = tmp_path / "ok.json"
+    old = os.umask(umask)
+    try:
+        code, _, _ = run_cli(capsys, "build", "--family", "cycle", "--n", "3", "-o", str(out_file))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert os.stat(out_file).st_mode & 0o777 == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["ok.json"]
+
+
 def test_walk_csv_and_amplitudes(capsys):
     code, out, _ = run_cli(capsys, "walk", "--family", "complete", "--n", "2",
                            "--t", "0.5", "--format", "csv")

@@ -242,9 +242,10 @@ def test_uniform_deviation_equals_the_average_distribution_route():
     # class projections, on the symbols of C(n, 1/2)
     for n in [*range(3, 41), 64, 101, 128]:
         symbols = random_circulants(n, 40, n)
-        _, phase = character_phases(graphs.AbelianGroupSpec((n,)))
-        lams = circulant_eigenvalues(np.array([sym.values for sym in symbols]), phase, n)
-        got = ensembles._uniform_deviation(_row_classes(lams, DEGENERACY_TOL)[0], phase)
+        group = graphs.AbelianGroupSpec((n,))
+        _, phase = character_phases(group)
+        lams = circulant_eigenvalues(group, np.array([sym.values for sym in symbols]))
+        got = ensembles._uniform_deviation(_row_classes(group, lams, DEGENERACY_TOL)[0], phase)
         ref = [total_variation(average_distribution(abelian_circulant_eigensystem(sym), 0),
                                uniform_target(n)) for sym in symbols]
         assert np.max(np.abs(got - ref)) <= 1e-12, n
@@ -477,14 +478,15 @@ def test_trials_beyond_one_word_spawn_key_are_refused(monkeypatch, capsys):
 
 
 def _ref_block_ensemble_stats(n, trials, seed, tol=DEGENERACY_TOL):
-    _, phase = character_phases(graphs.AbelianGroupSpec((n,)))
+    group = graphs.AbelianGroupSpec((n,))
+    _, phase = character_phases(group)
     entropy = np.random.SeedSequence(seed).entropy
     blocks = []
     for start in range(0, trials, BLOCK_SIZE):
         trial_range = range(start, min(start + BLOCK_SIZE, trials))
         bits, accepted = _draws_in_trial_order(n, entropy, trial_range)
-        lams = circulant_eigenvalues(ensembles._symbol_values(bits, n), phase, n)
-        labels = _row_classes(lams[accepted], tol)[0]
+        lams = circulant_eigenvalues(group, ensembles._symbol_values(bits, n))
+        labels = _row_classes(group, lams[accepted], tol)[0]
         blocks.append((lams[:, 0], lams[:, 1:].mean(axis=1), accepted,
                        labels.max(axis=1) + 1, ensembles._uniform_deviation(labels, phase)))
     unc_lam0, unc_other, accepted, types, deviations = (np.concatenate(col) for col in zip(*blocks))
@@ -543,9 +545,9 @@ def test_spectra_run_once_per_distinct_symbol(monkeypatch):
     rows = []
     real = ensembles.circulant_eigenvalues
 
-    def counting(values, phase, L):
+    def counting(group, values):
         rows.append(len(values))
-        return real(values, phase, L)
+        return real(group, values)
 
     monkeypatch.setattr(ensembles, "circulant_eigenvalues", counting)
     stats = ensemble_stats(7, 100_000, seed=3)
@@ -561,9 +563,9 @@ def test_nonzero_gap_on_an_accepted_symbol_raises(monkeypatch, coins, raises):
     real = ensembles.circulant_eigenvalues
     target = ensembles._symbol_values(np.array([coins]), 7)
 
-    def split(values, phase, L):
+    def split(group, values):
         # break lambda_a == lambda_{-a} on the target symbol only
-        lams = real(values, phase, L)
+        lams = real(group, values)
         lams[(values == target).all(axis=1)] += 1e-3 * np.arange(lams.shape[1])
         return lams
 
@@ -581,8 +583,8 @@ def test_an_accepted_symbol_asymmetric_below_tol_raises(monkeypatch):
     real = ensembles.circulant_eigenvalues
     target = ensembles._symbol_values(np.array([[True, False, False]]), 7)
 
-    def nudge(values, phase, L):
-        lams = real(values, phase, L)
+    def nudge(group, values):
+        lams = real(group, values)
         rows = (values == target).all(axis=1)
         lams[rows, -1] = np.nextafter(lams[rows, -1], np.inf)
         return lams
@@ -768,9 +770,10 @@ def _run_labels(n, trials, seed):
     """Class labels of every connected symbol of a run, and the phases."""
     packed, _ = ensembles._draw_table(n, np.random.SeedSequence(seed).entropy, trials)
     bits = np.unpackbits(packed, axis=1, count=n // 2).astype(bool)
-    _, phase = character_phases(graphs.AbelianGroupSpec((n,)))
-    lams = circulant_eigenvalues(ensembles._symbol_values(bits, n), phase, n)
-    return _row_classes(lams[_orbit_generates(bits, n)], DEGENERACY_TOL)[0], phase
+    group = graphs.AbelianGroupSpec((n,))
+    _, phase = character_phases(group)
+    lams = circulant_eigenvalues(group, ensembles._symbol_values(bits, n))
+    return _row_classes(group, lams[_orbit_generates(bits, n)], DEGENERACY_TOL)[0], phase
 
 
 @pytest.mark.parametrize("n,trials,seed", [(40, 50000, 1), (24, 20000, 5), (101, 2000, 3)])
@@ -792,9 +795,10 @@ def _chunk_labels(n, trials, seed):
     """Class labels of the connected symbols of a run's first chunk."""
     packed, _ = ensembles._draw_table(n, np.random.SeedSequence(seed).entropy, trials)
     bits = np.unpackbits(packed[:BLOCK_SIZE], axis=1, count=n // 2).astype(bool)
-    _, phase = character_phases(graphs.AbelianGroupSpec((n,)))
-    lams = circulant_eigenvalues(ensembles._symbol_values(bits, n), phase, n)
-    return _row_classes(lams[_orbit_generates(bits, n)], DEGENERACY_TOL)[0], phase
+    group = graphs.AbelianGroupSpec((n,))
+    _, phase = character_phases(group)
+    lams = circulant_eigenvalues(group, ensembles._symbol_values(bits, n))
+    return _row_classes(group, lams[_orbit_generates(bits, n)], DEGENERACY_TOL)[0], phase
 
 
 @pytest.mark.parametrize("n,trials", [(7, 500), (24, 500), (40, 500), (365, 60)])

@@ -706,14 +706,16 @@ def test_batched_zero_gap_decisions_match_the_per_symbol_gap(seed):
         # reference: each row's full symbol check, closed-form spectrum and gap
         specs = [spectra.abelian_circulant_eigensystem(graphs.Symbol(group, row.copy()))
                  for row in rows]
-        assert spectra._row_classes(lams, spectra.DEGENERACY_TOL)[1].tolist() == [
+        assert spectra._row_classes(group, lams, spectra.DEGENERACY_TOL)[1].tolist() == [
             spectra.spectral_gap(spec) != 0.0 for spec in specs]
         for lam, spec in zip(lams, specs):  # the same eigenvalues, bit for bit
             assert np.array_equal(lam[spec.characters[1]], spec.eigenvalues)
-    # rows in character order, not sorted: a row with every eigenvalue simple
-    # has a nonzero gap, and a repeat or a pair within tol makes it zero
-    rows = np.array([[0.5, 2.0, -1.0], [-1.0, 2.0, -1.0], [1.0, -1.0, 1.0 + 1e-12]])
-    assert spectra._row_classes(rows, spectra.DEGENERACY_TOL)[1].tolist() == [True, False, False]
+    # rows in character order, not sorted, on Z_2 x Z_2, where every
+    # character is its own conjugate: a row with every eigenvalue simple has
+    # a nonzero gap, and a repeat or a pair within tol makes it zero
+    rows = np.array([[0.5, 2.0, -1.0, 3.0], [-1.0, 2.0, -1.0, 0.0], [1.0, -1.0, 1.0 + 1e-12, 0.0]])
+    assert spectra._row_classes(graphs.AbelianGroupSpec((2, 2)), rows, spectra.DEGENERACY_TOL)[
+        1].tolist() == [True, False, False]
 
 
 def test_gap_check_decides_each_group_in_one_batch(monkeypatch):
@@ -728,6 +730,27 @@ def test_gap_check_decides_each_group_in_one_batch(monkeypatch):
     assert report.flags["zero_spectral_gap"]["measured"] == "0 nonzero gaps"
     # no per-symbol spectrum or gap: one degeneracy cut per group (Z_3..Z_12, (Z_2)^2..4)
     assert calls == {"spectral_gap": 0, "abelian_circulant_eigensystem": 0, "degeneracy_labels": 13}
+
+
+def test_gap_check_refuses_a_one_ulp_split_between_a_and_minus_a(monkeypatch, capsys):
+    # the cut that decides the gaps refuses an asymmetric row; this used to
+    # count it as a nonzero gap and report the flag as "fail"
+    from ctqw.cli import main
+
+    real = spectra.circulant_eigenvalues
+
+    def split(group, values):
+        lams = real(group, values)
+        if group.factors == (5,):
+            lams[3, 2] = np.nextafter(lams[3, 2], -np.inf)  # lambda_2 one ulp below lambda_3
+        return lams
+
+    monkeypatch.setattr(spectra, "circulant_eigenvalues", split)
+    with pytest.raises(RuntimeError, match="lambda_2 != lambda_3 .*nonzero spectral gap"):
+        verify_all(VerifyConfig(checks=("abelian_spectral_gap",)))
+    assert main(["verify", "--checks", "abelian_spectral_gap"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("computational failure: lambda_2 != lambda_3")
 
 
 def _all_columns(proj):

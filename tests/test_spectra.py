@@ -133,19 +133,63 @@ def test_circulant_pairing_is_exact():
                 sym = Symbol(group, vals | vals[neg])
             except GraphValidationError:
                 continue
-            lams = circulant_eigenvalues(sym.values[None, :], phase, L)[0]
+            lams = circulant_eigenvalues(group, sym.values[None, :])[0]
             assert np.array_equal(lams, lams[neg]), factors  # lambda_a == lambda_{-a} bitwise
             symbols += 1
 
 
 def test_ensemble_route_eigenvalues_match_closed_form():
     for n in range(3, 41):
-        _, phase = character_phases(AbelianGroupSpec((n,)))
         symbols = ensembles.random_circulants(n, 8, n)
-        rows = circulant_eigenvalues(np.array([sym.values for sym in symbols]), phase, n)
+        rows = circulant_eigenvalues(AbelianGroupSpec((n,)), np.array([sym.values for sym in symbols]))
         for row, sym in zip(rows, symbols):
             spec = abelian_circulant_eigensystem(sym)
             assert np.array_equal(np.sort(row)[::-1], spec.eigenvalues), n
+
+
+def _full_row_cut(lams, tol):
+    """Reference for `spectra._row_classes`: every character of each row
+    sorted stably and cut by `degeneracy_labels`, with no use of the
+    pairing a <-> -a."""
+    order = np.argsort(-lams, axis=1, kind="stable")
+    cut = spectra.degeneracy_labels(np.take_along_axis(lams, order, axis=1), tol)
+    labels = np.empty_like(cut)
+    np.put_along_axis(labels, order, cut, axis=1)
+    return labels, cut[:, -1] == lams.shape[1] - 1
+
+
+@pytest.mark.parametrize("factors", [(4, 6), (3, 3), (2, 4), (2, 2, 2, 2), (9,), (12,)],
+                         ids=lambda f: "x".join(f"Z{k}" for k in f))
+def test_row_classes_cut_on_pair_representatives_is_the_full_row_cut(factors):
+    group = AbelianGroupSpec(factors)
+    neg = group.negation
+    rng = np.random.default_rng(sum(factors))
+    values = rng.integers(0, 2, size=(200, group.order)).astype(bool)
+    values |= values[:, neg]  # symmetric symbols
+    values[:, 0] = False
+    noise = rng.normal(size=(200, group.order))
+    rows = np.concatenate([circulant_eigenvalues(group, values),
+                           noise + noise[:, neg]])  # symmetric bit for bit, all values distinct
+    for tol in (spectra.DEGENERACY_TOL, 0.3):
+        labels, nonzero = spectra._row_classes(group, rows, tol)
+        want_labels, want_nonzero = _full_row_cut(rows, tol)
+        assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
+        assert np.array_equal(nonzero, want_nonzero)
+        if tol == spectra.DEGENERACY_TOL:
+            # only where every element is its own inverse can a spectrum be simple
+            assert nonzero.any() == (factors == (2, 2, 2, 2))
+
+
+@pytest.mark.parametrize("factors", [(4, 6), (9,)], ids=["Z4xZ6", "Z9"])
+def test_row_classes_refuse_a_one_ulp_split_between_a_and_minus_a(factors):
+    group = AbelianGroupSpec(factors)
+    values = np.zeros((2, group.order), dtype=bool)
+    values[:, [1, group.negation[1]]] = True
+    lams = circulant_eigenvalues(group, values)
+    spectra._row_classes(group, lams, spectra.DEGENERACY_TOL)
+    lams[1, 1] = np.nextafter(lams[1, 1], np.inf)  # lambda_1 one ulp above lambda_{-1}
+    with pytest.raises(RuntimeError, match=r"lambda_1 != lambda_\d+ .*nonzero spectral gap"):
+        spectra._row_classes(group, lams, spectra.DEGENERACY_TOL)
 
 
 @pytest.mark.parametrize("g", [graphs.build_cycle(8), graphs.build_hypercube(3)],
@@ -554,7 +598,7 @@ def test_blocked_character_projections_are_the_full_table_bitwise(build):
                    spectra.degeneracy_labels(spec.eigenvalues, spectra.DEGENERACY_TOL)):
         starts = np.flatnonzero(np.diff(labels, prepend=-1))
         for start in (0, 1, g.n - 1):
-            got = spec.character_projections(start, starts)
+            got = spec.class_projections(start, labels, starts)
             want = full_table_character_projections(spec, start, starts)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), start
 
@@ -732,7 +776,7 @@ def _eager_circulant(sym):
     """The eigensystem built in full, as the closed form did before its
     eigenvectors became lazy: the whole phase table, then one sort."""
     L, phase = character_phases(sym.group)
-    lam = circulant_eigenvalues(sym.values[None, :], phase, L)[0]
+    lam = circulant_eigenvalues(sym.group, sym.values[None, :])[0]
     vecs = _roots_of_unity(L)[phase]
     vecs /= math.sqrt(sym.group.order)
     order = np.lexsort((np.arange(len(lam)), -lam))

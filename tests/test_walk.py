@@ -372,8 +372,9 @@ def test_average_on_a_circulant_holds_no_n_by_n_table():
 
 
 def _table_projections(spec, start, starts):
-    """`Spectrum.character_projections` read from a cosine table as long as
-    the largest unreduced phase, sum_k (n_k - 1)^2 L / n_k + 1 entries."""
+    """`Spectrum.class_projections` on a circulant, read from a cosine table
+    as long as the largest unreduced phase, sum_k (n_k - 1)^2 L / n_k + 1
+    entries."""
     group, chars = spec.characters
     coords = group.coordinates()
     offsets = (coords - coords[start]) % np.array(group.factors)
@@ -388,20 +389,22 @@ def _table_projections(spec, start, starts):
                          ids=["C1024", "C257", "Z2xZ4xZ3", "Q6"])
 def test_character_projections_reduce_the_phases_bit_for_bit(g):
     spec = spec_of(g)
-    starts = np.flatnonzero(np.diff(exact_labels(spec.eigenvalues), prepend=-1))
+    labels = exact_labels(spec.eigenvalues)
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
     for start in (0, 5):
         want = np.ascontiguousarray(_table_projections(spec, start, starts))
-        assert spec.character_projections(start, starts).tobytes() == want.tobytes()
+        assert spec.class_projections(start, labels, starts).tobytes() == want.tobytes()
 
 
 def test_character_projections_hold_no_table_quadratic_in_n():
     n = 1024
     spec = spec_of(graphs.build_cycle(n))
-    starts = np.flatnonzero(np.diff(exact_labels(spec.eigenvalues), prepend=-1))
-    spec.character_projections(0, starts)  # group tables are cached outside the measurement
+    labels = exact_labels(spec.eigenvalues)
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    spec.class_projections(0, labels, starts)  # group tables are cached outside the measurement
     tracemalloc.start()
     try:
-        spec.character_projections(0, starts)
+        spec.class_projections(0, labels, starts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
