@@ -146,8 +146,9 @@ def _write(args, doc: dict, lines=None) -> None:
     """The one writer: a command's document as `ctqw/1` JSON, or as the CSV
     or table lines that `lines(doc, format)` reads from it, refused in every
     format if it holds a NaN or infinity, printed or written atomically to
-    --output as a new file under the umask.  An output that cannot be written
-    is a usage error, and leaves no temporary file behind."""
+    --output: a new file under the umask, or over an existing file with that
+    file's permission bits, as a shell redirect leaves them.  An output that
+    cannot be written is a usage error, and leaves no temporary file behind."""
     # JSON refuses NaN and infinity; CSV and tables take an unindented pass, on the C encoder
     text = graphs.to_json(doc, indent=2 if args.format == "json" else None)
     if args.format != "json":
@@ -159,6 +160,10 @@ def _write(args, doc: dict, lines=None) -> None:
     try:
         with open(tmp, "x", encoding="utf-8") as fh:  # a new file, its mode set by the umask
             fh.write(text + "\n")
+        try:
+            os.chmod(tmp, os.stat(args.output).st_mode & 0o777)
+        except FileNotFoundError:
+            pass
         os.replace(tmp, args.output)
     except OSError as exc:
         raise UsageError(f"cannot write output {args.output}: {exc.strerror or exc}") from None
@@ -359,17 +364,12 @@ def _cmd_verify(args) -> int:
     return 2 if mixing.has_failures(reports) else 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="ctqw", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"ctqw {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="construct a graph and emit it as JSON")
+def _build_args(p: argparse.ArgumentParser) -> None:
     _add_graph_args(p)
     _add_common_args(p, formats=("json",))
-    p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("spectrum", help="eigensystem, spectral gap, and type")
+
+def _spectrum_args(p: argparse.ArgumentParser) -> None:
     _add_graph_args(p)
     _add_common_args(p)
     _add_tol_arg(p)
@@ -378,26 +378,26 @@ def build_parser() -> _Parser:
     p.add_argument("--eigenvectors", action="store_true", help="include eigenvectors (JSON)")
     p.add_argument("--char-table", help="character table JSON for a class-function circulant")
     p.add_argument("--class-function", help="0/1 values per conjugacy class, e.g. '0,1,0'")
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("walk", help="instantaneous distribution at a given time")
+
+def _walk_args(p: argparse.ArgumentParser) -> None:
     _add_graph_args(p)
     _add_common_args(p)
     _add_normalize_arg(p)
     p.add_argument("--t", type=_finite_float, required=True, help="evolution time")
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--amplitudes", action="store_true", help="include amplitudes (JSON)")
-    p.set_defaults(func=_cmd_walk)
 
-    p = sub.add_parser("average", help="limiting average distribution and deviations")
+
+def _average_args(p: argparse.ArgumentParser) -> None:
     _add_graph_args(p)
     _add_common_args(p)
     _add_tol_arg(p)
     _add_normalize_arg(p)
     p.add_argument("--start", type=int, default=0)
-    p.set_defaults(func=_cmd_average)
 
-    p = sub.add_parser("scan", help="scan for instantaneous mixing times")
+
+def _scan_args(p: argparse.ArgumentParser) -> None:
     _add_graph_args(p)
     _add_common_args(p)
     _add_normalize_arg(p)
@@ -405,37 +405,69 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=None, help="report minima at or below this deviation")
     p.add_argument("--t-max", type=_finite_float, default=None, help="scan window (default heuristic)")
     p.add_argument("--grid", type=int, default=mixing.SCAN_GRID)
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("ensemble", help="random circulant ensemble statistics")
+
+def _ensemble_args(p: argparse.ArgumentParser) -> None:
     _add_common_args(p, formats=("json", "csv", "table"))
     _add_tol_arg(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true", help="exact enumeration instead of sampling")
-    p.set_defaults(func=_cmd_ensemble)
 
-    p = sub.add_parser("verify", help="run the named mixing checks")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     _add_common_args(p, formats=("json", "table"))
     p.add_argument("--checks", help=f"comma list from: {', '.join(mixing.ALL_CHECKS)}")
     p.add_argument("--max-n", type=int, default=None, help="cap sizes across families")
     p.add_argument("--trials", type=int, default=10000, help="ensemble trials")
     p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=_cmd_verify)
 
+
+# Each subcommand, in the order `ctqw --help` lists them: its help line, the
+# function that adds its arguments, and the function that runs it.
+_COMMANDS = {
+    "build": ("construct a graph and emit it as JSON", _build_args, _cmd_build),
+    "spectrum": ("eigensystem, spectral gap, and type", _spectrum_args, _cmd_spectrum),
+    "walk": ("instantaneous distribution at a given time", _walk_args, _cmd_walk),
+    "average": ("limiting average distribution and deviations", _average_args, _cmd_average),
+    "scan": ("scan for instantaneous mixing times", _scan_args, _cmd_scan),
+    "ensemble": ("random circulant ensemble statistics", _ensemble_args, _cmd_ensemble),
+    "verify": ("run the named mixing checks", _verify_args, _cmd_verify),
+}
+
+
+def _build_parser(commands) -> _Parser:
+    """The top-level parser with the named subcommands only."""
+    parser = _Parser(prog="ctqw", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"ctqw {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in commands:
+        help_line, add_args, run = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_args(p)
+        p.set_defaults(func=run)
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser() -> _Parser:
-    """The parser, built on the first `main` call; parsing leaves it unchanged."""
-    return build_parser()
+def build_parser() -> _Parser:
+    return _build_parser(_COMMANDS)
+
+
+@functools.lru_cache(maxsize=None)
+def _parser(command: str | None) -> _Parser:
+    """The parser of an argument list that starts with the subcommand
+    `command`, with no other subcommand; for None (--help, --version, a
+    missing or unknown command) the full parser.  Each is built on first use;
+    parsing leaves it unchanged."""
+    return _build_parser(_COMMANDS if command is None else (command,))
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -415,15 +416,20 @@ def _cube_rows(d: int, count: int, rng: np.random.Generator) -> _GapBatch:
     return group, rows, spectra.circulant_eigenvalues(group, rows)
 
 
-def _check_abelian_spectral_gap(cfg: VerifyConfig) -> list[MixingReport]:
+def _gap_oracle(cfg: VerifyConfig) -> tuple[list[_GapBatch], list[Graph]]:
+    """The spectral-gap check's batches (`_gap_rows`) and the circulant of
+    each of their symbols, for the oracle."""
     batches = _gap_rows(cfg)
+    return batches, [graphs.build_abelian_circulant(graphs.Symbol._proven(group, row))
+                     for group, rows, _ in batches for row in rows]
+
+
+def _check_abelian_spectral_gap(cfg: VerifyConfig, batches: list[_GapBatch],
+                                dense: list[np.ndarray]) -> list[MixingReport]:
     failures = sum(int(spectra._row_classes(group, lams, spectra.DEGENERACY_TOL)[1].sum())
                    for group, _, lams in batches)
-    dense = spectra.dense_eigensystems([
-        graphs.build_abelian_circulant(graphs.Symbol._proven(group, row))
-        for group, rows, _ in batches for row in rows])
     # every cap has rows (Z_3..Z_6 at MIN_MAX_N), so the max has an argument
-    worst_dense = max(float(np.min(np.abs(np.diff(d.eigenvalues)))) for d in dense)
+    worst_dense = max(float(np.min(np.abs(np.diff(lam)))) for lam in dense)
     report = MixingReport(descriptor=f"abelian circulants ({len(dense)} random symbols)")
     report.flags["zero_spectral_gap"] = _flag(
         "pass" if failures == 0 else "fail",
@@ -629,12 +635,11 @@ def _oracle_cases(cfg: VerifyConfig) -> list[Graph]:
     return cases
 
 
-def _check_oracle_agreement(cfg: VerifyConfig) -> list[MixingReport]:
-    cases = _oracle_cases(cfg)
-    dense = spectra.dense_eigensystems(cases)
+def _check_oracle_agreement(cfg: VerifyConfig, cases: list[Graph],
+                            dense: list[np.ndarray]) -> list[MixingReport]:
     worst = max(
-        (float(np.max(np.abs(spectra.graph_eigensystem(g, method="closed").eigenvalues
-                             - d.eigenvalues))) for g, d in zip(cases, dense)),
+        (float(np.max(np.abs(spectra.graph_eigensystem(g, method="closed").eigenvalues - lam)))
+         for g, lam in zip(cases, dense)),
         default=0.0,
     )
     report = MixingReport(descriptor=f"closed form vs Jacobi oracle ({len(cases)} graphs)")
@@ -674,17 +679,29 @@ def _check_ensemble_expectations(cfg: VerifyConfig) -> list[MixingReport]:
     return [rep]
 
 
-# Every named check of `verify`, in the order it runs them.
+class _Check(NamedTuple):
+    """A named check of `verify`: `run(cfg)` returns its reports.  A check
+    that reads the Jacobi oracle declares `oracle(cfg)`, which returns its
+    inputs and the graphs it compares; it runs as
+    `run(cfg, inputs, eigenvalues)`, with the oracle's descending
+    eigenvalues of each graph (`_oracle_reports`)."""
+
+    run: Callable[..., list[MixingReport]]
+    oracle: Callable[[VerifyConfig], tuple[object, list[Graph]]] | None = None
+
+
+# Every named check of `verify`, in the order it reports them.
 _CHECKS = {
-    "complete_average": _check_complete_average,
-    "abelian_spectral_gap": _check_abelian_spectral_gap,
-    "cycle_average": _check_cycle_average,
-    "instantaneous_uniform": _check_instantaneous_uniform,
-    "hypercube_average": _check_hypercube_average,
-    "bunkbed_layers": _check_bunkbed_layers,
-    "path_classical": _check_path_classical,
-    "oracle_agreement": _check_oracle_agreement,
-    "ensemble_expectations": _check_ensemble_expectations,
+    "complete_average": _Check(_check_complete_average),
+    "abelian_spectral_gap": _Check(_check_abelian_spectral_gap, _gap_oracle),
+    "cycle_average": _Check(_check_cycle_average),
+    "instantaneous_uniform": _Check(_check_instantaneous_uniform),
+    "hypercube_average": _Check(_check_hypercube_average),
+    "bunkbed_layers": _Check(_check_bunkbed_layers),
+    "path_classical": _Check(_check_path_classical),
+    # the oracle check's inputs are its graphs
+    "oracle_agreement": _Check(_check_oracle_agreement, lambda cfg: (_oracle_cases(cfg),) * 2),
+    "ensemble_expectations": _Check(_check_ensemble_expectations),
 }
 ALL_CHECKS = tuple(_CHECKS)
 
@@ -736,13 +753,47 @@ class VerifyConfig:
 
 
 def verify_all(config: VerifyConfig | None = None) -> list[MixingReport]:
-    """Run the selected named checks; returns one report per graph or family.
+    """Run the selected named checks, in the order of `config.checks`;
+    returns one report per graph or family.
 
-    Computational failures propagate, while recorded discrepancies only
-    show up in the flags.
+    The first check that reads the Jacobi oracle runs every selected one, on
+    one solve (`_oracle_reports`).  Computational failures propagate, while
+    recorded discrepancies only show up in the flags.
     """
     cfg = config or VerifyConfig()
-    return [report for name in cfg.checks for report in _CHECKS[name](cfg)]
+    checks = [_CHECKS[name] for name in cfg.checks]
+    reports, oracle = [], None
+    for i, check in enumerate(checks):
+        if check.oracle and oracle is None:
+            oracle = _oracle_reports(cfg, checks)
+        reports += oracle[i] if check.oracle else check.run(cfg)
+    return reports
+
+
+def _oracle_reports(cfg: VerifyConfig, checks: list[_Check]) -> dict[int, list[MixingReport]]:
+    """The reports of the `checks` that read the Jacobi oracle, by position:
+    the graphs all of them declare are solved in one
+    `spectra.dense_eigensystems` call, each distinct adjacency once, and
+    each check reads its graphs' eigenvalues.  Only the graphs solved and
+    then their eigenvalues outlive the solve; nothing outlives this call."""
+    given, slots, solve, index = {}, {}, [], []
+    for i, check in enumerate(checks):
+        if check.oracle:
+            inputs, compared = check.oracle(cfg)
+            given[i] = inputs, len(compared)
+            for g in compared:
+                slot = slots.setdefault((g.n, g.adjacency.tobytes()), len(slots))
+                if slot == len(solve):  # the first graph of its adjacency
+                    solve.append(g)
+                index.append(slot)
+    del slots, compared
+    eigenvalues = [spec.eigenvalues for spec in spectra.dense_eigensystems(solve)]
+    del solve
+    reports, at = {}, 0
+    for i, (inputs, count) in given.items():
+        reports[i] = checks[i].run(cfg, inputs, [eigenvalues[k] for k in index[at : at + count]])
+        at += count
+    return reports
 
 
 def collect_discrepancies(reports: list[MixingReport]) -> list[str]:

@@ -71,6 +71,8 @@ class Spectrum:
     On a G-circulant `characters` is (group, a): eigenvalue j belongs to the
     character chi_{a[j]}, so class projections need no eigenvectors
     (`class_projections`); it is None on every other route.
+    `walk.class_projections` keeps each projection it forms from a spectrum
+    in the spectrum's `_projections`, so it is formed once, and freed with it.
     """
 
     def __init__(self, eigenvalues, eigenvectors, characters=None):
@@ -78,6 +80,7 @@ class Spectrum:
         self._build = eigenvectors if callable(eigenvectors) else None
         self._eigenvectors = None if self._build else np.asarray(eigenvectors, dtype=np.complex128)
         self.characters = characters
+        self._projections = {}
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -293,12 +296,15 @@ def circulant_eigenvalues(group: AbelianGroupSpec, values: np.ndarray) -> np.nda
     in increasing order, so a symmetric symbol gives lambda_a == lambda_{-a}
     bitwise.  Each phase row is added in place to the rows that hold x only:
     adding the +-0.0 of a row without x would change no bit, as a sum that
-    starts at +0.0 is never -0.0.
+    starts at +0.0 is never -0.0.  A single row holds every x, so its phase
+    rows are summed in one reduction over x, row by row in the same order.
     """
     held = np.flatnonzero(values.any(axis=0))
     coords = group.coordinates()
     L, xw, aw = _phase_factors(group, coords[held], coords)
     cos = _roots_of_unity(L).real
+    if len(values) == 1:
+        return np.add.reduce(cos[_mod(xw @ aw, L)], axis=0, keepdims=True)
     lams = np.zeros((len(values), group.order))
     for x, row in zip(held, _mod(xw @ aw, L)):
         np.add(lams, cos[row], out=lams, where=values[:, x, None])

@@ -84,12 +84,17 @@ def class_projections(spec: Spectrum, start: int, labels: np.ndarray) -> ClassPr
     order, as `exact_labels` and `spectra.degeneracy_labels` do.  E_r is real
     for a real symmetric A; `Spectrum.class_projections` forms it by the
     spectrum's route and raises on a class not closed under conjugation.
+    Each (start, labels) is formed once per spectrum, which keeps it: a
+    second call returns the first's arrays, which are read-only.
     """
     if not 0 <= start < spec.n:
         raise ValueError(f"start vertex {start} out of range [0, {spec.n})")
     steps = np.diff(labels, prepend=-1)
     if np.shape(labels) != (spec.n,) or not ((steps == 0) | (steps == 1)).all():
         raise ValueError("labels must number the classes of the sorted eigenvalues from 0, in order")
+    key = (start, np.asarray(labels, dtype=np.int64).tobytes())
+    if key in spec._projections:
+        return spec._projections[key]
     starts = np.flatnonzero(steps)
     proj = spec.class_projections(start, labels, starts)
     # one key per vertex: the bytes of its column
@@ -100,8 +105,12 @@ def class_projections(spec: Spectrum, start: int, labels: np.ndarray) -> ClassPr
     order = np.argsort(first)  # distinct columns in order of first occurrence
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return ClassProjections(spec.eigenvalues[starts], np.ascontiguousarray(proj[:, first[order]]),
-                            rank[inverse.ravel()], counts[order])
+    out = ClassProjections(spec.eigenvalues[starts], np.ascontiguousarray(proj[:, first[order]]),
+                           rank[inverse.ravel()], counts[order])
+    for part in out:
+        part.flags.writeable = False
+    spec._projections[key] = out
+    return out
 
 
 def phase_table(theta: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ctqw import cli, graphs
 from ctqw.cli import main
 
 S3_TABLE = {
@@ -238,6 +239,24 @@ def test_output_files_follow_the_umask(tmp_path, capsys, umask, mode):
     assert [p.name for p in tmp_path.iterdir()] == ["ok.json"]
 
 
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+def test_output_over_an_existing_file_keeps_its_mode(tmp_path, capsys, mode):
+    # as `> file` does; the renamed file used to take the umask's 0644
+    out_file = tmp_path / "private.json"
+    out_file.write_text("old\n")
+    out_file.chmod(mode)
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run_cli(capsys, "build", "--family", "cycle", "--n", "3", "-o", str(out_file))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert os.stat(out_file).st_mode & 0o777 == mode
+    assert json.loads(out_file.read_text())["n"] == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["private.json"]
+
+
 def test_walk_csv_and_amplitudes(capsys):
     code, out, _ = run_cli(capsys, "walk", "--family", "complete", "--n", "2",
                            "--t", "0.5", "--format", "csv")
@@ -347,6 +366,49 @@ def test_help_exits_0(capsys):
     assert run_cli(capsys, "scan", "--help")[0] == 0
 
 
+# Argument lists whose output the parser alone decides: the top-level help,
+# version, no command and an unknown one, then each subcommand's help and
+# one of its usage errors.
+PARSER_ARGV = [
+    ["--help"], ["--version"], [], ["nonsense"],
+    *([command, "--help"] for command in cli._COMMANDS),
+    ["build", "--n", "x"], ["spectrum", "--tol", "-1"], ["walk"], ["average", "--start", "q"],
+    ["scan", "--grid", "1.5"], ["ensemble"], ["verify", "--max-n", "x"],
+]
+
+
+@pytest.mark.parametrize("columns", [None, "60"], ids=["default-width", "COLUMNS=60"])
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "none")
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv,
+                                                               columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    got = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_parser", lambda command: cli.build_parser())
+    assert got == run_cli(capsys, *argv)
+
+
+def test_main_builds_only_the_subcommand_it_runs(capsys, monkeypatch):
+    built = []
+    for name, (help_line, add_args, run) in cli._COMMANDS.items():
+        def counted(p, _name=name, _add_args=add_args):
+            built.append(_name)
+            _add_args(p)
+        monkeypatch.setitem(cli._COMMANDS, name, (help_line, counted, run))
+    cli._parser.cache_clear()
+    try:
+        assert run_cli(capsys, "verify", "--help")[0] == 0
+        assert built == ["verify"]
+        assert run_cli(capsys, "verify", "--max-n", "x")[0] == 1  # the parser is kept
+        assert built == ["verify"]
+        assert run_cli(capsys, "--version")[0] == 0  # every subcommand, in order
+        assert built == ["verify", *cli._COMMANDS]
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_ensemble_subcommand(capsys):
     code, out, _ = run_cli(capsys, "ensemble", "--n", "5", "--trials", "200", "--seed", "4")
     assert code == 0
@@ -430,6 +492,20 @@ def test_verify_subcommand_reports_discrepancies(capsys):
     for empty in ("", " , "):
         code, out, err = run_cli(capsys, "verify", "--checks", empty)
         assert code == 1 and out == "" and "no checks selected" in err
+
+
+@pytest.mark.parametrize("check, descriptor", [
+    ("abelian_spectral_gap", "abelian circulants (260 random symbols)"),
+    ("oracle_agreement", "closed form vs Jacobi oracle (68 graphs)"),
+])
+def test_an_oracle_check_alone_prints_its_report_of_the_full_run(capsys, check, descriptor):
+    # alone, a check's graphs are solved without the other check's in the stacks
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    (report,) = [r for r in json.loads(out)["reports"] if r["descriptor"] == descriptor]
+    code, out, _ = run_cli(capsys, "verify", "--checks", check)
+    assert code == 0
+    assert out == graphs.to_json({"reports": [report], "discrepancies": []}, indent=2) + "\n"
 
 
 def test_verify_help_lists_every_check_in_order(capsys):

@@ -656,7 +656,7 @@ def test_check_table_holds_exactly_the_check_functions():
     # and selects, and every `_check_*` function of the module is in it
     funcs = {name.removeprefix("_check_"): f for name, f in vars(mixing).items()
              if name.startswith("_check_") and callable(f)}
-    assert mixing._CHECKS == funcs
+    assert {name: check.run for name, check in mixing._CHECKS.items()} == funcs
     assert mixing.ALL_CHECKS == tuple(mixing._CHECKS)
     assert VerifyConfig().checks == mixing.ALL_CHECKS
 
@@ -730,6 +730,52 @@ def test_gap_check_decides_each_group_in_one_batch(monkeypatch):
     assert report.flags["zero_spectral_gap"]["measured"] == "0 nonzero gaps"
     # no per-symbol spectrum or gap: one degeneracy cut per group (Z_3..Z_12, (Z_2)^2..4)
     assert calls == {"spectral_gap": 0, "abelian_circulant_eigensystem": 0, "degeneracy_labels": 13}
+
+
+def test_verify_solves_every_oracle_graph_in_one_call(monkeypatch, jacobi_calls):
+    cfg = VerifyConfig()
+    gs = [graphs.build_abelian_circulant(graphs.Symbol._proven(group, row))
+          for group, rows, _ in mixing._gap_rows(cfg) for row in rows] + mixing._oracle_cases(cfg)
+    distinct = {(g.n, g.adjacency.tobytes()): g.n for g in gs}
+    assert (len(gs), len(distinct)) == (328, 167)
+    calls = {"dense_eigensystems": 0, "_gap_rows": 0}
+    for module, name in ((spectra, "dense_eigensystems"), (mixing, "_gap_rows")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    verify_all(cfg)
+    assert calls == {"dense_eigensystems": 1, "_gap_rows": 1}
+    # one stack per even size, which holds each distinct adjacency once
+    evens = sorted({n + n % 2 for n in distinct.values()})
+    assert sorted(shape[1:] for shape in jacobi_calls) == [(m, m) for m in evens]
+    assert sum(shape[0] for shape in jacobi_calls) == len(distinct)
+    verify_all(cfg)  # nothing is kept from one run for the next
+    assert calls == {"dense_eigensystems": 2, "_gap_rows": 2}
+    # a selection without an oracle check solves nothing
+    verify_all(VerifyConfig(checks=("path_classical",)))
+    assert calls["dense_eigensystems"] == 2
+
+
+def test_bunkbed_check_forms_each_projection_once(monkeypatch):
+    calls = {"walk": 0, "spectrum": 0}
+    exact_walk, exact_spectrum = walk.class_projections, spectra.Spectrum.class_projections
+
+    def asked(*args):
+        calls["walk"] += 1
+        return exact_walk(*args)
+
+    def formed(self, *args):
+        calls["spectrum"] += 1
+        return exact_spectrum(self, *args)
+
+    monkeypatch.setattr(walk, "class_projections", asked)
+    monkeypatch.setattr(spectra.Spectrum, "class_projections", formed)
+    verify_all(VerifyConfig(checks=("bunkbed_layers",)))
+    # five per base on 39 bases; on 67 of the 78 beds from (0, 0) and bases
+    # from 0, the exact labels of a walk and the tolerance labels of an
+    # average coincide, and the second asks for the first's projections
+    assert calls == {"walk": 195, "spectrum": 128}
 
 
 def test_gap_check_refuses_a_one_ulp_split_between_a_and_minus_a(monkeypatch, capsys):

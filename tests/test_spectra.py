@@ -147,6 +147,40 @@ def test_ensemble_route_eigenvalues_match_closed_form():
             assert np.array_equal(np.sort(row)[::-1], spec.eigenvalues), n
 
 
+def _loop_eigenvalues(group, values):
+    """`circulant_eigenvalues` one support element x at a time, in increasing
+    x, each phase row added in place to the rows that hold x (reference)."""
+    held = np.flatnonzero(values.any(axis=0))
+    coords = group.coordinates()
+    L, xw, aw = spectra._phase_factors(group, coords[held], coords)
+    cos = _roots_of_unity(L).real
+    lams = np.zeros((len(values), group.order))
+    for x, row in zip(held, spectra._mod(xw @ aw, L)):
+        np.add(lams, cos[row], out=lams, where=values[:, x, None])
+    return lams
+
+
+def test_single_symbol_eigenvalues_are_the_loop_bit_for_bit():
+    rng = np.random.default_rng(277)
+    groups = [(n,) for n in range(2, 80)] + [(2,) * d for d in range(1, 11)] + [(257,), (365,), (1024,)]
+    symbols = []
+    for factors in groups:
+        group = AbelianGroupSpec(factors)
+        for _ in range(3):
+            values = rng.random(group.order) < rng.uniform(0.05, 0.95)
+            values |= values[group.negation]  # symmetric
+            values[0] = False
+            symbols.append((group, values))
+    for factors in groups[-4:]:  # the complete graph: every element but 0
+        group = AbelianGroupSpec(factors)
+        symbols.append((group, np.arange(group.order) > 0))
+    assert len(symbols) == 277
+    for group, values in symbols:
+        got = circulant_eigenvalues(group, values[None])
+        assert got.shape == (1, group.order)
+        assert got.tobytes() == _loop_eigenvalues(group, values[None]).tobytes(), group.factors
+
+
 def _full_row_cut(lams, tol):
     """Reference for `spectra._row_classes`: every character of each row
     sorted stably and cut by `degeneracy_labels`, with no use of the

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -244,6 +246,21 @@ def test_class_projections_reject_a_class_split_from_its_conjugate():
         class_projections(nudged, 0, exact_labels(lam))
     with pytest.raises(RuntimeError, match="imaginary residue"):
         evolve(nudged, 0, 1.0)
+
+
+def test_class_projections_are_formed_once_per_spectrum_and_freed_with_it():
+    spec = spec_of(graphs.build_cycle(8))
+    labels = exact_labels(spec.eigenvalues)
+    proj = class_projections(spec, 0, labels)
+    assert class_projections(spec, 0, labels.copy()) is proj
+    assert class_projections(spec, 0, labels.tolist()) is proj
+    assert class_projections(spec, 1, labels) is not proj
+    assert class_projections(spec.scaled(2.0), 0, labels) is not proj
+    assert not any(part.flags.writeable for part in proj)  # shared by every caller
+    columns = weakref.ref(proj.columns)
+    del spec, proj
+    gc.collect()
+    assert columns() is None
 
 
 def test_class_projections_check_their_labels():
