@@ -43,6 +43,11 @@ _SIZED_FAMILIES = {
 }
 
 
+# The graph flags of `_add_graph_args`, as argparse names them.
+_GRAPH_FLAGS = ("family", "n", "d", "group", "symbol", "base_family", "base_n", "base_d",
+                "graph_file")
+
+
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--family",
@@ -124,6 +129,14 @@ def _build_graph(args) -> Graph:
     raise UsageError(f"unknown family {fam!r}")
 
 
+def _refuse(args, names, why: str) -> None:
+    """Refuse the flags among `names` (None or False unless given) that were given."""
+    given = [f"--{name.replace('_', '-')}" for name in names
+             if getattr(args, name) is not None and getattr(args, name) is not False]
+    if given:
+        raise UsageError(f"{', '.join(given)}: {why}")
+
+
 def _require(value, flag: str):
     """`value`, unless it is None: then `flag` was required."""
     if value is None:
@@ -203,6 +216,7 @@ def _spectrum_lines(doc: dict, fmt: str) -> list[str]:
 def _cmd_spectrum(args) -> int:
     if args.char_table:
         return _cmd_spectrum_char_table(args)
+    _refuse(args, ("class_function",), "only read with --char-table")
     g = _build_graph(args)
     spec = _spectrum_for(g, args)
     labels = spectra.degeneracy_labels(spec.eigenvalues, args.tol)
@@ -224,6 +238,8 @@ def _char_table_lines(doc: dict, fmt: str) -> list[str]:
 
 
 def _cmd_spectrum_char_table(args) -> int:
+    _refuse(args, (*_GRAPH_FLAGS, "dense", "normalize", "eigenvectors"),
+            "not read with --char-table, which takes no graph")
     _require(args.class_function, "--class-function")
     try:
         with open(args.char_table, "r", encoding="utf-8") as fh:
@@ -322,12 +338,14 @@ def _ensemble_lines(doc: dict, fmt: str) -> list[str]:
 
 def _cmd_ensemble(args) -> int:
     if args.exhaustive:
+        _refuse(args, ("trials", "seed"), "not read with --exhaustive, which draws no sample")
         hist = ensembles.type_spectrum_exhaustive(args.n, tol=args.tol)
         doc = {"n": args.n, "type_histogram": {str(k): v for k, v in hist.items()}}
         _write(args, doc, _histogram_lines)
     else:
-        _write(args, asdict(ensembles.ensemble_stats(args.n, args.trials, args.seed, tol=args.tol)),
-               _ensemble_lines)
+        trials = 10000 if args.trials is None else args.trials  # None: not given, for --exhaustive
+        stats = ensembles.ensemble_stats(args.n, trials, args.seed or 0, tol=args.tol)
+        _write(args, asdict(stats), _ensemble_lines)
     return 0
 
 
@@ -411,8 +429,8 @@ def _ensemble_args(p: argparse.ArgumentParser) -> None:
     _add_common_args(p, formats=("json", "csv", "table"))
     _add_tol_arg(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int)  # default 10000
+    p.add_argument("--seed", type=int)  # default 0
     p.add_argument("--exhaustive", action="store_true", help="exact enumeration instead of sampling")
 
 

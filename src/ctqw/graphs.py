@@ -10,12 +10,14 @@ degeneracy-sensitive downstream results reproduce bit for bit:
   first factor most significant, identity at index 0;
 - bunkbed: layer-major, index(b, l) = b * n + l.
 
-Each graph is checked once.  The builders' graphs are valid by the structure
-that built them (a checked `Symbol`, a path, K_{n,n}, two layers of a checked
-base), so they skip the O(n^2) adjacency pass and form their adjacency, and
-the hypercube its labels, only when something reads it.  Every other graph
-gets the full pass, and its family, labels, symbol and base are checked
-against its adjacency.  A checked adjacency is read-only.
+A graph, like a symbol, is checked when it is made and cannot change after:
+it refuses attribute assignment and hands out read-only arrays.  The
+builders' graphs are valid by the structure that built them (a checked
+`Symbol`, a path, K_{n,n}, two layers of a checked base), so they skip the
+O(n^2) adjacency pass and form their adjacency, and the hypercube its
+labels, only when something reads it.  Every other graph gets the full pass
+on a private copy of its adjacency, and its family, labels, symbol and base
+are checked against it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class GraphValidationError(ValueError):
     """Input that violates the walk model (symmetry, loops, connectivity)."""
 
 
-def exact_integers(values, what: str) -> list[int]:
+def exact_integers(values, what: str) -> tuple[int, ...]:
     """`values` as ints, refused unless every entry is exactly an integer; checked
     before the cast, which would turn 3.9 into 3, "3" into 3 and true into 1."""
     a = np.asarray(values)
@@ -42,7 +44,7 @@ def exact_integers(values, what: str) -> list[int]:
             or any(isinstance(x, (bool, np.bool_)) for x in values)
             or not np.all(np.isfinite(a) & (a == np.round(a)))):
         raise GraphValidationError(f"{what} must be a list of integers")
-    return [int(x) for x in a]
+    return tuple(int(x) for x in a)
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class AbelianGroupSpec:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(exact_integers(self.factors, "group factors"))
+        factors = exact_integers(self.factors, "group factors")
         if not factors or any(f < 2 for f in factors):
             raise GraphValidationError("group factors must all be >= 2")
         object.__setattr__(self, "factors", factors)
@@ -89,13 +91,17 @@ class AbelianGroupSpec:
         return diff
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only in place (a view's base keeps its own flag)."""
+    a.flags.writeable = False
+    return a
+
+
 @functools.lru_cache(maxsize=64)
 def _place_values(factors: tuple[int, ...]) -> np.ndarray:
     """The mixed-radix place value of each coordinate: index = coords @ place
     values; read-only."""
-    place = np.cumprod((factors[1:] + (1,))[::-1], dtype=np.int64)[::-1]
-    place.flags.writeable = False
-    return place
+    return _frozen(np.cumprod((factors[1:] + (1,))[::-1], dtype=np.int64)[::-1])
 
 
 def _coordinates(factors: tuple[int, ...], indices: np.ndarray) -> np.ndarray:
@@ -112,16 +118,14 @@ def _negations(factors: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
 def _group_tables(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(coordinates, negation) of every element of Z_n1 x ... x Z_nk, built
     once per factor tuple and read-only, so every caller can share them."""
-    coords = _coordinates(factors, np.arange(math.prod(factors)))
-    negation = _negations(factors, coords)
-    for table in (coords, negation):
-        table.flags.writeable = False
-    return coords, negation
+    coords = _frozen(_coordinates(factors, np.arange(math.prod(factors))))
+    return coords, _frozen(_negations(factors, coords))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Symbol:
-    """Connection function f: G -> {0,1} defining a G-circulant adjacency."""
+    """Connection function f: G -> {0,1} defining a G-circulant adjacency;
+    its `values` are a read-only copy of the caller's."""
 
     group: AbelianGroupSpec
     values: np.ndarray
@@ -130,12 +134,11 @@ class Symbol:
         vals = np.asarray(self.values)
         if vals.shape != (self.group.order,):
             raise GraphValidationError(
-                f"symbol length {vals.shape} does not match group order {self.group.order}"
-            )
+                f"symbol length {vals.shape} does not match group order {self.group.order}")
         if not _zero_one(vals):
             # checked before the cast, which would turn 2 or 0.5 into True
             raise GraphValidationError("symbol values must be 0 or 1")
-        self.values = vals.astype(bool, copy=False)
+        object.__setattr__(self, "values", _frozen(vals.astype(bool)))
         self.validate()
 
     @classmethod
@@ -160,10 +163,10 @@ class Symbol:
     @classmethod
     def _proven(cls, group: AbelianGroupSpec, values: np.ndarray) -> "Symbol":
         """A symbol whose maker proved it valid (no identity, S = -S, S
-        generates G) by how it chose `values`, bool of length |G|; skips
-        `validate` and its `generates` test."""
+        generates G) by how it chose `values`, bool of length |G|, which it
+        makes read-only; skips `validate` and its `generates` test."""
         sym = object.__new__(cls)
-        sym.group, sym.values = group, values
+        sym.__dict__.update(group=group, values=_frozen(values))
         return sym
 
     @property
@@ -240,96 +243,76 @@ class Graph:
     circulant and `base` when it is a bunkbed; both route the spectra module
     to the matching closed form.
 
-    `validate` runs the full check (adjacency, then metadata) once and keeps
-    the result;
-    from then on the graph holds its adjacency read-only.  Assigning
-    `adjacency` holds the new array unchecked (the graph shares it with the
-    caller) and re-arms the check.  A builder's graph is checked by the
-    structure that built it and forms its adjacency on first read
-    (`_from_structure`).
+    A graph is checked when it is made and cannot change after: `Graph(...)`
+    runs the full check on a private copy of the adjacency (`_check_adjacency`,
+    then `_check_metadata`), every attribute assignment raises, and the
+    adjacency is read-only.  A builder's graph is checked by the structure
+    that built it and forms its adjacency on first read (`_from_structure`).
     """
 
     def __init__(self, adjacency, family: str = "custom", labels: list[str] | None = None,
                  symbol: Symbol | None = None, base: "Graph | None" = None):
         a = np.asarray(adjacency)
-        if a.dtype != np.uint8 and not _zero_one(a):
+        if not _zero_one(a):
             # checked before the cast, which would turn 257 or 1.5 into an edge
             raise GraphValidationError("adjacency entries must be 0 or 1")
-        self.family, self.symbol, self.base, self._labels = family, symbol, base, labels
-        self.adjacency = a.astype(np.uint8, copy=False)
+        a = a.astype(np.uint8)  # the private copy
+        _check_adjacency(a)
+        _check_metadata(a, family, labels, symbol, base)
+        self.__dict__.update(family=family, symbol=symbol, base=base, n=len(a),
+                             _adjacency=_frozen(a), _labels=None if labels is None else tuple(labels))
 
     @classmethod
     def _from_structure(cls, n: int, form, family: str, labels=None,
                         symbol: Symbol | None = None, base: "Graph | None" = None) -> "Graph":
-        """A graph whose construction proves what `validate` checks; `form()`
+        """A graph whose construction proves what `Graph(...)` checks; `form()`
         builds its n x n adjacency, and `labels` may be a builder of the
         labels, each run on first read."""
         g = cls.__new__(cls)
-        g.family, g.symbol, g.base, g._labels = family, symbol, base, labels
-        g._n, g._form, g._adjacency, g._checked = n, form, None, True
+        g.__dict__.update(family=family, symbol=symbol, base=base, n=n, _adjacency=form, _labels=labels)
         return g
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a Graph is checked when made and cannot change")
 
     @property
     def adjacency(self) -> np.ndarray:
-        if self._adjacency is None:
-            a = self._form()
-            a.flags.writeable = False
-            self._adjacency, self._form = a, None
+        if callable(self._adjacency):
+            self.__dict__["_adjacency"] = _frozen(self._adjacency())
         return self._adjacency
 
-    @adjacency.setter
-    def adjacency(self, a) -> None:
-        # a view of the caller's array: freezing it once checked leaves theirs writable
-        self._adjacency, self._form, self._checked = np.asarray(a).view(), None, False
-
     @property
-    def labels(self) -> list[str] | None:
+    def labels(self) -> list[str] | None:  # a new list on each read
         if callable(self._labels):
-            self._labels = self._labels()
-        return self._labels
-
-    @property
-    def n(self) -> int:
-        return self._n if self._adjacency is None else self._adjacency.shape[0]
+            self.__dict__["_labels"] = tuple(self._labels())
+        return None if self._labels is None else list(self._labels)
 
     @property
     def degrees(self) -> np.ndarray:
-        """Row sums; read off the symbol or base only once they were checked."""
-        if self._checked and self.symbol is not None:  # each row holds the support
+        """Row sums, read off the symbol or the base where there is one."""
+        if self.symbol is not None:  # each row holds the support
             return np.full(self.n, self.symbol.support.size, dtype=np.int64)
-        if self._checked and self.base is not None:  # the base's rows, plus one rung
+        if self.base is not None:  # the base's rows, plus one rung
             return np.tile(self.base.degrees + 1, 2)
         return self.adjacency.sum(axis=1).astype(np.int64)
 
     def validate(self) -> "Graph":
-        """The full check, run unless this adjacency already passed it: the
-        adjacency (`_check_adjacency`), then the metadata against it
-        (`_check_metadata`)."""
-        if not self._checked:
-            a = self._adjacency
-            _check_adjacency(a)
-            a = a.astype(np.uint8, copy=False)
-            _check_metadata(self, a)
-            a.flags.writeable = False
-            self._adjacency, self._checked = a, True
+        """The graph itself: it was checked when it was made."""
         return self
 
 
 def _check_adjacency(a: np.ndarray) -> None:
-    """Raise GraphValidationError unless `a` is a square 0/1, symmetric,
-    loopless adjacency of a connected graph on at least 2 vertices."""
+    """Raise GraphValidationError unless the 0/1 uint8 matrix `a` is a square,
+    symmetric, loopless adjacency of a connected graph on at least 2 vertices."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GraphValidationError("adjacency must be a square matrix")
     if a.shape[0] < 2:
         # one vertex has no walk to mix over: spectral gap inf, lazy walk 0/0
         raise GraphValidationError("graph must have at least 2 vertices")
-    if not _zero_one(a):
-        raise GraphValidationError("adjacency entries must be 0 or 1")
     # every edge (r, c) has its reverse, which for a 0/1 matrix is symmetry;
-    # reading only the edges beats transposing n^2 bytes, and 0/1 bytes
-    # (the builders' uint8) read as bool without a copy
-    edges = a.view(np.bool_) if a.dtype.kind in "iub" and a.dtype.itemsize == 1 else a != 0
-    r, c = np.divmod(np.flatnonzero(edges), a.shape[0])
+    # reading only the edges beats transposing n^2 bytes, and 0/1 bytes read
+    # as bool without a copy
+    r, c = np.divmod(np.flatnonzero(a.view(np.bool_)), a.shape[0])
     if not a[c, r].all():
         raise GraphValidationError("adjacency must be symmetric")
     if np.diagonal(a).any():
@@ -338,24 +321,23 @@ def _check_adjacency(a: np.ndarray) -> None:
         raise GraphValidationError("graph is not connected")
 
 
-def _check_metadata(g: Graph, a: np.ndarray) -> None:
+def _check_metadata(a: np.ndarray, family, labels, symbol, base) -> None:
     """Raise GraphValidationError unless the family is a string, the labels
     are n strings, and every label that selects a closed-form spectrum (a
     symbol, the path family, a bunkbed base) matches the checked adjacency
     `a`, so that a graph serializes to a file that loads and no route trusts
     a structure nothing checked."""
     n = a.shape[0]
-    if not isinstance(g.family, str):
+    if not isinstance(family, str):
         raise GraphValidationError("graph 'family' must be a string")
-    labels = g.labels
     if labels is not None and (not isinstance(labels, list) or len(labels) != n
                                or not all(isinstance(x, str) for x in labels)):
         raise GraphValidationError("graph 'labels' must be n strings")
-    if g.symbol is not None and not np.array_equal(_circulant_adjacency(g.symbol), a):
+    if symbol is not None and not np.array_equal(_circulant_adjacency(symbol), a):
         raise GraphValidationError("symbol metadata does not match adjacency")
-    if g.family == "path" and not np.array_equal(build_path(n).adjacency, a):
+    if family == "path" and not np.array_equal(build_path(n).adjacency, a):
         raise GraphValidationError("family 'path' does not match adjacency (not P_n in path order)")
-    if g.base is not None and not np.array_equal(_bunkbed_adjacency(g.base.validate().adjacency), a):
+    if base is not None and not np.array_equal(_bunkbed_adjacency(base.adjacency), a):
         raise GraphValidationError(
             "bunkbed 'base' does not match adjacency (blocks must be base, I, I, base)")
 
@@ -467,9 +449,8 @@ def _circulant_adjacency(sym: Symbol) -> np.ndarray:
 def build_bunkbed(base: Graph) -> Graph:
     """Two copies of `base` joined by a perfect matching, layer-major order.
 
-    Valid once `base` is: each layer is connected, and a rung joins them.
+    Valid as `base` is: each layer is connected, and a rung joins them.
     """
-    base.validate()
     n = base.n
     return Graph._from_structure(
         2 * n, lambda: _bunkbed_adjacency(base.adjacency), "bunkbed",
@@ -483,8 +464,8 @@ def _bunkbed_adjacency(base: np.ndarray) -> np.ndarray:
 
 
 def from_adjacency(matrix, family: str = "custom", labels: list[str] | None = None) -> Graph:
-    """Wrap and validate a private copy of a user-supplied adjacency matrix."""
-    return Graph(np.array(matrix), family=family, labels=labels).validate()
+    """A graph checked on a private copy of a user-supplied adjacency matrix."""
+    return Graph(matrix, family=family, labels=labels)
 
 
 def to_json(doc: dict, indent: int | None = 2) -> str:
@@ -546,4 +527,4 @@ def _graph_from_doc(doc: dict) -> Graph:
         symbol = Symbol.from_support(AbelianGroupSpec(doc["group_factors"]), doc["symbol_support"])
     base = _graph_from_doc(doc["base"]) if "base" in doc else None
     return Graph(a.reshape(n, n), family=doc.get("family", "custom"), labels=doc.get("labels"),
-                 symbol=symbol, base=base).validate()
+                 symbol=symbol, base=base)

@@ -706,7 +706,7 @@ _CHECKS = {
 ALL_CHECKS = tuple(_CHECKS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyConfig:
     """Selection, seed and sizes for verify_all: the knobs `ctqw verify` sets.
 
@@ -715,7 +715,7 @@ class VerifyConfig:
     ranges, except the dense oracle's, which stays small for speed.  An
     empty or unknown selection is refused, as are a cap under MIN_MAX_N,
     since some check would then report over no input, and fewer than
-    MIN_ENSEMBLE_TRIALS ensemble trials.
+    MIN_ENSEMBLE_TRIALS ensemble trials.  Frozen; `checks` is kept as a tuple.
     """
 
     checks: tuple[str, ...] = ALL_CHECKS
@@ -740,6 +740,7 @@ class VerifyConfig:
             raise ValueError(
                 f"size cap must be at least {MIN_MAX_N}, where every check has a case;"
                 f" got {self.max_n}")
+        object.__setattr__(self, "checks", tuple(self.checks))
 
     def cap(self, limit: int, per: int = 1) -> int:
         """The top of a size range whose acceptance range ends at `limit`,

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import AbelianGroupSpec, Graph, GraphValidationError, Symbol, exact_integers
+from .graphs import AbelianGroupSpec, Graph, GraphValidationError, Symbol, _frozen, exact_integers
 
 DEGENERACY_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
@@ -65,6 +65,8 @@ class JacobiConvergenceError(RuntimeError):
 class Spectrum:
     """Eigenvalues (descending) with paired orthonormal eigenvector columns.
 
+    Checked when made, unchangeable after: a read-only copy of finite
+    eigenvalues, the eigenvector array made read-only in place, no assignment.
     A closed-form route may pass a zero-argument builder in place of the
     eigenvector array; it runs on the first read of `eigenvectors` and its
     result is kept, so callers that need only eigenvalues never build them.
@@ -76,29 +78,30 @@ class Spectrum:
     """
 
     def __init__(self, eigenvalues, eigenvectors, characters=None):
-        self.eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-        self._build = eigenvectors if callable(eigenvectors) else None
-        self._eigenvectors = None if self._build else np.asarray(eigenvectors, dtype=np.complex128)
-        self.characters = characters
-        self._projections = {}
+        values = _frozen(np.array(eigenvalues, dtype=np.float64))
+        if not np.isfinite(values).all():
+            raise ValueError("eigenvalues must be finite")
+        if not callable(eigenvectors):
+            eigenvectors = _frozen(np.asarray(eigenvectors, dtype=np.complex128))
+        chars = None if characters is None else (characters[0], _frozen(characters[1]))
+        self.__dict__.update(eigenvalues=values, n=len(values), _eigenvectors=eigenvectors,
+                             characters=chars, _projections={})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a Spectrum is checked when made and cannot change")
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        if self._eigenvectors is None:
-            self._eigenvectors = np.asarray(self._build(), dtype=np.complex128)
-            self._build = None
+        if callable(self._eigenvectors):
+            built = np.asarray(self._eigenvectors(), dtype=np.complex128)
+            self.__dict__["_eigenvectors"] = _frozen(built)
         return self._eigenvectors
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
 
     def scaled(self, factor: float) -> "Spectrum":
         """Spectrum of factor * A; eigenvectors and ordering are unchanged."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        vectors = self._eigenvectors if self._build is None else (lambda: self.eigenvectors)
-        return Spectrum(self.eigenvalues * factor, vectors, self.characters)
+        return Spectrum(self.eigenvalues * factor, lambda: self.eigenvectors, self.characters)
 
     def class_projections(self, start: int, labels: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Rows E_r e_start, shape (r, n), of the eigenvalue classes `labels`,
@@ -159,21 +162,22 @@ class DegeneracyPartition:
         return [len(c) for c in self.classes]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CharacterTable:
     """Character table of a finite group: one row per irreducible.
 
     The first class is the identity class, so chars[:, 0] must equal dims.
+    Checked when made, and kept as tuples and a read-only copy of chars.
     """
 
-    class_sizes: list[int]
-    dims: list[int]
+    class_sizes: tuple[int, ...]
+    dims: tuple[int, ...]
     chars: np.ndarray
 
     def __post_init__(self):
-        self.class_sizes = exact_integers(self.class_sizes, "character table class sizes")
-        self.dims = exact_integers(self.dims, "character table dims")
-        self.chars = np.asarray(self.chars, dtype=np.complex128)
+        self.__dict__.update(class_sizes=exact_integers(self.class_sizes, "character table class sizes"),
+                             dims=exact_integers(self.dims, "character table dims"),
+                             chars=_frozen(np.array(self.chars, dtype=np.complex128)))
         self.validate()
 
     @property
@@ -246,9 +250,7 @@ def _roots_of_unity(L: int) -> np.ndarray:
     for num, val in ((0, 1.0), (1, 1j), (2, -1.0)):
         if (num * L) % 4 == 0:
             half[num * L // 4] = val
-    roots = np.concatenate([half, half[1 : (L + 1) // 2][::-1].conj()])
-    roots.flags.writeable = False
-    return roots
+    return _frozen(np.concatenate([half, half[1 : (L + 1) // 2][::-1].conj()]))
 
 
 def character_phases(group: AbelianGroupSpec) -> tuple[int, np.ndarray]:
@@ -707,7 +709,6 @@ def dense_eigensystems(graphs: list[Graph]) -> list[Spectrum]:
     eigen-residual, at once."""
     by_m: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
-        g.validate()
         by_m.setdefault(g.n + g.n % 2, []).append(i)
     _check_dense_budget([g.n for g in graphs])
     out: list = [None] * len(graphs)
@@ -765,13 +766,12 @@ def _check_dense_budget(orders: list[int]) -> None:
 def graph_eigensystem(g: Graph, method: str = "auto") -> Spectrum:
     """Eigensystem of a graph, closed form when available.
 
-    method: "auto" picks the closed form keyed by construction metadata and
-    falls back to LAPACK `eigh`; "closed" errors when no closed form exists;
-    "dense" forces the Jacobi oracle.
+    method: "auto" picks the closed form that the graph's checked structure
+    selects and falls back to LAPACK `eigh`; "closed" errors when no closed
+    form exists; "dense" forces the Jacobi oracle.
     """
     if method not in ("auto", "closed", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    g.validate()  # the structure a route reads must match the adjacency
     if method == "dense":
         return dense_eigensystem(g)
     if g.symbol is not None:

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .graphs import _frozen
 from .spectra import (
     DEGENERACY_TOL,
     Spectrum,
@@ -105,11 +106,9 @@ def class_projections(spec: Spectrum, start: int, labels: np.ndarray) -> ClassPr
     order = np.argsort(first)  # distinct columns in order of first occurrence
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    out = ClassProjections(spec.eigenvalues[starts], np.ascontiguousarray(proj[:, first[order]]),
-                           rank[inverse.ravel()], counts[order])
-    for part in out:
-        part.flags.writeable = False
-    spec._projections[key] = out
+    parts = (spec.eigenvalues[starts], np.ascontiguousarray(proj[:, first[order]]),
+             rank[inverse.ravel()], counts[order])
+    out = spec._projections[key] = ClassProjections(*map(_frozen, parts))
     return out
 
 

@@ -316,6 +316,33 @@ def test_char_table_subcommand(tmp_path, capsys):
     assert code == 1 and "disconnected" in err
 
 
+S3_FILE = str(Path(__file__).parent / "data" / "s3_char_table.json")
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["spectrum", "--char-table", S3_FILE, "--class-function", "0,1,0", "--family", "cycle",
+      "--n", "5", "--dense", "--normalize", "--eigenvectors"],
+     "--family, --n, --dense, --normalize, --eigenvectors"),
+    (["spectrum", "--char-table", S3_FILE, "--class-function", "0,1,0", "--n", "0"], "--n"),
+    (["spectrum", "--char-table", S3_FILE, "--class-function", "0,1,0", "--graph-file", "g"],
+     "--graph-file"),
+    (["spectrum", "--char-table", S3_FILE, "--class-function", "0,1,0", "--dense"], "--dense"),
+    (["spectrum", "--char-table", S3_FILE, "--class-function", "0,1,0", "--normalize"],
+     "--normalize"),
+    (["spectrum", "--char-table", S3_FILE, "--class-function", "0,1,0", "--eigenvectors"],
+     "--eigenvectors"),
+    (["spectrum", "--family", "cycle", "--n", "5", "--class-function", "0,1"], "--class-function"),
+    (["ensemble", "--n", "7", "--exhaustive", "--trials", "100"], "--trials"),
+    (["ensemble", "--n", "7", "--exhaustive", "--seed", "0"], "--seed"),
+], ids=["char-table-all", "char-table-n", "char-table-graph-file", "char-table-dense",
+        "char-table-normalize", "char-table-eigenvectors", "class-function-alone",
+        "exhaustive-trials", "exhaustive-seed"])
+def test_flags_a_command_would_not_read_exit_1(capsys, argv, flags):
+    # each of these once exited 0 and dropped the extra flags
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith(f"usage error: {flags}: ")
+
+
 def test_custom_adjacency_through_graph_file(tmp_path, capsys):
     good = tmp_path / "k4.json"
     good.write_text(json.dumps(

@@ -218,8 +218,7 @@ def test_builder_outputs_validate(g):
     a = g.adjacency
     assert np.array_equal(a, a.T)
     assert np.all(np.diag(a) == 0)
-    # validate() returns at once on a graph checked by structure; run the
-    # full pass it stands for
+    # a builder's graph is checked by structure; run the full pass it stands for
     _check_adjacency(a)
     assert g.validate() is g
 
@@ -255,17 +254,16 @@ def test_a_single_asymmetric_entry_is_refused(n):
 
 @pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.int64, np.float64, object])
 def test_asymmetry_is_refused_in_any_adjacency_dtype(dtype):
-    # the builders' uint8 is read as bool in place; another dtype, set after
-    # construction, takes the comparison route.  A custom graph: a path-family
-    # graph with the mended edge would be C_6 and fail the path-label check
-    g = from_adjacency(build_path(6).adjacency)
-    a = g.adjacency.astype(dtype)
+    # every dtype is checked for 0/1 entries before its cast to uint8, and the
+    # cast copy is checked where the graph is made.  A custom graph: a
+    # path-family graph with the mended edge would be C_6 and fail the
+    # path-label check
+    a = build_path(6).adjacency.astype(dtype)
     a[0, 5] = 1
-    g.adjacency = a
     with pytest.raises(GraphValidationError, match="symmetric"):
-        g.validate()
+        graphs.Graph(a)
     a[5, 0] = 1
-    g.validate()
+    assert graphs.Graph(a).adjacency.dtype == np.uint8
 
 
 def _reference_connected(adjacency):
@@ -791,19 +789,53 @@ def test_from_adjacency_takes_a_private_copy():
     assert g.adjacency[0, 1] == 1
 
 
-def test_reassigning_the_adjacency_rearms_the_check():
+def test_assigning_the_adjacency_raises():
     # a custom graph: C_5's symbol would refuse the mended P_5 adjacency
     g = from_adjacency(build_cycle(5).adjacency)
     cut = g.adjacency.copy()
     cut[0, 1] = cut[1, 0] = cut[2, 3] = cut[3, 2] = 0
-    g.adjacency = cut
+    with pytest.raises(AttributeError):
+        g.adjacency = cut
+    assert np.array_equal(g.adjacency, build_cycle(5).adjacency)
     with pytest.raises(GraphValidationError, match="connected"):
-        g.validate()
-    cut[2, 3] = cut[3, 2] = 1  # the graph holds the assigned array: one cut mends it
-    g.validate()
+        graphs.Graph(cut)  # refused where a graph is made of it
+    cut[2, 3] = cut[3, 2] = 1  # one cut mends it
+    h = graphs.Graph(cut)
     with pytest.raises(ValueError, match="read-only"):
-        g.adjacency[0, 1] = 1
-    cut[0, 4] = 1  # freezing the graph's view leaves the caller's array writable
+        h.adjacency[0, 1] = 1
+    cut[0, 2] = 1  # the graph holds a private copy: the caller's array stays writable
+    assert h.adjacency[0, 2] == 0
+
+
+def test_a_graph_and_its_symbol_cannot_change_after_the_check():
+    from ctqw import spectra
+
+    g = from_adjacency(build_cycle(6).adjacency)
+    with pytest.raises(AttributeError):
+        g.family = "path"  # which routed C_6 to P_6's closed form
+    for name in ("symbol", "base", "labels", "_adjacency"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    assert spectra.graph_eigensystem(g).eigenvalues.round(12).tolist() == [2, 1, 1, -1, -1, -2]
+    a = build_path(6).adjacency.copy()
+    g = graphs.Graph(a)
+    a[0, 5] = 1  # the caller's array, not the graph's
+    assert np.array_equal(g.adjacency, build_path(6).adjacency)
+    sym = build_cycle(8).symbol
+    with pytest.raises(ValueError, match="read-only"):
+        sym.values[3] = True  # which made the adjacency formed later asymmetric
+    with pytest.raises(AttributeError):
+        sym.values = np.ones(8, dtype=bool)
+    values = np.zeros(8, dtype=bool)
+    values[[1, 7]] = True
+    sym = Symbol(AbelianGroupSpec((8,)), values)
+    values[3] = True  # the caller's array: the symbol holds a read-only copy
+    assert sym.support.tolist() == [1, 7]
+    labels = ["a", "b"]
+    g = graphs.Graph([[0, 1], [1, 0]], labels=labels)
+    labels[0] = 7
+    g.labels[1] = 7  # each read is a new list
+    assert g.labels == ["a", "b"]
 
 
 def test_closed_form_routes_neither_check_nor_form_built_graphs(monkeypatch, tmp_path):
@@ -842,26 +874,21 @@ def test_closed_form_routes_neither_check_nor_form_built_graphs(monkeypatch, tmp
 def test_structure_labels_that_do_not_match_the_adjacency_are_refused():
     # each label selects a closed form: C_4's symbol on P_4 gave [2, 0, 0, -2],
     # family "path" on K_3 gave P_3's spectrum, and a bunkbed base of K_2 on
-    # K_4 gave the 4-cycle's; graph_eigensystem now checks before any route
+    # K_4 gave the 4-cycle's; each is refused where the graph is made
     from ctqw import spectra
 
     k3 = build_complete(3).adjacency
-    unchecked = [graphs.Graph(build_path(4).adjacency, symbol=build_cycle(4).symbol),
-                 graphs.Graph(k3, family="path"),
-                 graphs.Graph(build_complete(4).adjacency, family="bunkbed", base=build_complete(2)),
-                 graphs.Graph(k3, family=7), graphs.Graph(k3, labels=[1, 2, 3]),
-                 graphs.Graph(k3, labels=["a", "b"]), graphs.Graph(k3, labels="abc")]
-    # degrees are the row sums until the labels are checked: P_4's, not C_4's
-    assert unchecked[0].degrees.tolist() == [1, 2, 2, 1]
-    assert unchecked[2].degrees.tolist() == [3, 3, 3, 3]
-    for g in unchecked:
-        for method in ("auto", "dense"):
-            with pytest.raises(GraphValidationError):
-                spectra.graph_eigensystem(g, method=method)
+    for a, kwargs in ((build_path(4).adjacency, {"symbol": build_cycle(4).symbol}),
+                      (k3, {"family": "path"}),
+                      (build_complete(4).adjacency, {"family": "bunkbed", "base": build_complete(2)}),
+                      (k3, {"family": 7}), (k3, {"labels": [1, 2, 3]}),
+                      (k3, {"labels": ["a", "b"]}), (k3, {"labels": "abc"})):
+        with pytest.raises(GraphValidationError):
+            graphs.Graph(a, **kwargs)
     for kwargs in ({"family": "path"}, {"family": 7, "labels": [1]}, {"labels": [1, 2, 3]}):
         with pytest.raises(GraphValidationError):
             from_adjacency(k3, **kwargs)
-    # matching labels pass, and a builder's graph is not checked again
+    # matching labels pass
     g = graphs.Graph(build_path(4).adjacency, family="path", labels=["a", "b", "c", "d"])
     assert np.allclose(spectra.graph_eigensystem(g).eigenvalues,
                        2 * np.cos(np.arange(1, 5) * np.pi / 5))

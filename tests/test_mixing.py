@@ -521,6 +521,15 @@ def test_verify_requires_checks():
         verify_all(VerifyConfig(checks=("bogus",)))
 
 
+def test_a_verify_config_cannot_change():
+    cfg = VerifyConfig(checks=["complete_average"], max_n=8)
+    with pytest.raises(AttributeError):
+        cfg.max_n = 2  # under MIN_MAX_N, which verify_all died on
+    assert cfg.checks == ("complete_average",)  # a tuple, not the caller's list
+    with pytest.raises(ValueError, match="size cap"):
+        VerifyConfig(max_n=2)
+
+
 def test_verify_subset_and_flags():
     cfg = VerifyConfig(checks=("complete_average", "path_classical"), max_n=8)
     reports = verify_all(cfg)

@@ -88,7 +88,7 @@ def test_circulant_average_is_symmetric_under_negation(n, seed):
 def test_builders_always_validate(n):
     for g in (graphs.build_complete(n), graphs.build_path(n),
               graphs.build_cycle(max(n, 3)), graphs.build_complete_bipartite(n)):
-        graphs._check_adjacency(g.adjacency)  # the pass validate() skips for them
+        graphs._check_adjacency(g.adjacency)  # the pass `Graph(...)` runs and they skip
         g.validate()
 
 
@@ -223,11 +223,13 @@ def api_graph_arguments(draw):
 def test_every_graph_the_api_accepts_round_trips_through_json(args):
     adjacency, family, labels, symbol, base = args
     try:
-        g = graphs.Graph(adjacency.copy(), family=family, labels=labels, symbol=symbol,
-                         base=base).validate()
+        g = graphs.Graph(adjacency, family=family, labels=labels, symbol=symbol, base=base)
     except graphs.GraphValidationError:
         return
     text = graphs.graph_to_json(g)
     h = graphs.graph_from_json(text)
     assert graphs.graph_to_json(h) == text
     assert np.array_equal(h.adjacency, g.adjacency) and (h.family, h.labels) == (family, labels)
+    # the route its structure selects agrees with the Jacobi oracle on its adjacency
+    routed = spectra.graph_eigensystem(g).eigenvalues
+    assert np.max(np.abs(routed - spectra.dense_eigensystem(g).eigenvalues)) <= 1e-9

@@ -604,8 +604,38 @@ def test_check_spectrum_refuses_nan():
         spectra.check_spectrum(spectra.Spectrum(spec.eigenvalues, vecs), g.adjacency)
     lam = spec.eigenvalues.copy()
     lam[3] = np.nan
-    with pytest.raises(RuntimeError, match="residual"):
-        spectra.check_spectrum(spectra.Spectrum(lam, spec.eigenvectors), g.adjacency)
+    with pytest.raises(ValueError, match="finite"):  # refused where the spectrum is made
+        spectra.Spectrum(lam, spec.eigenvectors)
+    with pytest.raises(RuntimeError, match="residual"):  # and by the check of a dense route
+        spectra._check_eigensystems(g.adjacency[None], lam[None], spec.eigenvectors[None])
+
+
+@pytest.mark.parametrize("factor", [float("nan"), math.inf, -math.inf])
+def test_a_spectrum_refuses_non_finite_eigenvalues_where_it_is_made(factor):
+    # a NaN factor passed the positivity test, and its spectrum gave a "valid"
+    # average [1, 2e-33, ...] and a 2 pi scan window
+    spec = graph_eigensystem(graphs.build_cycle(5))
+    with pytest.raises(ValueError):
+        spec.scaled(factor)
+    with pytest.raises(ValueError, match="finite"):
+        spectra.Spectrum(spec.eigenvalues * factor, spec.eigenvectors)
+
+
+def test_a_spectrum_and_a_character_table_cannot_change(s3_table):
+    spec = graph_eigensystem(graphs.build_cycle(8))
+    for array in (spec.eigenvalues, spec.eigenvectors, spec.characters[1], s3_table.chars):
+        with pytest.raises(ValueError, match="read-only"):
+            array[1] = 5.0
+    with pytest.raises(AttributeError):
+        spec.eigenvalues = spec.eigenvalues * 2
+    with pytest.raises(AttributeError):
+        s3_table.chars = s3_table.chars.copy()
+    # the S_3 table's transposition class function keeps its eigenvalues 3, -3, 0
+    assert class_circulant_eigenvalues(s3_table, [0, 1, 0]) == [(3.0, 1), (0.0, 4), (-3.0, 1)]
+    chars = s3_table.chars.copy()
+    table = CharacterTable([1, 3, 2], [1, 1, 2], chars)
+    chars[1, 1] = 5.0  # the caller's array: the table holds its own copy
+    assert table.chars[1, 1] == -1.0
 
 
 def _closed_symbol(factors, seed):
@@ -769,7 +799,7 @@ def test_exact_integer_character_table_entries_of_any_numeric_type_load(s3_table
     for sizes, dims in [([1.0, 3.0, 2.0], [1, 1, 2]), (np.array([1, 3, 2], dtype=np.uint8),
                                                       np.array([1.0, 1.0, 2.0]))]:
         table = CharacterTable(sizes, dims, s3_table.chars)
-        assert table.class_sizes == [1, 3, 2] and table.dims == [1, 1, 2]
+        assert table.class_sizes == (1, 3, 2) and table.dims == (1, 1, 2)
         assert all(type(x) is int for x in table.class_sizes + table.dims)
     with pytest.raises(ValueError, match="identity class"):
         CharacterTable([], [], np.zeros((0, 0)))

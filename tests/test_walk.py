@@ -263,6 +263,23 @@ def test_class_projections_are_formed_once_per_spectrum_and_freed_with_it():
     assert columns() is None
 
 
+def test_a_kept_projection_cannot_go_stale():
+    # the projections are kept per spectrum, whose eigenvalues cannot change:
+    # doubling them in place once returned the kept walk, 0.37 away from a
+    # fresh spectrum's
+    spec = spec_of(graphs.build_path(5))
+    first = instantaneous_distribution(spec, 0, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.eigenvalues *= 2
+    with pytest.raises(AttributeError):
+        spec.eigenvalues = spec.eigenvalues * 2
+    assert np.array_equal(instantaneous_distribution(spec, 0, 1.0), first)
+    doubled = instantaneous_distribution(spec.scaled(2.0), 0, 1.0)
+    assert np.array_equal(doubled, instantaneous_distribution(
+        spectra.Spectrum(spec.eigenvalues * 2, spec.eigenvectors), 0, 1.0))
+    assert np.abs(doubled - first).max() > 0.3
+
+
 def test_class_projections_check_their_labels():
     spec = spec_of(graphs.build_cycle(5))
     for bad in ([0, 0, 1, 1], [1, 1, 2, 2, 3], [0, 2, 2, 3, 3], [0, 1, 0, 1, 2]):
