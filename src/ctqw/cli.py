@@ -217,12 +217,14 @@ def _cmd_spectrum(args) -> int:
     if args.char_table:
         return _cmd_spectrum_char_table(args)
     _refuse(args, ("class_function",), "only read with --char-table")
+    if args.eigenvectors and args.format != "json":
+        raise UsageError("--eigenvectors requires --format json")
     g = _build_graph(args)
     spec = _spectrum_for(g, args)
     labels = spectra.degeneracy_labels(spec.eigenvalues, args.tol)
     doc = {"n": spec.n, "eigenvalues": [float(x) for x in spec.eigenvalues],
            **spectra.degeneracy_summary(spec.eigenvalues, labels)}
-    if args.eigenvectors and args.format == "json":  # no other format prints them
+    if args.eigenvectors:
         doc["eigenvectors"] = [[[float(z.real), float(z.imag)] for z in spec.eigenvectors[:, j]]
                                for j in range(spec.n)]
     doc |= {"family": g.family, "normalized": bool(args.normalize)}
@@ -392,7 +394,8 @@ def _spectrum_args(p: argparse.ArgumentParser) -> None:
     _add_common_args(p)
     _add_tol_arg(p)
     _add_normalize_arg(p)
-    p.add_argument("--dense", action="store_true", help="force the Jacobi oracle")
+    p.add_argument("--dense", action="store_true",
+                   help="force LAPACK eigh, even where a closed form exists")
     p.add_argument("--eigenvectors", action="store_true", help="include eigenvectors (JSON)")
     p.add_argument("--char-table", help="character table JSON for a class-function circulant")
     p.add_argument("--class-function", help="0/1 values per conjugacy class, e.g. '0,1,0'")

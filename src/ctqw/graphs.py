@@ -92,7 +92,11 @@ class AbelianGroupSpec:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """`a`, made read-only in place (a view's base keeps its own flag)."""
+    """`a`, made read-only in place; a read-only copy of it when it does not
+    own its data, as a view's base would keep its own flag and could still
+    change it."""
+    if not a.flags.owndata:
+        a = a.copy()
     a.flags.writeable = False
     return a
 

@@ -1,17 +1,14 @@
-"""Eigensystems by closed form where one exists, LAPACK `eigh` for the other
-production graphs, a round-robin Jacobi oracle behind `--dense` and `verify`,
-and the degeneracy structure all of them feed into walk averaging.
+"""Eigensystems by closed form where one exists, LAPACK `eigh` for every
+other production route (`--dense` included), a round-robin Jacobi oracle
+that calls no LAPACK for `verify`, and the degeneracy structure all of them
+feed into walk averaging.
 
 Eigenvalues are always sorted descending with ties broken by ascending
 pre-sort index, so output is reproducible from run to run.  The dense routes'
-last bits depend on the platform: numpy may fuse the Jacobi kernel's complex
-multiply, and `eigh` depends on the BLAS build.  Jacobi on orders up to
-ONE_BLOCK_MAX sweeps one ring over the whole matrix; larger orders sweep in
-blocks, rotating block-pair subproblems as one stack and applying each
-phase's rotation to the rest of the matrix and to the eigenvectors with
-batched matrix products, so there the last bits also depend on the BLAS
-build and thread count, as `eigh`'s do.  Both dense routes refuse a working
-set over DENSE_BUDGET bytes before allocating it.
+last bits depend on the platform: `eigh` on the BLAS build and thread count;
+Jacobi, which sweeps one Brent-Luk ring with element-wise numpy and no BLAS,
+only on whether numpy fuses its complex multiply.  Both dense routes refuse a
+working set over DENSE_BUDGET bytes before allocating it.
 Circulant eigenvalues are read from one conjugate-symmetric table of roots
 of unity, summed in a fixed order, which makes the symmetry degeneracy
 lambda_a == lambda_{-a} exact in floating point rather than approximate.
@@ -25,7 +22,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,14 +34,11 @@ IMAG_RESIDUE_TOL = 1e-10
 # Closed-form walks build their n-wide tables (class projection phases, scan
 # amplitudes) in blocks of at most this many entries: 1 MiB of float64.
 BLOCK_ENTRIES = 2**17
-# Jacobi on orders up to ONE_BLOCK_MAX sweeps the whole matrix as one ring;
-# larger orders sweep in blocks of order near BLOCK_ORDER (`_block_layout`).
-ONE_BLOCK_MAX = 32
-BLOCK_ORDER = 16
 # The dense routes refuse a float working set above DENSE_BUDGET bytes
 # before allocating any of it: DENSE_ARRAYS float64 n x n arrays per matrix
-# of order n (the measured peak is about 11 for `eigh` at n = 128..400 and
-# 13.4 for Jacobi at n = 128 and 200, sort and checks included).
+# of order n (the measured peak is about 11 for `eigh` at n = 128..400, and
+# 10.1 and 9.4 for Jacobi's one ring at n = 128 and 200, sort and checks
+# included).
 DENSE_BUDGET = 2**32
 DENSE_ARRAYS = 16
 
@@ -66,7 +59,8 @@ class Spectrum:
     """Eigenvalues (descending) with paired orthonormal eigenvector columns.
 
     Checked when made, unchangeable after: a read-only copy of finite
-    eigenvalues, the eigenvector array made read-only in place, no assignment.
+    eigenvalues, the eigenvector array made read-only in place (copied first
+    when it does not own its data, `_frozen`), no assignment.
     A closed-form route may pass a zero-argument builder in place of the
     eigenvector array; it runs on the first read of `eigenvectors` and its
     result is kept, so callers that need only eigenvalues never build them.
@@ -229,11 +223,13 @@ def _descending(eigenvalues: np.ndarray) -> np.ndarray:
 
 def _sorted_spectrum(eigenvalues: np.ndarray, eigenvectors) -> Spectrum:
     """Sort descending, ties by ascending original index; `eigenvectors` is an
-    array or a builder of one, whose columns are then sorted when it runs."""
+    array or a builder of one, whose columns are then sorted when it runs.
+    `np.take` gives the bits of `a[:, order]` in an array that owns them,
+    where fancy indexing keeps a writable base."""
     order = _descending(eigenvalues)
     if callable(eigenvectors):
-        return Spectrum(eigenvalues[order], lambda: eigenvectors()[:, order])
-    return Spectrum(eigenvalues[order], eigenvectors[:, order])
+        return Spectrum(eigenvalues[order], lambda: np.take(eigenvectors(), order, axis=1))
+    return Spectrum(eigenvalues[order], np.take(eigenvectors, order, axis=1))
 
 
 @functools.lru_cache(maxsize=64)
@@ -404,104 +400,6 @@ def _ring_slots(m: int) -> tuple[np.ndarray, np.ndarray]:
     return start, slot_of[moved]
 
 
-def _block_layout(n: int) -> tuple[int, int]:
-    """(N, k): a sweep over order n runs on N blocks of k indices each.
-
-    Up to ONE_BLOCK_MAX the whole matrix is one block, k = n + n % 2 with a
-    zero index for odd n.  Above it N is even and k = ceil(n / N) the block
-    order nearest BLOCK_ORDER; the N k - n < N zero indices that fill the
-    last blocks are fewer than one per block.
-    """
-    if n <= ONE_BLOCK_MAX:
-        return 1, n + n % 2
-    N = min(range(2, n // 2 + 1, 2),
-            key=lambda N: (abs(-(-n // N) - BLOCK_ORDER), N * -(-n // N)))
-    return N, -(-n // N)
-
-
-def _slot_order(n: int, N: int, k: int) -> np.ndarray:
-    """The index held by each of the N k slots at a sweep boundary, zero
-    indices numbered from n.  One block holds its indices in
-    `_ring_slots(k)` order; N > 1 blocks hold consecutive runs, and each of
-    the last N k - n blocks ends in a zero index."""
-    if N == 1:
-        return _ring_slots(k)[0]
-    real = np.ones((N, k), dtype=bool)
-    real[N - (N * k - n) :, -1] = False
-    order = np.empty((N, k), dtype=np.intp)
-    order[real] = np.arange(n)
-    order[~real] = np.arange(n, N * k)
-    return order.ravel()
-
-
-class _Phase(NamedTuple):
-    """One phase of a blocked sweep: `rounds` rounds of `_rotate` on the
-    stacked diagonal groups of A, g indices each, as subproblems of order r
-    (g, or g + 1 with a zero index that is in no group) whose slots `perm`
-    moves and brings back to the start after `rounds`.
-
-    `sub` holds the flat positions in the (m, m) matrix that each group's
-    subproblem reads, in slot order; the entries at `zero` are the zero
-    index's, set to 0 instead.  `put` are the positions written back from
-    entries `back` of the stacked subproblems.  `q` is the identity with its
-    columns in slot order, and `unslot` the slot of each group index.
-    `upper` holds the group pairs X < Y.  `gather` reads the next
-    layout from the upper triangle of A, and `v_gather` the next
-    eigenvector columns from the stacked product V Q.
-    """
-
-    g: int
-    perm: np.ndarray
-    rounds: int
-    sub: np.ndarray
-    zero: np.ndarray
-    put: np.ndarray
-    back: np.ndarray | slice
-    q: np.ndarray
-    unslot: np.ndarray
-    upper: tuple[np.ndarray, np.ndarray]
-    gather: np.ndarray
-    v_gather: np.ndarray
-
-
-def _phases(N: int, k: int) -> list[_Phase]:
-    """The N phases of a sweep over N > 1 blocks of k indices.
-
-    First every block runs its own ring (`_ring_slots(k + k % 2)`, an odd
-    block with a zero index).  Then N - 1 block rounds pair the blocks on a
-    ring of their own (`_ring_slots(N)`, whose pairs are kept in adjacent
-    block slots); a pair's k^2 cross pairs take k rounds, one block's
-    indices fixed while the other's move one place per round.  So every
-    pair of indices meets once per sweep.
-    """
-    m = N * k
-
-    def phase(g, inner, perm, rounds, moved):
-        # inner: the group index in each subproblem slot, g for the zero index
-        G, r = m // g, len(inner)
-        real = inner < g
-        base = np.arange(G)[:, None] * g + np.minimum(inner, g - 1)
-        sub = (base[:, :, None] * m + base[:, None, :]).reshape(G, r * r)
-        both = (real[:, None] & real).ravel()
-        keep = np.flatnonzero(both)
-        back = (np.arange(G)[:, None] * r * r + keep).ravel() if r > g else slice(None)
-        to = (moved[:, None] * k + np.arange(k)).ravel()  # what each position takes
-        gather = (np.minimum.outer(to, to) * m + np.maximum.outer(to, to)).ravel()
-        # V Q is stacked (G, m, g): its column c sits at [c // g, :, c % g]
-        v_gather = ((to // g) * m * g + np.arange(m)[:, None] * g + to % g).ravel()
-        return _Phase(g, perm, rounds, sub.ravel(), np.flatnonzero(~both),
-                      sub[:, keep].ravel(), back, np.eye(r)[:, inner], np.argsort(inner)[:g],
-                      np.triu_indices(G, 1), gather, v_gather)
-
-    ring_start, ring = _ring_slots(k + k % 2)
-    pairs = np.arange(2 * k).reshape(2, k).T.ravel()  # slots 2i, 2i + 1: index i of each block
-    cross = np.arange(2 * k)
-    cross[1::2] = np.roll(cross[1::2], -1)
-    _, block_ring = _ring_slots(N)
-    return ([phase(k, ring_start, ring, k + k % 2 - 1, np.arange(N))]
-            + [phase(2 * k, pairs, cross, k, block_ring)] * (N - 1))
-
-
 def _off_norms(a: np.ndarray) -> np.ndarray:
     # computed from the off-diagonal entries directly; the algebraic
     # shortcut ||m||^2 - ||diag||^2 cancels catastrophically near zero
@@ -518,10 +416,9 @@ def jacobi_eigensystem(
 
     `matrix` is (n, n) or (B, n, n); its upper triangle is used.  Each step
     rotates the n/2 disjoint pairs of one round of every unconverged matrix at
-    once (above ONE_BLOCK_MAX in blocks, `_round_robin_sweeps`); a pair with
-    |a_pq| <= thresh / n is left untouched.  Each matrix
-    converges when its off-diagonal Frobenius norm drops below
-    thresh = 1e-12 * (1 + ||A||_F) and then leaves the stack;
+    once (`_round_robin_sweeps`); a pair with |a_pq| <= thresh / n is left
+    untouched.  Each matrix converges when its off-diagonal Frobenius norm
+    drops below thresh = 1e-12 * (1 + ||A||_F) and then leaves the stack;
     JacobiConvergenceError is raised past the sweep cap.
     `sizes` holds the order of each matrix of a stack that is zero-padded to
     n: matrix b is its leading sizes[b] x sizes[b] block, and its pairs are
@@ -569,29 +466,23 @@ def _round_robin_sweeps(
     writing each matrix's results into row b of `eigenvalues` and
     `eigenvectors` as it converges.
 
-    The matrices live in slot order (`_slot_order`).  Up to ONE_BLOCK_MAX a
-    sweep is the m - 1 rounds of one ring over the whole matrix (`_rotate`).
-    Above it, a sweep is N phases over N blocks (`_phases`): each phase
-    rotates only stacked subproblems of order k or 2k, then applies their
-    block-diagonal rotation Q to the rest of A and to V with batched matrix
-    products (`_blocked_phase`).
+    An odd n is padded with one zero index to an even m.  The matrices live
+    in the slot order of one ring over all m indices (`_ring_slots`), and a
+    sweep is its m - 1 rounds (`_rotate`), which leave them in that order.
     """
     n = a.shape[-1]
     thresh = 1e-12 * (1.0 + np.linalg.norm(a, axis=(1, 2)))
     skip = (thresh / sizes)[:, None]  # elements this small cannot lift the off norm above thresh
-    N, k = _block_layout(n)
-    order = _slot_order(n, N, k)
-    m = N * k
-    if m > n:  # zero indices: their pairs always have a_pq = 0, so they sit every round out
-        a = np.pad(a, ((0, 0), (0, m - n), (0, m - n)))
+    m = n + n % 2
+    if m > n:  # a zero index: its pairs always have a_pq = 0, so they sit every round out
+        a = np.pad(a, ((0, 0), (0, 1), (0, 1)))
+    order, ring = _ring_slots(m)
     unslot = np.argsort(order)[:n]  # the slot of each index at every sweep boundary
     # a[b, s, t] = A[b, order[s], order[t]] at each sweep boundary, and column
     # s of v[b] is the eigenvector of slot s
     a = a.reshape(len(a), m * m).take((order[:, None] * m + order).ravel(), axis=1)
     a = a.reshape(-1, m, m)
     v = np.broadcast_to(np.eye(m)[:, order], a.shape).copy()
-    ring = _ring_slots(m)[1]
-    phases = _phases(N, k) if N > 1 else []
     active = np.arange(len(a))
     for sweep in range(max_sweeps + 1):
         off = _off_norms(a)
@@ -606,19 +497,15 @@ def _round_robin_sweeps(
                 x[keep] for x in (a, v, off, active, thresh, skip))
         if sweep == max_sweeps:
             raise JacobiConvergenceError(float(off.max()), max_sweeps)
-        if N == 1:
-            v = _rotate(a, v, skip, ring, m - 1)
-        for phase in phases:
-            a, v = _blocked_phase(a, v, skip, phase)
+        v = _rotate(a, v, skip, ring)
 
 
-def _rotate(
-    a: np.ndarray, v: np.ndarray, skip: np.ndarray, perm: np.ndarray, rounds: int
-) -> np.ndarray:
-    """`rounds` Jacobi rounds on the (S, g, g) stack `a`, whose pairs sit in
-    slots (2j, 2j + 1); after each round slot s takes what slot perm[s]
-    held.  The columns of `v` (S, r, g) get the same rotations and moves.
-    `a` is updated in place; returns the rotated `v` (in one of two buffers).
+def _rotate(a: np.ndarray, v: np.ndarray, skip: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """One sweep, the g - 1 Jacobi rounds of a ring, on the (S, g, g) stack
+    `a`, whose pairs sit in slots (2j, 2j + 1); after each round slot s takes
+    what slot perm[s] held.  The columns of `v` (S, g, g) get the same
+    rotations and moves.  Only element-wise numpy runs here, no BLAS.  `a` is
+    updated in place; returns the rotated `v` (in one of two buffers).
 
     Viewed as complex, a column pair is one number, and multiplying it by
     c_j + i s_j gives (c a_p - s a_q) + i (s a_p + c a_q), the rotated pair:
@@ -642,7 +529,7 @@ def _rotate(
     rot = np.empty((S, h), dtype=bool)
     cs = np.empty((S, 1, h), dtype=np.complex128)
     c, s = cs.real[:, 0], cs.imag[:, 0]
-    for _ in range(rounds):
+    for _ in range(g - 1):
         flat.take(fix, axis=1, out=pivots, mode="clip")
         np.greater(np.abs(apq, out=x), skip, out=rot)
         # theta = (a_qq - a_pp) / (2 a_pq), over 1 where the pair is skipped
@@ -673,34 +560,6 @@ def _rotate(
     return v
 
 
-def _blocked_phase(
-    a: np.ndarray, v: np.ndarray, skip: np.ndarray, phase: _Phase
-) -> tuple[np.ndarray, np.ndarray]:
-    """One phase of a blocked sweep on the (B, m, m) stack `a` and its
-    eigenvectors `v`; returns both in the next phase's layout.
-
-    The diagonal groups are rotated as one (B m / g, g, g) stack, whose
-    columns of Q start as the identity in slot order.  Each other group is
-    then Q_X^T A_XY Q_Y (upper groups only: the gather to the next layout
-    reads the upper triangle), and V becomes V Q.
-    """
-    b, m, g, r = len(a), a.shape[-1], phase.g, len(phase.q)
-    G = m // g
-    flat = a.reshape(b, m * m)
-    sub = flat.take(phase.sub, axis=1).reshape(b * G, r, r)
-    sub.reshape(b * G, r * r)[:, phase.zero] = 0.0
-    q = np.broadcast_to(phase.q, sub.shape).copy()
-    q = _rotate(sub, q, np.repeat(skip, G, axis=0), phase.perm, phase.rounds)
-    q = q[:, :g, phase.unslot].reshape(b, G, g, g)  # rows and columns in group order
-    flat[:, phase.put] = sub.reshape(b, G * r * r)[:, phase.back]
-    groups = a.reshape(b, G, g, G, g).swapaxes(2, 3)
-    X, Y = phase.upper
-    groups[:, X, Y] = q[:, X].swapaxes(2, 3) @ groups[:, X, Y] @ q[:, Y]
-    a = flat.take(phase.gather, axis=1).reshape(b, m, m)
-    v = (v.reshape(b, m, G, g).swapaxes(1, 2) @ q).reshape(b, -1)
-    return a, v.take(phase.v_gather, axis=1).reshape(b, m, m)
-
-
 def dense_eigensystems(graphs: list[Graph]) -> list[Spectrum]:
     """Independent oracle for many graphs: one stacked Jacobi call per even
     size m, where a graph with odd n joins the (n + 1)-vertex graphs with a
@@ -725,8 +584,8 @@ def dense_eigensystems(graphs: list[Graph]) -> list[Spectrum]:
             lam = np.take_along_axis(lam, order, axis=1)
             vec = np.take_along_axis(vecs[sel, :n, :n], order[:, None, :], axis=2)
             _check_eigensystems(adjacency[sel, :n, :n], lam, vec)
-            for b, values, vectors in zip(sel, lam, vec.astype(np.complex128)):
-                out[ids[b]] = Spectrum(values, vectors)
+            for b, values, vectors in zip(sel, lam, vec):
+                out[ids[b]] = Spectrum(values, vectors.astype(np.complex128))  # its own array
     return out
 
 
@@ -736,7 +595,8 @@ def dense_eigensystem(g: Graph) -> Spectrum:
 
 
 def _lapack_eigensystem(g: Graph) -> Spectrum:
-    """Production dense route: LAPACK `eigh`, sorted and checked like the oracle.
+    """The one production dense route: LAPACK `eigh`, sorted and checked like
+    the oracle.
 
     A LAPACK failure is a computational failure (RuntimeError), not bad input.
     """
@@ -768,12 +628,13 @@ def graph_eigensystem(g: Graph, method: str = "auto") -> Spectrum:
 
     method: "auto" picks the closed form that the graph's checked structure
     selects and falls back to LAPACK `eigh`; "closed" errors when no closed
-    form exists; "dense" forces the Jacobi oracle.
+    form exists; "dense" forces `eigh`.  The Jacobi oracle, which calls no
+    LAPACK, is `dense_eigensystem`.
     """
     if method not in ("auto", "closed", "dense"):
         raise ValueError(f"unknown method {method!r}")
     if method == "dense":
-        return dense_eigensystem(g)
+        return _lapack_eigensystem(g)
     if g.symbol is not None:
         return abelian_circulant_eigensystem(g.symbol)
     if g.family == "path":

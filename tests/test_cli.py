@@ -257,6 +257,15 @@ def test_output_over_an_existing_file_keeps_its_mode(tmp_path, capsys, mode):
     assert [p.name for p in tmp_path.iterdir()] == ["private.json"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_spectrum_eigenvectors_outside_json_exit_1(capsys, fmt):
+    # it once exited 0 and printed no eigenvectors
+    code, out, err = run_cli(capsys, "spectrum", "--family", "cycle", "--n", "5",
+                             "--eigenvectors", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == "usage error: --eigenvectors requires --format json\n"
+
+
 def test_walk_csv_and_amplitudes(capsys):
     code, out, _ = run_cli(capsys, "walk", "--family", "complete", "--n", "2",
                            "--t", "0.5", "--format", "csv")
@@ -683,10 +692,9 @@ def test_spectrum_never_builds_eigenvectors_it_does_not_print(capsys, monkeypatc
     monkeypatch.setattr(spectra, "character_phases", refuse)
     with pytest.raises(RuntimeError, match="eigenvector table built"):
         spectra.graph_eigensystem(graphs.build_hypercube(8)).eigenvectors
-    # --eigenvectors adds them to the JSON document only
-    eigenvectors = [] if fmt == "json" else ["--eigenvectors"]
+    # only --eigenvectors, which needs JSON, adds them to the document
     code, out, err = run_cli(capsys, "spectrum", "--family", "hypercube", "--d", "8",
-                             "--format", fmt, *eigenvectors)
+                             "--format", fmt)
     assert code == 0 and err == ""
     if fmt == "table":
         assert "type: 9" in out
@@ -714,16 +722,27 @@ def test_char_table_entries_must_be_exact_integers(tmp_path, capsys, sizes, dims
 PAW = {"n": 4, "family": "custom", "adjacency_rows": ["0111", "1010", "1100", "1000"]}
 
 
-def test_graph_file_spectrum_is_lapack_and_dense_is_jacobi(tmp_path, capsys, jacobi_calls):
+def test_graph_file_spectrum_and_dense_are_lapack_and_verify_is_jacobi(tmp_path, capsys,
+                                                                       jacobi_calls):
     path = tmp_path / "paw.json"
     path.write_text(json.dumps(PAW))
     code, production, _ = run_cli(capsys, "spectrum", "--graph-file", str(path))
     assert code == 0 and jacobi_calls == []
     code, dense, _ = run_cli(capsys, "spectrum", "--dense", "--graph-file", str(path))
-    assert code == 0 and jacobi_calls == [(1, 4, 4)]
-    got, want = json.loads(production), json.loads(dense)
-    assert np.max(np.abs(np.subtract(got["eigenvalues"], want["eigenvalues"]))) <= 1e-12
-    assert got["multiplicities"] == want["multiplicities"]
+    assert code == 0 and jacobi_calls == [] and dense == production  # the same eigh route
+    code, _, _ = run_cli(capsys, "verify", "--max-n", "6")
+    assert code == 0 and jacobi_calls  # the oracle stays Jacobi
+
+
+def test_verify_calls_no_lapack(capsys, monkeypatch):
+    # the Jacobi oracle checks the closed forms with a solver they do not share
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "qr", "solve", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    code, out, err = run_cli(capsys, "verify", "--max-n", "8", "--trials", "30", "--format", "json")
+    assert code == 0 and err == "" and json.loads(out)["reports"]
 
 
 def test_bad_lapack_results_exit_2(tmp_path, capsys, monkeypatch):
@@ -775,51 +794,37 @@ def test_an_input_too_large_to_hold_is_a_computational_failure(capsys, monkeypat
     assert (code, out, err) == (2, "", "computational failure: out of memory\n")
 
 
-def test_lapack_route_agrees_across_openblas_thread_counts(tmp_path):
-    from ctqw import graphs
-
-    rng = np.random.default_rng(40)
-    while True:
-        upper = np.triu(rng.random((40, 40)) < 0.2, 1)
-        adjacency = (upper | upper.T).astype(np.uint8)
-        try:
-            g = graphs.from_adjacency(adjacency)
-            break
-        except graphs.GraphValidationError:
-            continue
-    path = tmp_path / "g40.json"
-    path.write_text(graphs.graph_to_json(g))
+@pytest.mark.parametrize("dense", [False, True], ids=["G40-file", "dense-C128"])
+def test_lapack_route_agrees_across_openblas_thread_counts(tmp_path, dense):
+    # the eigh route of a random graph file, and of `spectrum --dense` on C_128
+    if dense:
+        g = graphs.build_cycle(128)
+        argv = ["--dense", "--family", "cycle", "--n", "128"]
+    else:
+        rng = np.random.default_rng(40)
+        while True:
+            upper = np.triu(rng.random((40, 40)) < 0.2, 1)
+            try:
+                g = graphs.from_adjacency((upper | upper.T).astype(np.uint8))
+                break
+            except graphs.GraphValidationError:
+                continue
+        path = tmp_path / "g40.json"
+        path.write_text(graphs.graph_to_json(g))
+        argv = ["--graph-file", str(path)]
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     docs = {}
     for threads in ("1", "2"):
-        runs = [subprocess.run([sys.executable, "-m", "ctqw", "spectrum", "--graph-file", str(path)],
+        runs = [subprocess.run([sys.executable, "-m", "ctqw", "spectrum", *argv],
                                capture_output=True, timeout=120,
                                env={**env, "OPENBLAS_NUM_THREADS": threads}) for _ in range(2)]
         assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
         assert runs[0].stdout == runs[1].stdout, threads  # repeats byte for byte
         docs[threads] = json.loads(runs[0].stdout)
     one, two = docs["1"], docs["2"]
-    bound = 1e-12 * (1.0 + np.linalg.norm(adjacency.astype(np.float64)))
+    bound = 1e-12 * (1.0 + np.linalg.norm(g.adjacency.astype(np.float64)))
     assert np.max(np.abs(np.subtract(one["eigenvalues"], two["eigenvalues"]))) <= bound
     for key in ("multiplicities", "degeneracy_classes", "type"):
-        assert one[key] == two[key], key
-
-
-def test_blocked_jacobi_route_agrees_across_openblas_thread_counts():
-    # C_128 runs the blocked oracle, whose matrix products go through BLAS
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    argv = [sys.executable, "-m", "ctqw", "spectrum", "--dense", "--family", "cycle", "--n", "128"]
-    docs = {}
-    for threads in ("1", "2"):
-        runs = [subprocess.run(argv, capture_output=True, timeout=120,
-                               env={**env, "OPENBLAS_NUM_THREADS": threads}) for _ in range(2)]
-        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
-        assert runs[0].stdout == runs[1].stdout, threads  # repeats byte for byte
-        docs[threads] = json.loads(runs[0].stdout)
-    one, two = docs["1"], docs["2"]
-    bound = 1e-12 * (1.0 + math.sqrt(2 * 128))  # ||A||_F of C_128
-    assert np.max(np.abs(np.subtract(one["eigenvalues"], two["eigenvalues"]))) <= bound
-    for key in ("multiplicities", "degeneracy_classes", "spectral_gap", "type"):
         assert one[key] == two[key], key
 
 
@@ -843,8 +848,8 @@ def test_scans_repeat_across_openblas_thread_counts(family):
 
 
 def test_verify_repeats_across_openblas_thread_counts():
-    # the dense oracle's Jacobi stacks and the scans run BLAS products: the
-    # report must be the same bytes on one and on two OpenBLAS threads
+    # the scans run BLAS products (the Jacobi oracle runs none): the report
+    # must be the same bytes on one and on two OpenBLAS threads
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     argv = [sys.executable, "-m", "ctqw", "verify", "--format", "json", "--seed", "7"]
     runs = {threads: subprocess.run(argv, capture_output=True, timeout=300,

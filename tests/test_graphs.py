@@ -767,6 +767,15 @@ def test_every_sampled_symbol_passes_the_full_symbol_check(n):
         _check_adjacency(build_abelian_circulant(sym).adjacency)  # and its graph's
 
 
+def test_a_proven_symbol_cannot_change_through_the_base_of_a_view():
+    rows = np.zeros((2, 8), dtype=bool)
+    rows[:, [1, 7]] = True
+    sym = Symbol._proven(AbelianGroupSpec((8,)), rows[0])
+    rows[0, 3] = True  # the base of the row it was given
+    assert sym.support.tolist() == [1, 7] and rows.flags.writeable
+    assert all(s.values.flags.owndata for s in random_circulants(9, 5, 0))
+
+
 def test_builder_labels_are_formed_on_first_read():
     assert build_hypercube(3).labels == ["000", "001", "010", "011", "100", "101", "110", "111"]
     assert build_bunkbed(build_path(2)).labels == ["(0,0)", "(0,1)", "(1,0)", "(1,1)"]

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +34,8 @@ SQRT2 = math.sqrt(2.0)
 # Stacked kernel vs the scalar reference: sorted eigenvalues agree to
 # EIGENVALUE_BOUND * (1 + ||A||_F).  Both stop once the off-diagonal norm is
 # below 1e-12 * (1 + ||A||_F); measured agreement is within 8.4e-16 of that
-# scale on verify's matrices and 1.4e-15 on random 0/1 matrices up to n = 32.
+# scale on verify's matrices, 1.4e-15 on random 0/1 matrices up to n = 32
+# and 2.1e-15 on the stacks of orders 33, 64 and 65 below.
 EIGENVALUE_BOUND = 1e-14
 
 
@@ -299,7 +304,7 @@ def test_stacked_jacobi_matches_reference_on_verify_matrices():
         _assert_matches_reference(stack, *jacobi_eigensystem(stack))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65])
 def test_stacked_jacobi_matches_reference_on_random_01_stacks(n):
     stack = _random_01_stack(np.random.default_rng(n), 6, n)
     eigenvalues, eigenvectors = jacobi_eigensystem(stack)
@@ -307,6 +312,20 @@ def test_stacked_jacobi_matches_reference_on_random_01_stacks(n):
     _assert_matches_reference(stack, eigenvalues, eigenvectors)
     lam, vec = jacobi_eigensystem(stack[0])  # a 2-D input keeps 2-D shapes
     assert lam.shape == (n,) and vec.shape == (n, n)
+
+
+def test_jacobi_repeats_bit_for_bit_across_openblas_thread_counts():
+    # the one ring runs element-wise numpy only: no BLAS thread count moves a bit
+    script = ("import sys, numpy as np\n"
+              "from ctqw.spectra import jacobi_eigensystem\n"
+              "upper = np.triu(np.random.default_rng(65).random((2, 65, 65)) < 0.5, 1)\n"
+              "lam, vec = jacobi_eigensystem((upper | upper.swapaxes(1, 2)).astype(float))\n"
+              "sys.stdout.write(lam.tobytes().hex() + vec.tobytes().hex())\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = [subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120,
+                          env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True).stdout
+           for threads in ("1", "2")]
+    assert out[0] and out[0] == out[1]
 
 
 def test_jacobi_leaves_a_diagonal_matrix_alone():
@@ -421,67 +440,6 @@ def test_ring_slots_meet_every_pair_once_and_return_to_the_start():
         assert np.array_equal(slots, start), m
 
 
-def test_block_layouts_pad_under_one_zero_index_per_block():
-    for n in range(1, 33):
-        assert spectra._block_layout(n) == (1, n + n % 2)
-        assert np.array_equal(spectra._slot_order(n, 1, n + n % 2), spectra._ring_slots(n + n % 2)[0])
-    assert spectra._block_layout(128) == (8, 16)
-    for n in range(33, 301):
-        N, k = spectra._block_layout(n)
-        assert N % 2 == 0 and k == -(-n // N) and 0 <= N * k - n < N, n
-        order = spectra._slot_order(n, N, k).reshape(N, k)
-        assert sorted(order.ravel().tolist()) == list(range(N * k)), n
-        assert np.array_equal(order[order < n], np.arange(n)), n  # runs of consecutive indices
-        assert ((order >= n).sum(axis=1) <= 1).all(), n
-
-
-@pytest.mark.parametrize("N, k", [(2, 3), (2, 4), (4, 5), (4, 16), (6, 7), (8, 16)])
-def test_block_sweeps_meet_every_pair_once_and_return_to_the_start(N, k):
-    m = N * k
-    held, met = np.arange(m), []  # the index at each position of the matrix
-    for phase in spectra._phases(N, k):
-        g = phase.g
-        inner = phase.q.argmax(axis=0)  # the group index in each subproblem slot; g: zero index
-        for X in range(m // g):
-            start = np.append(held[X * g : (X + 1) * g], -1)[inner]
-            # sub reads the matrix at each slot pair (the zero index reads a real entry)
-            rows = phase.sub.reshape(m // g, len(inner), len(inner))[X, :, 0] // m
-            assert np.array_equal(held[rows][inner < g], start[inner < g])
-            slots = start
-            for _ in range(phase.rounds):
-                met += [frozenset(p) for p in slots.reshape(-1, 2).tolist() if -1 not in p]
-                slots = slots[phase.perm]
-            assert np.array_equal(slots, start), (N, k, g)
-        held = held[phase.gather[:: m + 1] // m]  # gather's diagonal: the position each takes
-    assert len(met) == len(set(met)) == m * (m - 1) // 2
-    assert np.array_equal(held, np.arange(m))
-
-
-@pytest.mark.parametrize("n", [64, 65, 96, 128])
-def test_blocked_jacobi_matches_reference_on_random_01_stacks(n):
-    assert spectra._block_layout(n)[0] > 1
-    stack = _random_01_stack(np.random.default_rng(n), 2, n)
-    eigenvalues, eigenvectors = jacobi_eigensystem(stack)
-    _assert_matches_reference(stack, eigenvalues, eigenvectors)
-
-
-def test_blocked_stack_members_are_their_single_solves():
-    stack = _random_01_stack(np.random.default_rng(12), 3, 128)
-    stack[2, 127] = stack[2, :, 127] = 0.0  # order 127, zero-padded to 128
-    eigenvalues, eigenvectors = jacobi_eigensystem(stack, sizes=[128, 128, 127])
-    for a, n, lam, vec in zip(stack, (128, 128, 127), eigenvalues, eigenvectors):
-        alone_lam, alone_vec = jacobi_eigensystem(a[:n, :n])
-        assert np.array_equal(lam[:n], alone_lam) and np.array_equal(vec[:n, :n], alone_vec)
-    assert eigenvalues[2, 127] == 0.0 and np.array_equal(eigenvectors[2, :, 127], np.eye(128)[127])
-
-
-def test_blocked_jacobi_sweep_cap_raises():
-    stack = _random_01_stack(np.random.default_rng(3), 2, 65)
-    with pytest.raises(JacobiConvergenceError) as info:
-        jacobi_eigensystem(stack, max_sweeps=3)
-    assert info.value.sweeps == 3 and info.value.off_norm > 0.0
-
-
 def test_dense_routes_refuse_a_working_set_over_the_budget(monkeypatch):
     import tracemalloc
 
@@ -517,14 +475,21 @@ def test_production_dense_routes_use_lapack_and_the_oracle_stays_jacobi(jacobi_c
     production = [custom, graphs.build_complete_bipartite(4), graphs.build_bunkbed(custom)]
     oracle = [spectra.dense_eigensystem(g) for g in production]
     jacobi_calls.clear()
-    for g, want in zip(production, oracle):
-        spec = graph_eigensystem(g)
-        spectra.check_spectrum(spec, g.adjacency)
-        assert np.max(np.abs(spec.eigenvalues - want.eigenvalues)) <= 1e-12
+    # "dense" forces the same eigh route, also where a closed form exists
+    cycle = graphs.build_cycle(12)
+    for g, want in [*zip(production, oracle), (cycle, graph_eigensystem(cycle))]:
+        for method in ("auto", "dense"):
+            spec = graph_eigensystem(g, method=method)
+            spectra.check_spectrum(spec, g.adjacency)
+            assert np.max(np.abs(spec.eigenvalues - want.eigenvalues)) <= 1e-12
+    assert graph_eigensystem(cycle, method="dense").characters is None
+    for g in production[:2]:  # no closed form: "auto" is eigh too, bit for bit
+        auto, forced = graph_eigensystem(g), graph_eigensystem(g, method="dense")
+        assert forced.eigenvalues.tobytes() == auto.eigenvalues.tobytes()
+        assert forced.eigenvectors.tobytes() == auto.eigenvectors.tobytes()
     assert jacobi_calls == []
-    graph_eigensystem(custom, method="dense")
     spectra.dense_eigensystems(production[:2])
-    assert jacobi_calls == [(1, 12, 12), (1, 12, 12), (1, 8, 8)]
+    assert jacobi_calls == [(1, 12, 12), (1, 8, 8)]
 
 
 def test_lapack_failure_is_a_computational_failure(monkeypatch):
@@ -619,6 +584,24 @@ def test_a_spectrum_refuses_non_finite_eigenvalues_where_it_is_made(factor):
         spec.scaled(factor)
     with pytest.raises(ValueError, match="finite"):
         spectra.Spectrum(spec.eigenvalues * factor, spec.eigenvectors)
+
+
+def test_a_spectrum_cannot_change_through_the_base_of_a_view():
+    spec = dense_eigensystem(graphs.build_cycle(5))
+    big = np.zeros((5, 8), dtype=np.complex128)
+    big[:, :5] = spec.eigenvectors
+    held = spectra.Spectrum(spec.eigenvalues, big[:, :5])
+    big[0, 0] = 7.0
+    assert np.array_equal(held.eigenvectors, spec.eigenvectors)
+    assert big.flags.writeable  # the caller's array is left as it was
+    # every route's spectrum owns its eigenvectors: none paid a copy, and
+    # none can change through an array left behind
+    for g in (graphs.build_cycle(6), graphs.build_path(5), graphs.build_complete_bipartite(3),
+              graphs.build_bunkbed(graphs.build_cycle(4))):
+        for s in (graph_eigensystem(g), graph_eigensystem(g, method="dense"), dense_eigensystem(g)):
+            assert s.eigenvectors.flags.owndata and not s.eigenvectors.flags.writeable
+    for s in spectra.dense_eigensystems([graphs.build_cycle(5), graphs.build_cycle(6)]):
+        assert s.eigenvectors.flags.owndata
 
 
 def test_a_spectrum_and_a_character_table_cannot_change(s3_table):
