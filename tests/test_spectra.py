@@ -35,7 +35,8 @@ SQRT2 = math.sqrt(2.0)
 # EIGENVALUE_BOUND * (1 + ||A||_F).  Both stop once the off-diagonal norm is
 # below 1e-12 * (1 + ||A||_F); measured agreement is within 8.4e-16 of that
 # scale on verify's matrices, 1.4e-15 on random 0/1 matrices up to n = 32
-# and 2.1e-15 on the stacks of orders 33, 64 and 65 below.
+# and 2.1e-15 on the stacks of orders 33, 64 and 65 below; against LAPACK
+# eigh it is 1.3e-15 on the random stacks of orders 96 and 128.
 EIGENVALUE_BOUND = 1e-14
 
 
@@ -314,6 +315,18 @@ def test_stacked_jacobi_matches_reference_on_random_01_stacks(n):
     assert lam.shape == (n,) and vec.shape == (n, n)
 
 
+@pytest.mark.parametrize("n", [96, 128])
+def test_jacobi_matches_lapack_on_large_random_01_stacks(n):
+    # the scalar reference is too slow at these orders, so eigh is the second solver
+    stack = _random_01_stack(np.random.default_rng(n), 2, n)
+    eigenvalues, eigenvectors = jacobi_eigensystem(stack)
+    for a, lam, vec in zip(stack, eigenvalues, eigenvectors):
+        bound = EIGENVALUE_BOUND * (1.0 + np.linalg.norm(a))
+        assert np.max(np.abs(np.sort(lam) - np.linalg.eigvalsh(a))) <= bound
+        assert np.max(np.abs(a @ vec - vec * lam)) <= spectra.RESIDUAL_TOL
+        assert np.max(np.abs(vec.T @ vec - np.eye(n))) <= spectra.ORTHONORMALITY_TOL
+
+
 def test_jacobi_repeats_bit_for_bit_across_openblas_thread_counts():
     # the one ring runs element-wise numpy only: no BLAS thread count moves a bit
     script = ("import sys, numpy as np\n"
@@ -367,6 +380,16 @@ def test_stack_members_converge_after_different_sweep_counts():
         jacobi_eigensystem(stack, max_sweeps=max(needed) - 1)
 
 
+def test_stack_members_are_their_single_solves():
+    stack = _random_01_stack(np.random.default_rng(12), 3, 128)
+    stack[2, 127] = stack[2, :, 127] = 0.0  # order 127, zero-padded to 128
+    eigenvalues, eigenvectors = jacobi_eigensystem(stack, sizes=[128, 128, 127])
+    for a, n, lam, vec in zip(stack, (128, 128, 127), eigenvalues, eigenvectors):
+        alone_lam, alone_vec = jacobi_eigensystem(a[:n, :n])
+        assert np.array_equal(lam[:n], alone_lam) and np.array_equal(vec[:n, :n], alone_vec)
+    assert eigenvalues[2, 127] == 0.0 and np.array_equal(eigenvectors[2, :, 127], np.eye(128)[127])
+
+
 def test_jacobi_sweep_cap_raises():
     stack = _random_01_stack(np.random.default_rng(2), 3, 16)
     with pytest.raises(JacobiConvergenceError) as info:
@@ -374,6 +397,13 @@ def test_jacobi_sweep_cap_raises():
     assert info.value.sweeps == 2 and info.value.off_norm > 0.0
     with pytest.raises(JacobiConvergenceError):
         jacobi_eigensystem(stack[0], max_sweeps=2)
+
+
+def test_jacobi_sweep_cap_raises_on_an_odd_order():
+    stack = _random_01_stack(np.random.default_rng(3), 2, 65)  # padded to a ring of 66
+    with pytest.raises(JacobiConvergenceError) as info:
+        jacobi_eigensystem(stack, max_sweeps=3)
+    assert info.value.sweeps == 3 and info.value.off_norm > 0.0
 
 
 @pytest.mark.parametrize("matrix", [
