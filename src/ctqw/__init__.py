@@ -26,7 +26,6 @@ from .graphs import (
 from .spectra import (
     CharacterTable,
     DegeneracyPartition,
-    JacobiConvergenceError,
     Spectrum,
     abelian_circulant_eigensystem,
     bunkbed_eigensystem,
@@ -35,7 +34,6 @@ from .spectra import (
     dense_eigensystem,
     dense_eigensystems,
     graph_eigensystem,
-    jacobi_eigensystem,
     path_eigensystem,
     spectral_gap,
     spectrum_type,

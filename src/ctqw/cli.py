@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__, ensembles, graphs, mixing, spectra, walk
 from .graphs import Graph, GraphValidationError
-from .spectra import JacobiConvergenceError
 
 
 class UsageError(ValueError):
@@ -74,8 +73,14 @@ def _add_common_args(p: argparse.ArgumentParser, formats=("json", "csv", "table"
 
 
 def _add_tol_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_positive_float, default=spectra.DEGENERACY_TOL,
+    p.add_argument("--tol", type=_positive_float,  # default DEGENERACY_TOL, through _tol
                    help="degeneracy tolerance (default 1e-9)")
+
+
+def _tol(args) -> float:
+    """The --tol given, else DEGENERACY_TOL; None means not given, so the
+    routes that read no tolerance can refuse it."""
+    return spectra.DEGENERACY_TOL if args.tol is None else args.tol
 
 
 def _add_normalize_arg(p: argparse.ArgumentParser) -> None:
@@ -221,7 +226,7 @@ def _cmd_spectrum(args) -> int:
         raise UsageError("--eigenvectors requires --format json")
     g = _build_graph(args)
     spec = _spectrum_for(g, args)
-    labels = spectra.degeneracy_labels(spec.eigenvalues, args.tol)
+    labels = spectra.degeneracy_labels(spec.eigenvalues, _tol(args))
     doc = {"n": spec.n, "eigenvalues": [float(x) for x in spec.eigenvalues],
            **spectra.degeneracy_summary(spec.eigenvalues, labels)}
     if args.eigenvectors:
@@ -242,6 +247,7 @@ def _char_table_lines(doc: dict, fmt: str) -> list[str]:
 def _cmd_spectrum_char_table(args) -> int:
     _refuse(args, (*_GRAPH_FLAGS, "dense", "normalize", "eigenvectors"),
             "not read with --char-table, which takes no graph")
+    _refuse(args, ("tol",), "not read with --char-table, whose multiplicities come from the table")
     _require(args.class_function, "--class-function")
     try:
         with open(args.char_table, "r", encoding="utf-8") as fh:
@@ -275,7 +281,7 @@ def _cmd_walk(args) -> int:
 def _cmd_average(args) -> int:
     g = _build_graph(args)
     spec = _spectrum_for(g, args)
-    labels = spectra.degeneracy_labels(spec.eigenvalues, args.tol)
+    labels = spectra.degeneracy_labels(spec.eigenvalues, _tol(args))
     pbar = walk.average_distribution(spec, args.start, labels=labels)
     summary = spectra.degeneracy_summary(spec.eigenvalues, labels)
     doc = {"family": g.family, "n": g.n, "start": args.start,
@@ -341,12 +347,12 @@ def _ensemble_lines(doc: dict, fmt: str) -> list[str]:
 def _cmd_ensemble(args) -> int:
     if args.exhaustive:
         _refuse(args, ("trials", "seed"), "not read with --exhaustive, which draws no sample")
-        hist = ensembles.type_spectrum_exhaustive(args.n, tol=args.tol)
+        hist = ensembles.type_spectrum_exhaustive(args.n, tol=_tol(args))
         doc = {"n": args.n, "type_histogram": {str(k): v for k, v in hist.items()}}
         _write(args, doc, _histogram_lines)
     else:
         trials = 10000 if args.trials is None else args.trials  # None: not given, for --exhaustive
-        stats = ensembles.ensemble_stats(args.n, trials, args.seed or 0, tol=args.tol)
+        stats = ensembles.ensemble_stats(args.n, trials, args.seed or 0, tol=_tol(args))
         _write(args, asdict(stats), _ensemble_lines)
     return 0
 
@@ -511,7 +517,7 @@ def main(argv=None) -> int:
     except (GraphValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (JacobiConvergenceError, RuntimeError, FloatingPointError) as exc:
+    except (RuntimeError, FloatingPointError) as exc:
         print(f"computational failure: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # an input too large to hold: numpy names the array

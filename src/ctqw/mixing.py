@@ -642,7 +642,7 @@ def _check_oracle_agreement(cfg: VerifyConfig, cases: list[Graph],
          for g, lam in zip(cases, dense)),
         default=0.0,
     )
-    report = MixingReport(descriptor=f"closed form vs Jacobi oracle ({len(cases)} graphs)")
+    report = MixingReport(descriptor=f"closed form vs eigh oracle ({len(cases)} graphs)")
     report.flags["eigenvalue_multisets"] = _flag(
         "pass" if worst <= 1e-9 else "fail", measured=worst, expected="<= 1e-9"
     )
@@ -681,7 +681,7 @@ def _check_ensemble_expectations(cfg: VerifyConfig) -> list[MixingReport]:
 
 class _Check(NamedTuple):
     """A named check of `verify`: `run(cfg)` returns its reports.  A check
-    that reads the Jacobi oracle declares `oracle(cfg)`, which returns its
+    that reads the dense oracle declares `oracle(cfg)`, which returns its
     inputs and the graphs it compares; it runs as
     `run(cfg, inputs, eigenvalues)`, with the oracle's descending
     eigenvalues of each graph (`_oracle_reports`)."""
@@ -757,7 +757,7 @@ def verify_all(config: VerifyConfig | None = None) -> list[MixingReport]:
     """Run the selected named checks, in the order of `config.checks`;
     returns one report per graph or family.
 
-    The first check that reads the Jacobi oracle runs every selected one, on
+    The first check that reads the dense oracle runs every selected one, on
     one solve (`_oracle_reports`).  Computational failures propagate, while
     recorded discrepancies only show up in the flags.
     """
@@ -772,7 +772,7 @@ def verify_all(config: VerifyConfig | None = None) -> list[MixingReport]:
 
 
 def _oracle_reports(cfg: VerifyConfig, checks: list[_Check]) -> dict[int, list[MixingReport]]:
-    """The reports of the `checks` that read the Jacobi oracle, by position:
+    """The reports of the `checks` that read the dense oracle, by position:
     the graphs all of them declare are solved in one
     `spectra.dense_eigensystems` call, each distinct adjacency once, and
     each check reads its graphs' eigenvalues.  Only the graphs solved and

@@ -1,14 +1,12 @@
-"""Eigensystems by closed form where one exists, LAPACK `eigh` for every
-other production route (`--dense` included), a round-robin Jacobi oracle
-that calls no LAPACK for `verify`, and the degeneracy structure all of them
-feed into walk averaging.
+"""Eigensystems by closed form where one exists, LAPACK `eigh` on every
+other route (`--dense` and `verify`'s oracle included), and the degeneracy
+structure all of them feed into walk averaging.
 
 Eigenvalues are always sorted descending with ties broken by ascending
-pre-sort index, so output is reproducible from run to run.  The dense routes'
-last bits depend on the platform: `eigh` on the BLAS build and thread count;
-Jacobi, which sweeps one Brent-Luk ring with element-wise numpy and no BLAS,
-only on whether numpy fuses its complex multiply.  Both dense routes refuse a
-working set over DENSE_BUDGET bytes before allocating it.
+pre-sort index, so output is reproducible from run to run.  The dense route's
+last bits depend on the platform: `eigh` on the BLAS build and thread count.
+It refuses a working set over DENSE_BUDGET bytes before allocating it, and
+checks every result a posteriori (`_check_eigensystems`).
 Circulant eigenvalues are read from one conjugate-symmetric table of roots
 of unity, summed in a fixed order, which makes the symmetry degeneracy
 lambda_a == lambda_{-a} exact in floating point rather than approximate.
@@ -34,25 +32,12 @@ IMAG_RESIDUE_TOL = 1e-10
 # Closed-form walks build their n-wide tables (class projection phases, scan
 # amplitudes) in blocks of at most this many entries: 1 MiB of float64.
 BLOCK_ENTRIES = 2**17
-# The dense routes refuse a float working set above DENSE_BUDGET bytes
+# The dense route refuses a float working set above DENSE_BUDGET bytes
 # before allocating any of it: DENSE_ARRAYS float64 n x n arrays per matrix
-# of order n (the measured peak is about 11 for `eigh` at n = 128..400, and
-# 10.1 and 9.4 for Jacobi's one ring at n = 128 and 200, sort and checks
-# included).
+# of order n (the peak tracemalloc sees is about 6 at n = 128 and 5 at
+# n = 200..400, sort, checks and the kept complex eigenvectors included).
 DENSE_BUDGET = 2**32
 DENSE_ARRAYS = 16
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Dense eigensolver failed to reach its off-diagonal threshold."""
-
-    def __init__(self, off_norm: float, sweeps: int):
-        self.off_norm = off_norm
-        self.sweeps = sweeps
-        super().__init__(
-            f"Jacobi sweep cap reached ({sweeps} sweeps); "
-            f"off-diagonal Frobenius norm {off_norm:.3e}"
-        )
 
 
 class Spectrum:
@@ -222,14 +207,12 @@ def _descending(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def _sorted_spectrum(eigenvalues: np.ndarray, eigenvectors) -> Spectrum:
-    """Sort descending, ties by ascending original index; `eigenvectors` is an
-    array or a builder of one, whose columns are then sorted when it runs.
+    """Sort descending, ties by ascending original index; `eigenvectors` is a
+    builder of the eigenvector columns, which are sorted when it runs.
     `np.take` gives the bits of `a[:, order]` in an array that owns them,
     where fancy indexing keeps a writable base."""
     order = _descending(eigenvalues)
-    if callable(eigenvectors):
-        return Spectrum(eigenvalues[order], lambda: np.take(eigenvectors(), order, axis=1))
-    return Spectrum(eigenvalues[order], np.take(eigenvectors, order, axis=1))
+    return Spectrum(eigenvalues[order], lambda: np.take(eigenvectors(), order, axis=1))
 
 
 @functools.lru_cache(maxsize=64)
@@ -381,234 +364,38 @@ def bunkbed_eigensystem(base_spec: Spectrum) -> Spectrum:
     return _sorted_spectrum(eigenvalues, eigenvectors)
 
 
-def _ring_slots(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(start, perm): the slot layout of a round-robin sweep over an even m.
-
-    Index 0 stays put while 1..m-1 rotate one place per round, and position i
-    plays position m-1-i (Brent-Luk; Golub & Van Loan section 8.5), so each
-    round holds m/2 disjoint pairs and a sweep meets every pair once.  Slots
-    2j and 2j+1 hold positions j and m-1-j, so a round's pairs sit in
-    adjacent slots.  `start[s]` is the index in slot s at the first round, and
-    slot s of the next round holds what slot perm[s] held; after m - 1 rounds
-    the slots are back at `start`.
-    """
-    j = np.arange(m // 2)
-    start = np.empty(m, dtype=np.intp)
-    start[0::2], start[1::2] = j, m - 1 - j
-    slot_of = np.argsort(start)
-    moved = np.where(start == 0, 0, start % (m - 1) + 1)  # the position one place on
-    return start, slot_of[moved]
-
-
-def _off_norms(a: np.ndarray) -> np.ndarray:
-    # computed from the off-diagonal entries directly; the algebraic
-    # shortcut ||m||^2 - ||diag||^2 cancels catastrophically near zero
-    stripped = a.copy()
-    diag = np.arange(a.shape[-1])
-    stripped[:, diag, diag] = 0.0
-    return np.sqrt(np.einsum("bij,bij->b", stripped, stripped))
-
-
-def jacobi_eigensystem(
-    matrix: np.ndarray, max_sweeps: int = 64, sizes=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Round-robin Jacobi rotations on a real symmetric matrix or a stack of them.
-
-    `matrix` is (n, n) or (B, n, n); its upper triangle is used.  Each step
-    rotates the n/2 disjoint pairs of one round of every unconverged matrix at
-    once (`_round_robin_sweeps`); a pair with |a_pq| <= thresh / n is left
-    untouched.  Each matrix converges when its off-diagonal Frobenius norm
-    drops below thresh = 1e-12 * (1 + ||A||_F) and then leaves the stack;
-    JacobiConvergenceError is raised past the sweep cap.
-    `sizes` holds the order of each matrix of a stack that is zero-padded to
-    n: matrix b is its leading sizes[b] x sizes[b] block, and its pairs are
-    skipped below thresh / sizes[b].  A zero index never rotates, so each one
-    comes back as the eigenpair (0, e_k) at its own index k >= sizes[b].
-    Returns (eigenvalues, eigenvector columns), unsorted, shaped (n,), (n, n)
-    or (B, n), (B, n, n) like the input.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError("matrix must be square")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix must be finite")
-    if not np.allclose(a, a.swapaxes(-1, -2), atol=0.0):
-        raise ValueError("matrix must be symmetric")
-    a = np.triu(a) + np.triu(a, 1).swapaxes(-1, -2)  # exactly symmetric from here on
-    single = a.ndim == 2
-    if single:
-        a = a[None]
-    n = a.shape[-1]
-    if sizes is None:
-        sizes = np.full(len(a), n)
-    else:
-        sizes = np.asarray(sizes)
-        if (sizes.shape != (len(a),) or sizes.dtype.kind not in "iu"
-                or np.any((sizes < 1) | (sizes > n))):
-            raise ValueError(f"sizes must hold one order in 1..{n} per matrix")
-        # the rows past each size; a is symmetric, so they cover the columns too
-        if a[np.arange(n) >= sizes[:, None]].any():
-            raise ValueError("entries past a matrix's size must be zero")
-    eigenvalues = np.diagonal(a, axis1=1, axis2=2).copy()
-    eigenvectors = np.broadcast_to(np.eye(n), a.shape).copy()
-    if n > 1 and len(a):
-        _round_robin_sweeps(a, max_sweeps, sizes, eigenvalues, eigenvectors)
-    if single:
-        return eigenvalues[0], eigenvectors[0]
-    return eigenvalues, eigenvectors
-
-
-def _round_robin_sweeps(
-    a: np.ndarray, max_sweeps: int, sizes: np.ndarray, eigenvalues: np.ndarray,
-    eigenvectors: np.ndarray
-) -> None:
-    """Diagonalize the (B, n, n) stack `a`, whose matrix b has order sizes[b],
-    writing each matrix's results into row b of `eigenvalues` and
-    `eigenvectors` as it converges.
-
-    An odd n is padded with one zero index to an even m.  The matrices live
-    in the slot order of one ring over all m indices (`_ring_slots`), and a
-    sweep is its m - 1 rounds (`_rotate`), which leave them in that order.
-    """
-    n = a.shape[-1]
-    thresh = 1e-12 * (1.0 + np.linalg.norm(a, axis=(1, 2)))
-    skip = (thresh / sizes)[:, None]  # elements this small cannot lift the off norm above thresh
-    m = n + n % 2
-    if m > n:  # a zero index: its pairs always have a_pq = 0, so they sit every round out
-        a = np.pad(a, ((0, 0), (0, 1), (0, 1)))
-    order, ring = _ring_slots(m)
-    unslot = np.argsort(order)[:n]  # the slot of each index at every sweep boundary
-    # a[b, s, t] = A[b, order[s], order[t]] at each sweep boundary, and column
-    # s of v[b] is the eigenvector of slot s
-    a = a.reshape(len(a), m * m).take((order[:, None] * m + order).ravel(), axis=1)
-    a = a.reshape(-1, m, m)
-    v = np.broadcast_to(np.eye(m)[:, order], a.shape).copy()
-    active = np.arange(len(a))
-    for sweep in range(max_sweeps + 1):
-        off = _off_norms(a)
-        done = off < thresh
-        if done.any():
-            eigenvalues[active[done]] = np.diagonal(a[done], axis1=1, axis2=2)[:, unslot]
-            eigenvectors[active[done]] = v[done][:, :n, unslot]
-            keep = ~done
-            if not keep.any():
-                return
-            a, v, off, active, thresh, skip = (
-                x[keep] for x in (a, v, off, active, thresh, skip))
-        if sweep == max_sweeps:
-            raise JacobiConvergenceError(float(off.max()), max_sweeps)
-        v = _rotate(a, v, skip, ring)
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, skip: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """One sweep, the g - 1 Jacobi rounds of a ring, on the (S, g, g) stack
-    `a`, whose pairs sit in slots (2j, 2j + 1); after each round slot s takes
-    what slot perm[s] held.  The columns of `v` (S, g, g) get the same
-    rotations and moves.  Only element-wise numpy runs here, no BLAS.  `a` is
-    updated in place; returns the rotated `v` (in one of two buffers).
-
-    Viewed as complex, a column pair is one number, and multiplying it by
-    c_j + i s_j gives (c a_p - s a_q) + i (s a_p + c a_q), the rotated pair:
-    A J is one multiply, and J^T (A J) is a transposed copy and a second one.
-    One flat gather then moves the result to the next round's slots, reading
-    only its upper triangle, so every round starts from an exactly symmetric
-    matrix.  The pivots a_pp, a_qq, a_pq come in with one `take`, and the
-    rotation is computed from them in reused buffers.
-    """
-    S, g = a.shape[0], a.shape[-1]
-    h = g // 2
-    flat, a_c, v_c = a.reshape(S, g * g), a.view(np.complex128), v.view(np.complex128)
-    work, v_next = np.empty_like(a), np.empty_like(v)
-    work_flat, work_c = work.reshape(S, g * g), work.view(np.complex128)
-    gather = (np.minimum.outer(perm, perm) * g + np.maximum.outer(perm, perm)).ravel()
-    at_pp = np.arange(0, g * g, 2 * (g + 1))  # flat positions of (2j, 2j)
-    fix = np.concatenate([at_pp, at_pp + g + 1, at_pp + 1])
-    pivots = np.empty((S, 3 * h))
-    app, aqq, apq = pivots[:, :h], pivots[:, h : 2 * h], pivots[:, 2 * h :]
-    theta, t, x = np.empty((3, S, h))
-    rot = np.empty((S, h), dtype=bool)
-    cs = np.empty((S, 1, h), dtype=np.complex128)
-    c, s = cs.real[:, 0], cs.imag[:, 0]
-    for _ in range(g - 1):
-        flat.take(fix, axis=1, out=pivots, mode="clip")
-        np.greater(np.abs(apq, out=x), skip, out=rot)
-        # theta = (a_qq - a_pp) / (2 a_pq), over 1 where the pair is skipped
-        x.fill(1.0)
-        np.multiply(apq, 2.0, out=x, where=rot)
-        np.divide(np.subtract(aqq, app, out=theta), x, out=theta)
-        # t = sign(theta) / (|theta| + hypot(theta, 1)), a signed 0 where skipped
-        np.add(np.abs(theta, out=x), np.hypot(theta, 1.0, out=t), out=x)
-        np.copysign(np.divide(rot, x, out=x), theta, out=t)
-        np.sqrt(np.add(np.multiply(t, t, out=x), 1.0, out=x), out=x)
-        np.divide(1.0, x, out=c)
-        np.multiply(t, c, out=s)
-        # the pairs themselves: a_pp - t a_pq, a_qq + t a_pq, and a_pq
-        # zeroed only where a rotation took place
-        np.multiply(t, apq, out=x)
-        np.subtract(app, x, out=app)
-        np.add(aqq, x, out=aqq)
-        np.copyto(apq, 0.0, where=rot)
-        np.multiply(a_c, cs, out=a_c)
-        np.copyto(work, a.swapaxes(1, 2))
-        np.multiply(work_c, cs, out=work_c)
-        work_flat[:, fix] = pivots
-        work_flat.take(gather, axis=1, out=flat, mode="clip")
-        np.multiply(v_c, cs, out=v_c)
-        v.take(perm, axis=2, out=v_next, mode="clip")
-        v, v_next = v_next, v
-        v_c = v.view(np.complex128)
-    return v
-
-
 def dense_eigensystems(graphs: list[Graph]) -> list[Spectrum]:
-    """Independent oracle for many graphs: one stacked Jacobi call per even
-    size m, where a graph with odd n joins the (n + 1)-vertex graphs with a
-    zero dummy index (the one the solver pads it with alone).  Each stack of
-    one vertex count is sorted, and checked for orthonormality and
-    eigen-residual, at once."""
-    by_m: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_m.setdefault(g.n + g.n % 2, []).append(i)
+    """Full eigensystems of many graphs by LAPACK `eigh`, the one dense route:
+    `verify`'s oracle, `spectrum --dense` and every graph without a closed
+    form.  One stacked `eigh` call per vertex count, so nothing is padded;
+    each stack is sorted, and checked for orthonormality and eigen-residual,
+    at once.  Each spectrum owns its eigenvector array.
+
+    A LAPACK failure is a computational failure (RuntimeError), not bad input.
+    """
     _check_dense_budget([g.n for g in graphs])
+    by_n: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_n.setdefault(g.n, []).append(i)
     out: list = [None] * len(graphs)
-    for m, ids in by_m.items():
-        sizes = np.array([graphs[i].n for i in ids])
-        adjacency = np.zeros((len(ids), m, m))
-        for b, i in enumerate(ids):
-            adjacency[b, : sizes[b], : sizes[b]] = graphs[i].adjacency
-        eigenvalues, vecs = jacobi_eigensystem(adjacency, sizes=sizes)
-        for n in sorted(set(sizes.tolist())):
-            sel = np.flatnonzero(sizes == n)
-            lam = eigenvalues[sel, :n]
-            order = _descending(lam)
-            lam = np.take_along_axis(lam, order, axis=1)
-            vec = np.take_along_axis(vecs[sel, :n, :n], order[:, None, :], axis=2)
-            _check_eigensystems(adjacency[sel, :n, :n], lam, vec)
-            for b, values, vectors in zip(sel, lam, vec):
-                out[ids[b]] = Spectrum(values, vectors.astype(np.complex128))  # its own array
+    for ids in by_n.values():
+        adjacency = np.stack([graphs[i].adjacency for i in ids]).astype(np.float64)
+        try:
+            eigenvalues, eigenvectors = np.linalg.eigh(adjacency)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"LAPACK eigh failed: {exc}") from None
+        order = _descending(eigenvalues)
+        eigenvalues = np.take_along_axis(eigenvalues, order, axis=1)
+        eigenvectors = np.take_along_axis(eigenvectors, order[:, None, :], axis=2)
+        _check_eigensystems(adjacency, eigenvalues, eigenvectors)
+        for i, values, vectors in zip(ids, eigenvalues, eigenvectors):
+            out[i] = Spectrum(values, vectors.astype(np.complex128))  # its own array
     return out
 
 
 def dense_eigensystem(g: Graph) -> Spectrum:
-    """Independent oracle: full eigensystem of the adjacency via round-robin Jacobi."""
+    """Full eigensystem of the adjacency by LAPACK `eigh` (`dense_eigensystems`)."""
     return dense_eigensystems([g])[0]
-
-
-def _lapack_eigensystem(g: Graph) -> Spectrum:
-    """The one production dense route: LAPACK `eigh`, sorted and checked like
-    the oracle.
-
-    A LAPACK failure is a computational failure (RuntimeError), not bad input.
-    """
-    _check_dense_budget([g.n])
-    adjacency = g.adjacency.astype(np.float64)
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(adjacency)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"LAPACK eigh failed: {exc}") from None
-    spec = _sorted_spectrum(eigenvalues, eigenvectors)
-    check_spectrum(spec, adjacency)
-    return spec
 
 
 def _check_dense_budget(orders: list[int]) -> None:
@@ -628,13 +415,12 @@ def graph_eigensystem(g: Graph, method: str = "auto") -> Spectrum:
 
     method: "auto" picks the closed form that the graph's checked structure
     selects and falls back to LAPACK `eigh`; "closed" errors when no closed
-    form exists; "dense" forces `eigh`.  The Jacobi oracle, which calls no
-    LAPACK, is `dense_eigensystem`.
+    form exists; "dense" forces `eigh` (`dense_eigensystem`).
     """
     if method not in ("auto", "closed", "dense"):
         raise ValueError(f"unknown method {method!r}")
     if method == "dense":
-        return _lapack_eigensystem(g)
+        return dense_eigensystem(g)
     if g.symbol is not None:
         return abelian_circulant_eigensystem(g.symbol)
     if g.family == "path":
@@ -643,7 +429,7 @@ def graph_eigensystem(g: Graph, method: str = "auto") -> Spectrum:
         return bunkbed_eigensystem(graph_eigensystem(g.base, method="auto"))
     if method == "closed":
         raise ValueError(f"no closed-form eigensystem for family {g.family!r}")
-    return _lapack_eigensystem(g)
+    return dense_eigensystem(g)
 
 
 def degeneracy_labels(desc: np.ndarray, tol: float) -> np.ndarray:

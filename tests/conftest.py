@@ -127,18 +127,68 @@ def add_index(group, a: int, b: int) -> int:
     return index_of(group, tuple(x + y for x, y in zip(ea, eb)))
 
 
+def scalar_jacobi(matrix, max_sweeps=64):
+    """Cyclic-by-row Jacobi rotations, one (p, q) pair at a time, on a real
+    symmetric matrix: the LAPACK-free reference the dense route (`eigh`) is
+    checked against.  Returns (eigenvalues, eigenvector columns), unsorted;
+    it stops once the off-diagonal norm is below 1e-12 * (1 + ||A||_F)."""
+    a = np.array(matrix, dtype=np.float64)
+    n = a.shape[0]
+    v = np.eye(n)
+    if n == 1:
+        return np.diag(a).copy(), v
+    thresh = 1e-12 * (1.0 + np.linalg.norm(a))
+    skip = thresh / n
+
+    def off_norm(m):
+        stripped = m.copy()
+        np.fill_diagonal(stripped, 0.0)
+        return float(np.linalg.norm(stripped))
+
+    for _ in range(max_sweeps):
+        if off_norm(a) < thresh:
+            return np.diag(a).copy(), v
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                app, aqq = a[p, p], a[q, q]
+                theta = (aqq - app) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                a[p, :] = a[:, p]
+                a[q, :] = a[:, q]
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = a[q, p] = 0.0
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    if off_norm(a) < thresh:
+        return np.diag(a).copy(), v
+    raise AssertionError(f"reference Jacobi did not converge in {max_sweeps} sweeps;"
+                         f" off-diagonal norm {off_norm(a):.3e}")
+
+
 @pytest.fixture
-def jacobi_calls(monkeypatch):
-    """Shapes of the matrices passed to `spectra.jacobi_eigensystem`, which
-    still runs; appended to on every call for the rest of the test."""
+def eigh_calls(monkeypatch):
+    """Shapes of the arrays passed to `np.linalg.eigh`, which still runs;
+    appended to on every call for the rest of the test."""
     calls = []
-    exact = spectra.jacobi_eigensystem
+    exact = np.linalg.eigh
 
-    def counting(matrix, max_sweeps=64, sizes=None):
-        calls.append(np.shape(matrix))
-        return exact(matrix, max_sweeps, sizes)
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return exact(a, *args, **kwargs)
 
-    monkeypatch.setattr(spectra, "jacobi_eigensystem", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     return calls
 
 

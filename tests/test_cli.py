@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctqw import cli, graphs
+from ctqw import cli, graphs, spectra
 from ctqw.cli import main
 
 S3_TABLE = {
@@ -340,12 +340,13 @@ S3_FILE = str(Path(__file__).parent / "data" / "s3_char_table.json")
      "--normalize"),
     (["spectrum", "--char-table", S3_FILE, "--class-function", "0,1,0", "--eigenvectors"],
      "--eigenvectors"),
+    (["spectrum", "--char-table", S3_FILE, "--class-function", "0,1,0", "--tol", "5"], "--tol"),
     (["spectrum", "--family", "cycle", "--n", "5", "--class-function", "0,1"], "--class-function"),
     (["ensemble", "--n", "7", "--exhaustive", "--trials", "100"], "--trials"),
     (["ensemble", "--n", "7", "--exhaustive", "--seed", "0"], "--seed"),
 ], ids=["char-table-all", "char-table-n", "char-table-graph-file", "char-table-dense",
-        "char-table-normalize", "char-table-eigenvectors", "class-function-alone",
-        "exhaustive-trials", "exhaustive-seed"])
+        "char-table-normalize", "char-table-eigenvectors", "char-table-tol",
+        "class-function-alone", "exhaustive-trials", "exhaustive-seed"])
 def test_flags_a_command_would_not_read_exit_1(capsys, argv, flags):
     # each of these once exited 0 and dropped the extra flags
     code, out, err = run_cli(capsys, *argv)
@@ -532,7 +533,7 @@ def test_verify_subcommand_reports_discrepancies(capsys):
 
 @pytest.mark.parametrize("check, descriptor", [
     ("abelian_spectral_gap", "abelian circulants (260 random symbols)"),
-    ("oracle_agreement", "closed form vs Jacobi oracle (68 graphs)"),
+    ("oracle_agreement", "closed form vs eigh oracle (68 graphs)"),
 ])
 def test_an_oracle_check_alone_prints_its_report_of_the_full_run(capsys, check, descriptor):
     # alone, a check's graphs are solved without the other check's in the stacks
@@ -722,27 +723,34 @@ def test_char_table_entries_must_be_exact_integers(tmp_path, capsys, sizes, dims
 PAW = {"n": 4, "family": "custom", "adjacency_rows": ["0111", "1010", "1100", "1000"]}
 
 
-def test_graph_file_spectrum_and_dense_are_lapack_and_verify_is_jacobi(tmp_path, capsys,
-                                                                       jacobi_calls):
+def test_graph_file_spectrum_dense_and_verify_all_solve_with_eigh(tmp_path, capsys, eigh_calls):
     path = tmp_path / "paw.json"
     path.write_text(json.dumps(PAW))
     code, production, _ = run_cli(capsys, "spectrum", "--graph-file", str(path))
-    assert code == 0 and jacobi_calls == []
+    assert code == 0 and eigh_calls == [(1, 4, 4)]
     code, dense, _ = run_cli(capsys, "spectrum", "--dense", "--graph-file", str(path))
-    assert code == 0 and jacobi_calls == [] and dense == production  # the same eigh route
+    assert code == 0 and eigh_calls == [(1, 4, 4)] * 2 and dense == production  # the same route
+    eigh_calls.clear()
     code, _, _ = run_cli(capsys, "verify", "--max-n", "6")
-    assert code == 0 and jacobi_calls  # the oracle stays Jacobi
+    assert code == 0 and sorted(shape[1:] for shape in eigh_calls) == [(n, n) for n in range(2, 7)]
 
 
-def test_verify_calls_no_lapack(capsys, monkeypatch):
-    # the Jacobi oracle checks the closed forms with a solver they do not share
-    def refuse(*args, **kwargs):
-        raise AssertionError("LAPACK called")
+def test_the_oracle_catches_a_wrong_closed_form(capsys, monkeypatch):
+    # one path eigenvalue moved by 1e-8: past the 1e-9 the oracle check allows
+    exact = spectra.path_eigensystem
 
-    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "qr", "solve", "inv", "lstsq"):
-        monkeypatch.setattr(np.linalg, name, refuse)
-    code, out, err = run_cli(capsys, "verify", "--max-n", "8", "--trials", "30", "--format", "json")
-    assert code == 0 and err == "" and json.loads(out)["reports"]
+    def shifted(n):
+        spec = exact(n)
+        lam = spec.eigenvalues.copy()
+        lam[0] += 1e-8
+        return spectra.Spectrum(lam, lambda: spec.eigenvectors)
+
+    monkeypatch.setattr(spectra, "path_eigensystem", shifted)
+    code, out, err = run_cli(capsys, "verify", "--checks", "oracle_agreement", "--max-n", "8")
+    assert code == 2 and err == ""
+    (report,) = json.loads(out)["reports"]
+    flag = report["flags"]["eigenvalue_multisets"]
+    assert flag["status"] == "fail" and flag["measured"] == pytest.approx(1e-8, rel=1e-6)
 
 
 def test_bad_lapack_results_exit_2(tmp_path, capsys, monkeypatch):
@@ -794,12 +802,15 @@ def test_an_input_too_large_to_hold_is_a_computational_failure(capsys, monkeypat
     assert (code, out, err) == (2, "", "computational failure: out of memory\n")
 
 
-@pytest.mark.parametrize("dense", [False, True], ids=["G40-file", "dense-C128"])
-def test_lapack_route_agrees_across_openblas_thread_counts(tmp_path, dense):
-    # the eigh route of a random graph file, and of `spectrum --dense` on C_128
-    if dense:
+@pytest.mark.parametrize("route", ["G40-file", "dense-C128", "verify-n8"])
+def test_lapack_route_agrees_across_openblas_thread_counts(tmp_path, route):
+    # the eigh route of a random graph file, of `spectrum --dense` on C_128,
+    # and of verify's oracle, whose report must not move a byte
+    if route == "verify-n8":
+        argv = ["verify", "--max-n", "8", "--format", "json"]
+    elif route == "dense-C128":
         g = graphs.build_cycle(128)
-        argv = ["--dense", "--family", "cycle", "--n", "128"]
+        argv = ["spectrum", "--dense", "--family", "cycle", "--n", "128"]
     else:
         rng = np.random.default_rng(40)
         while True:
@@ -811,17 +822,20 @@ def test_lapack_route_agrees_across_openblas_thread_counts(tmp_path, dense):
                 continue
         path = tmp_path / "g40.json"
         path.write_text(graphs.graph_to_json(g))
-        argv = ["--graph-file", str(path)]
+        argv = ["spectrum", "--graph-file", str(path)]
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    docs = {}
+    outputs = {}
     for threads in ("1", "2"):
-        runs = [subprocess.run([sys.executable, "-m", "ctqw", "spectrum", *argv],
+        runs = [subprocess.run([sys.executable, "-m", "ctqw", *argv],
                                capture_output=True, timeout=120,
                                env={**env, "OPENBLAS_NUM_THREADS": threads}) for _ in range(2)]
         assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
         assert runs[0].stdout == runs[1].stdout, threads  # repeats byte for byte
-        docs[threads] = json.loads(runs[0].stdout)
-    one, two = docs["1"], docs["2"]
+        outputs[threads] = runs[0].stdout
+    if route == "verify-n8":
+        assert outputs["1"] == outputs["2"] and json.loads(outputs["1"])["reports"]
+        return
+    one, two = (json.loads(outputs[threads]) for threads in ("1", "2"))
     bound = 1e-12 * (1.0 + np.linalg.norm(g.adjacency.astype(np.float64)))
     assert np.max(np.abs(np.subtract(one["eigenvalues"], two["eigenvalues"]))) <= bound
     for key in ("multiplicities", "degeneracy_classes", "type"):
@@ -848,8 +862,8 @@ def test_scans_repeat_across_openblas_thread_counts(family):
 
 
 def test_verify_repeats_across_openblas_thread_counts():
-    # the scans run BLAS products (the Jacobi oracle runs none): the report
-    # must be the same bytes on one and on two OpenBLAS threads
+    # the scans and the eigh oracle run BLAS and LAPACK: the report must be
+    # the same bytes on one and on two OpenBLAS threads
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     argv = [sys.executable, "-m", "ctqw", "verify", "--format", "json", "--seed", "7"]
     runs = {threads: subprocess.run(argv, capture_output=True, timeout=300,

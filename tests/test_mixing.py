@@ -741,7 +741,7 @@ def test_gap_check_decides_each_group_in_one_batch(monkeypatch):
     assert calls == {"spectral_gap": 0, "abelian_circulant_eigensystem": 0, "degeneracy_labels": 13}
 
 
-def test_verify_solves_every_oracle_graph_in_one_call(monkeypatch, jacobi_calls):
+def test_verify_solves_every_oracle_graph_in_one_call(monkeypatch, eigh_calls):
     cfg = VerifyConfig()
     gs = [graphs.build_abelian_circulant(graphs.Symbol._proven(group, row))
           for group, rows, _ in mixing._gap_rows(cfg) for row in rows] + mixing._oracle_cases(cfg)
@@ -755,10 +755,10 @@ def test_verify_solves_every_oracle_graph_in_one_call(monkeypatch, jacobi_calls)
         monkeypatch.setattr(module, name, counted)
     verify_all(cfg)
     assert calls == {"dense_eigensystems": 1, "_gap_rows": 1}
-    # one stack per even size, which holds each distinct adjacency once
-    evens = sorted({n + n % 2 for n in distinct.values()})
-    assert sorted(shape[1:] for shape in jacobi_calls) == [(m, m) for m in evens]
-    assert sum(shape[0] for shape in jacobi_calls) == len(distinct)
+    # one eigh stack per order, which holds each distinct adjacency once
+    orders = sorted(set(distinct.values()))
+    assert sorted(shape[1:] for shape in eigh_calls) == [(n, n) for n in orders]
+    assert sum(shape[0] for shape in eigh_calls) == len(distinct)
     verify_all(cfg)  # nothing is kept from one run for the next
     assert calls == {"dense_eigensystems": 2, "_gap_rows": 2}
     # a selection without an oracle check solves nothing

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ctqw import graphs, mixing, spectra, walk
 from ctqw.cli import main
-from tests.conftest import random_connected_graph
+from tests.conftest import random_connected_graph, scalar_jacobi
 
 
 @st.composite
@@ -95,8 +95,8 @@ def test_builders_always_validate(n):
 @given(st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=30, deadline=None)
 def test_graph_file_spectra_agree_with_the_jacobi_oracle(seed):
-    # the CLI's spectrum and average of one random graph file (LAPACK) against
-    # the Jacobi oracle's spectrum and the average over it
+    # the CLI's spectrum and average of one random graph file (LAPACK eigh)
+    # against the LAPACK-free reference's spectrum and the average over it
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     g = random_connected_graph(rng, n_min=2, n_max=25)
     with tempfile.TemporaryDirectory() as tmp:
@@ -110,7 +110,9 @@ def test_graph_file_spectra_agree_with_the_jacobi_oracle(seed):
             with open(out, encoding="utf-8") as fh:
                 docs.append(json.load(fh))
     production, average = docs
-    oracle = spectra.dense_eigensystem(g)
+    lam, vec = scalar_jacobi(g.adjacency)
+    order = np.argsort(-lam, kind="stable")
+    oracle = spectra.Spectrum(lam[order], vec[:, order])
     assert np.max(np.abs(np.subtract(production["eigenvalues"], oracle.eigenvalues))) <= 1e-9
     want = spectra.degeneracy_summary(oracle.eigenvalues,
                                       spectra.degeneracy_labels(oracle.eigenvalues, 1e-9))
@@ -183,7 +185,7 @@ def perturbed_graph_files(draw):
 @settings(max_examples=150, deadline=None)
 def test_perturbed_graph_files_are_refused_or_agree_with_the_oracle(text):
     # graph files keep the full check: whatever a file claims, its spectrum
-    # either comes from a route that agrees with the Jacobi oracle on the
+    # either comes from a route that agrees with the dense oracle on the
     # adjacency it holds, or the file is refused
     try:
         g = graphs.graph_from_json(text)
@@ -233,6 +235,6 @@ def test_every_graph_the_api_accepts_round_trips_through_json(args):
     h = graphs.graph_from_json(text)
     assert graphs.graph_to_json(h) == text
     assert np.array_equal(h.adjacency, g.adjacency) and (h.family, h.labels) == (family, labels)
-    # the route its structure selects agrees with the Jacobi oracle on its adjacency
+    # the route its structure selects agrees with the dense oracle on its adjacency
     routed = spectra.graph_eigensystem(g).eigenvalues
     assert np.max(np.abs(routed - spectra.dense_eigensystem(g).eigenvalues)) <= 1e-9

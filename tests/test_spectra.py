@@ -1,9 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +8,6 @@ from ctqw import ensembles, graphs, mixing, spectra, walk
 from ctqw.graphs import AbelianGroupSpec, GraphValidationError, Symbol
 from ctqw.spectra import (
     CharacterTable,
-    JacobiConvergenceError,
     _roots_of_unity,
     abelian_circulant_eigensystem,
     bunkbed_eigensystem,
@@ -22,81 +17,32 @@ from ctqw.spectra import (
     degeneracy_classes,
     dense_eigensystem,
     graph_eigensystem,
-    jacobi_eigensystem,
     path_eigensystem,
     spectral_gap,
     spectrum_type,
 )
-from tests.conftest import full_table_character_projections, negate_index
+from tests.conftest import full_table_character_projections, negate_index, scalar_jacobi
 from tests.golden import render
 
 SQRT2 = math.sqrt(2.0)
-# Stacked kernel vs the scalar reference: sorted eigenvalues agree to
-# EIGENVALUE_BOUND * (1 + ||A||_F).  Both stop once the off-diagonal norm is
-# below 1e-12 * (1 + ||A||_F); measured agreement is within 8.4e-16 of that
-# scale on verify's matrices, 1.4e-15 on random 0/1 matrices up to n = 32
-# and 2.1e-15 on the stacks of orders 33, 64 and 65 below; against LAPACK
-# eigh it is 1.3e-15 on the random stacks of orders 96 and 128.
+# The dense route (LAPACK `eigh`) vs the LAPACK-free reference
+# (`scalar_jacobi`): sorted eigenvalues agree to EIGENVALUE_BOUND *
+# (1 + ||A||_F).  The reference stops once its off-diagonal norm is below
+# 1e-12 * (1 + ||A||_F); measured agreement is within 1.3e-15 of that scale
+# on verify's matrices and 1.7e-15 on the random 0/1 graphs below.
 EIGENVALUE_BOUND = 1e-14
 
 
-def _scalar_jacobi(matrix, max_sweeps=64):
-    """The cyclic-by-row Jacobi routine the package used before the stacked
-    round-robin kernel, kept as the reference: one (p, q) rotation at a time."""
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-    thresh = 1e-12 * (1.0 + np.linalg.norm(a))
-    skip = thresh / n
-
-    def off_norm(m):
-        stripped = m.copy()
-        np.fill_diagonal(stripped, 0.0)
-        return float(np.linalg.norm(stripped))
-
-    for _ in range(max_sweeps):
-        if off_norm(a) < thresh:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if off_norm(a) < thresh:
-        return np.diag(a).copy(), v
-    raise JacobiConvergenceError(off_norm(a), max_sweeps)
-
-
-def _assert_matches_reference(stack, eigenvalues, eigenvectors):
-    """Each member: sorted eigenvalues within the bound of the scalar
-    reference, eigen-residual <= 1e-9 and orthonormality error <= 1e-10."""
-    n = stack.shape[-1]
-    for a, lam, vec in zip(stack, eigenvalues, eigenvectors):
-        ref, _ = _scalar_jacobi(a)
-        bound = EIGENVALUE_BOUND * (1.0 + np.linalg.norm(a))
-        assert np.max(np.abs(np.sort(lam) - np.sort(ref))) <= bound
-        assert np.max(np.abs(a @ vec - vec * lam)) <= spectra.RESIDUAL_TOL
-        assert np.max(np.abs(vec.T @ vec - np.eye(n))) <= spectra.ORTHONORMALITY_TOL
+def _assert_matches_reference(adjacency, spec):
+    """Sorted eigenvalues within the bound of the scalar reference,
+    eigen-residual <= 1e-9 and orthonormality error <= 1e-10."""
+    a = np.asarray(adjacency, dtype=np.float64)
+    ref, _ = scalar_jacobi(a)
+    bound = EIGENVALUE_BOUND * (1.0 + np.linalg.norm(a))
+    assert np.max(np.abs(spec.eigenvalues - np.sort(ref)[::-1])) <= bound
+    vec, lam = spec.eigenvectors, spec.eigenvalues
+    assert np.max(np.abs(a @ vec - vec * lam)) <= spectra.RESIDUAL_TOL
+    assert np.max(np.abs(vec.conj().T @ vec - np.eye(len(a)))) <= spectra.ORTHONORMALITY_TOL
 
 
 def _random_01_stack(rng, count, n):
@@ -272,21 +218,17 @@ def test_complete_bipartite_spectrum_via_oracle():
     assert np.allclose(spec.eigenvalues, [3, 0, 0, 0, 0, -3], atol=1e-9)
 
 
-def test_jacobi_against_numpy_on_random_symmetric():
+def test_the_reference_matches_eigh_on_random_symmetric_matrices():
+    # general symmetric matrices, not only the 0/1 adjacencies of graphs
     rng = np.random.default_rng(5)
     for _ in range(25):
         n = int(rng.integers(2, 30))
         m = rng.normal(size=(n, n))
         m = m + m.T
-        lam, vec = jacobi_eigensystem(m)
+        lam, vec = scalar_jacobi(m)
         assert np.max(np.abs(np.sort(lam) - np.linalg.eigvalsh(m))) < 1e-10
         assert np.max(np.abs(vec.T @ vec - np.eye(n))) < 1e-10
         assert np.max(np.abs(m @ vec - vec * lam)) < 1e-9
-
-
-def test_jacobi_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        jacobi_eigensystem(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 def _gap_graphs(cfg):
@@ -295,179 +237,44 @@ def _gap_graphs(cfg):
             for group, rows, _ in mixing._gap_rows(cfg) for row in rows]
 
 
-def test_stacked_jacobi_matches_reference_on_verify_matrices():
+def _random_graphs(rng, count, n):
+    """`count` connected graphs on n vertices, from random 0/1 stacks."""
+    out = []
+    while len(out) < count:
+        for a in _random_01_stack(rng, count - len(out), n):
+            try:
+                out.append(graphs.from_adjacency(a.astype(np.uint8)))
+            except GraphValidationError:
+                continue
+    return out
+
+
+def test_dense_eigensystems_match_the_reference_on_verify_matrices():
     cfg = mixing.VerifyConfig()
     gs = _gap_graphs(cfg)
     gs += mixing._oracle_cases(cfg)
     assert len(gs) == 328
-    for n in sorted({g.n for g in gs}):
-        stack = np.stack([g.adjacency for g in gs if g.n == n]).astype(np.float64)
-        _assert_matches_reference(stack, *jacobi_eigensystem(stack))
+    for g, spec in zip(gs, spectra.dense_eigensystems(gs)):
+        _assert_matches_reference(g.adjacency, spec)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65])
-def test_stacked_jacobi_matches_reference_on_random_01_stacks(n):
-    stack = _random_01_stack(np.random.default_rng(n), 6, n)
-    eigenvalues, eigenvectors = jacobi_eigensystem(stack)
-    assert eigenvalues.shape == (6, n) and eigenvectors.shape == (6, n, n)
-    _assert_matches_reference(stack, eigenvalues, eigenvectors)
-    lam, vec = jacobi_eigensystem(stack[0])  # a 2-D input keeps 2-D shapes
-    assert lam.shape == (n,) and vec.shape == (n, n)
-
-
-@pytest.mark.parametrize("n", [96, 128])
-def test_jacobi_matches_lapack_on_large_random_01_stacks(n):
-    # the scalar reference is too slow at these orders, so eigh is the second solver
-    stack = _random_01_stack(np.random.default_rng(n), 2, n)
-    eigenvalues, eigenvectors = jacobi_eigensystem(stack)
-    for a, lam, vec in zip(stack, eigenvalues, eigenvectors):
-        bound = EIGENVALUE_BOUND * (1.0 + np.linalg.norm(a))
-        assert np.max(np.abs(np.sort(lam) - np.linalg.eigvalsh(a))) <= bound
-        assert np.max(np.abs(a @ vec - vec * lam)) <= spectra.RESIDUAL_TOL
-        assert np.max(np.abs(vec.T @ vec - np.eye(n))) <= spectra.ORTHONORMALITY_TOL
-
-
-def test_jacobi_repeats_bit_for_bit_across_openblas_thread_counts():
-    # the one ring runs element-wise numpy only: no BLAS thread count moves a bit
-    script = ("import sys, numpy as np\n"
-              "from ctqw.spectra import jacobi_eigensystem\n"
-              "upper = np.triu(np.random.default_rng(65).random((2, 65, 65)) < 0.5, 1)\n"
-              "lam, vec = jacobi_eigensystem((upper | upper.swapaxes(1, 2)).astype(float))\n"
-              "sys.stdout.write(lam.tobytes().hex() + vec.tobytes().hex())\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    out = [subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120,
-                          env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True).stdout
-           for threads in ("1", "2")]
-    assert out[0] and out[0] == out[1]
-
-
-def test_jacobi_leaves_a_diagonal_matrix_alone():
-    diag = np.diag([3.0, -1.0, 0.5, 2.0, 0.0])
-    lam, vec = jacobi_eigensystem(diag, max_sweeps=0)  # converged before any sweep
-    assert np.array_equal(lam, np.diag(diag))
-    assert np.array_equal(vec, np.eye(5))
-    stack = np.stack([diag, _random_01_stack(np.random.default_rng(0), 1, 5)[0]])
-    lam, vec = jacobi_eigensystem(stack)
-    assert np.array_equal(lam[0], np.diag(diag)) and np.array_equal(vec[0], np.eye(5))
-
-
-def _sweeps_needed(a):
-    for cap in range(65):
-        try:
-            jacobi_eigensystem(a, max_sweeps=cap)
-            return cap
-        except JacobiConvergenceError:
-            continue
-    raise AssertionError("no convergence within 64 sweeps")
-
-
-def test_stack_members_converge_after_different_sweep_counts():
-    n = 10
-    spread = np.diag(np.arange(n, dtype=np.float64))
-    one_pair = spread.copy()
-    one_pair[2, 7] = one_pair[7, 2] = 1.0  # a single rotation finishes it
-    noise = _random_01_stack(np.random.default_rng(4), 1, n)[0]
-    stack = np.stack([spread, one_pair, spread + 1e-3 * noise, spread + 1e-2 * noise, noise])
-    needed = [_sweeps_needed(a) for a in stack]
-    assert needed[:2] == [0, 1] and len(set(needed)) == len(needed)  # 0, 1, 2, 3, 5
-    eigenvalues, eigenvectors = jacobi_eigensystem(stack)
-    _assert_matches_reference(stack, eigenvalues, eigenvectors)
-    for a, lam, vec in zip(stack, eigenvalues, eigenvectors):
-        alone_lam, alone_vec = jacobi_eigensystem(a)
-        assert np.allclose(lam, alone_lam, rtol=0, atol=1e-13)
-        assert np.allclose(vec, alone_vec, rtol=0, atol=1e-13)
-    with pytest.raises(JacobiConvergenceError):
-        jacobi_eigensystem(stack, max_sweeps=max(needed) - 1)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65])
+def test_dense_eigensystems_match_the_reference_on_random_01_stacks(n):
+    gs = _random_graphs(np.random.default_rng(n), 6, n)
+    for g, spec in zip(gs, spectra.dense_eigensystems(gs)):
+        _assert_matches_reference(g.adjacency, spec)
 
 
 def test_stack_members_are_their_single_solves():
-    stack = _random_01_stack(np.random.default_rng(12), 3, 128)
-    stack[2, 127] = stack[2, :, 127] = 0.0  # order 127, zero-padded to 128
-    eigenvalues, eigenvectors = jacobi_eigensystem(stack, sizes=[128, 128, 127])
-    for a, n, lam, vec in zip(stack, (128, 128, 127), eigenvalues, eigenvectors):
-        alone_lam, alone_vec = jacobi_eigensystem(a[:n, :n])
-        assert np.array_equal(lam[:n], alone_lam) and np.array_equal(vec[:n, :n], alone_vec)
-    assert eigenvalues[2, 127] == 0.0 and np.array_equal(eigenvectors[2, :, 127], np.eye(128)[127])
-
-
-def test_jacobi_sweep_cap_raises():
-    stack = _random_01_stack(np.random.default_rng(2), 3, 16)
-    with pytest.raises(JacobiConvergenceError) as info:
-        jacobi_eigensystem(stack, max_sweeps=2)
-    assert info.value.sweeps == 2 and info.value.off_norm > 0.0
-    with pytest.raises(JacobiConvergenceError):
-        jacobi_eigensystem(stack[0], max_sweeps=2)
-
-
-def test_jacobi_sweep_cap_raises_on_an_odd_order():
-    stack = _random_01_stack(np.random.default_rng(3), 2, 65)  # padded to a ring of 66
-    with pytest.raises(JacobiConvergenceError) as info:
-        jacobi_eigensystem(stack, max_sweeps=3)
-    assert info.value.sweeps == 3 and info.value.off_norm > 0.0
-
-
-@pytest.mark.parametrize("matrix", [
-    np.zeros(3),
-    np.zeros((2, 3)),
-    np.zeros((2, 3, 4)),
-    np.zeros((1, 2, 2, 2)),
-    np.array([[0.0, 1.0], [0.5, 0.0]]),
-    np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]),
-    np.array([[0.0, np.nan], [np.nan, 0.0]]),
-    np.array([[np.inf, 0.0], [0.0, 1.0]]),
-], ids=["1d", "non-square", "non-square-stack", "4d", "asymmetric", "asymmetric-member",
-        "nan", "inf"])
-def test_jacobi_rejects_bad_input(matrix):
-    with pytest.raises(ValueError):
-        jacobi_eigensystem(matrix)
-
-
-def test_jacobi_reads_the_upper_triangle_of_a_nearly_symmetric_matrix():
-    # accepted as symmetric (relative mismatch 1e-9 < the 1e-5 allowed), then
-    # solved as the exactly symmetric matrix of its upper triangle
-    upper = _random_01_stack(np.random.default_rng(7), 3, 9)
-    nearly = upper.copy()
-    lower = np.tril_indices(9, -1)
-    nearly[:, lower[0], lower[1]] *= 1.0 + 1e-9
-    for got, want in zip(jacobi_eigensystem(nearly), jacobi_eigensystem(upper)):
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_jacobi_keeps_pivots_below_the_skip_threshold(n):
-    # an all-ones off-diagonal with one pair shrunk to 0.9 * thresh / n: the
-    # pair is skipped while it is that small, but its value still counts, so
-    # the eigenvalues match an independent solver to rounding, far below
-    # the first-order shift (up to about 1e-12 here) that dropping it would cause
-    base = np.ones((n, n)) - np.eye(n) + np.diag(np.arange(n) * 0.37)
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            a = base.copy()
-            thresh = 1e-12 * (1.0 + np.linalg.norm(base))
-            a[p, q] = a[q, p] = 0.9 * thresh / n
-            lam, vec = jacobi_eigensystem(a)
-            exact = np.linalg.eigvalsh(a)
-            assert np.max(np.abs(np.sort(lam) - exact)) <= 2e-14, (p, q)
-            ref, _ = _scalar_jacobi(a)
-            assert np.max(np.abs(np.sort(ref) - exact)) <= 2e-14, (p, q)
-
-
-def test_ring_slots_meet_every_pair_once_and_return_to_the_start():
-    for n in range(2, 41):
-        m = n + n % 2
-        start, perm = spectra._ring_slots(m)
-        slots, met = start, []
-        for r in range(m - 1):
-            # the Brent-Luk ring: index 0 fixed, 1..m-1 one place on per round,
-            # position i against position m-1-i
-            order = [0] + [1 + (r + k) % (m - 1) for k in range(m - 1)]
-            want = {frozenset((order[i], order[m - 1 - i])) for i in range(m // 2)}
-            pairs = [frozenset(p) for p in slots.reshape(-1, 2).tolist()]
-            assert set(pairs) == want, (m, r)
-            met += pairs
-            slots = slots[perm]
-        assert len(met) == len(set(met)) == m * (m - 1) // 2, m
-        assert np.array_equal(slots, start), m
+    # a graph's spectrum does not depend on the graphs that share its stack:
+    # each member is the bits of `eigh` on its matrix alone, sorted
+    rng = np.random.default_rng(12)
+    gs = _random_graphs(rng, 2, 128) + _random_graphs(rng, 1, 127)
+    for g, spec in zip(gs, spectra.dense_eigensystems(gs)):
+        lam, vec = np.linalg.eigh(g.adjacency.astype(np.float64))
+        order = spectra._descending(lam)
+        assert spec.eigenvalues.tobytes() == lam[order].tobytes()
+        assert spec.eigenvectors.tobytes() == vec[:, order].astype(np.complex128).tobytes()
 
 
 def test_dense_routes_refuse_a_working_set_over_the_budget(monkeypatch):
@@ -500,26 +307,25 @@ def test_dense_budget_is_computed_from_the_orders_alone():
         spectra._check_dense_budget([largest, 100])  # the working sets of one call add up
 
 
-def test_production_dense_routes_use_lapack_and_the_oracle_stays_jacobi(jacobi_calls):
+def test_every_dense_route_is_one_stacked_eigh(eigh_calls):
     custom = graphs.from_adjacency(_random_01_stack(np.random.default_rng(11), 1, 12)[0])
     production = [custom, graphs.build_complete_bipartite(4), graphs.build_bunkbed(custom)]
-    oracle = [spectra.dense_eigensystem(g) for g in production]
-    jacobi_calls.clear()
+    dense = [spectra.dense_eigensystem(g) for g in production]
     # "dense" forces the same eigh route, also where a closed form exists
     cycle = graphs.build_cycle(12)
-    for g, want in [*zip(production, oracle), (cycle, graph_eigensystem(cycle))]:
+    for g, want in [*zip(production, dense), (cycle, graph_eigensystem(cycle))]:
         for method in ("auto", "dense"):
             spec = graph_eigensystem(g, method=method)
             spectra.check_spectrum(spec, g.adjacency)
             assert np.max(np.abs(spec.eigenvalues - want.eigenvalues)) <= 1e-12
     assert graph_eigensystem(cycle, method="dense").characters is None
-    for g in production[:2]:  # no closed form: "auto" is eigh too, bit for bit
-        auto, forced = graph_eigensystem(g), graph_eigensystem(g, method="dense")
-        assert forced.eigenvalues.tobytes() == auto.eigenvalues.tobytes()
-        assert forced.eigenvectors.tobytes() == auto.eigenvectors.tobytes()
-    assert jacobi_calls == []
+    for g, want in zip(production[:2], dense):  # no closed form: "auto" is eigh, bit for bit
+        for spec in (graph_eigensystem(g), graph_eigensystem(g, method="dense")):
+            assert spec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert spec.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+    eigh_calls.clear()
     spectra.dense_eigensystems(production[:2])
-    assert jacobi_calls == [(1, 12, 12), (1, 8, 8)]
+    assert eigh_calls == [(1, 12, 12), (1, 8, 8)]
 
 
 def test_lapack_failure_is_a_computational_failure(monkeypatch):
@@ -546,48 +352,31 @@ def test_dense_eigensystems_groups_by_size_and_keeps_order():
 
 
 def test_dense_eigensystems_checks_every_result(monkeypatch):
-    exact = spectra.jacobi_eigensystem
+    exact = np.linalg.eigh
 
-    def off_by_one_vector(matrix, max_sweeps=64, sizes=None):
-        lam, vec = exact(matrix, max_sweeps, sizes)
+    def off_by_one_vector(a):
+        lam, vec = exact(a)
         vec[-1, :, 0] *= 1.0 + 1e-6  # last member, first eigenvector
         return lam, vec
 
-    monkeypatch.setattr(spectra, "jacobi_eigensystem", off_by_one_vector)
+    monkeypatch.setattr(np.linalg, "eigh", off_by_one_vector)
     with pytest.raises(RuntimeError, match="orthonormal"):
         spectra.dense_eigensystems([graphs.build_cycle(6), graphs.build_path(6)])
 
 
-def test_dense_eigensystems_solve_one_stack_per_even_size(jacobi_calls):
-    # an odd n joins the n + 1 stack with a zero dummy index: the same index
-    # the solver pads it with alone, and its pairs still skip below thresh / n
+def test_dense_eigensystems_solve_one_stack_per_order(eigh_calls):
     cfg = mixing.VerifyConfig()
     gs = _gap_graphs(cfg)
     gs += mixing._oracle_cases(cfg)
     assert len(gs) == 328
     specs = spectra.dense_eigensystems(gs)
-    evens = sorted({g.n + g.n % 2 for g in gs})
-    assert sorted(shape[1:] for shape in jacobi_calls) == [(m, m) for m in evens]
-    assert sum(shape[0] for shape in jacobi_calls) == len(gs)
+    orders = sorted({g.n for g in gs})
+    assert sorted(shape[1:] for shape in eigh_calls) == [(n, n) for n in orders]
+    assert sum(shape[0] for shape in eigh_calls) == len(gs)
     for g, spec in zip(gs, specs):
         alone = dense_eigensystem(g)
-        lam, vec = jacobi_eigensystem(g.adjacency)  # unpadded: an odd n is padded inside
-        order = spectra._descending(lam)
-        for want in (alone, spectra.Spectrum(lam[order], vec[:, order])):
-            assert spec.eigenvalues.tobytes() == want.eigenvalues.tobytes(), g.n
-            assert spec.eigenvectors.tobytes() == want.eigenvectors.tobytes(), g.n
-
-
-def test_jacobi_sizes_must_match_zero_padding():
-    stack = np.zeros((2, 4, 4))
-    stack[:, :3, :3] = graphs.build_cycle(3).adjacency
-    lam, vec = jacobi_eigensystem(stack, sizes=[3, 3])
-    assert np.array_equal(lam[:, 3], [0.0, 0.0])
-    assert np.array_equal(vec[:, :, 3], [np.eye(4)[3]] * 2)
-    assert np.allclose(np.sort(lam[:, :3]), [[-1.0, -1.0, 2.0]] * 2, rtol=0, atol=1e-12)
-    for sizes in ([3], [3, 5], [0, 3], [3.0, 3.0], [2, 3]):  # [2, 3]: a nonzero entry past size 2
-        with pytest.raises(ValueError):
-            jacobi_eigensystem(stack, sizes=sizes)
+        assert spec.eigenvalues.tobytes() == alone.eigenvalues.tobytes(), g.n
+        assert spec.eigenvectors.tobytes() == alone.eigenvectors.tobytes(), g.n
 
 
 def test_check_spectrum_refuses_nan():
@@ -678,11 +467,6 @@ def test_blocked_character_projections_are_the_full_table_bitwise(build):
             got = spec.class_projections(start, labels, starts)
             want = full_table_character_projections(spec, start, starts)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), start
-
-
-def test_jacobi_convergence_error_reports_off_norm():
-    err = JacobiConvergenceError(1e-3, 64)
-    assert "1.000e-03" in str(err)
 
 
 def test_degeneracy_classes_and_tolerance():
