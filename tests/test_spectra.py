@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +235,36 @@ def test_the_reference_matches_eigh_on_random_symmetric_matrices():
         assert np.max(np.abs(m @ vec - vec * lam)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_the_reference_keeps_pivots_below_the_skip_threshold(n):
+    # an all-ones off-diagonal with one pair shrunk to 0.9 * thresh / n: the
+    # pair is skipped while it is that small, but its value still counts, so
+    # the eigenvalues match eigh to rounding, far below the first-order
+    # shift (up to about 1e-12 here) that dropping it would cause
+    base = np.ones((n, n)) - np.eye(n) + np.diag(np.arange(n) * 0.37)
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            a = base.copy()
+            thresh = 1e-12 * (1.0 + np.linalg.norm(base))
+            a[p, q] = a[q, p] = 0.9 * thresh / n
+            lam, _ = scalar_jacobi(a)
+            assert np.max(np.abs(np.sort(lam) - np.linalg.eigvalsh(a))) <= 2e-14, (p, q)
+
+
+def test_the_reference_leaves_a_diagonal_matrix_alone():
+    diag = np.diag([3.0, -1.0, 0.5, 2.0, 0.0])
+    lam, vec = scalar_jacobi(diag, max_sweeps=0)  # converged before any sweep
+    assert np.array_equal(lam, np.diag(diag))
+    assert np.array_equal(vec, np.eye(5))
+
+
+def test_the_reference_raises_past_its_sweep_cap():
+    # a reference that stopped early would pass off unconverged values
+    a = _random_01_stack(np.random.default_rng(2), 1, 16)[0]
+    with pytest.raises(AssertionError, match="did not converge in 2 sweeps; off-diagonal norm"):
+        scalar_jacobi(a, max_sweeps=2)
+
+
 def _gap_graphs(cfg):
     """The circulants of the spectral-gap check, in the order it builds them."""
     return [graphs.build_abelian_circulant(graphs.Symbol._proven(group, row))
@@ -263,6 +297,65 @@ def test_dense_eigensystems_match_the_reference_on_random_01_stacks(n):
     gs = _random_graphs(np.random.default_rng(n), 6, n)
     for g, spec in zip(gs, spectra.dense_eigensystems(gs)):
         _assert_matches_reference(g.adjacency, spec)
+
+
+@pytest.mark.parametrize("n", [96, 128])
+def test_dense_eigensystems_match_the_reference_on_large_random_graphs(n):
+    gs = _random_graphs(np.random.default_rng(n), 2, n)
+    for g, spec in zip(gs, spectra.dense_eigensystems(gs)):
+        _assert_matches_reference(g.adjacency, spec)
+
+
+@pytest.mark.parametrize("g", [
+    graphs.build_cycle(97),
+    graphs.build_complete(40),
+    graphs.build_hypercube(7),
+    graphs.build_path(100),
+    graphs.build_bunkbed(graphs.build_cycle(30)),
+    graphs.build_abelian_circulant(Symbol.from_support(AbelianGroupSpec((4, 6)), [1, 5, 6, 18])),
+], ids=["C97", "K40", "Q7", "P100", "bunkbed-C30", "Z4xZ6"])
+def test_dense_eigensystems_match_the_closed_forms_past_verify_orders(g):
+    # verify's oracle stops at order 20; past it the closed forms and eigh
+    # still agree to its 1e-9 bound, class by class
+    closed = graph_eigensystem(g, method="closed")
+    dense = dense_eigensystem(g)
+    spectra.check_spectrum(dense, g.adjacency)
+    assert np.max(np.abs(closed.eigenvalues - dense.eigenvalues)) <= 1e-9
+    assert (degeneracy_classes(dense).multiplicities
+            == degeneracy_classes(closed).multiplicities)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.zeros(3),
+    np.zeros((2, 3)),
+    np.zeros((2, 3, 3)),
+    np.array([[0, 1], [0, 0]]),
+    np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]]),
+    np.array([[0.0, np.nan], [np.nan, 0.0]]),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    np.array([[1, 1], [1, 0]]),
+], ids=["1d", "non-square", "stack", "asymmetric", "nearly-symmetric", "nan", "inf",
+        "self-loop"])
+def test_the_dense_route_sees_only_checked_adjacencies(matrix, eigh_calls):
+    # dense_eigensystems takes graphs, and a graph checks its adjacency where
+    # it is made: no malformed matrix reaches eigh
+    with pytest.raises(GraphValidationError):
+        spectra.dense_eigensystems([graphs.from_adjacency(matrix)])
+    assert eigh_calls == []
+
+
+def test_dense_eigensystems_repeat_bit_for_bit_across_openblas_thread_counts():
+    script = ("import sys, numpy as np\n"
+              "from ctqw import graphs, spectra\n"
+              "upper = np.triu(np.random.default_rng(65).random((2, 65, 65)) < 0.5, 1)\n"
+              "gs = [graphs.from_adjacency(a) for a in (upper | upper.swapaxes(1, 2)).astype(np.uint8)]\n"
+              "for s in spectra.dense_eigensystems(gs):\n"
+              "    sys.stdout.write(s.eigenvalues.tobytes().hex() + s.eigenvectors.tobytes().hex())\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = [subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120,
+                          env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True).stdout
+           for threads in ("1", "2")]
+    assert out[0] and out[0] == out[1]
 
 
 def test_stack_members_are_their_single_solves():
